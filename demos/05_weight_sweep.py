@@ -24,7 +24,7 @@ for i in range(step + 1):
         det, dup = [], []
         for seed in seeds:
             config = SimConfig(seed=seed, solver=SolverConfig(alphas=alphas), **base)
-            full = next(r for r in run_trial(config) if r.method is Method.FULL)
+            full, = run_trial(config, methods=(Method.FULL,))
             det.append(full.detection_rate)
             dup.append(full.duplication_rate)
         print("  %.1f    %.1f    %.1f      %.3f      %.3f"

@@ -32,6 +32,7 @@ from .simulation import (
     append_metrics_csv,
     generate_system,
     metrics_rows,
+    prepare_fleet,
     region_raster,
     run_trial,
     trial_rngs,
@@ -70,7 +71,7 @@ def run_sweep(spec: SweepSpec):
                 seed=seed,
                 solver=replace(spec.base.solver, alphas=alphas),
             )
-            report = next(r for r in run_trial(config) if r.method is Method.FULL)
+            report, = run_trial(config, methods=(Method.FULL,))
             detections.append(report.detection_rate)
             duplications.append(report.duplication_rate)
         rows.append(
@@ -338,16 +339,22 @@ def cmd_simulate(args, parser):
     out = _out_dir(opts)
     if out is None:
         return 4
-    rows, failures = [], 0
-    for r in regions:
-        for i in range(n_seeds):
-            seed = base_seed + i
+    # one fleet per seed serves every r; rows are kept per --regions entry so
+    # the file stays r-major in the order given
+    rows_at = [[] for _ in regions]
+    failures = 0
+    for seed in range(base_seed, base_seed + n_seeds):
+        fleet = None
+        for r_rows, r in zip(rows_at, regions):
             try:
                 config = _sim_config(opts, parser, n, k, r, seed)
-                rows.extend(metrics_rows(config, run_trial(config)))
+                if fleet is None:
+                    fleet = prepare_fleet(config)
+                r_rows.extend(metrics_rows(config, run_trial(config, fleet)))
             except (ValueError, RuntimeError) as exc:
                 failures += 1
                 print("trial r=%d seed=%d failed: %s" % (r, seed, exc), file=sys.stderr)
+    rows = [row for r_rows in rows_at for row in r_rows]
     path = os.path.join(out, "metrics.csv")
     if rows:
         try:

@@ -4,7 +4,9 @@ A trial generates a random system, fuses its three relation graphs, partitions
 the result into teams, and scores the assignment on simulated typed events
 (detection) and within-team capability redundancy (duplication). Two
 baselines run alongside: the same pipeline with both regularizers off, and
-plain agglomerative spatial clustering.
+plain agglomerative spatial clustering. Everything in a trial except
+forming the r teams and scoring them depends only on the fleet, so it is
+kept in a Fleet that serves every r at one seed.
 
 All randomness flows from SimConfig.seed; system generation and event
 placement draw from independent child streams so each is reproducible on
@@ -200,30 +202,36 @@ def greedy_assign(system: RobotSystem, r: int) -> TeamAssignment:
     if not (isinstance(r, int) and 1 <= r <= n):
         raise ValueError("r must lie in 1..%d, got %r" % (n, r))
     pos = system.positions()
-    clusters = [frozenset([i]) for i in range(n)]
+
+    def cluster(members):
+        # a cluster's centroid and smallest member are computed once, when it forms
+        return members, pos[list(members)].mean(axis=0).tolist(), min(members)
+
+    clusters = [cluster(frozenset([i])) for i in range(n)]
     while len(clusters) > r:
         best = None
-        for a in range(len(clusters)):
-            ca = pos[list(clusters[a])].mean(axis=0)
+        for a, (_, (xa, ya), low_a) in enumerate(clusters):
             for b in range(a + 1, len(clusters)):
-                cb = pos[list(clusters[b])].mean(axis=0)
-                d = math.hypot(ca[0] - cb[0], ca[1] - cb[1])
-                label = tuple(sorted((min(clusters[a]), min(clusters[b]))))
+                _, (xb, yb), low_b = clusters[b]
+                d = math.hypot(xa - xb, ya - yb)
+                label = (low_a, low_b) if low_a < low_b else (low_b, low_a)
                 key = (d, label)
                 if best is None or key < best[0]:
                     best = (key, a, b)
         _, a, b = best
-        merged = clusters[a] | clusters[b]
-        clusters = [c for i, c in enumerate(clusters) if i not in (a, b)]
-        clusters.append(merged)
-    return TeamAssignment.from_teams(clusters, n)
+        merged = cluster(clusters[a][0] | clusters[b][0])
+        clusters = [c for i, c in enumerate(clusters) if i not in (a, b)] + [merged]
+    return TeamAssignment.from_teams([members for members, _, _ in clusters], n)
+
+
+def baseline_solver_config(solver_config: SolverConfig) -> SolverConfig:
+    """Baseline's solver settings: the same config with lambda1 = lambda2 = 0."""
+    return replace(solver_config, lambda1=0.0, lambda2=0.0)
 
 
 def baseline_assign(graphs, solver_config: SolverConfig, r: int) -> TeamAssignment:
     """Regularizer-free baseline: the same pipeline with lambda1 = lambda2 = 0."""
-    stripped = replace(solver_config, lambda1=0.0, lambda2=0.0)
-    result = solve(graphs, stripped)
-    return partition(result.Z, r)
+    return partition(solve(graphs, baseline_solver_config(solver_config)).Z, r)
 
 
 def trial_rngs(seed: int):
@@ -232,27 +240,62 @@ def trial_rngs(seed: int):
     return np.random.default_rng(children[0]), np.random.default_rng(children[1])
 
 
-def run_trial(config: SimConfig):
-    """One full experiment at one seed; three MetricsReports, one per method."""
+@dataclass(frozen=True, eq=False)
+class Fleet:
+    """The part of a trial that does not depend on the team count r.
+
+    One fleet serves every r at its seed: the generated system, its events
+    and the fused Z of each solved method (Full, Baseline). config is the
+    configuration it was prepared from; trials may differ from it only in
+    n_regions.
+    """
+
+    config: SimConfig
+    system: RobotSystem
+    events: tuple
+    fused: dict  # Method -> Z
+
+
+def prepare_fleet(config: SimConfig, methods=tuple(Method)) -> Fleet:
+    """Generate, fuse and place events once; solves only the listed methods."""
     system_rng, event_rng = trial_rngs(config.seed)
     system = generate_system(config, system_rng)
     graphs = build_relation_graphs(system, config.comm_radius, config.spatial_epsilon)
     solver_config = config.solver.resolved(len(graphs))
+    fused = {}
+    if Method.FULL in methods:
+        fused[Method.FULL] = solve(graphs, solver_config).Z
+    if Method.BASELINE in methods:
+        fused[Method.BASELINE] = solve(graphs, baseline_solver_config(solver_config)).Z
+    events = tuple(simulate_events(config, event_rng))
+    return Fleet(config=config, system=system, events=events, fused=fused)
 
-    full = partition(solve(graphs, solver_config).Z, config.n_regions)
-    base = baseline_assign(graphs, solver_config, config.n_regions)
-    greedy = greedy_assign(system, config.n_regions)
 
-    events = simulate_events(config, event_rng)
+def run_trial(config: SimConfig, fleet: Fleet | None = None, methods=tuple(Method)):
+    """One experiment at one seed and team count; one MetricsReport per method.
+
+    Reports come in the order of `methods`. A fleet from prepare_fleet is
+    reused as is; without one, the fleet is prepared for this trial alone.
+    """
+    if fleet is None:
+        fleet = prepare_fleet(config, methods)
+    elif replace(fleet.config, n_regions=1) != replace(config, n_regions=1):
+        raise ValueError("the fleet was prepared from a different configuration")
+    r = config.n_regions
     reports = []
-    for method, assignment in ((Method.FULL, full), (Method.BASELINE, base),
-                               (Method.GREEDY, greedy)):
+    for method in methods:
+        if method is Method.GREEDY:
+            assignment = greedy_assign(fleet.system, r)
+        elif method in fleet.fused:
+            assignment = partition(fleet.fused[method], r)
+        else:
+            raise ValueError("the fleet holds no %s solution" % method.value)
         reports.append(
             MetricsReport(
                 method=method,
-                detection_rate=detection_rate(system, assignment, events),
-                duplication_rate=duplication_rate(system, assignment),
-                r=config.n_regions,
+                detection_rate=detection_rate(fleet.system, assignment, fleet.events),
+                duplication_rate=duplication_rate(fleet.system, assignment),
+                r=r,
                 seed=config.seed,
             )
         )

@@ -3,10 +3,12 @@
 Each oracle reaches a reference answer by a different route than the library
 code under test: proximal results via plain subgradient descent, gradients
 via central finite differences, eigenpairs via characteristic-polynomial
-roots plus a nullspace extraction, and partitions via exhaustive enumeration.
+roots plus a nullspace extraction, partitions via exhaustive enumeration,
+and greedy teams via the plain pairwise merge loop.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -112,3 +114,29 @@ def best_partition_by_mass(Z, k):
             best_score = score
             best = groups
     return frozenset(frozenset(g) for g in best)
+
+
+def greedy_teams_oracle(positions, r):
+    """Greedy centroid merging with every centroid recomputed for every pair.
+
+    The reference for greedy_assign: the same distances, tie keys and merge
+    order, computed the slow way. Returns the clusters as frozensets.
+    """
+    pos = np.asarray(positions, dtype=float)
+    clusters = [frozenset([i]) for i in range(pos.shape[0])]
+    while len(clusters) > r:
+        best = None
+        for a in range(len(clusters)):
+            ca = pos[list(clusters[a])].mean(axis=0)
+            for b in range(a + 1, len(clusters)):
+                cb = pos[list(clusters[b])].mean(axis=0)
+                d = math.hypot(ca[0] - cb[0], ca[1] - cb[1])
+                label = tuple(sorted((min(clusters[a]), min(clusters[b]))))
+                key = (d, label)
+                if best is None or key < best[0]:
+                    best = (key, a, b)
+        _, a, b = best
+        merged = clusters[a] | clusters[b]
+        clusters = [c for i, c in enumerate(clusters) if i not in (a, b)]
+        clusters.append(merged)
+    return clusters

@@ -22,6 +22,7 @@ from hetcover.simulation import (
     append_metrics_csv,
     generate_system,
     metrics_rows,
+    prepare_fleet,
     run_trial,
     trial_rngs,
 )
@@ -116,16 +117,22 @@ def recovery_runs(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def benchmark_runs(tmp_path_factory):
-    """Two identical coverage benchmarks: 30 seeds, n=20, r from 2 to 10."""
+    """Two identical coverage benchmarks: 30 seeds, n=20, r from 2 to 10.
+
+    As in the simulate command, one fleet per seed serves every r.
+    """
 
     def one_run(path):
         start = time.perf_counter()
         reports = {}
         for seed in range(30):
+            fleet = None
             for r in range(2, 11):
                 config = SimConfig(n_robots=20, n_capabilities=3,
                                    n_regions=r, seed=seed)
-                trial = run_trial(config)
+                if fleet is None:
+                    fleet = prepare_fleet(config)
+                trial = run_trial(config, fleet)
                 reports[(seed, r)] = trial
                 append_metrics_csv(path, metrics_rows(config, trial))
         return reports, path.read_bytes(), time.perf_counter() - start

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from hetcover.cli import SweepSpec, main
+from hetcover.cli import SweepSpec, main, run_sweep
 from hetcover.graphs import load_matrix_csv, save_matrix_csv
 from hetcover.partition import load_assignment
-from hetcover.simulation import METRICS_HEADER, SimConfig
+from hetcover.simulation import METRICS_HEADER, Method, SimConfig, metrics_rows, run_trial
+from hetcover.solver import SolverConfig
 from hetcover.system import load_system, save_system
 
 from _planted import planted_system
@@ -247,6 +248,23 @@ class TestSimulate:
         lines = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
         assert {line.split(",")[3] for line in lines} == {"2", "4"}
 
+    def test_rows_match_per_trial_runs_in_listed_order(self, tmp_path, capsys):
+        # r = 7 exceeds the robot count: those trials fail, the others run
+        code = run_cli("simulate", "--robots", "6", "--capabilities", "2",
+                       "--regions", "3,2,3,7", "--seeds", "3", "--out", str(tmp_path))
+        assert code == 0
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("trial ")]
+        assert len(failed) == 3
+        assert all(line.startswith("trial r=7 ") for line in failed)
+        want = [METRICS_HEADER]
+        for r in (3, 2, 3):
+            for seed in range(3):
+                config = SimConfig(n_robots=6, n_capabilities=2, n_regions=r,
+                                   seed=seed, solver=SolverConfig())
+                want += metrics_rows(config, run_trial(config))
+        assert (tmp_path / "metrics.csv").read_text().splitlines() == want
+
     def test_all_trials_failing_exits_4(self, tmp_path):
         # r = 7 exceeds the robot count, so every trial is invalid
         code = run_cli("simulate", "--robots", "6", "--capabilities", "2",
@@ -286,6 +304,22 @@ class TestSweep:
         first = (tmp_path / "sweep.csv").read_text()
         assert run_cli(*args) == 0
         assert (tmp_path / "sweep.csv").read_text() == first
+
+    def test_rows_are_means_of_full_trial_reports(self):
+        base = SimConfig(n_robots=6, n_capabilities=2, n_regions=2, seed=0,
+                         n_events=20, solver=SolverConfig())
+        spec = SweepSpec(base=base, seeds=(0, 1), alpha_step=0.5)
+        want = []
+        for alphas in spec.grid():
+            full = []
+            for seed in spec.seeds:
+                config = SimConfig(n_robots=6, n_capabilities=2, n_regions=2, seed=seed,
+                                   n_events=20, solver=SolverConfig(alphas=alphas))
+                full.append(next(rep for rep in run_trial(config)
+                                 if rep.method is Method.FULL))
+            want.append(alphas + (sum(rep.detection_rate for rep in full) / len(full),
+                                  sum(rep.duplication_rate for rep in full) / len(full)))
+        assert run_sweep(spec) == want
 
     def test_step_must_divide_one(self, tmp_path):
         code = run_cli("sweep", "--robots", "5", "--capabilities", "2",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hetcover.simulation import (
     generate_system,
     greedy_assign,
     metrics_rows,
+    prepare_fleet,
     region_raster,
     run_trial,
     simulate_events,
@@ -28,6 +30,7 @@ from hetcover.simulation import (
 from hetcover.solver import SolverConfig, solve
 from hetcover.system import Environment, Position, RobotSpec, RobotSystem, Wall, line_of_sight
 
+from _oracles import greedy_teams_oracle
 from _planted import blocks_recovered, planted_system
 
 
@@ -292,6 +295,35 @@ class TestGreedyAssign:
         with pytest.raises(ValueError):
             greedy_assign(system, 3)
 
+    def assert_matches_oracle(self, system, r):
+        want = TeamAssignment.from_teams(greedy_teams_oracle(system.positions(), r),
+                                         len(system))
+        assert greedy_assign(system, r) == want
+
+    @pytest.mark.parametrize("n_robots, seeds, regions", [
+        (20, range(5), (2, 5, 10)),
+        (50, range(3), (4,)),
+    ])
+    def test_matches_pairwise_oracle_on_random_fleets(self, n_robots, seeds, regions):
+        for seed in seeds:
+            config = SimConfig(n_robots=n_robots, n_capabilities=3, n_regions=2,
+                               seed=seed)
+            system = generate_system(config, trial_rngs(seed)[0])
+            for r in regions:
+                self.assert_matches_oracle(system, r)
+
+    def test_matches_pairwise_oracle_on_tie_heavy_grids(self):
+        # distinct integer lattice points: many centroid distances are exactly
+        # equal, so the smallest-member tie key decides many merges
+        lattice = [(x, y) for y in range(6) for x in range(6)]
+        for size in (12, 20):
+            for seed in range(6):
+                picks = np.random.default_rng(seed).permutation(len(lattice))[:size]
+                system = make_system([(lattice[i], "rgb") for i in picks],
+                                     env=Environment(6.0, 6.0))
+                for r in range(1, size):
+                    self.assert_matches_oracle(system, r)
+
 
 class TestBaselineAssign:
     def graphs(self):
@@ -349,6 +381,54 @@ class TestRunTrial:
                         n_events=20)
         for rep in run_trial(cfg):
             assert rep.duplication_rate == 0.0
+
+
+class TestFleetReuse:
+    def config(self, seed=0, r=2):
+        return SimConfig(n_robots=10, n_capabilities=3, n_regions=r, seed=seed,
+                         n_events=50)
+
+    def test_shared_fleet_matches_fresh_trials(self):
+        for seed in range(3):
+            fleet = prepare_fleet(self.config(seed))
+            for r in range(2, 11):
+                config = self.config(seed, r)
+                assert run_trial(config, fleet) == run_trial(config)
+
+    def test_fleet_from_other_config_rejected(self):
+        config = self.config()
+        fleet = prepare_fleet(config)
+        for other in (replace(config, seed=1), replace(config, n_events=51),
+                      replace(config, comm_radius=0.5),
+                      replace(config, solver=SolverConfig(alphas=(0.5, 0.25, 0.25)))):
+            with pytest.raises(ValueError):
+                run_trial(other, fleet)
+
+    def test_only_listed_methods_solved_and_scored(self, monkeypatch):
+        import hetcover.simulation as simulation
+
+        calls = {"solve": 0, "greedy": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(simulation, "solve", counted("solve", simulation.solve))
+        monkeypatch.setattr(simulation, "greedy_assign",
+                            counted("greedy", simulation.greedy_assign))
+        config = self.config(r=3)
+        full_only = run_trial(config, methods=(Method.FULL,))
+        assert calls == {"solve": 1, "greedy": 0}
+        assert full_only == run_trial(config)[:1]
+
+    def test_fleet_without_a_method_rejected(self):
+        config = self.config()
+        fleet = prepare_fleet(config, (Method.FULL,))
+        assert set(fleet.fused) == {Method.FULL}
+        with pytest.raises(ValueError):
+            run_trial(config, fleet, methods=(Method.BASELINE,))
 
 
 class TestMetricsReport:
