@@ -30,8 +30,10 @@ from .simulation import (
     Method,
     SimConfig,
     append_metrics_csv,
+    fuse_fleet,
     generate_system,
     metrics_rows,
+    place_fleet,
     prepare_fleet,
     region_raster,
     run_trial,
@@ -48,7 +50,6 @@ class SweepSpec:
     base: SimConfig
     seeds: tuple
     alpha_step: float = 0.1
-    metrics: tuple = ("detection", "duplication")
 
     def grid(self):
         steps = round(1.0 / self.alpha_step)
@@ -61,24 +62,27 @@ class SweepSpec:
 
 
 def run_sweep(spec: SweepSpec):
-    """Rows (a1, a2, a3, mean detection, mean duplication) for the full method."""
-    rows = []
-    for alphas in spec.grid():
-        detections, duplications = [], []
-        for seed in spec.seeds:
-            config = replace(
-                spec.base,
-                seed=seed,
-                solver=replace(spec.base.solver, alphas=alphas),
-            )
-            report, = run_trial(config, methods=(Method.FULL,))
-            detections.append(report.detection_rate)
-            duplications.append(report.duplication_rate)
-        rows.append(
-            (alphas[0], alphas[1], alphas[2],
-             sum(detections) / len(detections), sum(duplications) / len(duplications))
-        )
-    return rows
+    """Rows (a1, a2, a3, mean detection, mean duplication) for the full method.
+
+    Each seed's system, graphs and events are made once; only the Full Z is
+    solved again for each weighting.
+    """
+    grid = spec.grid()
+    detections = [[] for _ in grid]
+    duplications = [[] for _ in grid]
+    for seed in spec.seeds:
+        fleet = place_fleet(replace(spec.base, seed=seed))
+        for alphas, det, dup in zip(grid, detections, duplications):
+            solver = replace(spec.base.solver, alphas=alphas)
+            config = replace(spec.base, seed=seed, solver=solver)
+            report, = run_trial(config, fuse_fleet(fleet, solver, (Method.FULL,)),
+                                methods=(Method.FULL,))
+            det.append(report.detection_rate)
+            dup.append(report.duplication_rate)
+    return [
+        (alphas[0], alphas[1], alphas[2], sum(det) / len(det), sum(dup) / len(dup))
+        for alphas, det, dup in zip(grid, detections, duplications)
+    ]
 
 
 # ---------------------------------------------------------------------------

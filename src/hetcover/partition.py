@@ -130,12 +130,17 @@ def partition(Z, r: int) -> TeamAssignment:
     """Cut the full index set down to r teams.
 
     Each round splits the largest group (ties go to the group holding the
-    smallest index). Team numbering follows ascending smallest member.
+    smallest index). Team numbering follows ascending smallest member. Z
+    must be square, finite and non-negative.
     """
     Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
+        raise ValueError("Z must be square, got shape %r" % (Z.shape,))
+    if not np.isfinite(Z).all():
+        raise ValueError("Z must be finite, but it holds NaN or infinite entries")
+    if (Z < 0).any():
+        raise ValueError("Z must be non-negative, but its smallest entry is %r" % float(Z.min()))
     n = Z.shape[0]
-    if Z.ndim != 2 or Z.shape[1] != n:
-        raise ValueError("Z must be square")
     if not (isinstance(r, int) and 1 <= r <= n):
         raise ValueError("r must be an integer in 1..%d, got %r" % (n, r))
     groups = [frozenset(range(n))]

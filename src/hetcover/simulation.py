@@ -148,27 +148,41 @@ def simulate_events(config: SimConfig, rng):
     return events
 
 
-def detection_rate(system: RobotSystem, assignment: TeamAssignment, events) -> float:
+def nearest_robots(system: RobotSystem, events) -> tuple:
+    """Each event's nearest robot id: Euclidean, ties to the lower id.
+
+    The rule makes a team's merged Voronoi cell the region it watches.
+    """
+    pos = system.positions()
+    nearest = []
+    for event in events:
+        d2 = (pos[:, 0] - event.position.x) ** 2 + (pos[:, 1] - event.position.y) ** 2
+        nearest.append(int(np.argmin(d2)))  # argmin keeps the first (lowest id) on ties
+    return tuple(nearest)
+
+
+def detection_rate(system: RobotSystem, assignment: TeamAssignment, events,
+                   nearest=None) -> float:
     """Fraction of events whose nearest robot's team can sense the event type.
 
-    Nearest is Euclidean with ties to the lower robot id; the rule makes the
-    team's merged Voronoi cell the region it watches.
+    nearest, when given, is nearest_robots(system, events), which depends
+    only on the fleet and so can serve every assignment of it.
     """
     if len(assignment.team_of) != len(system):
         raise ValueError("assignment does not cover this system")
     if not events:
         raise ValueError("cannot score an empty event list")
-    pos = system.positions()
+    if nearest is None:
+        nearest = nearest_robots(system, events)
+    elif len(nearest) != len(events):
+        raise ValueError("%d nearest robots for %d events" % (len(nearest), len(events)))
     team_caps = [
         frozenset().union(*(system.robots[i].capabilities for i in team))
         for team in assignment.teams
     ]
-    detected = 0
-    for event in events:
-        d2 = (pos[:, 0] - event.position.x) ** 2 + (pos[:, 1] - event.position.y) ** 2
-        nearest = int(np.argmin(d2))  # argmin keeps the first (lowest id) on ties
-        if event.event_type in team_caps[assignment.team_of[nearest]]:
-            detected += 1
+    team_of = assignment.team_of
+    detected = sum(event.event_type in team_caps[team_of[robot]]
+                   for event, robot in zip(events, nearest))
     return detected / len(events)
 
 
@@ -244,31 +258,45 @@ def trial_rngs(seed: int):
 class Fleet:
     """The part of a trial that does not depend on the team count r.
 
-    One fleet serves every r at its seed: the generated system, its events
-    and the fused Z of each solved method (Full, Baseline). config is the
-    configuration it was prepared from; trials may differ from it only in
-    n_regions.
+    One fleet serves every r at its seed: the generated system, its relation
+    graphs, its events with each event's nearest robot, and the fused Z of
+    each solved method (Full, Baseline). config is the configuration it was
+    prepared from; trials may differ from it only in n_regions. Only the
+    fused Z depend on config.solver.
     """
 
     config: SimConfig
     system: RobotSystem
+    graphs: tuple
     events: tuple
+    nearest: tuple  # nearest_robots(system, events)
     fused: dict  # Method -> Z
+
+
+def place_fleet(config: SimConfig) -> Fleet:
+    """Generate the system, its graphs and its events, with nothing solved yet."""
+    system_rng, event_rng = trial_rngs(config.seed)
+    system = generate_system(config, system_rng)
+    graphs = tuple(build_relation_graphs(system, config.comm_radius, config.spatial_epsilon))
+    events = tuple(simulate_events(config, event_rng))
+    return Fleet(config=config, system=system, graphs=graphs, events=events,
+                 nearest=nearest_robots(system, events), fused={})
+
+
+def fuse_fleet(fleet: Fleet, solver: SolverConfig, methods=tuple(Method)) -> Fleet:
+    """The fleet under the given solver settings, with only the listed methods solved."""
+    solver_config = solver.resolved(len(fleet.graphs))
+    fused = {}
+    if Method.FULL in methods:
+        fused[Method.FULL] = solve(fleet.graphs, solver_config).Z
+    if Method.BASELINE in methods:
+        fused[Method.BASELINE] = solve(fleet.graphs, baseline_solver_config(solver_config)).Z
+    return replace(fleet, config=replace(fleet.config, solver=solver), fused=fused)
 
 
 def prepare_fleet(config: SimConfig, methods=tuple(Method)) -> Fleet:
     """Generate, fuse and place events once; solves only the listed methods."""
-    system_rng, event_rng = trial_rngs(config.seed)
-    system = generate_system(config, system_rng)
-    graphs = build_relation_graphs(system, config.comm_radius, config.spatial_epsilon)
-    solver_config = config.solver.resolved(len(graphs))
-    fused = {}
-    if Method.FULL in methods:
-        fused[Method.FULL] = solve(graphs, solver_config).Z
-    if Method.BASELINE in methods:
-        fused[Method.BASELINE] = solve(graphs, baseline_solver_config(solver_config)).Z
-    events = tuple(simulate_events(config, event_rng))
-    return Fleet(config=config, system=system, events=events, fused=fused)
+    return fuse_fleet(place_fleet(config), config.solver, methods)
 
 
 def run_trial(config: SimConfig, fleet: Fleet | None = None, methods=tuple(Method)):
@@ -293,7 +321,8 @@ def run_trial(config: SimConfig, fleet: Fleet | None = None, methods=tuple(Metho
         reports.append(
             MetricsReport(
                 method=method,
-                detection_rate=detection_rate(fleet.system, assignment, fleet.events),
+                detection_rate=detection_rate(fleet.system, assignment, fleet.events,
+                                              fleet.nearest),
                 duplication_rate=duplication_rate(fleet.system, assignment),
                 r=r,
                 seed=config.seed,

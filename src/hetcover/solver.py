@@ -77,9 +77,13 @@ class SolverConfig:
         return self
 
 
-@dataclass(frozen=True)
+@dataclass
 class SolverState:
-    """All iterates of one solver run at some iteration k."""
+    """All iterates of one solver run at some iteration k.
+
+    solve advances one state in place: each step's result is assigned to
+    its field, and update_multipliers moves the multipliers, mu and k.
+    """
 
     Z: np.ndarray
     Zhat: np.ndarray
@@ -90,6 +94,24 @@ class SolverState:
     Phi4: np.ndarray
     mu: float
     k: int
+
+
+@dataclass(frozen=True)
+class Problem:
+    """What stays fixed over one solve: the graphs, the config and the Z step's constants.
+
+    adjs are the graphs as arrays and config has its alphas resolved.
+    weighted_sum is sum_m 2 alpha_m A_m; z_weight is 2 sum alpha + 2 lambda1,
+    the part of the Z step's diagonal that mu does not scale; eye and ones
+    are I and 1 1^T.
+    """
+
+    adjs: tuple
+    config: SolverConfig
+    weighted_sum: np.ndarray
+    z_weight: float
+    eye: np.ndarray
+    ones: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -128,18 +150,61 @@ def _adjacency(graph) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
 
-def objective(Z, L, graphs, config: SolverConfig) -> float:
-    """sum_m alpha_m ||Z - A_m||_F^2 + lambda1 ||Z||_F^2 + lambda2 ||L||_*."""
+def prepare_problem(graphs, config: SolverConfig) -> Problem:
+    """Check the graphs against each other and the config, and fix the loop invariants."""
+    adjs = tuple(_adjacency(g) for g in graphs)
+    if not adjs:
+        raise ValueError("need at least one graph")
+    n = adjs[0].shape[0]
+    for a in adjs:
+        if a.shape != (n, n):
+            raise ValueError("all graphs must share the same square shape")
+    config = config.resolved(len(adjs))
+    return Problem(
+        adjs=adjs,
+        config=config,
+        weighted_sum=sum(2.0 * alpha * a for alpha, a in zip(config.alphas, adjs)),
+        z_weight=2.0 * sum(config.alphas) + 2.0 * config.lambda1,
+        eye=np.eye(n),
+        ones=np.ones((n, n)),
+    )
+
+
+def objective(Z, L, graphs, config: SolverConfig, singular_values=None) -> float:
+    """sum_m alpha_m ||Z - A_m||_F^2 + lambda1 ||Z||_F^2 + lambda2 ||L||_*.
+
+    singular_values, when given, are L's and spare an SVD of L; solve passes
+    the ones the L step has just shrunk. With lambda2 = 0 the nuclear term
+    is skipped.
+    """
     Z = np.asarray(Z, dtype=float)
-    L = np.asarray(L, dtype=float)
     adjs = [_adjacency(g) for g in graphs]
     config = config.resolved(len(adjs))
     for a in adjs:
         if a.shape != Z.shape:
             raise ValueError("graph shape %r does not match Z shape %r" % (a.shape, Z.shape))
     fit = sum(alpha * np.sum((Z - a) ** 2) for alpha, a in zip(config.alphas, adjs))
-    nuclear = float(np.linalg.svd(L, compute_uv=False).sum())
-    return float(fit + config.lambda1 * np.sum(Z**2) + config.lambda2 * nuclear)
+    value = fit + config.lambda1 * np.sum(Z**2)
+    if config.lambda2:
+        if singular_values is None:
+            singular_values = np.linalg.svd(np.asarray(L, dtype=float), compute_uv=False)
+        value = value + config.lambda2 * float(singular_values.sum())
+    return float(value)
+
+
+def _shrink(G, tau):
+    """svt(G, tau) and its singular values; None for the values when tau = 0 (no SVD runs)."""
+    G = np.asarray(G, dtype=float)
+    if tau < 0:
+        raise ValueError("tau must be non-negative")
+    if tau == 0:
+        return G.copy(), None
+    try:
+        U, s, Vt = np.linalg.svd(G, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalSolverError("SVD failed during thresholding: %s" % exc, iterate=G) from exc
+    shrunk = np.maximum(s - tau, 0.0)
+    return (U * shrunk) @ Vt, shrunk
 
 
 def svt(G, tau: float) -> np.ndarray:
@@ -148,38 +213,27 @@ def svt(G, tau: float) -> np.ndarray:
     This is the proximal operator of tau * ||.||_*; svt(G, 0) returns G
     unchanged.
     """
-    G = np.asarray(G, dtype=float)
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
-    if tau == 0:
-        return G.copy()
-    try:
-        U, s, Vt = np.linalg.svd(G, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalSolverError("SVD failed during thresholding: %s" % exc, iterate=G) from exc
-    return (U * np.maximum(s - tau, 0.0)) @ Vt
+    return _shrink(G, tau)[0]
 
 
-def initial_state(graphs, config: SolverConfig) -> SolverState:
+def initial_state(problem: Problem) -> SolverState:
     """Warm start at the weighted graph average with zero multipliers."""
-    adjs = [_adjacency(g) for g in graphs]
-    config = config.resolved(len(adjs))
-    n = adjs[0].shape[0]
-    Z0 = sum(alpha * a for alpha, a in zip(config.alphas, adjs))
+    n = problem.eye.shape[0]
+    Z0 = sum(alpha * a for alpha, a in zip(problem.config.alphas, problem.adjs))
     return SolverState(
         Z=Z0,
         Zhat=Z0.T.copy(),
-        L=np.eye(n) - Z0,
+        L=problem.eye - Z0,
         phi1=np.zeros(n),
         Phi2=np.zeros((n, n)),
         Phi3=np.zeros((n, n)),
         Phi4=np.zeros((n, n)),
-        mu=config.mu0,
+        mu=problem.config.mu0,
         k=0,
     )
 
 
-def update_z_unclamped(state: SolverState, graphs, config: SolverConfig) -> np.ndarray:
+def update_z_unclamped(state: SolverState, problem: Problem) -> np.ndarray:
     """Closed-form minimizer of the smooth penalized objective in Z.
 
     Setting the Z-gradient of the augmented objective to zero gives
@@ -187,17 +241,11 @@ def update_z_unclamped(state: SolverState, graphs, config: SolverConfig) -> np.n
     linear system against the SPD right factor rather than by explicit
     inverse.
     """
-    adjs = [_adjacency(g) for g in graphs]
-    config = config.resolved(len(adjs))
-    n = state.Z.shape[0]
     mu = state.mu
-    ones = np.ones((n, n))
-    eye = np.eye(n)
-    rhs = sum(2.0 * alpha * a for alpha, a in zip(config.alphas, adjs))
-    rhs = rhs + mu * (ones + state.Zhat.T + state.Zhat + eye - state.L)
-    rhs = rhs - np.outer(state.phi1, np.ones(n)) - state.Phi2.T - state.Phi3 + state.Phi4
-    c = 2.0 * sum(config.alphas) + 2.0 * config.lambda1 + 3.0 * mu
-    B = c * eye + mu * ones
+    rhs = problem.weighted_sum + mu * (
+        problem.ones + state.Zhat.T + state.Zhat + problem.eye - state.L)
+    rhs = rhs - state.phi1[:, None] - state.Phi2.T - state.Phi3 + state.Phi4
+    B = (problem.z_weight + 3.0 * mu) * problem.eye + mu * problem.ones
     try:
         # Z B = rhs with B symmetric, so solve B Z^T = rhs^T
         return np.linalg.solve(B, rhs.T).T
@@ -205,54 +253,57 @@ def update_z_unclamped(state: SolverState, graphs, config: SolverConfig) -> np.n
         raise NumericalSolverError("Z-update solve failed: %s" % exc, iterate=B) from exc
 
 
-def update_z(state: SolverState, graphs, config: SolverConfig) -> np.ndarray:
+def update_z(state: SolverState, problem: Problem) -> np.ndarray:
     """The Z step: closed-form solve followed by the elementwise max{Z, 0} clamp."""
-    return np.maximum(update_z_unclamped(state, graphs, config), 0.0)
+    return np.maximum(update_z_unclamped(state, problem), 0.0)
 
 
-def update_zhat(state: SolverState, config: SolverConfig) -> np.ndarray:
+def update_zhat(state: SolverState) -> np.ndarray:
     """The transpose-copy step: Zhat = (mu Z^T + mu Z + Phi2 + Phi4) / (2 mu)."""
     mu = state.mu
     return (mu * (state.Z.T + state.Z) + state.Phi2 + state.Phi4) / (2.0 * mu)
 
 
-def update_laplacian(state: SolverState, config: SolverConfig) -> np.ndarray:
+def update_laplacian(state: SolverState, problem: Problem):
     """The L step: proximal shrinkage toward I - Z.
 
     Minimizes lambda2 ||L||_* + (mu/2) ||L - (I - Z - Phi3/mu)||_F^2, i.e.
-    svt of the target with threshold lambda2/mu.
+    svt of the target with threshold lambda2/mu. Returns L and its
+    singular values, or None for them when lambda2 = 0 and L is the target.
     """
-    n = state.Z.shape[0]
-    target = np.eye(n) - state.Z - state.Phi3 / state.mu
-    return svt(target, config.lambda2 / state.mu)
+    target = problem.eye - state.Z - state.Phi3 / state.mu
+    return _shrink(target, problem.config.lambda2 / state.mu)
 
 
-def update_multipliers(state: SolverState, config: SolverConfig) -> SolverState:
-    """Multiplier ascent with the pre-update mu, then the geometric mu step."""
-    n = state.Z.shape[0]
-    ones = np.ones(n)
+def constraint_residuals(state: SolverState, problem: Problem):
+    """The four constraint gaps and their infinity norms.
+
+    Returns (Residuals, gaps) with gaps = (Z 1 - 1, Z^T - Zhat, L - I + Z,
+    Zhat - Z); the multiplier update ascends along the same gaps.
+    """
+    ones = problem.ones[0]  # a row of 1 1^T is the all-ones vector
+    gaps = (
+        state.Z @ ones - ones,
+        state.Z.T - state.Zhat,
+        state.L - problem.eye + state.Z,
+        state.Zhat - state.Z,
+    )
+    return Residuals(*(float(np.max(np.abs(g))) for g in gaps)), gaps
+
+
+def update_multipliers(state: SolverState, gaps, config: SolverConfig) -> None:
+    """Multiplier ascent along the constraint gaps with the pre-update mu, then the mu step.
+
+    Advances state in place; mu is mu0 * rho**k in Python floats.
+    """
     mu = state.mu
-    k = state.k + 1
-    return replace(
-        state,
-        phi1=state.phi1 + mu * (state.Z @ ones - ones),
-        Phi2=state.Phi2 + mu * (state.Z.T - state.Zhat),
-        Phi3=state.Phi3 + mu * (state.L - np.eye(n) + state.Z),
-        Phi4=state.Phi4 + mu * (state.Zhat - state.Z),
-        mu=config.mu0 * config.rho**k,
-        k=k,
-    )
-
-
-def constraint_residuals(state: SolverState) -> Residuals:
-    n = state.Z.shape[0]
-    ones = np.ones(n)
-    return Residuals(
-        r1=float(np.max(np.abs(state.Z @ ones - ones))),
-        r2=float(np.max(np.abs(state.Z.T - state.Zhat))),
-        r3=float(np.max(np.abs(state.L - np.eye(n) + state.Z))),
-        r4=float(np.max(np.abs(state.Zhat - state.Z))),
-    )
+    g1, g2, g3, g4 = gaps
+    state.phi1 = state.phi1 + mu * g1
+    state.Phi2 = state.Phi2 + mu * g2
+    state.Phi3 = state.Phi3 + mu * g3
+    state.Phi4 = state.Phi4 + mu * g4
+    state.k += 1
+    state.mu = config.mu0 * config.rho**state.k
 
 
 def solve(graphs, config: SolverConfig | None = None) -> SolveResult:
@@ -272,32 +323,24 @@ def solve(graphs, config: SolverConfig | None = None) -> SolveResult:
         the iteration count, and the per-iteration residual/objective
         trace. Non-convergence is reported through the flag, not raised.
     """
-    if config is None:
-        config = SolverConfig()
-    adjs = [_adjacency(g) for g in graphs]
-    if not adjs:
-        raise ValueError("need at least one graph")
-    n = adjs[0].shape[0]
-    if n < 2:
+    problem = prepare_problem(graphs, SolverConfig() if config is None else config)
+    if problem.eye.shape[0] < 2:
         raise ValueError("graphs must be at least 2x2")
-    for a in adjs:
-        if a.shape != (n, n):
-            raise ValueError("all graphs must share the same square shape")
-    config = config.resolved(len(adjs))
+    config = problem.config
 
-    state = initial_state(adjs, config)
+    state = initial_state(problem)
     trace = []
     converged = False
     for _ in range(config.max_iterations):
-        state = replace(state, Z=update_z(state, adjs, config))
-        state = replace(state, Zhat=update_zhat(state, config))
-        state = replace(state, L=update_laplacian(state, config))
-        res = constraint_residuals(state)
+        state.Z = update_z(state, problem)
+        state.Zhat = update_zhat(state)
+        state.L, singular_values = update_laplacian(state, problem)
+        res, gaps = constraint_residuals(state, problem)
         trace.append(
             IterationRecord(res.r1, res.r2, res.r3, res.r4,
-                            objective(state.Z, state.L, adjs, config))
+                            objective(state.Z, state.L, problem.adjs, config, singular_values))
         )
-        state = update_multipliers(state, config)
+        update_multipliers(state, gaps, config)
         if res.max_residual <= config.tolerance:
             converged = True
             break
@@ -323,8 +366,3 @@ def save_solve_trace(result: SolveResult, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-
-
-def load_solve_trace(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

@@ -26,9 +26,6 @@ class Position:
     def distance_to(self, other: "Position") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def as_tuple(self):
-        return (self.x, self.y)
-
 
 @dataclass(frozen=True)
 class Wall:

@@ -4,13 +4,18 @@ Each oracle reaches a reference answer by a different route than the library
 code under test: proximal results via plain subgradient descent, gradients
 via central finite differences, eigenpairs via characteristic-polynomial
 roots plus a nullspace extraction, partitions via exhaustive enumeration,
-and greedy teams via the plain pairwise merge loop.
+greedy teams via the plain pairwise merge loop, and the solver's loop via
+its original form (a second SVD for the objective, per-step set-up, and a
+frozen state rebuilt after every step).
 """
 
 import itertools
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+from hetcover.solver import IterationRecord, Residuals, SolveResult, SolverConfig
 
 
 def nuclear_prox_oracle(G, tau, iters=100_000, step0=0.5, step_final=1e-5):
@@ -140,3 +145,151 @@ def greedy_teams_oracle(positions, r):
         clusters = [c for i, c in enumerate(clusters) if i not in (a, b)]
         clusters.append(merged)
     return clusters
+
+
+# ---------------------------------------------------------------------------
+# the solver loop as first written: solve() must reproduce its Z bit for bit
+
+
+@dataclass(frozen=True)
+class _ReferenceState:
+    Z: np.ndarray
+    Zhat: np.ndarray
+    L: np.ndarray
+    phi1: np.ndarray
+    Phi2: np.ndarray
+    Phi3: np.ndarray
+    Phi4: np.ndarray
+    mu: float
+    k: int
+
+
+def _adjacency(graph):
+    a = getattr(graph, "adjacency", graph)
+    return np.asarray(a, dtype=float)
+
+
+def _objective(Z, L, graphs, config):
+    Z = np.asarray(Z, dtype=float)
+    L = np.asarray(L, dtype=float)
+    adjs = [_adjacency(g) for g in graphs]
+    config = config.resolved(len(adjs))
+    for a in adjs:
+        if a.shape != Z.shape:
+            raise ValueError("graph shape %r does not match Z shape %r" % (a.shape, Z.shape))
+    fit = sum(alpha * np.sum((Z - a) ** 2) for alpha, a in zip(config.alphas, adjs))
+    nuclear = float(np.linalg.svd(L, compute_uv=False).sum())
+    return float(fit + config.lambda1 * np.sum(Z**2) + config.lambda2 * nuclear)
+
+
+def _svt(G, tau):
+    G = np.asarray(G, dtype=float)
+    if tau < 0:
+        raise ValueError("tau must be non-negative")
+    if tau == 0:
+        return G.copy()
+    U, s, Vt = np.linalg.svd(G, full_matrices=False)
+    return (U * np.maximum(s - tau, 0.0)) @ Vt
+
+
+def _initial_state(graphs, config):
+    adjs = [_adjacency(g) for g in graphs]
+    config = config.resolved(len(adjs))
+    n = adjs[0].shape[0]
+    Z0 = sum(alpha * a for alpha, a in zip(config.alphas, adjs))
+    return _ReferenceState(
+        Z=Z0,
+        Zhat=Z0.T.copy(),
+        L=np.eye(n) - Z0,
+        phi1=np.zeros(n),
+        Phi2=np.zeros((n, n)),
+        Phi3=np.zeros((n, n)),
+        Phi4=np.zeros((n, n)),
+        mu=config.mu0,
+        k=0,
+    )
+
+
+def _update_z(state, graphs, config):
+    adjs = [_adjacency(g) for g in graphs]
+    config = config.resolved(len(adjs))
+    n = state.Z.shape[0]
+    mu = state.mu
+    ones = np.ones((n, n))
+    eye = np.eye(n)
+    rhs = sum(2.0 * alpha * a for alpha, a in zip(config.alphas, adjs))
+    rhs = rhs + mu * (ones + state.Zhat.T + state.Zhat + eye - state.L)
+    rhs = rhs - np.outer(state.phi1, np.ones(n)) - state.Phi2.T - state.Phi3 + state.Phi4
+    c = 2.0 * sum(config.alphas) + 2.0 * config.lambda1 + 3.0 * mu
+    B = c * eye + mu * ones
+    return np.maximum(np.linalg.solve(B, rhs.T).T, 0.0)
+
+
+def _update_zhat(state, config):
+    mu = state.mu
+    return (mu * (state.Z.T + state.Z) + state.Phi2 + state.Phi4) / (2.0 * mu)
+
+
+def _update_laplacian(state, config):
+    n = state.Z.shape[0]
+    target = np.eye(n) - state.Z - state.Phi3 / state.mu
+    return _svt(target, config.lambda2 / state.mu)
+
+
+def _update_multipliers(state, config):
+    n = state.Z.shape[0]
+    ones = np.ones(n)
+    mu = state.mu
+    k = state.k + 1
+    return replace(
+        state,
+        phi1=state.phi1 + mu * (state.Z @ ones - ones),
+        Phi2=state.Phi2 + mu * (state.Z.T - state.Zhat),
+        Phi3=state.Phi3 + mu * (state.L - np.eye(n) + state.Z),
+        Phi4=state.Phi4 + mu * (state.Zhat - state.Z),
+        mu=config.mu0 * config.rho**k,
+        k=k,
+    )
+
+
+def _constraint_residuals(state):
+    n = state.Z.shape[0]
+    ones = np.ones(n)
+    return Residuals(
+        r1=float(np.max(np.abs(state.Z @ ones - ones))),
+        r2=float(np.max(np.abs(state.Z.T - state.Zhat))),
+        r3=float(np.max(np.abs(state.L - np.eye(n) + state.Z))),
+        r4=float(np.max(np.abs(state.Zhat - state.Z))),
+    )
+
+
+def reference_solve(graphs, config=None):
+    """The original solver loop, kept as the reference for solve()."""
+    if config is None:
+        config = SolverConfig()
+    adjs = [_adjacency(g) for g in graphs]
+    config = config.resolved(len(adjs))
+
+    state = _initial_state(adjs, config)
+    trace = []
+    converged = False
+    for _ in range(config.max_iterations):
+        state = replace(state, Z=_update_z(state, adjs, config))
+        state = replace(state, Zhat=_update_zhat(state, config))
+        state = replace(state, L=_update_laplacian(state, config))
+        res = _constraint_residuals(state)
+        trace.append(
+            IterationRecord(res.r1, res.r2, res.r3, res.r4,
+                            _objective(state.Z, state.L, adjs, config))
+        )
+        state = _update_multipliers(state, config)
+        if res.max_residual <= config.tolerance:
+            converged = True
+            break
+
+    Z = 0.5 * (state.Z + state.Z.T)
+    sums = Z.sum(axis=1, keepdims=True)
+    sums[sums <= 0] = 1.0
+    Z = Z / sums
+    return SolveResult(Z=Z, converged=converged, iterations=state.k,
+                       residual_trace=tuple(trace))

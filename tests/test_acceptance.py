@@ -29,6 +29,7 @@ from hetcover.simulation import (
 from hetcover.solver import (
     SolverConfig,
     SolverState,
+    prepare_problem,
     solve,
     svt,
     update_laplacian,
@@ -173,7 +174,8 @@ def test_laplacian_prox_matches_descent_oracle():
         tau = config.lambda2 / mu
         want = nuclear_prox_oracle(target, tau, iters=60_000)
         assert np.abs(svt(target, tau) - want).max() < 1e-4
-        assert np.abs(update_laplacian(state, config) - want).max() < 1e-4
+        problem = prepare_problem([np.zeros((n, n))], config)
+        assert np.abs(update_laplacian(state, problem)[0] - want).max() < 1e-4
     # diagonal inputs have a closed-form answer: shrink each entry toward zero
     diagonal_cases = [
         ((3.0, 1.0, 0.2), 0.5),
@@ -213,7 +215,7 @@ def test_z_step_zeroes_the_smooth_gradient():
             Phi3=rng.standard_normal((n, n)), Phi4=rng.standard_normal((n, n)),
             mu=0.1 * 1.1 ** (seed % 10), k=seed % 10,
         )
-        Zs = update_z_unclamped(state, adjs, config)
+        Zs = update_z_unclamped(state, prepare_problem(adjs, config))
         gradient = numeric_gradient(
             lambda X: smooth_augmented(X, state, adjs, config), Zs, h=1e-6)
         scale = max(1.0, abs(smooth_augmented(Zs, state, adjs, config)))

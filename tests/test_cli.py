@@ -212,6 +212,21 @@ class TestPartition:
                        "--regions", "2", "--out", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize("rows, defect", [
+        (["0.5,0.5,0.0", "0.5,0.5,0.0"], "square"),
+        (["nan,0.5", "0.5,0.5"], "finite"),
+        (["inf,0.5", "0.5,0.5"], "finite"),
+        (["1.5,-0.5", "-0.5,1.5"], "non-negative"),
+    ])
+    def test_malformed_matrix_rejected_with_its_defect(self, tmp_path, capsys, rows, defect):
+        z_path = tmp_path / "Z.csv"
+        z_path.write_text("\n".join(rows) + "\n")
+        code = run_cli("partition", "--z", str(z_path), "--regions", "1",
+                       "--out", str(tmp_path))
+        assert code == 2
+        assert "Z must be %s" % defect in capsys.readouterr().err
+        assert not (tmp_path / "assignment.json").exists()
+
 
 class TestSimulate:
     def test_batch_row_count_and_ranges(self, tmp_path):
@@ -320,6 +335,23 @@ class TestSweep:
             want.append(alphas + (sum(rep.detection_rate for rep in full) / len(full),
                                   sum(rep.duplication_rate for rep in full) / len(full)))
         assert run_sweep(spec) == want
+
+    def test_each_seed_fleet_is_built_once(self, monkeypatch):
+        import hetcover.simulation as simulation
+
+        calls = {"generate_system": 0, "build_relation_graphs": 0,
+                 "simulate_events": 0, "solve": 0}
+        for name in calls:
+            def counted(*args, fn=getattr(simulation, name), name=name, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(simulation, name, counted)
+        base = SimConfig(n_robots=6, n_capabilities=2, n_regions=2, seed=0,
+                         n_events=20, solver=SolverConfig())
+        spec = SweepSpec(base=base, seeds=(0, 1), alpha_step=0.5)
+        run_sweep(spec)
+        assert calls == {"generate_system": 2, "build_relation_graphs": 2,
+                         "simulate_events": 2, "solve": 2 * len(spec.grid())}
 
     def test_step_must_divide_one(self, tmp_path):
         code = run_cli("sweep", "--robots", "5", "--capabilities", "2",

@@ -18,9 +18,12 @@ from hetcover.simulation import (
     capability_universe,
     detection_rate,
     duplication_rate,
+    fuse_fleet,
     generate_system,
     greedy_assign,
     metrics_rows,
+    nearest_robots,
+    place_fleet,
     prepare_fleet,
     region_raster,
     run_trial,
@@ -227,6 +230,31 @@ class TestDetectionRate:
         with pytest.raises(ValueError):
             detection_rate(system, asgn, [Event(Position(0.5, 0.5), "rgb")])
 
+    def test_nearest_robots_is_the_per_event_argmin(self):
+        # integer-lattice robots and events put many events at equal distances
+        rng = np.random.default_rng(4)
+        kinds = ("rgb", "depth")
+        system = make_system([((x / 4, y / 4), kinds[(x + y) % 2])
+                              for x in range(3) for y in range(3)])
+        events = [Event(Position(x / 8, y / 8), kinds[(x * y) % 2])
+                  for x in range(9) for y in range(9)]
+        pos = system.positions()
+        want = []
+        for event in events:
+            d = [math.hypot(px - event.position.x, py - event.position.y) for px, py in pos]
+            want.append(min(range(len(d)), key=lambda i: (d[i], i)))
+        assert nearest_robots(system, events) == tuple(want)
+        teams = [set(rng.choice(9, size=4, replace=False).tolist())]
+        asgn = TeamAssignment.from_teams(teams + [{i} for i in range(9) if i not in teams[0]], 9)
+        assert (detection_rate(system, asgn, events, nearest_robots(system, events))
+                == detection_rate(system, asgn, events))
+
+    def test_nearest_list_must_match_the_events(self):
+        system = make_system([((0.1, 0.1), "rgb"), ((0.9, 0.9), "rgb")])
+        asgn = TeamAssignment.from_teams([{0, 1}], 2)
+        with pytest.raises(ValueError):
+            detection_rate(system, asgn, [Event(Position(0.5, 0.5), "rgb")], (0, 1))
+
 
 class TestDuplicationRate:
     def test_disjoint_capabilities_no_duplicates(self):
@@ -422,6 +450,31 @@ class TestFleetReuse:
         full_only = run_trial(config, methods=(Method.FULL,))
         assert calls == {"solve": 1, "greedy": 0}
         assert full_only == run_trial(config)[:1]
+
+    def test_nearest_robots_found_once_per_fleet(self, monkeypatch):
+        import hetcover.simulation as simulation
+
+        calls = []
+        monkeypatch.setattr(simulation, "nearest_robots",
+                            lambda *args: calls.append(args) or nearest_robots(*args))
+        fleet = prepare_fleet(self.config())
+        for r in range(2, 11):
+            run_trial(self.config(r=r), fleet)
+        assert len(calls) == 1
+
+    def test_refused_fleet_matches_a_fresh_one(self):
+        config = self.config(seed=1, r=3)
+        placed = place_fleet(config)
+        for alphas in ((0.1, 0.2, 0.7), (1.0, 0.0, 0.0)):
+            solver = SolverConfig(alphas=alphas)
+            other = replace(config, solver=solver)
+            fused = fuse_fleet(placed, solver, (Method.FULL,))
+            fresh = prepare_fleet(other, (Method.FULL,))
+            assert fused.config == other
+            assert fused.fused[Method.FULL].tobytes() == fresh.fused[Method.FULL].tobytes()
+            assert (run_trial(other, fused, methods=(Method.FULL,))
+                    == run_trial(other, methods=(Method.FULL,)))
+        assert placed.fused == {}
 
     def test_fleet_without_a_method_rejected(self):
         config = self.config()

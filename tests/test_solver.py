@@ -12,6 +12,7 @@ from hetcover.solver import (
     constraint_residuals,
     initial_state,
     objective,
+    prepare_problem,
     solve,
     svt,
     update_laplacian,
@@ -20,9 +21,10 @@ from hetcover.solver import (
     update_z_unclamped,
     update_zhat,
 )
-from hetcover.system import Environment, Position, RobotSpec, RobotSystem
+from hetcover.simulation import SimConfig, baseline_solver_config, generate_system, trial_rngs
+from hetcover.system import Environment, Position, RobotSpec, RobotSystem, Wall
 
-from _oracles import nuclear_prox_oracle
+from _oracles import nuclear_prox_oracle, reference_solve
 
 
 def make_state(Z, Zhat=None, L=None, phi1=None, Phi2=None, Phi3=None, Phi4=None,
@@ -41,6 +43,11 @@ def make_state(Z, Zhat=None, L=None, phi1=None, Phi2=None, Phi3=None, Phi4=None,
         mu=mu,
         k=k,
     )
+
+
+def problem_for(config, n):
+    """The Problem of an n x n zero graph under config, for steps that read only its constants."""
+    return prepare_problem([np.zeros((n, n))], config)
 
 
 def two_pair_system():
@@ -191,9 +198,10 @@ class TestUpdateZ:
         # a large Phi3 pushes the unclamped solution far below zero
         A = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.2], [0.5, 0.2, 0.0]])
         cfg = SolverConfig(alphas=(1.0,))
-        state = replace(initial_state([A], cfg), Phi3=100.0 * np.ones((3, 3)))
-        assert update_z_unclamped(state, [A], cfg).min() < 0
-        assert update_z(state, [A], cfg).min() >= 0.0
+        problem = prepare_problem([A], cfg)
+        state = replace(initial_state(problem), Phi3=100.0 * np.ones((3, 3)))
+        assert update_z_unclamped(state, problem).min() < 0
+        assert update_z(state, problem).min() >= 0.0
 
     def test_single_robot_forced_to_one(self):
         # repeated updates with a huge penalty drive the 1x1 iterate to the
@@ -203,7 +211,7 @@ class TestUpdateZ:
         z = 0.2
         for _ in range(300):
             state = make_state(np.array([[z]]), mu=1e6)
-            z = float(update_z(state, A, cfg)[0, 0])
+            z = float(update_z(state, prepare_problem(A, cfg))[0, 0])
         assert abs(z - 1.0) < 1e-12
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
@@ -223,7 +231,8 @@ class TestUpdateZ:
             mu=0.1 * 1.1**3,
             k=3,
         )
-        Zs = update_z_unclamped(state, adjs, cfg)
+        problem = prepare_problem(adjs, cfg)
+        Zs = update_z_unclamped(state, problem)
         f0 = smooth_part(Zs, state, adjs, cfg)
         h = 1e-6
         scale = max(1.0, abs(f0))
@@ -241,13 +250,13 @@ class TestUpdateZhat:
     def test_symmetric_z_is_fixed(self):
         Z = np.array([[0.5, 0.5], [0.5, 0.5]])
         state = make_state(Z, Zhat=np.zeros((2, 2)), mu=0.3)
-        assert np.abs(update_zhat(state, SolverConfig()) - Z).max() < 1e-14
+        assert np.abs(update_zhat(state) - Z).max() < 1e-14
 
     def test_general_z_symmetrizes(self):
         rng = np.random.default_rng(1)
         Z = rng.random((4, 4))
         state = make_state(Z, Zhat=np.zeros((4, 4)), mu=0.7)
-        got = update_zhat(state, SolverConfig())
+        got = update_zhat(state)
         want = 0.5 * (Z + Z.T)
         assert np.abs(got - want).max() < 1e-14
         assert np.abs(got - got.T).max() < 1e-14
@@ -257,7 +266,7 @@ class TestUpdateZhat:
             np.zeros((3, 3)), Zhat=np.zeros((3, 3)),
             Phi2=np.eye(3), Phi4=np.eye(3), mu=1.0,
         )
-        assert np.abs(update_zhat(state, SolverConfig()) - np.eye(3)).max() < 1e-14
+        assert np.abs(update_zhat(state) - np.eye(3)).max() < 1e-14
 
 
 class TestUpdateLaplacian:
@@ -268,11 +277,11 @@ class TestUpdateLaplacian:
         state = make_state(Z, Phi3=Phi3, mu=0.5)
         cfg = SolverConfig(lambda2=0.0)
         want = np.eye(4) - Z - Phi3 / 0.5
-        assert np.abs(update_laplacian(state, cfg) - want).max() < 1e-12
+        assert np.abs(update_laplacian(state, problem_for(cfg, 4))[0] - want).max() < 1e-12
 
     def test_identity_z_gives_zero(self):
         state = make_state(np.eye(4), mu=0.5)
-        assert np.all(update_laplacian(state, SolverConfig()) == 0.0)
+        assert np.all(update_laplacian(state, problem_for(SolverConfig(), 4))[0] == 0.0)
 
     def test_matches_prox_oracle(self):
         rng = np.random.default_rng(11)
@@ -283,7 +292,7 @@ class TestUpdateLaplacian:
         cfg = SolverConfig(lambda2=0.1)
         target = np.eye(4) - Z - Phi3 / mu
         want = nuclear_prox_oracle(target, cfg.lambda2 / mu)
-        assert np.abs(update_laplacian(state, cfg) - want).max() < 1e-4
+        assert np.abs(update_laplacian(state, problem_for(cfg, 4))[0] - want).max() < 1e-4
 
 
 class TestUpdateMultipliers:
@@ -291,7 +300,9 @@ class TestUpdateMultipliers:
         Z = np.array([[0.5, 0.5], [0.5, 0.5]])
         cfg = SolverConfig()
         state = make_state(Z, mu=cfg.mu0, k=0)
-        out = update_multipliers(state, cfg)
+        _, gaps = constraint_residuals(state, problem_for(cfg, 2))
+        update_multipliers(state, gaps, cfg)
+        out = state
         assert np.all(out.phi1 == 0.0)
         assert np.all(out.Phi2 == 0.0)
         assert np.all(out.Phi3 == 0.0)
@@ -302,9 +313,10 @@ class TestUpdateMultipliers:
     def test_penalty_schedule_is_geometric(self):
         cfg = SolverConfig()
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        state = initial_state([A], cfg.resolved(1))
-        state = update_multipliers(state, cfg)
-        state = update_multipliers(state, cfg)
+        problem = prepare_problem([A], cfg)
+        state = initial_state(problem)
+        update_multipliers(state, constraint_residuals(state, problem)[1], cfg)
+        update_multipliers(state, constraint_residuals(state, problem)[1], cfg)
         assert state.mu == cfg.mu0 * cfg.rho**2
         assert state.mu == pytest.approx(0.121, rel=1e-12)
 
@@ -312,7 +324,9 @@ class TestUpdateMultipliers:
         Z = np.array([[0.2, 0.1], [0.0, 0.3]])
         cfg = SolverConfig(mu0=1.0, rho=1.5)
         state = make_state(Z, mu=1.0, k=0)
-        out = update_multipliers(state, cfg)
+        _, gaps = constraint_residuals(state, problem_for(cfg, 2))
+        update_multipliers(state, gaps, cfg)
+        out = state
         v = Z @ np.ones(2) - np.ones(2)
         assert np.abs(out.phi1 - v).max() < 1e-15
         assert out.mu == 1.5
@@ -321,17 +335,17 @@ class TestUpdateMultipliers:
 class TestConstraintResiduals:
     def test_feasible_state_has_zero_residuals(self):
         Z = np.array([[0.5, 0.5], [0.5, 0.5]])
-        res = constraint_residuals(make_state(Z))
+        res, _ = constraint_residuals(make_state(Z), problem_for(SolverConfig(), 2))
         assert res.r1 == res.r2 == res.r3 == res.r4 == 0.0
         assert res.max_residual == 0.0
 
     def test_zero_matrix_breaks_row_sums(self):
-        res = constraint_residuals(make_state(np.zeros((2, 2))))
+        res, _ = constraint_residuals(make_state(np.zeros((2, 2))), problem_for(SolverConfig(), 2))
         assert res.r1 == 1.0
 
     def test_transpose_copy_mismatch(self):
         state = make_state(np.eye(2), Zhat=np.zeros((2, 2)))
-        res = constraint_residuals(state)
+        res, _ = constraint_residuals(state, problem_for(SolverConfig(), 2))
         assert res.r2 == 1.0
         assert res.r4 == 1.0
 
@@ -445,3 +459,47 @@ class TestSolve:
     def test_wrong_alpha_count_rejected(self):
         with pytest.raises(ValueError):
             solve([np.zeros((2, 2))], SolverConfig(alphas=(0.5, 0.5)))
+
+
+def fleet_graphs(n_robots, seed, walls=()):
+    """Relation graphs of the seeded n-robot, three-capability fleet the simulator generates."""
+    config = SimConfig(n_robots=n_robots, n_capabilities=3, n_regions=2, seed=seed,
+                       environment=Environment(1.0, 1.0, tuple(walls)))
+    system = generate_system(config, trial_rngs(seed)[0])
+    return build_relation_graphs(system, config.comm_radius)
+
+
+DEFAULT_WEIGHTS = SolverConfig(alphas=(1 / 3, 1 / 3, 1 / 3))
+WALL = Wall(Position(0.5, 0.0), Position(0.5, 1.0))
+
+
+class TestMatchesReferenceLoop:
+    """solve() does the reference loop's floating-point work in the same order."""
+
+    def assert_same_run(self, graphs, config):
+        got, want = solve(graphs, config), reference_solve(graphs, config)
+        assert got.Z.tobytes() == want.Z.tobytes()
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert len(got.residual_trace) == len(want.residual_trace) == got.iterations
+        for mine, ref in zip(got.residual_trace, want.residual_trace):
+            assert (mine.r1, mine.r2, mine.r3, mine.r4) == (ref.r1, ref.r2, ref.r3, ref.r4)
+            assert abs(mine.objective - ref.objective) <= 1e-12 * abs(ref.objective)
+        return got
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_default_fleets_full_and_baseline(self, seed):
+        graphs = fleet_graphs(20, seed)
+        assert self.assert_same_run(graphs, DEFAULT_WEIGHTS).converged
+        assert self.assert_same_run(graphs, baseline_solver_config(DEFAULT_WEIGHTS)).converged
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_capability_heavy_weights(self, seed):
+        self.assert_same_run(fleet_graphs(20, seed), SolverConfig(alphas=(0.1, 0.2, 0.7)))
+
+    def test_fifty_robots_behind_a_wall(self):
+        self.assert_same_run(fleet_graphs(50, 3, walls=(WALL,)), DEFAULT_WEIGHTS)
+
+    def test_run_stopped_by_the_iteration_cap(self):
+        result = self.assert_same_run(fleet_graphs(20, 4),
+                                      replace(DEFAULT_WEIGHTS, max_iterations=25))
+        assert not result.converged and result.iterations == 25
