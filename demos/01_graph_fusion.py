@@ -43,7 +43,7 @@ print("row sums:", result.Z.sum(axis=1))
 print("max asymmetry:", np.abs(result.Z - result.Z.T).max())
 print("min entry:", result.Z.min())
 
-last = result.residual_trace[-1]
+last = result.residual_trace[-1].residuals
 print("final residuals: %.2e %.2e %.2e %.2e"
       % (last.r1, last.r2, last.r3, last.r4))
 

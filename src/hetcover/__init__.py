@@ -1,117 +1,12 @@
-"""Heterogeneous multi-robot team assignment by graph fusion and spectral cuts."""
+"""Heterogeneous multi-robot team assignment by graph fusion and spectral cuts.
 
-from .system import (
-    Environment,
-    Position,
-    RobotSpec,
-    RobotSystem,
-    Wall,
-    line_of_sight,
-    load_system,
-    save_system,
-)
-from .graphs import (
-    AllZeroGraphError,
-    GraphKind,
-    RelationGraph,
-    build_capability_graph,
-    build_communication_graph,
-    build_relation_graphs,
-    build_spatial_graph,
-    load_matrix_csv,
-    normalize_graph,
-    save_matrix_csv,
-)
-from .solver import (
-    Residuals,
-    SolveResult,
-    SolverConfig,
-    SolverState,
-    constraint_residuals,
-    initial_state,
-    objective,
-    solve,
-    svt,
-    update_laplacian,
-    update_multipliers,
-    update_z,
-    update_zhat,
-)
-from .partition import (
-    TeamAssignment,
-    fiedler_cut,
-    fiedler_vector,
-    load_assignment,
-    minor_laplacian,
-    partition,
-    save_assignment,
-)
-from .simulation import (
-    Event,
-    Method,
-    MetricsReport,
-    SimConfig,
-    baseline_assign,
-    detection_rate,
-    duplication_rate,
-    generate_system,
-    greedy_assign,
-    region_raster,
-    run_trial,
-    simulate_events,
-)
+The package exports what the README quick start uses; everything else is
+imported from its module (hetcover.partition, hetcover.solver, ...).
+"""
+
+from .system import Environment, Position, RobotSpec, RobotSystem
+from .graphs import build_relation_graphs
+from .solver import solve
+from .simulation import Method, SimConfig, run_trial
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AllZeroGraphError",
-    "Environment",
-    "Event",
-    "GraphKind",
-    "Method",
-    "MetricsReport",
-    "Position",
-    "RelationGraph",
-    "Residuals",
-    "RobotSpec",
-    "RobotSystem",
-    "SimConfig",
-    "SolveResult",
-    "SolverConfig",
-    "SolverState",
-    "TeamAssignment",
-    "Wall",
-    "baseline_assign",
-    "build_capability_graph",
-    "build_communication_graph",
-    "build_relation_graphs",
-    "build_spatial_graph",
-    "constraint_residuals",
-    "detection_rate",
-    "duplication_rate",
-    "fiedler_cut",
-    "fiedler_vector",
-    "generate_system",
-    "greedy_assign",
-    "initial_state",
-    "line_of_sight",
-    "load_assignment",
-    "load_matrix_csv",
-    "load_system",
-    "minor_laplacian",
-    "normalize_graph",
-    "objective",
-    "partition",
-    "region_raster",
-    "run_trial",
-    "save_assignment",
-    "save_matrix_csv",
-    "save_system",
-    "simulate_events",
-    "solve",
-    "svt",
-    "update_laplacian",
-    "update_multipliers",
-    "update_z",
-    "update_zhat",
-]

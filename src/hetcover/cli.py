@@ -17,15 +17,13 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .graphs import (
     AllZeroGraphError,
     build_relation_graphs,
     load_matrix_csv,
     save_matrix_csv,
 )
-from .partition import load_assignment, partition, save_assignment
+from .partition import partition, save_assignment
 from .simulation import (
     Method,
     SimConfig,
@@ -127,7 +125,10 @@ class _Options:
 
 
 def _alpha_triple(value):
-    alphas = tuple(float(v) for v in value)
+    try:
+        alphas = tuple(float(v) for v in value)
+    except TypeError:
+        raise ValueError("alpha must be a list of three weights, got %r" % (value,)) from None
     if len(alphas) != 3:
         raise ValueError("need exactly three weights")
     return alphas
@@ -164,14 +165,30 @@ def _solver_config(opts) -> SolverConfig:
         opts.parser.error("invalid solver settings: %s" % exc)
 
 
-def _out_dir(opts):
+def _write_outputs(opts, outputs) -> int:
+    """Write each (file name, write(path)) pair under --out, then print the paths.
+
+    Returns 0, or 4 after a stderr line naming the path that could not be
+    made or written; files written before the failure stay.
+    """
     out = str(opts.get("out", default="."))
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
-        print("cannot create output directory: %s" % exc, file=sys.stderr)
-        return None
-    return out
+        print("cannot create output directory %s: %s" % (out, exc), file=sys.stderr)
+        return 4
+    paths = []
+    for name, write in outputs:
+        path = os.path.join(out, name)
+        try:
+            write(path)
+        except OSError as exc:
+            print("cannot write %s: %s" % (path, exc), file=sys.stderr)
+            return 4
+        paths.append(path)
+    for path in paths:
+        print(path)
+    return 0
 
 
 def _parse_regions(text):
@@ -204,9 +221,6 @@ def cmd_generate(args, parser):
     if seed < 0:
         parser.error("--seed must be non-negative")
     env = _environment(opts)
-    out = _out_dir(opts)
-    if out is None:
-        return 4
     try:
         config = SimConfig(n_robots=n, n_capabilities=k, n_regions=1, seed=seed,
                            environment=env)
@@ -214,14 +228,7 @@ def cmd_generate(args, parser):
         system = generate_system(config, system_rng)
     except (ValueError, RuntimeError) as exc:
         parser.error(str(exc))
-    path = os.path.join(out, "system.json")
-    try:
-        save_system(system, path)
-    except OSError as exc:
-        print("cannot write %s: %s" % (path, exc), file=sys.stderr)
-        return 4
-    print(path)
-    return 0
+    return _write_outputs(opts, [("system.json", lambda path: save_system(system, path))])
 
 
 def cmd_solve(args, parser):
@@ -240,24 +247,15 @@ def cmd_solve(args, parser):
     except (AllZeroGraphError, ValueError) as exc:
         parser.error("cannot build graphs: %s" % exc)
     result = solve(graphs, solver_config)
-    out = _out_dir(opts)
-    if out is None:
-        return 4
-    z_path = os.path.join(out, "Z.csv")
-    trace_path = os.path.join(out, "trace.json")
-    try:
-        save_matrix_csv(result.Z, z_path)
-        save_solve_trace(result, trace_path)
-    except OSError as exc:
-        print("cannot write results: %s" % exc, file=sys.stderr)
-        return 4
-    print(z_path)
-    print(trace_path)
-    if not result.converged:
+    code = _write_outputs(opts, [
+        ("Z.csv", lambda path: save_matrix_csv(result.Z, path)),
+        ("trace.json", lambda path: save_solve_trace(result, path)),
+    ])
+    if code == 0 and not result.converged:
         print("solver did not converge within %d iterations"
               % solver_config.max_iterations, file=sys.stderr)
         return 3
-    return 0
+    return code
 
 
 def cmd_partition(args, parser):
@@ -274,15 +272,7 @@ def cmd_partition(args, parser):
         assignment = partition(Z, r)
     except ValueError as exc:
         parser.error(str(exc))
-    out = _out_dir(opts)
-    if out is None:
-        return 4
-    paths = [os.path.join(out, "assignment.json")]
-    try:
-        save_assignment(assignment, paths[0])
-    except OSError as exc:
-        print("cannot write %s: %s" % (paths[0], exc), file=sys.stderr)
-        return 4
+    outputs = [("assignment.json", lambda path: save_assignment(assignment, path))]
     if raster is not None:
         if system_path is None:
             parser.error("--raster needs --system for robot positions")
@@ -297,21 +287,17 @@ def cmd_partition(args, parser):
             grid = region_raster(system, assignment, raster)
         except ValueError as exc:
             parser.error(str(exc))
-        raster_path = os.path.join(out, "regions.json")
-        try:
-            with open(raster_path, "w", encoding="utf-8") as fh:
+
+        def save_regions(path):
+            with open(path, "w", encoding="utf-8") as fh:
                 json.dump({"resolution": raster, "teams": grid.tolist()}, fh)
                 fh.write("\n")
-        except OSError as exc:
-            print("cannot write %s: %s" % (raster_path, exc), file=sys.stderr)
-            return 4
-        paths.append(raster_path)
-    for path in paths:
-        print(path)
-    return 0
+
+        outputs.append(("regions.json", save_regions))
+    return _write_outputs(opts, outputs)
 
 
-def _sim_config(opts, parser, n, k, r, seed):
+def _sim_config(opts, n, k, r, seed):
     try:
         return SimConfig(
             n_robots=n,
@@ -340,9 +326,6 @@ def cmd_simulate(args, parser):
         parser.error("invalid --regions: %s" % exc)
     if n_seeds < 1:
         parser.error("--seeds must be at least 1")
-    out = _out_dir(opts)
-    if out is None:
-        return 4
     # one fleet per seed serves every r; rows are kept per --regions entry so
     # the file stays r-major in the order given
     rows_at = [[] for _ in regions]
@@ -351,7 +334,7 @@ def cmd_simulate(args, parser):
         fleet = None
         for r_rows, r in zip(rows_at, regions):
             try:
-                config = _sim_config(opts, parser, n, k, r, seed)
+                config = _sim_config(opts, n, k, r, seed)
                 if fleet is None:
                     fleet = prepare_fleet(config)
                 r_rows.extend(metrics_rows(config, run_trial(config, fleet)))
@@ -359,18 +342,10 @@ def cmd_simulate(args, parser):
                 failures += 1
                 print("trial r=%d seed=%d failed: %s" % (r, seed, exc), file=sys.stderr)
     rows = [row for r_rows in rows_at for row in r_rows]
-    path = os.path.join(out, "metrics.csv")
-    if rows:
-        try:
-            append_metrics_csv(path, rows)
-        except OSError as exc:
-            print("cannot write %s: %s" % (path, exc), file=sys.stderr)
-            return 4
-        print(path)
-    if failures and not rows:
+    if not rows:
         print("all %d trials failed" % failures, file=sys.stderr)
         return 4
-    return 0
+    return _write_outputs(opts, [("metrics.csv", lambda path: append_metrics_csv(path, rows))])
 
 
 def cmd_sweep(args, parser):
@@ -386,7 +361,7 @@ def cmd_sweep(args, parser):
     if n_seeds < 1:
         parser.error("--seeds must be at least 1")
     try:
-        base = _sim_config(opts, parser, n, k, r, base_seed)
+        base = _sim_config(opts, n, k, r, base_seed)
     except ValueError as exc:
         parser.error(str(exc))
     spec = SweepSpec(base=base, seeds=tuple(base_seed + i for i in range(n_seeds)),
@@ -396,20 +371,14 @@ def cmd_sweep(args, parser):
     except (ValueError, RuntimeError) as exc:
         print("sweep failed: %s" % exc, file=sys.stderr)
         return 4
-    out = _out_dir(opts)
-    if out is None:
-        return 4
-    path = os.path.join(out, "sweep.csv")
-    try:
+
+    def save_sweep(path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("alpha1,alpha2,alpha3,detection,duplication\n")
-            for a1, a2, a3, det, dup in rows:
-                fh.write("%r,%r,%r,%r,%r\n" % (a1, a2, a3, det, dup))
-    except OSError as exc:
-        print("cannot write %s: %s" % (path, exc), file=sys.stderr)
-        return 4
-    print(path)
-    return 0
+            for row in rows:
+                fh.write("%r,%r,%r,%r,%r\n" % row)
+
+    return _write_outputs(opts, [("sweep.csv", save_sweep)])
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +407,18 @@ def _add_solver_flags(sub):
     sub.add_argument("--rho", type=float, help="penalty growth factor in (1,2) (default 1.1)")
     sub.add_argument("--tol", type=float, help="residual tolerance (default 1e-6)")
     sub.add_argument("--max-iters", type=int, help="iteration cap (default 1000)")
+
+
+def _add_fleet_flags(sub):
+    """The seeded-fleet, environment and solver flags of simulate and sweep."""
+    sub.add_argument("--robots", type=int)
+    sub.add_argument("--capabilities", type=int)
+    sub.add_argument("--seeds", type=int, help="number of consecutive seeds")
+    sub.add_argument("--seed", type=int, help="base seed (default 0)")
+    sub.add_argument("--events", type=int, help="events per trial (default 100)")
+    sub.add_argument("--comm-radius", type=float)
+    _add_env_flags(sub)
+    _add_solver_flags(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -476,29 +457,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_partition)
 
     p = commands.add_parser("simulate", help="batch trials into metrics.csv")
-    p.add_argument("--robots", type=int)
-    p.add_argument("--capabilities", type=int)
     p.add_argument("--regions", help="team counts: one value, a..b, or a,b,c")
-    p.add_argument("--seeds", type=int, help="number of consecutive seeds")
-    p.add_argument("--seed", type=int, help="base seed (default 0)")
-    p.add_argument("--events", type=int, help="events per trial (default 100)")
-    p.add_argument("--comm-radius", type=float)
-    _add_env_flags(p)
-    _add_solver_flags(p)
+    _add_fleet_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = commands.add_parser("sweep", help="ternary weight sweep into sweep.csv")
-    p.add_argument("--robots", type=int)
-    p.add_argument("--capabilities", type=int)
     p.add_argument("--regions", type=int, help="team count r")
-    p.add_argument("--seeds", type=int, help="number of consecutive seeds")
-    p.add_argument("--seed", type=int, help="base seed (default 0)")
     p.add_argument("--alpha-step", type=float, help="simplex grid step (default 0.1)")
-    p.add_argument("--events", type=int)
-    p.add_argument("--comm-radius", type=float)
-    _add_env_flags(p)
-    _add_solver_flags(p)
+    _add_fleet_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -16,7 +16,7 @@ its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -241,11 +241,6 @@ def greedy_assign(system: RobotSystem, r: int) -> TeamAssignment:
 def baseline_solver_config(solver_config: SolverConfig) -> SolverConfig:
     """Baseline's solver settings: the same config with lambda1 = lambda2 = 0."""
     return replace(solver_config, lambda1=0.0, lambda2=0.0)
-
-
-def baseline_assign(graphs, solver_config: SolverConfig, r: int) -> TeamAssignment:
-    """Regularizer-free baseline: the same pipeline with lambda1 = lambda2 = 0."""
-    return partition(solve(graphs, baseline_solver_config(solver_config)).Z, r)
 
 
 def trial_rngs(seed: int):

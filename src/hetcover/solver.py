@@ -16,7 +16,7 @@ symmetric, non-negative.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -130,10 +130,9 @@ class Residuals:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    r1: float
-    r2: float
-    r3: float
-    r4: float
+    """One iteration's constraint residuals and objective value."""
+
+    residuals: Residuals
     objective: float
 
 
@@ -336,10 +335,8 @@ def solve(graphs, config: SolverConfig | None = None) -> SolveResult:
         state.Zhat = update_zhat(state)
         state.L, singular_values = update_laplacian(state, problem)
         res, gaps = constraint_residuals(state, problem)
-        trace.append(
-            IterationRecord(res.r1, res.r2, res.r3, res.r4,
-                            objective(state.Z, state.L, problem.adjs, config, singular_values))
-        )
+        trace.append(IterationRecord(
+            res, objective(state.Z, state.L, problem.adjs, config, singular_values)))
         update_multipliers(state, gaps, config)
         if res.max_residual <= config.tolerance:
             converged = True
@@ -359,8 +356,8 @@ def save_solve_trace(result: SolveResult, path) -> None:
         "converged": result.converged,
         "iterations": result.iterations,
         "residuals": [
-            {"r1": r.r1, "r2": r.r2, "r3": r.r3, "r4": r.r4, "objective": r.objective}
-            for r in result.residual_trace
+            dict(asdict(record.residuals), objective=record.objective)
+            for record in result.residual_trace
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:

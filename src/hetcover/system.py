@@ -126,10 +126,6 @@ class RobotSystem:
     def __len__(self):
         return len(self.robots)
 
-    @property
-    def n_robots(self) -> int:
-        return len(self.robots)
-
     def positions(self):
         """Robot positions as an (N, 2) float array, ordered by id."""
         import numpy as np
@@ -223,6 +219,9 @@ def system_from_dict(data: dict) -> RobotSystem:
     """Inverse of system_to_dict. Runs full validation."""
     try:
         env_data = data["environment"]
+        if not isinstance(env_data, dict):
+            raise ValueError("malformed system document: environment must be an object, got %s"
+                             % type(env_data).__name__)
         walls = tuple(
             Wall(Position(float(s[0]), float(s[1])), Position(float(e[0]), float(e[1])))
             for s, e in env_data.get("obstacles", [])
@@ -236,10 +235,10 @@ def system_from_dict(data: dict) -> RobotSystem:
             )
             for r in data["robots"]
         )
-        caps = tuple(data["capabilities"])
+        return RobotSystem(robots=robots, environment=env,
+                           capabilities=tuple(data["capabilities"]))
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError("malformed system document: %s" % exc) from exc
-    return RobotSystem(robots=robots, environment=env, capabilities=caps)
 
 
 def save_system(system: RobotSystem, path) -> None:

@@ -278,10 +278,7 @@ def reference_solve(graphs, config=None):
         state = replace(state, Zhat=_update_zhat(state, config))
         state = replace(state, L=_update_laplacian(state, config))
         res = _constraint_residuals(state)
-        trace.append(
-            IterationRecord(res.r1, res.r2, res.r3, res.r4,
-                            _objective(state.Z, state.L, adjs, config))
-        )
+        trace.append(IterationRecord(res, _objective(state.Z, state.L, adjs, config)))
         state = _update_multipliers(state, config)
         if res.max_residual <= config.tolerance:
             converged = True

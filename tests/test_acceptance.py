@@ -70,12 +70,12 @@ def feasibility_runs(tmp_path_factory):
             path = out_dir / ("Z_%02d.csv" % seed)
             save_matrix_csv(result.Z, path)
             files[path.name] = path.read_bytes()
-            last = result.residual_trace[-1]
+            last = result.residual_trace[-1].residuals
             stats.append({
                 "seed": seed,
                 "converged": result.converged,
                 "iterations": result.iterations,
-                "max_residual": max(last.r1, last.r2, last.r3, last.r4),
+                "max_residual": last.max_residual,
                 "Z": result.Z,
                 "seconds": seconds,
             })

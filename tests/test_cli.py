@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -39,6 +40,34 @@ def write_block_z(path, sizes=(3, 3)):
         start += s
     save_matrix_csv(Z, path)
     return blocks
+
+
+# a small run of each subcommand that succeeds; {inputs} holds system.json and Z.csv
+SMALL_RUNS = {
+    "generate": ("--robots", "4", "--capabilities", "2", "--seed", "0"),
+    "solve": ("--system", "{inputs}/system.json"),
+    "partition": ("--z", "{inputs}/Z.csv", "--regions", "2", "--raster", "4",
+                  "--system", "{inputs}/system.json"),
+    "simulate": ("--robots", "6", "--capabilities", "2", "--regions", "2",
+                 "--seeds", "1", "--events", "10"),
+    "sweep": ("--robots", "5", "--capabilities", "2", "--regions", "2", "--seeds", "1",
+              "--alpha-step", "0.5", "--events", "10"),
+}
+
+
+@pytest.fixture
+def small_run(tmp_path):
+    """run(command, out, *extra): the command's small run, writing under out."""
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    write_planted_system(inputs / "system.json")
+    write_block_z(inputs / "Z.csv")
+
+    def run(command, out, *extra):
+        argv = [arg.format(inputs=inputs) for arg in SMALL_RUNS[command]]
+        return run_cli(command, *argv, *extra, "--out", str(out))
+
+    return run
 
 
 class TestGenerate:
@@ -126,6 +155,23 @@ class TestSolve:
                            "--out", str(out)) == 0
         assert (a / "Z.csv").read_bytes() == (b / "Z.csv").read_bytes()
         assert (a / "trace.json").read_bytes() == (b / "trace.json").read_bytes()
+
+    @pytest.mark.parametrize("environment, capabilities, defect", [
+        ([], ["rgb"], "environment must be an object"),
+        ("unit square", ["rgb"], "environment must be an object"),
+        ({"width": 1, "height": 1}, [["rgb"]], "unhashable type"),
+    ], ids=["environment-list", "environment-string", "capability-list"])
+    def test_malformed_system_rejected_with_its_defect(self, tmp_path, capsys,
+                                                       environment, capabilities, defect):
+        system_path = tmp_path / "system.json"
+        system_path.write_text(json.dumps({
+            "environment": environment, "capabilities": capabilities,
+            "robots": [{"id": i, "position": [0.1 * (i + 1), 0.5], "capabilities": ["rgb"]}
+                       for i in range(2)],
+        }))
+        code = run_cli("solve", "--system", str(system_path), "--out", str(tmp_path))
+        assert code == 2
+        assert "malformed system document: %s" % defect in capsys.readouterr().err
 
     def test_non_convergence_exits_3_with_outputs(self, tmp_path):
         system_path = tmp_path / "system.json"
@@ -385,11 +431,47 @@ class TestConfigLayering:
         assert code == 0
         assert len(load_system(tmp_path / "system.json")) == 6
 
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_alpha_that_is_not_a_list_rejected(self, small_run, tmp_path, capsys, command):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": 5}))
+        assert small_run(command, tmp_path / "out", "--config", str(config)) == 2
+        assert "invalid solver settings: " in capsys.readouterr().err
+
     def test_unreadable_config_rejected(self, tmp_path):
         code = run_cli("generate", "--config", str(tmp_path / "none.json"),
                        "--robots", "4", "--capabilities", "2", "--seed", "0",
                        "--out", str(tmp_path))
         assert code == 2
+
+
+class TestOutputErrors:
+    """Exit 4 and a stderr line naming the path when an output cannot be written."""
+
+    @pytest.mark.parametrize("command, name", [
+        ("generate", "system.json"),
+        ("solve", "Z.csv"),
+        ("solve", "trace.json"),
+        ("partition", "assignment.json"),
+        ("partition", "regions.json"),
+        ("simulate", "metrics.csv"),
+        ("sweep", "sweep.csv"),
+    ])
+    def test_directory_on_an_output_name(self, small_run, tmp_path, capsys, command, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert small_run(command, out) == 4
+        path = os.path.join(str(out), name)
+        assert any(line.startswith("cannot write %s: " % path)
+                   for line in capsys.readouterr().err.splitlines())
+
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    def test_out_that_is_a_file(self, small_run, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert small_run(command, out) == 4
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text() == ""
 
 
 class TestParser:

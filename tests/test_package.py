@@ -1,0 +1,71 @@
+"""The package surface: the README quick start, the exported names, and imports."""
+
+import ast
+import pathlib
+import re
+import types
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = ROOT / "src" / "hetcover"
+
+QUICK_START_NAMES = {
+    "Environment", "Position", "RobotSpec", "RobotSystem", "build_relation_graphs",
+    "solve", "Method", "SimConfig", "run_trial",
+}
+
+
+def quick_start_blocks():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, re.S)
+
+
+def test_readme_quick_start_runs_as_written(capsys):
+    namespace = {}
+    for block in quick_start_blocks():
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["teams"].teams == ({0, 1}, {2, 3})
+    assert len(capsys.readouterr().out.splitlines()) == 3  # one line per method
+
+
+def test_package_exports_the_quick_start_names():
+    import hetcover
+
+    exported = {name for name, value in vars(hetcover).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == QUICK_START_NAMES
+    assert hetcover.__version__
+
+
+def test_partition_is_the_submodule():
+    import hetcover.partition as P
+
+    assert isinstance(P, types.ModuleType)
+    assert callable(P.fiedler_cut)
+
+
+def unused_imports(source):
+    """Names a module imports but never reads, in sorted order."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_import_finder():
+    source = "import os\nimport numpy as np\nimport a.b\nfrom c import d, e\nnp.f(d, a.g)\n"
+    assert unused_imports(source) == ["e", "os"]
+
+
+# __init__.py imports only to export
+@pytest.mark.parametrize("module", sorted(p.name for p in SOURCES.glob("*.py")
+                                          if p.name != "__init__.py"))
+def test_module_reads_every_name_it_imports(module):
+    assert unused_imports((SOURCES / module).read_text(encoding="utf-8")) == []

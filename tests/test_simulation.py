@@ -10,11 +10,11 @@ from hetcover.simulation import (
     CAPABILITY_NAMES,
     METRICS_HEADER,
     Event,
+    Fleet,
     Method,
     MetricsReport,
     SimConfig,
     append_metrics_csv,
-    baseline_assign,
     capability_universe,
     detection_rate,
     duplication_rate,
@@ -351,6 +351,16 @@ class TestGreedyAssign:
                                      env=Environment(6.0, 6.0))
                 for r in range(1, size):
                     self.assert_matches_oracle(system, r)
+
+
+def baseline_assign(graphs, solver_config, r):
+    """Baseline teams of the graphs, solved by fuse_fleet as run_trial's fleets are."""
+    config = SimConfig(n_robots=len(graphs[0].adjacency), n_capabilities=1, n_regions=r,
+                       seed=0, solver=solver_config)
+    fleet = Fleet(config=config, system=None, graphs=tuple(graphs), events=(), nearest=(),
+                  fused={})
+    fused = fuse_fleet(fleet, solver_config, (Method.BASELINE,)).fused
+    return partition(fused[Method.BASELINE], r)
 
 
 class TestBaselineAssign:

@@ -408,8 +408,7 @@ class TestSolve:
         cfg = SolverConfig(alphas=(1 / 3, 1 / 3, 1 / 3))
         result = solve(graphs, cfg)
         assert result.converged
-        last = result.residual_trace[-1]
-        assert max(last.r1, last.r2, last.r3, last.r4) <= cfg.tolerance
+        assert result.residual_trace[-1].residuals.max_residual <= cfg.tolerance
         assert np.abs(result.Z - result.Z.T).max() <= 2 * cfg.tolerance
         assert result.Z.min() >= 0.0
         assert np.abs(result.Z.sum(axis=1) - 1.0).max() < 1e-12
@@ -482,7 +481,7 @@ class TestMatchesReferenceLoop:
         assert (got.iterations, got.converged) == (want.iterations, want.converged)
         assert len(got.residual_trace) == len(want.residual_trace) == got.iterations
         for mine, ref in zip(got.residual_trace, want.residual_trace):
-            assert (mine.r1, mine.r2, mine.r3, mine.r4) == (ref.r1, ref.r2, ref.r3, ref.r4)
+            assert mine.residuals == ref.residuals
             assert abs(mine.objective - ref.objective) <= 1e-12 * abs(ref.objective)
         return got
 
