@@ -124,6 +124,13 @@ class _Options:
         return value
 
 
+def _integer(value):
+    """int(value) without truncation: a fractional or non-finite number, or a bool, is refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("not an integer: %r" % (value,))
+    return int(value)
+
+
 def _alpha_triple(value):
     try:
         alphas = tuple(float(v) for v in value)
@@ -159,7 +166,7 @@ def _solver_config(opts) -> SolverConfig:
             mu0=opts.get("mu0", default=0.1, cast=float),
             rho=opts.get("rho", default=1.1, cast=float),
             tolerance=opts.get("tol", default=1e-6, cast=float),
-            max_iterations=opts.get("max_iters", default=1000, cast=int),
+            max_iterations=opts.get("max_iters", default=1000, cast=_integer),
         )
     except ValueError as exc:
         opts.parser.error("invalid solver settings: %s" % exc)
@@ -211,9 +218,9 @@ def _parse_regions(text):
 
 def cmd_generate(args, parser):
     opts = _Options(args, parser)
-    n = opts.get("robots", cast=int, required=True)
-    k = opts.get("capabilities", cast=int, required=True)
-    seed = opts.get("seed", cast=int, required=True)
+    n = opts.get("robots", cast=_integer, required=True)
+    k = opts.get("capabilities", cast=_integer, required=True)
+    seed = opts.get("seed", cast=_integer, required=True)
     if n < 2:
         parser.error("--robots must be at least 2")
     if k < 1:
@@ -261,8 +268,8 @@ def cmd_solve(args, parser):
 def cmd_partition(args, parser):
     opts = _Options(args, parser)
     z_path = opts.get("z", required=True)
-    r = opts.get("regions", cast=int, required=True)
-    raster = opts.get("raster", cast=int)
+    r = opts.get("regions", cast=_integer, required=True)
+    raster = opts.get("raster", cast=_integer)
     system_path = opts.get("system")
     try:
         Z = load_matrix_csv(z_path)
@@ -304,7 +311,7 @@ def _sim_config(opts, n, k, r, seed):
             n_capabilities=k,
             n_regions=r,
             seed=seed,
-            n_events=opts.get("events", default=100, cast=int),
+            n_events=opts.get("events", default=100, cast=_integer),
             comm_radius=opts.get("comm_radius", cast=float),
             environment=_environment(opts),
             solver=_solver_config(opts),
@@ -315,11 +322,11 @@ def _sim_config(opts, n, k, r, seed):
 
 def cmd_simulate(args, parser):
     opts = _Options(args, parser)
-    n = opts.get("robots", cast=int, required=True)
-    k = opts.get("capabilities", cast=int, required=True)
+    n = opts.get("robots", cast=_integer, required=True)
+    k = opts.get("capabilities", cast=_integer, required=True)
     regions_text = opts.get("regions", required=True)
-    n_seeds = opts.get("seeds", cast=int, required=True)
-    base_seed = opts.get("seed", default=0, cast=int)
+    n_seeds = opts.get("seeds", cast=_integer, required=True)
+    base_seed = opts.get("seed", default=0, cast=_integer)
     try:
         regions = _parse_regions(regions_text)
     except ValueError as exc:
@@ -350,11 +357,11 @@ def cmd_simulate(args, parser):
 
 def cmd_sweep(args, parser):
     opts = _Options(args, parser)
-    n = opts.get("robots", cast=int, required=True)
-    k = opts.get("capabilities", cast=int, required=True)
-    r = opts.get("regions", cast=int, required=True)
-    n_seeds = opts.get("seeds", cast=int, required=True)
-    base_seed = opts.get("seed", default=0, cast=int)
+    n = opts.get("robots", cast=_integer, required=True)
+    k = opts.get("capabilities", cast=_integer, required=True)
+    r = opts.get("regions", cast=_integer, required=True)
+    n_seeds = opts.get("seeds", cast=_integer, required=True)
+    base_seed = opts.get("seed", default=0, cast=_integer)
     step = opts.get("alpha_step", default=0.1, cast=float)
     if not 0 < step <= 1 or abs(round(1.0 / step) - 1.0 / step) > 1e-9:
         parser.error("--alpha-step must divide 1 evenly")

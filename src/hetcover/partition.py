@@ -1,7 +1,9 @@
 """Recursive Fiedler-cut partitioning of a fused affinity matrix into r teams.
 
-The sign pattern of the Laplacian's second eigenvector bisects a vertex set;
-applying the cut repeatedly to the largest remaining group yields r teams.
+A cut bisects a vertex set. A connected set splits by the sign pattern of
+its Laplacian's second eigenvector; a disconnected one splits off the
+connected component holding its smallest index, never cutting a component.
+Applying the cut repeatedly to the largest remaining group yields r teams.
 Cuts on subsets use the subset's own degree matrix (D - W on the principal
 submatrix), which keeps row sums zero where the bistochastic identity
 L = I - Z no longer holds.
@@ -65,6 +67,11 @@ def minor_laplacian(Z, indices) -> np.ndarray:
     return np.diag(W.sum(axis=1)) - W
 
 
+def _oriented(v) -> np.ndarray:
+    """v with the sign that makes its first non-zero entry (|x| > 1e-12) positive."""
+    return v * np.sign(v[np.abs(v) > 1e-12][0])  # a unit vector has such an entry
+
+
 def fiedler_vector(laplacian) -> np.ndarray:
     """Unit eigenvector of the second-smallest eigenvalue.
 
@@ -81,49 +88,40 @@ def fiedler_vector(laplacian) -> np.ndarray:
         raise ValueError("laplacian must be symmetric")
     if np.max(np.abs(L.sum(axis=1))) > 1e-8:
         raise ValueError("laplacian rows must sum to zero")
-    _, vectors = np.linalg.eigh(L)
-    v = vectors[:, 1].copy()
-    for x in v:
-        if abs(x) > 1e-12:
-            if x < 0:
-                v = -v
-            break
-    return v
+    return _oriented(np.linalg.eigh(L)[1][:, 1])
 
 
 def fiedler_cut(Z, indices):
-    """Split an index set by the sign of its minor's Fiedler vector.
+    """Split an index set in two without cutting a connected component of its minor.
 
-    Zero components join the non-negative side. If the sign split leaves a
-    side empty, falls back to splitting at the median component (values at
-    the median go low); if that still leaves one side empty the top value
-    level is split off, which keeps equal components together; a fully
-    constant vector is split by component order as the last resort. All
-    comparisons use the eigensolver tolerance so that components equal up
-    to rounding noise land on the same side.
+    A disconnected minor's zero eigenvectors mix its component indicators
+    arbitrarily (von Luxburg, "A Tutorial on Spectral Clustering", 2007,
+    Prop. 2), so the component holding the smallest index is split from the
+    rest. Components are sought only when lambda_2 <= n * eps * lambda_max, the
+    eigensolver's resolution, and a link no heavier than that counts as
+    absent. Otherwise the signs of the Fiedler vector split the set, entries
+    within 1e-10 of zero joining the non-negative side; the vector is
+    orthogonal to the constant vector, so both sides are non-empty.
     """
     idx = sorted(indices)
-    if len(idx) < 2:
+    n = len(idx)
+    if n < 2:
         raise ValueError("cannot cut fewer than two indices")
-    v = fiedler_vector(minor_laplacian(Z, idx))
-    tol = 1e-10
-    negative = {idx[i] for i in range(len(idx)) if v[i] < -tol}
-    non_negative = set(idx) - negative
-    if negative and non_negative:
-        return non_negative, negative
-    med = float(np.median(v))
-    low = {idx[i] for i in range(len(idx)) if v[i] <= med + tol}
-    high = set(idx) - low
-    if not high:
-        vmax = float(np.max(v))
-        low = {idx[i] for i in range(len(idx)) if v[i] < vmax - tol}
-        high = set(idx) - low
-        if not low:
-            order = sorted(range(len(idx)), key=lambda i: (v[i], i))
-            half = (len(idx) + 1) // 2
-            low = {idx[i] for i in order[:half]}
-            high = set(idx) - low
-    return low, high
+    L = minor_laplacian(Z, idx)
+    values, vectors = np.linalg.eigh(L)
+    resolution = n * np.finfo(float).eps * values[-1]
+    if values[1] <= resolution:
+        linked = -L > resolution
+        reached = frontier = np.arange(n) == 0
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~reached
+            reached = reached | frontier
+        if not reached.all():
+            first = {idx[i] for i in np.flatnonzero(reached)}
+            return first, set(idx) - first
+    v = _oriented(vectors[:, 1])
+    negative = {idx[i] for i in np.flatnonzero(v < -1e-10)}
+    return set(idx) - negative, negative
 
 
 def partition(Z, r: int) -> TeamAssignment:

@@ -148,17 +148,20 @@ def simulate_events(config: SimConfig, rng):
     return events
 
 
+def _nearest(pos, points) -> np.ndarray:
+    """The row of pos nearest each point: Euclidean, ties to the lower row."""
+    d2 = (points[:, 0, None] - pos[:, 0]) ** 2 + (points[:, 1, None] - pos[:, 1]) ** 2
+    return np.argmin(d2, axis=1)  # argmin keeps the first (lowest row) on ties
+
+
 def nearest_robots(system: RobotSystem, events) -> tuple:
     """Each event's nearest robot id: Euclidean, ties to the lower id.
 
-    The rule makes a team's merged Voronoi cell the region it watches.
+    The rule makes a team's merged Voronoi cell the region it watches;
+    region_raster applies the same rule to cells.
     """
-    pos = system.positions()
-    nearest = []
-    for event in events:
-        d2 = (pos[:, 0] - event.position.x) ** 2 + (pos[:, 1] - event.position.y) ** 2
-        nearest.append(int(np.argmin(d2)))  # argmin keeps the first (lowest id) on ties
-    return tuple(nearest)
+    points = np.array([[e.position.x, e.position.y] for e in events], dtype=float)
+    return tuple(_nearest(system.positions(), points.reshape(-1, 2)).tolist())
 
 
 def detection_rate(system: RobotSystem, assignment: TeamAssignment, events,
@@ -341,9 +344,8 @@ def region_raster(system: RobotSystem, assignment: TeamAssignment, resolution: i
     ys = (np.arange(resolution) + 0.5) * env.height / resolution
     grid = np.empty((resolution, resolution), dtype=int)
     team_of = np.asarray(assignment.team_of)
-    for j, y in enumerate(ys):
-        d2 = (pos[:, 0][None, :] - xs[:, None]) ** 2 + (pos[:, 1] - y) ** 2
-        grid[j, :] = team_of[np.argmin(d2, axis=1)]
+    for j, y in enumerate(ys):  # one row at a time keeps memory at resolution x n
+        grid[j, :] = team_of[_nearest(pos, np.column_stack((xs, np.full(resolution, y))))]
     return grid
 
 

@@ -73,8 +73,8 @@ class RobotSpec:
     capabilities: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if not isinstance(self.id, int) or self.id < 0:
-            raise ValueError("robot id must be a non-negative integer")
+        if not isinstance(self.id, int) or isinstance(self.id, bool) or self.id < 0:
+            raise ValueError("robot id must be a non-negative integer, got %r" % (self.id,))
         object.__setattr__(self, "capabilities", frozenset(self.capabilities))
         if not self.capabilities:
             raise ValueError("robot %d has an empty capability set" % self.id)
@@ -215,6 +215,15 @@ def system_to_dict(system: RobotSystem) -> dict:
     }
 
 
+def _wall_from_points(i, points) -> Wall:
+    try:
+        (x1, y1), (x2, y2) = points
+    except (TypeError, ValueError):
+        raise ValueError("malformed system document: obstacle %d must be [[x1, y1], [x2, y2]],"
+                         " got %r" % (i, points)) from None
+    return Wall(Position(float(x1), float(y1)), Position(float(x2), float(y2)))
+
+
 def system_from_dict(data: dict) -> RobotSystem:
     """Inverse of system_to_dict. Runs full validation."""
     try:
@@ -222,14 +231,12 @@ def system_from_dict(data: dict) -> RobotSystem:
         if not isinstance(env_data, dict):
             raise ValueError("malformed system document: environment must be an object, got %s"
                              % type(env_data).__name__)
-        walls = tuple(
-            Wall(Position(float(s[0]), float(s[1])), Position(float(e[0]), float(e[1])))
-            for s, e in env_data.get("obstacles", [])
-        )
+        walls = tuple(_wall_from_points(i, points)
+                      for i, points in enumerate(env_data.get("obstacles", [])))
         env = Environment(float(env_data["width"]), float(env_data["height"]), walls)
         robots = tuple(
             RobotSpec(
-                id=int(r["id"]),
+                id=r["id"],
                 position=Position(float(r["position"][0]), float(r["position"][1])),
                 capabilities=frozenset(r["capabilities"]),
             )

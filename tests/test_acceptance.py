@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from hetcover.graphs import build_relation_graphs, save_matrix_csv
-from hetcover.partition import fiedler_vector, partition
+from hetcover.partition import fiedler_cut, fiedler_vector, partition
 from hetcover.simulation import (
     Method,
     SimConfig,
@@ -243,6 +243,8 @@ def test_fiedler_signs_match_charpoly_oracle():
         ours = frozenset(i for i in range(n) if v[i] < 0)
         theirs = frozenset(i for i in range(n) if w[i] < 0)
         assert ours in (theirs, frozenset(range(n)) - theirs)
+        sides = {frozenset(side) for side in fiedler_cut(W, range(n))}
+        assert sides == {theirs, frozenset(range(n)) - theirs}
         informative += 1
     assert informative >= 80
 

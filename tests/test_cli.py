@@ -173,6 +173,24 @@ class TestSolve:
         assert code == 2
         assert "malformed system document: %s" % defect in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, defect", [
+        (lambda doc: doc["robots"][0].update(id=0.5),
+         "robot id must be a non-negative integer, got 0.5"),
+        (lambda doc: doc["environment"].update(obstacles=[[0.5, 0, 0.5, 1]]),
+         "malformed system document: obstacle 0 must be [[x1, y1], [x2, y2]], "
+         "got [0.5, 0, 0.5, 1]"),
+    ], ids=["fractional-id", "flat-wall"])
+    def test_malformed_field_is_named(self, tmp_path, capsys, edit, defect):
+        system_path = tmp_path / "system.json"
+        write_planted_system(system_path)
+        doc = json.loads(system_path.read_text())
+        edit(doc)
+        system_path.write_text(json.dumps(doc))
+        code = run_cli("solve", "--system", str(system_path), "--out", str(tmp_path))
+        assert code == 2
+        assert defect in capsys.readouterr().err
+        assert not (tmp_path / "Z.csv").exists()
+
     def test_non_convergence_exits_3_with_outputs(self, tmp_path):
         system_path = tmp_path / "system.json"
         write_planted_system(system_path)
@@ -430,6 +448,15 @@ class TestConfigLayering:
                        "--out", str(tmp_path))
         assert code == 0
         assert len(load_system(tmp_path / "system.json")) == 6
+
+    @pytest.mark.parametrize("robots", [4.7, math.inf])
+    def test_count_that_is_not_an_integer_rejected(self, tmp_path, capsys, robots):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"robots": robots, "capabilities": 2, "seed": 1}))
+        code = run_cli("generate", "--config", str(config), "--out", str(tmp_path))
+        assert code == 2
+        assert "invalid value for --robots: %r" % robots in capsys.readouterr().err
+        assert not (tmp_path / "system.json").exists()
 
     @pytest.mark.parametrize("command", ["solve", "simulate"])
     def test_alpha_that_is_not_a_list_rejected(self, small_run, tmp_path, capsys, command):

@@ -1,6 +1,8 @@
 """The package surface: the README quick start, the exported names, and imports."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 import re
 import types
@@ -69,3 +71,15 @@ def test_unused_import_finder():
                                           if p.name != "__init__.py"))
 def test_module_reads_every_name_it_imports(module):
     assert unused_imports((SOURCES / module).read_text(encoding="utf-8")) == []
+
+
+def test_every_benchmark_trace_site_is_callable():
+    # benchmark/spans.py wraps functions by module and name; a renamed or moved
+    # function must fail here rather than stop a traced benchmark run
+    spec = importlib.util.spec_from_file_location("benchmark_spans",
+                                                  ROOT / "benchmark" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [(module, attr) for module, attr, _ in spans.SITES
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert spans.SITES and missing == []

@@ -14,6 +14,7 @@ from hetcover.partition import (
     partition,
     save_assignment,
 )
+from hetcover.simulation import Method, SimConfig, prepare_fleet
 from hetcover.solver import SolverConfig, solve
 
 from _oracles import best_partition_by_mass, second_eigenpair_oracle
@@ -29,6 +30,18 @@ def two_block_matrix():
     Z[:2, :2] = (1 - 3 * c) / 2
     Z[2:, 2:] = (1 - 2 * c) / 3
     return Z
+
+
+def connected_component(Z, indices, start):
+    """The indices reachable from start over positive entries of Z within indices."""
+    component, frontier = {start}, [start]
+    while frontier:
+        i = frontier.pop()
+        for j in indices:
+            if j not in component and Z[i, j] + Z[j, i] > 0:
+                component.add(j)
+                frontier.append(j)
+    return component
 
 
 class TestMinorLaplacian:
@@ -146,16 +159,73 @@ class TestFiedlerCut:
         assert {frozenset(a), frozenset(b)} == {frozenset({0, 1}), frozenset({2, 3, 4})}
 
     def test_degenerate_flat_minor_still_splits(self):
-        # identity Z has an all-zero minor Laplacian; the cut must fall back
-        # and still return two non-empty sides
+        # identity Z has an all-zero minor Laplacian: every robot is its own
+        # component, so the smallest index is split off
         a, b = fiedler_cut(np.eye(4), {1, 2, 3})
-        assert a and b
-        assert set(a) | set(b) == {1, 2, 3}
-        assert not set(a) & set(b)
+        assert (a, b) == ({1}, {2, 3})
+
+    def test_three_blocks_split_off_the_smallest_index_component(self):
+        # blocks {0, 3}, {1, 4} and {2, 5}: the minor's zero eigenvalue is
+        # threefold, and the cut takes the block of index 0, then of index 1
+        Z = np.zeros((6, 6))
+        for block, weight in (([0, 3], 0.5), ([1, 4], 0.25), ([2, 5], 0.125)):
+            Z[np.ix_(block, block)] = weight
+        assert fiedler_cut(Z, range(6)) == ({0, 3}, {1, 2, 4, 5})
+        assert fiedler_cut(Z, {1, 2, 4, 5}) == ({1, 4}, {2, 5})
+        assert partition(Z, 3).teams == ({0, 3}, {1, 4}, {2, 5})
+
+    def test_bridge_below_eigensolver_resolution_counts_as_absent(self):
+        Z = np.array([
+            [0.5, 0.5, 0.0, 0.0],
+            [0.5, 0.5, 1e-300, 0.0],
+            [0.0, 1e-300, 0.5, 0.5],
+            [0.0, 0.0, 0.5, 0.5],
+        ])
+        assert fiedler_cut(Z, range(4)) == ({0, 1}, {2, 3})
+
+    @pytest.mark.parametrize("kind", ["sparse", "zero-padded", "all-zero", "identity"])
+    def test_any_minor_gets_two_sides_and_keeps_components_whole(self, kind):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            n = int(rng.integers(2, 9))
+            if kind == "sparse":
+                Z = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+            elif kind == "zero-padded":
+                Z = np.zeros((n, n))
+                k = int(rng.integers(1, n + 1))
+                Z[:k, :k] = rng.random((k, k))
+            else:
+                Z = np.zeros((n, n)) if kind == "all-zero" else np.eye(n)
+            idx = sorted(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False).tolist())
+            a, b = fiedler_cut(Z, idx)
+            assert a and b and not a & b and a | b == set(idx)
+            component = connected_component(Z, idx, idx[0])
+            if component != set(idx):
+                assert a == component
 
     def test_singleton_rejected(self):
         with pytest.raises(ValueError):
             fiedler_cut(np.eye(3), {1})
+
+
+def test_capability_heavy_teams_survive_tiny_noise():
+    # these weights make the fused Z nearly block diagonal by capability, so
+    # the Fiedler eigenvalue is degenerate; teams must follow the blocks, not
+    # the basis LAPACK picks from a 1e-10 relative perturbation
+    solver = SolverConfig(alphas=(0.1, 0.2, 0.7))
+    rng = np.random.default_rng(0)
+    moved = []
+    for seed in range(5):
+        config = SimConfig(n_robots=20, n_capabilities=3, n_regions=2, seed=seed, solver=solver)
+        Z = prepare_fleet(config, (Method.FULL,)).fused[Method.FULL]
+        for r in range(2, 11):
+            teams = partition(Z, r).teams
+            for _ in range(10):
+                noise = rng.standard_normal(Z.shape)
+                noisy = Z * (1.0 + 1e-10 * (noise + noise.T) / 2)
+                if partition(noisy, r).teams != teams:
+                    moved.append((seed, r))
+    assert moved == []
 
 
 class TestPartition:

@@ -538,6 +538,16 @@ class TestRegionRaster:
         asgn = TeamAssignment.from_teams([{0}, {1}, {2}], 3)
         assert set(region_raster(system, asgn, 32).flat) == {0, 1, 2}
 
+    def test_cells_follow_the_event_nearest_robot_rule(self):
+        # lattice robots put many cell centers at equal distances from two robots
+        system = make_system([((x / 4, y / 4), "rgb") for x in range(3) for y in range(3)])
+        asgn = TeamAssignment.from_team_of([0, 1, 2, 3, 4, 5, 6, 7, 8])
+        res = 4  # cell centers at odd multiples of 1/8 tie between lattice neighbours
+        centers = [Event(Position((i + 0.5) / res, (j + 0.5) / res), "rgb")
+                   for j in range(res) for i in range(res)]
+        want = np.reshape(nearest_robots(system, centers), (res, res))
+        assert np.array_equal(region_raster(system, asgn, res), want)
+
     def test_low_resolution_rejected(self):
         system = make_system([((0.2, 0.2), "rgb"), ((0.8, 0.8), "rgb")])
         asgn = TeamAssignment.from_teams([{0, 1}], 2)
