@@ -6,8 +6,6 @@ blends them into a single bistochastic matrix Z whose entries read as
 "probability these two belong together".
 """
 
-import math
-
 import numpy as np
 
 from hetcover.graphs import build_relation_graphs
@@ -26,7 +24,7 @@ robots = tuple(
 )
 system = RobotSystem(robots, Environment(1.0, 1.0), ("rgb", "depth"))
 
-graphs = build_relation_graphs(system, comm_radius=0.4 * math.hypot(1.0, 1.0))
+graphs = build_relation_graphs(system)  # the default communication radius
 for g in graphs:
     print(g.kind.value, "graph:")
     print(g.adjacency)

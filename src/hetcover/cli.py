@@ -1,8 +1,11 @@
 """Command-line pipeline: generate, solve, partition, simulate, sweep.
 
 Every value option layers as flag > JSON config file (--config, keys named
-after the option with underscores) > built-in default. All outputs are
-plain JSON/CSV files named after their role, written under --out.
+after the option with underscores) > default. A setting's default and its
+check live in the library type it sets (SimConfig, SolverConfig,
+Environment, graphs.communication_radius); the CLI passes on only what a
+flag or the config file gives. All outputs are plain JSON/CSV files named
+after their role, written under --out.
 
 Exit codes: 0 success; 2 usage or validation problems (including unreadable
 inputs); 3 solver ran but did not converge (outputs still written); 4 output
@@ -15,10 +18,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import fields, replace
 
 from .graphs import (
-    AllZeroGraphError,
+    COMM_RADIUS_PER_DIAGONAL,
+    SPATIAL_EPSILON_PER_DIAGONAL,
     build_relation_graphs,
     load_matrix_csv,
     save_matrix_csv,
@@ -40,41 +44,30 @@ from .simulation import (
 from .solver import SolverConfig, save_solve_trace, solve
 from .system import Environment, Position, Wall, load_system, save_system
 
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A ternary grid over the three graph weights, averaged over seeds."""
-
-    base: SimConfig
-    seeds: tuple
-    alpha_step: float = 0.1
-
-    def grid(self):
-        steps = round(1.0 / self.alpha_step)
-        points = []
-        for i in range(steps + 1):
-            for j in range(steps + 1 - i):
-                k = steps - i - j
-                points.append((i / steps, j / steps, k / steps))
-        return points
+ALPHA_STEP = 0.1  # sweep's default simplex grid step
 
 
-def run_sweep(spec: SweepSpec):
+def sweep_grid(alpha_step):
+    """The ternary grid over the three graph weights at alpha_step resolution."""
+    steps = round(1.0 / alpha_step)
+    return [(i / steps, j / steps, (steps - i - j) / steps)
+            for i in range(steps + 1) for j in range(steps + 1 - i)]
+
+
+def run_sweep(base: SimConfig, seeds, alpha_step):
     """Rows (a1, a2, a3, mean detection, mean duplication) for the full method.
 
-    Each seed's system, graphs and events are made once; only the Full Z is
-    solved again for each weighting.
+    Each seed's system, graphs and events are made once from base at that
+    seed; only the Full Z is solved again for each weighting.
     """
-    grid = spec.grid()
+    grid = sweep_grid(alpha_step)
     detections = [[] for _ in grid]
     duplications = [[] for _ in grid]
-    for seed in spec.seeds:
-        fleet = place_fleet(replace(spec.base, seed=seed))
+    for seed in seeds:
+        fleet = place_fleet(replace(base, seed=seed))
         for alphas, det, dup in zip(grid, detections, duplications):
-            solver = replace(spec.base.solver, alphas=alphas)
-            config = replace(spec.base, seed=seed, solver=solver)
-            report, = run_trial(config, fuse_fleet(fleet, solver, (Method.FULL,)),
-                                methods=(Method.FULL,))
+            fused = fuse_fleet(fleet, replace(base.solver, alphas=alphas), (Method.FULL,))
+            report, = run_trial(fused.config, fused, methods=(Method.FULL,))
             det.append(report.detection_rate)
             dup.append(report.duplication_rate)
     return [
@@ -87,24 +80,21 @@ def run_sweep(spec: SweepSpec):
 # option plumbing
 
 
-def _load_config_file(path, parser):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        parser.error("cannot read config file %s: %s" % (path, exc))
-    if not isinstance(doc, dict):
-        parser.error("config file must hold a JSON object")
-    return doc
-
-
 class _Options:
-    """Resolves each option as flag > config file > default."""
+    """Resolves each option as flag > config file (--config) > default."""
 
     def __init__(self, args, parser):
         self.args = args
         self.parser = parser
-        self.file = _load_config_file(args.config, parser) if args.config else {}
+        self.file = {}
+        if args.config:
+            try:
+                with open(args.config, "r", encoding="utf-8") as fh:
+                    self.file = json.load(fh)
+            except (OSError, json.JSONDecodeError) as exc:
+                parser.error("cannot read config file %s: %s" % (args.config, exc))
+            if not isinstance(self.file, dict):
+                parser.error("config file must hold a JSON object")
 
     def get(self, name, default=None, cast=None, required=False):
         value = getattr(self.args, name, None)
@@ -141,33 +131,48 @@ def _alpha_triple(value):
     return alphas
 
 
+# The options that set a field of a library type, as (option, field, type,
+# help). An option that neither a flag nor the config file sets leaves its
+# field at the type's default, which --help quotes.
+ENVIRONMENT_OPTIONS = (("width", "width", float, "environment width"),
+                       ("height", "height", float, "environment height"))
+SOLVER_OPTIONS = (
+    ("lambda1", "lambda1", float, "Frobenius regularizer weight"),
+    ("lambda2", "lambda2", float, "nuclear-norm regularizer weight"),
+    ("mu0", "mu0", float, "initial penalty"),
+    ("rho", "rho", float, "penalty growth factor in (1,2)"),
+    ("tol", "tolerance", float, "residual tolerance"),
+    ("max_iters", "max_iterations", int, "iteration cap"),
+)
+TRIAL_OPTIONS = (("events", "n_events", int, "events per trial"),)
+
+
+def _given(opts, options) -> dict:
+    """{field: value} for each of options that a flag or the config file sets."""
+    values = {name: opts.get(option, cast=_integer if kind is int else kind)
+              for option, name, kind, _ in options}
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _environment(opts) -> Environment:
-    width = opts.get("width", default=1.0, cast=float)
-    height = opts.get("height", default=1.0, cast=float)
     walls = opts.get("wall", default=[])
     try:
         obstacles = tuple(
             Wall(Position(float(w[0]), float(w[1])), Position(float(w[2]), float(w[3])))
             for w in walls
         )
-        return Environment(width, height, obstacles)
+        return Environment(obstacles=obstacles, **_given(opts, ENVIRONMENT_OPTIONS))
     except (ValueError, TypeError, IndexError) as exc:
         opts.parser.error("invalid environment: %s" % exc)
 
 
 def _solver_config(opts) -> SolverConfig:
+    settings = _given(opts, SOLVER_OPTIONS)
     alpha = opts.get("alpha")
     try:
-        alphas = _alpha_triple(alpha) if alpha is not None else None
-        return SolverConfig(
-            alphas=alphas,
-            lambda1=opts.get("lambda1", default=0.1, cast=float),
-            lambda2=opts.get("lambda2", default=0.1, cast=float),
-            mu0=opts.get("mu0", default=0.1, cast=float),
-            rho=opts.get("rho", default=1.1, cast=float),
-            tolerance=opts.get("tol", default=1e-6, cast=float),
-            max_iterations=opts.get("max_iters", default=1000, cast=_integer),
-        )
+        if alpha is not None:
+            settings["alphas"] = _alpha_triple(alpha)
+        return SolverConfig(**settings)
     except ValueError as exc:
         opts.parser.error("invalid solver settings: %s" % exc)
 
@@ -203,10 +208,8 @@ def _parse_regions(text):
     if ".." in text:
         lo, hi = text.split("..", 1)
         values = list(range(int(lo), int(hi) + 1))
-    elif "," in text:
-        values = [int(part) for part in text.split(",")]
     else:
-        values = [int(text)]
+        values = [int(part) for part in text.split(",")]
     if not values or any(v < 1 for v in values):
         raise ValueError("region counts must be positive")
     return values
@@ -218,21 +221,12 @@ def _parse_regions(text):
 
 def cmd_generate(args, parser):
     opts = _Options(args, parser)
-    n = opts.get("robots", cast=_integer, required=True)
-    k = opts.get("capabilities", cast=_integer, required=True)
-    seed = opts.get("seed", cast=_integer, required=True)
-    if n < 2:
-        parser.error("--robots must be at least 2")
-    if k < 1:
-        parser.error("--capabilities must be at least 1")
-    if seed < 0:
-        parser.error("--seed must be non-negative")
-    env = _environment(opts)
     try:
-        config = SimConfig(n_robots=n, n_capabilities=k, n_regions=1, seed=seed,
-                           environment=env)
-        system_rng, _ = trial_rngs(seed)
-        system = generate_system(config, system_rng)
+        config = SimConfig(n_robots=opts.get("robots", cast=_integer, required=True),
+                           n_capabilities=opts.get("capabilities", cast=_integer, required=True),
+                           n_regions=1, seed=opts.get("seed", cast=_integer, required=True),
+                           environment=_environment(opts))
+        system = generate_system(config, trial_rngs(config.seed)[0])
     except (ValueError, RuntimeError) as exc:
         parser.error(str(exc))
     return _write_outputs(opts, [("system.json", lambda path: save_system(system, path))])
@@ -246,12 +240,10 @@ def cmd_solve(args, parser):
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         parser.error("cannot read system %s: %s" % (system_path, exc))
     solver_config = _solver_config(opts)
-    comm_radius = opts.get("comm_radius", cast=float,
-                           default=0.4 * system.environment.diagonal)
-    epsilon = opts.get("epsilon", cast=float)
     try:
-        graphs = build_relation_graphs(system, comm_radius, epsilon)
-    except (AllZeroGraphError, ValueError) as exc:
+        graphs = build_relation_graphs(system, opts.get("comm_radius", cast=float),
+                                       opts.get("epsilon", cast=float))
+    except ValueError as exc:  # an AllZeroGraphError among them
         parser.error("cannot build graphs: %s" % exc)
     result = solve(graphs, solver_config)
     code = _write_outputs(opts, [
@@ -287,9 +279,6 @@ def cmd_partition(args, parser):
             system = load_system(system_path)
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             parser.error("cannot read system %s: %s" % (system_path, exc))
-        if len(system) != Z.shape[0]:
-            parser.error("system has %d robots but Z is %dx%d"
-                         % (len(system), Z.shape[0], Z.shape[1]))
         try:
             grid = region_raster(system, assignment, raster)
         except ValueError as exc:
@@ -304,50 +293,53 @@ def cmd_partition(args, parser):
     return _write_outputs(opts, outputs)
 
 
-def _sim_config(opts, n, k, r, seed):
+def _batch(opts, n_regions):
+    """The checked base SimConfig of a simulate or sweep batch, at its first seed,
+    and the batch's seeds; any invalid setting exits here, before a trial runs."""
+    n = opts.get("robots", cast=_integer, required=True)
+    k = opts.get("capabilities", cast=_integer, required=True)
+    n_seeds = opts.get("seeds", cast=_integer, required=True)
+    base_seed = opts.get("seed", default=0, cast=_integer)
+    if n_seeds < 1:
+        opts.parser.error("--seeds must be at least 1")
     try:
-        return SimConfig(
-            n_robots=n,
-            n_capabilities=k,
-            n_regions=r,
-            seed=seed,
-            n_events=opts.get("events", default=100, cast=_integer),
-            comm_radius=opts.get("comm_radius", cast=float),
-            environment=_environment(opts),
-            solver=_solver_config(opts),
-        )
+        base = SimConfig(n_robots=n, n_capabilities=k, n_regions=n_regions, seed=base_seed,
+                         comm_radius=opts.get("comm_radius", cast=float),
+                         environment=_environment(opts), solver=_solver_config(opts),
+                         **_given(opts, TRIAL_OPTIONS))
     except ValueError as exc:
-        raise ValueError("invalid trial configuration: %s" % exc) from exc
+        opts.parser.error("invalid trial configuration: %s" % exc)
+    return base, range(base_seed, base_seed + n_seeds)
 
 
 def cmd_simulate(args, parser):
     opts = _Options(args, parser)
-    n = opts.get("robots", cast=_integer, required=True)
-    k = opts.get("capabilities", cast=_integer, required=True)
-    regions_text = opts.get("regions", required=True)
-    n_seeds = opts.get("seeds", cast=_integer, required=True)
-    base_seed = opts.get("seed", default=0, cast=_integer)
     try:
-        regions = _parse_regions(regions_text)
+        regions = _parse_regions(opts.get("regions", required=True))
     except ValueError as exc:
         parser.error("invalid --regions: %s" % exc)
-    if n_seeds < 1:
-        parser.error("--seeds must be at least 1")
+    # r is checked per trial, so an r above the robot count fails only its trials
+    base, seeds = _batch(opts, n_regions=1)
     # one fleet per seed serves every r; rows are kept per --regions entry so
     # the file stays r-major in the order given
     rows_at = [[] for _ in regions]
     failures = 0
-    for seed in range(base_seed, base_seed + n_seeds):
-        fleet = None
+    for seed in seeds:
+        fleet = None  # frees the last seed's fleet before this one is prepared
+        try:
+            fleet = prepare_fleet(replace(base, seed=seed))
+        except (ValueError, RuntimeError) as exc:
+            failure = exc
         for r_rows, r in zip(rows_at, regions):
-            try:
-                config = _sim_config(opts, n, k, r, seed)
-                if fleet is None:
-                    fleet = prepare_fleet(config)
-                r_rows.extend(metrics_rows(config, run_trial(config, fleet)))
-            except (ValueError, RuntimeError) as exc:
-                failures += 1
-                print("trial r=%d seed=%d failed: %s" % (r, seed, exc), file=sys.stderr)
+            if fleet is not None:
+                try:
+                    config = replace(base, seed=seed, n_regions=r)
+                    r_rows.extend(metrics_rows(config, run_trial(config, fleet)))
+                    continue
+                except (ValueError, RuntimeError) as exc:
+                    failure = exc
+            failures += 1
+            print("trial r=%d seed=%d failed: %s" % (r, seed, failure), file=sys.stderr)
     rows = [row for r_rows in rows_at for row in r_rows]
     if not rows:
         print("all %d trials failed" % failures, file=sys.stderr)
@@ -357,24 +349,13 @@ def cmd_simulate(args, parser):
 
 def cmd_sweep(args, parser):
     opts = _Options(args, parser)
-    n = opts.get("robots", cast=_integer, required=True)
-    k = opts.get("capabilities", cast=_integer, required=True)
     r = opts.get("regions", cast=_integer, required=True)
-    n_seeds = opts.get("seeds", cast=_integer, required=True)
-    base_seed = opts.get("seed", default=0, cast=_integer)
-    step = opts.get("alpha_step", default=0.1, cast=float)
+    step = opts.get("alpha_step", default=ALPHA_STEP, cast=float)
     if not 0 < step <= 1 or abs(round(1.0 / step) - 1.0 / step) > 1e-9:
         parser.error("--alpha-step must divide 1 evenly")
-    if n_seeds < 1:
-        parser.error("--seeds must be at least 1")
+    base, seeds = _batch(opts, n_regions=r)
     try:
-        base = _sim_config(opts, n, k, r, base_seed)
-    except ValueError as exc:
-        parser.error(str(exc))
-    spec = SweepSpec(base=base, seeds=tuple(base_seed + i for i in range(n_seeds)),
-                     alpha_step=step)
-    try:
-        rows = run_sweep(spec)
+        rows = run_sweep(base, seeds, step)
     except (ValueError, RuntimeError) as exc:
         print("sweep failed: %s" % exc, file=sys.stderr)
         return 4
@@ -397,23 +378,28 @@ def _add_common(sub):
     sub.add_argument("--config", help="JSON file supplying defaults for any option")
 
 
+def _add_options(sub, cls, options):
+    """One flag per (option, field, type, help); each help quotes cls's default of field."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    for option, name, kind, text in options:
+        sub.add_argument("--" + option.replace("_", "-"), type=kind,
+                         help="%s (default %g)" % (text, defaults[name]))
+
+
 def _add_env_flags(sub):
-    sub.add_argument("--width", type=float, help="environment width (default 1)")
-    sub.add_argument("--height", type=float, help="environment height (default 1)")
+    _add_options(sub, Environment, ENVIRONMENT_OPTIONS)
     sub.add_argument("--wall", type=float, nargs=4, action="append",
                      metavar=("X1", "Y1", "X2", "Y2"),
                      help="wall segment; repeatable")
 
 
-def _add_solver_flags(sub):
+def _add_fusion_flags(sub):
+    """The communication radius and solver flags of solve, simulate and sweep."""
+    sub.add_argument("--comm-radius", type=float,
+                     help="communication radius (default %g x diagonal)" % COMM_RADIUS_PER_DIAGONAL)
     sub.add_argument("--alpha", type=float, nargs=3, metavar=("A1", "A2", "A3"),
                      help="graph weights, must sum to 1 (default equal)")
-    sub.add_argument("--lambda1", type=float, help="Frobenius regularizer weight (default 0.1)")
-    sub.add_argument("--lambda2", type=float, help="nuclear-norm regularizer weight (default 0.1)")
-    sub.add_argument("--mu0", type=float, help="initial penalty (default 0.1)")
-    sub.add_argument("--rho", type=float, help="penalty growth factor in (1,2) (default 1.1)")
-    sub.add_argument("--tol", type=float, help="residual tolerance (default 1e-6)")
-    sub.add_argument("--max-iters", type=int, help="iteration cap (default 1000)")
+    _add_options(sub, SolverConfig, SOLVER_OPTIONS)
 
 
 def _add_fleet_flags(sub):
@@ -422,10 +408,9 @@ def _add_fleet_flags(sub):
     sub.add_argument("--capabilities", type=int)
     sub.add_argument("--seeds", type=int, help="number of consecutive seeds")
     sub.add_argument("--seed", type=int, help="base seed (default 0)")
-    sub.add_argument("--events", type=int, help="events per trial (default 100)")
-    sub.add_argument("--comm-radius", type=float)
+    _add_options(sub, SimConfig, TRIAL_OPTIONS)
     _add_env_flags(sub)
-    _add_solver_flags(sub)
+    _add_fusion_flags(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,11 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("solve", help="fuse a system's graphs into Z")
     p.add_argument("--system", help="system JSON path")
-    p.add_argument("--comm-radius", type=float,
-                   help="communication radius (default 0.4 x diagonal)")
     p.add_argument("--epsilon", type=float,
-                   help="spatial distance guard (default 1e-3 x diagonal)")
-    _add_solver_flags(p)
+                   help="spatial distance guard (default %g x diagonal)"
+                        % SPATIAL_EPSILON_PER_DIAGONAL)
+    _add_fusion_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -471,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("sweep", help="ternary weight sweep into sweep.csv")
     p.add_argument("--regions", type=int, help="team count r")
-    p.add_argument("--alpha-step", type=float, help="simplex grid step (default 0.1)")
+    p.add_argument("--alpha-step", type=float,
+                   help="simplex grid step (default %g)" % ALPHA_STEP)
     _add_fleet_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_sweep)

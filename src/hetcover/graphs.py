@@ -9,6 +9,7 @@ are commensurable.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -59,6 +60,21 @@ def _pairwise_distances(system: RobotSystem) -> np.ndarray:
     return np.hypot(diff[..., 0], diff[..., 1])
 
 
+# defaults that scale with the environment: the communication radius and the
+# spatial graph's guard against coincident robots, per unit of diagonal
+COMM_RADIUS_PER_DIAGONAL = 0.4
+SPATIAL_EPSILON_PER_DIAGONAL = 1e-3
+
+
+def communication_radius(environment, radius: float | None = None) -> float:
+    """radius, which must be positive; None means COMM_RADIUS_PER_DIAGONAL x the diagonal."""
+    if radius is None:
+        return COMM_RADIUS_PER_DIAGONAL * environment.diagonal
+    if not radius > 0:
+        raise ValueError("comm_radius must be positive, got %r" % (radius,))
+    return radius
+
+
 def build_spatial_graph(system: RobotSystem, epsilon: float | None = None) -> RelationGraph:
     """Proximity weights a_ij = 1 / (d_ij + epsilon).
 
@@ -67,11 +83,11 @@ def build_spatial_graph(system: RobotSystem, epsilon: float | None = None) -> Re
     system : RobotSystem
     epsilon : float, optional
         Additive guard against coincident robots. Defaults to
-        1e-3 x the environment diagonal. epsilon = 0 is allowed only
-        when all positions are distinct.
+        SPATIAL_EPSILON_PER_DIAGONAL x the environment diagonal. epsilon = 0
+        is allowed only when all positions are distinct.
     """
     if epsilon is None:
-        epsilon = 1e-3 * system.environment.diagonal
+        epsilon = SPATIAL_EPSILON_PER_DIAGONAL * system.environment.diagonal
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     dist = _pairwise_distances(system)
@@ -84,10 +100,9 @@ def build_spatial_graph(system: RobotSystem, epsilon: float | None = None) -> Re
     return RelationGraph(GraphKind.SPATIAL, a)
 
 
-def build_communication_graph(system: RobotSystem, radius: float) -> RelationGraph:
+def build_communication_graph(system: RobotSystem, radius: float | None = None) -> RelationGraph:
     """Binary links: a_ij = 1 iff d_ij <= radius and no wall blocks the pair."""
-    if not radius > 0:
-        raise ValueError("communication radius must be positive")
+    radius = communication_radius(system.environment, radius)
     dist = _pairwise_distances(system)
     n = len(system)
     a = np.zeros((n, n))
@@ -122,7 +137,7 @@ def normalize_graph(g: RelationGraph) -> RelationGraph:
     return RelationGraph(g.kind, a / peak)
 
 
-def build_relation_graphs(system: RobotSystem, comm_radius: float,
+def build_relation_graphs(system: RobotSystem, comm_radius: float | None = None,
                           spatial_epsilon: float | None = None):
     """The standard normalized triple: [spatial, communication, capability]."""
     return [
@@ -142,4 +157,9 @@ def save_matrix_csv(matrix, path) -> None:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty file is refused below
+        matrix = np.loadtxt(path, delimiter=",", ndmin=2)
+    if matrix.size == 0:
+        raise ValueError("the file holds no rows")
+    return matrix

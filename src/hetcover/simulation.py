@@ -16,12 +16,12 @@ its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .graphs import build_relation_graphs
+from .graphs import build_relation_graphs, communication_radius
 from .partition import TeamAssignment, partition
 from .solver import SolverConfig, solve
 from .system import (
@@ -52,9 +52,9 @@ class Method(Enum):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One trial's knobs. Unset geometry falls back to the unit square,
-    communication radius to 0.4 x the environment diagonal, and solver
-    weights to equal thirds."""
+    """One trial's knobs. The environment defaults to Environment(), the
+    solver to SolverConfig(), and the communication radius to the default of
+    graphs.communication_radius, which also checks a given one."""
 
     n_robots: int
     n_capabilities: int
@@ -62,9 +62,8 @@ class SimConfig:
     seed: int
     n_events: int = 100
     comm_radius: float | None = None
-    environment: Environment | None = None
-    solver: SolverConfig | None = None
-    spatial_epsilon: float | None = None
+    environment: Environment = field(default_factory=Environment)
+    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if not (isinstance(self.n_robots, int) and self.n_robots >= 2):
@@ -77,16 +76,8 @@ class SimConfig:
             raise ValueError("n_events must be a positive integer")
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ValueError("seed must be a non-negative integer")
-        if self.environment is None:
-            object.__setattr__(self, "environment", Environment(1.0, 1.0))
-        if self.comm_radius is None:
-            object.__setattr__(self, "comm_radius", 0.4 * self.environment.diagonal)
-        if not self.comm_radius > 0:
-            raise ValueError("comm_radius must be positive")
-        if self.solver is None:
-            object.__setattr__(
-                self, "solver", SolverConfig(alphas=(1 / 3, 1 / 3, 1 / 3))
-            )
+        object.__setattr__(self, "comm_radius",
+                           communication_radius(self.environment, self.comm_radius))
 
 
 @dataclass(frozen=True)
@@ -275,7 +266,7 @@ def place_fleet(config: SimConfig) -> Fleet:
     """Generate the system, its graphs and its events, with nothing solved yet."""
     system_rng, event_rng = trial_rngs(config.seed)
     system = generate_system(config, system_rng)
-    graphs = tuple(build_relation_graphs(system, config.comm_radius, config.spatial_epsilon))
+    graphs = tuple(build_relation_graphs(system, config.comm_radius))
     events = tuple(simulate_events(config, event_rng))
     return Fleet(config=config, system=system, graphs=graphs, events=events,
                  nearest=nearest_robots(system, events), fused={})
@@ -338,6 +329,9 @@ def region_raster(system: RobotSystem, assignment: TeamAssignment, resolution: i
     """
     if not (isinstance(resolution, int) and resolution >= 2):
         raise ValueError("resolution must be an integer >= 2")
+    if len(assignment.team_of) != len(system):
+        raise ValueError("the system has %d robots but the assignment covers %d"
+                         % (len(system), len(assignment.team_of)))
     env = system.environment
     pos = system.positions()
     xs = (np.arange(resolution) + 0.5) * env.width / resolution

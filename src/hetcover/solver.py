@@ -152,13 +152,11 @@ def _adjacency(graph) -> np.ndarray:
 def prepare_problem(graphs, config: SolverConfig) -> Problem:
     """Check the graphs against each other and the config, and fix the loop invariants."""
     adjs = tuple(_adjacency(g) for g in graphs)
-    if not adjs:
-        raise ValueError("need at least one graph")
+    config = config.resolved(len(adjs))
     n = adjs[0].shape[0]
     for a in adjs:
         if a.shape != (n, n):
             raise ValueError("all graphs must share the same square shape")
-    config = config.resolved(len(adjs))
     return Problem(
         adjs=adjs,
         config=config,

@@ -39,8 +39,8 @@ class Wall:
 class Environment:
     """Axis-aligned rectangle [0, width] x [0, height] with wall segments inside."""
 
-    width: float
-    height: float
+    width: float = 1.0
+    height: float = 1.0
     obstacles: tuple = ()
 
     def __post_init__(self):

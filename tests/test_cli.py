@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from hetcover.cli import SweepSpec, main, run_sweep
+from hetcover.cli import ALPHA_STEP, main, run_sweep, sweep_grid
 from hetcover.graphs import load_matrix_csv, save_matrix_csv
 from hetcover.partition import load_assignment
 from hetcover.simulation import METRICS_HEADER, Method, SimConfig, metrics_rows, run_trial
@@ -271,6 +271,16 @@ class TestPartition:
                        "--out", str(tmp_path))
         assert code == 2
 
+    def test_empty_matrix_rejected_without_a_warning(self, tmp_path, capsys):
+        z_path = tmp_path / "Z.csv"
+        z_path.write_text("")
+        code = run_cli("partition", "--z", str(z_path), "--regions", "1",
+                       "--out", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot read matrix %s: the file holds no rows" % z_path in err
+        assert "Warning" not in err
+
     def test_missing_matrix_rejected(self, tmp_path):
         code = run_cli("partition", "--z", str(tmp_path / "none.csv"),
                        "--regions", "2", "--out", str(tmp_path))
@@ -357,6 +367,43 @@ class TestSimulate:
                        "--regions", "0", "--seeds", "1", "--out", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value, defect", [
+        ("--events", "0", "n_events must"),
+        ("--robots", "1", "n_robots must"),
+        ("--comm-radius", "-1", "comm_radius must"),
+        ("--seed", "-1", "seed must"),
+    ])
+    def test_invalid_setting_rejected_before_any_trial(self, tmp_path, capsys,
+                                                       flag, value, defect):
+        argv = {"--robots": "6", "--capabilities": "2", "--regions": "2..3",
+                "--seeds": "2", "--events": "10"}
+        argv[flag] = value
+        code = run_cli("simulate", *(arg for item in argv.items() for arg in item),
+                       "--out", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err.count(defect) == 1
+        assert not (tmp_path / "metrics.csv").exists()
+
+    def test_failing_fleet_is_prepared_once(self, tmp_path, capsys, monkeypatch):
+        import hetcover.simulation as simulation
+
+        calls = {"generate_system": 0, "build_relation_graphs": 0}
+        for name in calls:
+            def counted(*args, fn=getattr(simulation, name), name=name, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(simulation, name, counted)
+        # no two robots lie within the radius, so the communication graph is empty
+        code = run_cli("simulate", "--robots", "6", "--capabilities", "2",
+                       "--regions", "2..4", "--seeds", "1", "--events", "10",
+                       "--comm-radius", "1e-9", "--out", str(tmp_path))
+        assert code == 4
+        assert calls == {"generate_system": 1, "build_relation_graphs": 1}
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("trial ")]
+        assert [line.split(" failed: ")[0] for line in failed] == [
+            "trial r=%d seed=0" % r for r in (2, 3, 4)]
+
 
 class TestSweep:
     def test_half_step_grid(self, tmp_path):
@@ -387,18 +434,17 @@ class TestSweep:
     def test_rows_are_means_of_full_trial_reports(self):
         base = SimConfig(n_robots=6, n_capabilities=2, n_regions=2, seed=0,
                          n_events=20, solver=SolverConfig())
-        spec = SweepSpec(base=base, seeds=(0, 1), alpha_step=0.5)
         want = []
-        for alphas in spec.grid():
+        for alphas in sweep_grid(0.5):
             full = []
-            for seed in spec.seeds:
+            for seed in (0, 1):
                 config = SimConfig(n_robots=6, n_capabilities=2, n_regions=2, seed=seed,
                                    n_events=20, solver=SolverConfig(alphas=alphas))
                 full.append(next(rep for rep in run_trial(config)
                                  if rep.method is Method.FULL))
             want.append(alphas + (sum(rep.detection_rate for rep in full) / len(full),
                                   sum(rep.duplication_rate for rep in full) / len(full)))
-        assert run_sweep(spec) == want
+        assert run_sweep(base, (0, 1), 0.5) == want
 
     def test_each_seed_fleet_is_built_once(self, monkeypatch):
         import hetcover.simulation as simulation
@@ -412,10 +458,9 @@ class TestSweep:
             monkeypatch.setattr(simulation, name, counted)
         base = SimConfig(n_robots=6, n_capabilities=2, n_regions=2, seed=0,
                          n_events=20, solver=SolverConfig())
-        spec = SweepSpec(base=base, seeds=(0, 1), alpha_step=0.5)
-        run_sweep(spec)
+        run_sweep(base, (0, 1), 0.5)
         assert calls == {"generate_system": 2, "build_relation_graphs": 2,
-                         "simulate_events": 2, "solve": 2 * len(spec.grid())}
+                         "simulate_events": 2, "solve": 2 * len(sweep_grid(0.5))}
 
     def test_step_must_divide_one(self, tmp_path):
         code = run_cli("sweep", "--robots", "5", "--capabilities", "2",
@@ -424,9 +469,7 @@ class TestSweep:
         assert code == 2
 
     def test_default_grid_has_66_points_with_paper_combination(self):
-        base = SimConfig(n_robots=5, n_capabilities=2, n_regions=2, seed=0)
-        spec = SweepSpec(base=base, seeds=(0,))
-        grid = spec.grid()
+        grid = sweep_grid(ALPHA_STEP)
         assert len(grid) == 66
         assert (0.2, 0.1, 0.7) in grid
         for alphas in grid:

@@ -83,3 +83,51 @@ def test_every_benchmark_trace_site_is_callable():
     missing = [(module, attr) for module, attr, _ in spans.SITES
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert spans.SITES and missing == []
+
+
+def parsed_options(*argv):
+    from hetcover import cli
+
+    parser = cli.build_parser()
+    return cli._Options(parser.parse_args(list(argv)), parser)
+
+
+def first_trial_config(monkeypatch, tmp_path, *flags):
+    """The config of the first trial that `hetcover simulate` runs with flags."""
+    from hetcover import cli
+
+    configs = []
+    monkeypatch.setattr(cli, "prepare_fleet", lambda config: object())
+    monkeypatch.setattr(cli, "run_trial", lambda config, fleet: configs.append(config) or [])
+    cli.main(["simulate", *flags, "--out", str(tmp_path)])
+    return configs[0]
+
+
+# the CLI's settings have no defaults of their own: with no option set it
+# builds the library's default config, and each field has an option that sets it
+def test_cli_solver_config_defaults_to_the_library_default():
+    from hetcover.cli import _solver_config
+    from hetcover.solver import SolverConfig
+
+    assert _solver_config(parsed_options("solve")) == SolverConfig()
+
+
+def test_every_config_field_is_set_by_a_cli_option(monkeypatch, tmp_path):
+    from dataclasses import fields
+
+    from hetcover.simulation import SimConfig
+    from hetcover.solver import SolverConfig
+
+    plain = first_trial_config(monkeypatch, tmp_path, "--robots", "6", "--capabilities", "2",
+                               "--regions", "2", "--seeds", "1")
+    custom = first_trial_config(
+        monkeypatch, tmp_path, "--robots", "7", "--capabilities", "3", "--regions", "3",
+        "--seeds", "1", "--seed", "2", "--events", "9", "--comm-radius", "0.3",
+        "--width", "2", "--height", "3", "--wall", "0.5", "0", "0.5", "1",
+        "--alpha", "0.2", "0.1", "0.7", "--lambda1", "0.2", "--lambda2", "0.3",
+        "--mu0", "0.2", "--rho", "1.5", "--tol", "1e-5", "--max-iters", "50")
+    unset = [f.name for f in fields(SimConfig)
+             if getattr(plain, f.name) == getattr(custom, f.name)]
+    unset += [f.name for f in fields(SolverConfig)
+              if getattr(plain.solver, f.name) == getattr(custom.solver, f.name)]
+    assert unset == []

@@ -69,7 +69,8 @@ class TestSimConfig:
         cfg = SimConfig(n_robots=10, n_capabilities=3, n_regions=3, seed=0)
         assert cfg.environment == Environment(1.0, 1.0)
         assert cfg.comm_radius == pytest.approx(0.4 * math.hypot(1.0, 1.0))
-        assert cfg.solver.alphas == (1 / 3, 1 / 3, 1 / 3)
+        assert cfg.solver == SolverConfig()  # equal weights, filled in by resolved
+        assert cfg.solver.resolved(3).alphas == (1 / 3, 1 / 3, 1 / 3)
         assert cfg.n_events == 100
 
     def test_explicit_values_kept(self):
@@ -553,6 +554,14 @@ class TestRegionRaster:
         asgn = TeamAssignment.from_teams([{0, 1}], 2)
         with pytest.raises(ValueError):
             region_raster(system, asgn, 1)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_assignment_of_another_size_rejected(self, n):
+        system = make_system([((0.2, 0.2), "rgb"), ((0.8, 0.8), "rgb")])
+        asgn = TeamAssignment.from_teams([set(range(n))], n)
+        with pytest.raises(ValueError, match="the system has 2 robots but the assignment "
+                                             "covers %d" % n):
+            region_raster(system, asgn, 4)
 
 
 class TestMetricsCsv:
