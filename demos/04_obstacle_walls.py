@@ -6,8 +6,6 @@ types. A wall down the middle removes every cross-wall link, and the same
 pipeline then groups robots by which side of the wall they stand on.
 """
 
-import math
-
 import numpy as np
 
 from hetcover.graphs import build_communication_graph, build_relation_graphs

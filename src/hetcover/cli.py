@@ -1,11 +1,16 @@
 """Command-line pipeline: generate, solve, partition, simulate, sweep.
 
-Every value option layers as flag > JSON config file (--config, keys named
-after the option with underscores) > default. A setting's default and its
-check live in the library type it sets (SimConfig, SolverConfig,
-Environment, graphs.communication_radius); the CLI passes on only what a
-flag or the config file gives. All outputs are plain JSON/CSV files named
-after their role, written under --out.
+Each option is declared once, as an Option: its flag, its type, whether it
+is required or its default, and its help. The declaration makes the flag,
+and main resolves every option of the command once, as flag > JSON config
+file (--config, keys named after the option with underscores) > default.
+The option's type checks a config value exactly as it checks the flag's
+text, so {"robots": 4.7} or {"out": 7} exits 2 like --robots 4.7 does.
+A setting's library default and its check live in the library type it sets
+(SimConfig, SolverConfig, Environment, graphs.communication_radius); the
+CLI passes on only what a flag or the config file gives. SolverConfig caps
+--max-iters below the point where the penalty mu0 * rho**k overflows. All
+outputs are plain JSON/CSV files named after their role, written under --out.
 
 Exit codes: 0 success; 2 usage or validation problems (including unreadable
 inputs); 3 solver ran but did not converge (outputs still written); 4 output
@@ -19,6 +24,7 @@ import json
 import os
 import sys
 from dataclasses import fields, replace
+from typing import NamedTuple
 
 from .graphs import (
     COMM_RADIUS_PER_DIAGONAL,
@@ -77,41 +83,7 @@ def run_sweep(base: SimConfig, seeds, alpha_step):
 
 
 # ---------------------------------------------------------------------------
-# option plumbing
-
-
-class _Options:
-    """Resolves each option as flag > config file (--config) > default."""
-
-    def __init__(self, args, parser):
-        self.args = args
-        self.parser = parser
-        self.file = {}
-        if args.config:
-            try:
-                with open(args.config, "r", encoding="utf-8") as fh:
-                    self.file = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                parser.error("cannot read config file %s: %s" % (args.config, exc))
-            if not isinstance(self.file, dict):
-                parser.error("config file must hold a JSON object")
-
-    def get(self, name, default=None, cast=None, required=False):
-        value = getattr(self.args, name, None)
-        if value is None:
-            value = self.file.get(name)
-        if value is None:
-            value = default
-        if value is None:
-            if required:
-                self.parser.error("--%s is required" % name.replace("_", "-"))
-            return None
-        if cast is not None:
-            try:
-                value = cast(value)
-            except (TypeError, ValueError):
-                self.parser.error("invalid value for --%s: %r" % (name.replace("_", "-"), value))
-        return value
+# option declarations
 
 
 def _integer(value):
@@ -119,6 +91,137 @@ def _integer(value):
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError("not an integer: %r" % (value,))
     return int(value)
+
+
+def _path(value):
+    """A path: the flag's text, or a string in the config file."""
+    if not isinstance(value, str):
+        raise TypeError("not a path: %r" % (value,))
+    return value
+
+
+def _parse_regions(text):
+    text = str(text).strip()
+    if ".." in text:
+        lo, hi = text.split("..", 1)
+        values = list(range(int(lo), int(hi) + 1))
+    else:
+        values = [int(part) for part in text.split(",")]
+    if not values or any(v < 1 for v in values):
+        raise ValueError("region counts must be positive")
+    return values
+
+
+class Option(NamedTuple):
+    """One option: flag --name (dashes for underscores) and config key name.
+
+    kind turns the flag's text or the config value into the option's value,
+    raising TypeError or ValueError on a bad one; None hands the raw value
+    (a list for nargs) to the command, which checks it. An option that is
+    not given is an error if required, else takes default, which help quotes.
+    field names the library field the option sets, if any.
+    """
+
+    name: str
+    kind: object
+    help: str | None = None
+    required: bool = False
+    default: object = None
+    field: str | None = None
+    extra: dict = {}  # further add_argument settings: nargs, action, metavar
+
+    @property
+    def flag(self):
+        return "--" + self.name.replace("_", "-")
+
+
+def _field_options(cls, *specs):
+    """Options from (option, field, type, help) that each set a field of cls.
+
+    An option that neither a flag nor the config file sets leaves its field
+    at cls's default, which its help quotes.
+    """
+    defaults = {f.name: f.default for f in fields(cls)}
+    return tuple(Option(name, kind, "%s (default %g)" % (text, defaults[field]), field=field)
+                 for name, field, kind, text in specs)
+
+
+ENVIRONMENT_OPTIONS = _field_options(Environment, ("width", "width", float, "environment width"),
+                                     ("height", "height", float, "environment height"))
+SOLVER_OPTIONS = _field_options(
+    SolverConfig,
+    ("lambda1", "lambda1", float, "Frobenius regularizer weight"),
+    ("lambda2", "lambda2", float, "nuclear-norm regularizer weight"),
+    ("mu0", "mu0", float, "initial penalty"),
+    ("rho", "rho", float, "penalty growth factor in (1,2)"),
+    ("tol", "tolerance", float, "residual tolerance"),
+    ("max_iters", "max_iterations", _integer, "iteration cap"),
+)
+TRIAL_OPTIONS = _field_options(SimConfig, ("events", "n_events", _integer, "events per trial"))
+
+OUT = Option("out", _path, "output directory", default=".")
+ROBOTS = Option("robots", _integer, "number of robots (>= 2)", required=True)
+CAPABILITIES = Option("capabilities", _integer, "capability universe size", required=True)
+TEAMS = Option("regions", _integer, "team count r", required=True)
+WALL = Option("wall", None, "wall segment; repeatable",
+              extra=dict(nargs=4, action="append", metavar=("X1", "Y1", "X2", "Y2")))
+ALPHA = Option("alpha", None, "graph weights, must sum to 1 (default equal)",
+               extra=dict(nargs=3, metavar=("A1", "A2", "A3")))
+COMM_RADIUS = Option("comm_radius", float,
+                     "communication radius (default %g x diagonal)" % COMM_RADIUS_PER_DIAGONAL)
+
+ENVIRONMENT_FLAGS = ENVIRONMENT_OPTIONS + (WALL,)
+FUSION_FLAGS = (COMM_RADIUS, ALPHA) + SOLVER_OPTIONS  # solve, simulate and sweep
+FLEET_FLAGS = (  # the seeded fleet of simulate and sweep
+    ROBOTS, CAPABILITIES,
+    Option("seeds", _integer, "number of consecutive seeds", required=True),
+    Option("seed", _integer, "base seed", default=0),
+) + TRIAL_OPTIONS + ENVIRONMENT_FLAGS + FUSION_FLAGS
+
+
+def _resolve(args, parser):
+    """Set each option of args' command on args as flag > --config key > default.
+
+    A flag's text and a config value go through the same type; a value it
+    refuses, or a required option that is not given, exits 2 naming the flag.
+    """
+    config = _read(parser, "config file", _load_json, args.config) if args.config else {}
+    if not isinstance(config, dict):
+        parser.error("config file must hold a JSON object")
+    for option in args.options:
+        value = getattr(args, option.name)
+        if value is None:
+            value = config.get(option.name)
+        if value is None:
+            if option.required:
+                parser.error("%s is required" % option.flag)
+            value = option.default
+        elif option.kind is not None:
+            try:
+                value = option.kind(value)
+            except (TypeError, ValueError, OverflowError):
+                parser.error("invalid value for %s: %r" % (option.flag, value))
+        setattr(args, option.name, value)
+    return args
+
+
+def _load_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _read(parser, what, load, path):
+    """load(path), or exit 2 naming what could not be read and why."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+        parser.error("cannot read %s %s: %s" % (what, path, exc))
+
+
+def _given(args, options) -> dict:
+    """{field: value} for each of options that a flag or the config file sets."""
+    return {option.field: getattr(args, option.name) for option in options
+            if getattr(args, option.name) is not None}
 
 
 def _alpha_triple(value):
@@ -131,59 +234,33 @@ def _alpha_triple(value):
     return alphas
 
 
-# The options that set a field of a library type, as (option, field, type,
-# help). An option that neither a flag nor the config file sets leaves its
-# field at the type's default, which --help quotes.
-ENVIRONMENT_OPTIONS = (("width", "width", float, "environment width"),
-                       ("height", "height", float, "environment height"))
-SOLVER_OPTIONS = (
-    ("lambda1", "lambda1", float, "Frobenius regularizer weight"),
-    ("lambda2", "lambda2", float, "nuclear-norm regularizer weight"),
-    ("mu0", "mu0", float, "initial penalty"),
-    ("rho", "rho", float, "penalty growth factor in (1,2)"),
-    ("tol", "tolerance", float, "residual tolerance"),
-    ("max_iters", "max_iterations", int, "iteration cap"),
-)
-TRIAL_OPTIONS = (("events", "n_events", int, "events per trial"),)
-
-
-def _given(opts, options) -> dict:
-    """{field: value} for each of options that a flag or the config file sets."""
-    values = {name: opts.get(option, cast=_integer if kind is int else kind)
-              for option, name, kind, _ in options}
-    return {name: value for name, value in values.items() if value is not None}
-
-
-def _environment(opts) -> Environment:
-    walls = opts.get("wall", default=[])
+def _environment(args, parser) -> Environment:
     try:
         obstacles = tuple(
             Wall(Position(float(w[0]), float(w[1])), Position(float(w[2]), float(w[3])))
-            for w in walls
+            for w in args.wall or ()
         )
-        return Environment(obstacles=obstacles, **_given(opts, ENVIRONMENT_OPTIONS))
+        return Environment(obstacles=obstacles, **_given(args, ENVIRONMENT_OPTIONS))
     except (ValueError, TypeError, IndexError) as exc:
-        opts.parser.error("invalid environment: %s" % exc)
+        parser.error("invalid environment: %s" % exc)
 
 
-def _solver_config(opts) -> SolverConfig:
-    settings = _given(opts, SOLVER_OPTIONS)
-    alpha = opts.get("alpha")
+def _solver_config(args, parser) -> SolverConfig:
+    settings = _given(args, SOLVER_OPTIONS)
     try:
-        if alpha is not None:
-            settings["alphas"] = _alpha_triple(alpha)
+        if args.alpha is not None:
+            settings["alphas"] = _alpha_triple(args.alpha)
         return SolverConfig(**settings)
     except ValueError as exc:
-        opts.parser.error("invalid solver settings: %s" % exc)
+        parser.error("invalid solver settings: %s" % exc)
 
 
-def _write_outputs(opts, outputs) -> int:
-    """Write each (file name, write(path)) pair under --out, then print the paths.
+def _write_outputs(out, outputs) -> int:
+    """Write each (file name, write(path)) pair under out, then print the paths.
 
     Returns 0, or 4 after a stderr line naming the path that could not be
     made or written; files written before the failure stay.
     """
-    out = str(opts.get("out", default="."))
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
@@ -203,50 +280,29 @@ def _write_outputs(opts, outputs) -> int:
     return 0
 
 
-def _parse_regions(text):
-    text = str(text).strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
-    else:
-        values = [int(part) for part in text.split(",")]
-    if not values or any(v < 1 for v in values):
-        raise ValueError("region counts must be positive")
-    return values
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_generate(args, parser):
-    opts = _Options(args, parser)
     try:
-        config = SimConfig(n_robots=opts.get("robots", cast=_integer, required=True),
-                           n_capabilities=opts.get("capabilities", cast=_integer, required=True),
-                           n_regions=1, seed=opts.get("seed", cast=_integer, required=True),
-                           environment=_environment(opts))
+        config = SimConfig(n_robots=args.robots, n_capabilities=args.capabilities,
+                           n_regions=1, seed=args.seed, environment=_environment(args, parser))
         system = generate_system(config, trial_rngs(config.seed)[0])
     except (ValueError, RuntimeError) as exc:
         parser.error(str(exc))
-    return _write_outputs(opts, [("system.json", lambda path: save_system(system, path))])
+    return _write_outputs(args.out, [("system.json", lambda path: save_system(system, path))])
 
 
 def cmd_solve(args, parser):
-    opts = _Options(args, parser)
-    system_path = opts.get("system", required=True)
+    system = _read(parser, "system", load_system, args.system)
+    solver_config = _solver_config(args, parser)
     try:
-        system = load_system(system_path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        parser.error("cannot read system %s: %s" % (system_path, exc))
-    solver_config = _solver_config(opts)
-    try:
-        graphs = build_relation_graphs(system, opts.get("comm_radius", cast=float),
-                                       opts.get("epsilon", cast=float))
+        graphs = build_relation_graphs(system, args.comm_radius, args.epsilon)
     except ValueError as exc:  # an AllZeroGraphError among them
         parser.error("cannot build graphs: %s" % exc)
     result = solve(graphs, solver_config)
-    code = _write_outputs(opts, [
+    code = _write_outputs(args.out, [
         ("Z.csv", lambda path: save_matrix_csv(result.Z, path)),
         ("trace.json", lambda path: save_solve_trace(result, path)),
     ])
@@ -258,71 +314,51 @@ def cmd_solve(args, parser):
 
 
 def cmd_partition(args, parser):
-    opts = _Options(args, parser)
-    z_path = opts.get("z", required=True)
-    r = opts.get("regions", cast=_integer, required=True)
-    raster = opts.get("raster", cast=_integer)
-    system_path = opts.get("system")
+    Z = _read(parser, "matrix", load_matrix_csv, args.z)
     try:
-        Z = load_matrix_csv(z_path)
-    except (OSError, ValueError) as exc:
-        parser.error("cannot read matrix %s: %s" % (z_path, exc))
-    try:
-        assignment = partition(Z, r)
+        assignment = partition(Z, args.regions)
     except ValueError as exc:
         parser.error(str(exc))
     outputs = [("assignment.json", lambda path: save_assignment(assignment, path))]
-    if raster is not None:
-        if system_path is None:
+    if args.raster is not None:
+        if args.system is None:
             parser.error("--raster needs --system for robot positions")
+        system = _read(parser, "system", load_system, args.system)
         try:
-            system = load_system(system_path)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            parser.error("cannot read system %s: %s" % (system_path, exc))
-        try:
-            grid = region_raster(system, assignment, raster)
+            grid = region_raster(system, assignment, args.raster)
         except ValueError as exc:
             parser.error(str(exc))
 
         def save_regions(path):
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump({"resolution": raster, "teams": grid.tolist()}, fh)
+                json.dump({"resolution": args.raster, "teams": grid.tolist()}, fh)
                 fh.write("\n")
 
         outputs.append(("regions.json", save_regions))
-    return _write_outputs(opts, outputs)
+    return _write_outputs(args.out, outputs)
 
 
-def _batch(opts, n_regions):
+def _batch(args, parser, n_regions):
     """The checked base SimConfig of a simulate or sweep batch, at its first seed,
     and the batch's seeds; any invalid setting exits here, before a trial runs."""
-    n = opts.get("robots", cast=_integer, required=True)
-    k = opts.get("capabilities", cast=_integer, required=True)
-    n_seeds = opts.get("seeds", cast=_integer, required=True)
-    base_seed = opts.get("seed", default=0, cast=_integer)
-    if n_seeds < 1:
-        opts.parser.error("--seeds must be at least 1")
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
     try:
-        base = SimConfig(n_robots=n, n_capabilities=k, n_regions=n_regions, seed=base_seed,
-                         comm_radius=opts.get("comm_radius", cast=float),
-                         environment=_environment(opts), solver=_solver_config(opts),
-                         **_given(opts, TRIAL_OPTIONS))
+        base = SimConfig(n_robots=args.robots, n_capabilities=args.capabilities,
+                         n_regions=n_regions, seed=args.seed, comm_radius=args.comm_radius,
+                         environment=_environment(args, parser),
+                         solver=_solver_config(args, parser), **_given(args, TRIAL_OPTIONS))
     except ValueError as exc:
-        opts.parser.error("invalid trial configuration: %s" % exc)
-    return base, range(base_seed, base_seed + n_seeds)
+        parser.error("invalid trial configuration: %s" % exc)
+    return base, range(args.seed, args.seed + args.seeds)
 
 
 def cmd_simulate(args, parser):
-    opts = _Options(args, parser)
-    try:
-        regions = _parse_regions(opts.get("regions", required=True))
-    except ValueError as exc:
-        parser.error("invalid --regions: %s" % exc)
     # r is checked per trial, so an r above the robot count fails only its trials
-    base, seeds = _batch(opts, n_regions=1)
+    base, seeds = _batch(args, parser, n_regions=1)
     # one fleet per seed serves every r; rows are kept per --regions entry so
     # the file stays r-major in the order given
-    rows_at = [[] for _ in regions]
+    rows_at = [[] for _ in args.regions]
     failures = 0
     for seed in seeds:
         fleet = None  # frees the last seed's fleet before this one is prepared
@@ -330,7 +366,7 @@ def cmd_simulate(args, parser):
             fleet = prepare_fleet(replace(base, seed=seed))
         except (ValueError, RuntimeError) as exc:
             failure = exc
-        for r_rows, r in zip(rows_at, regions):
+        for r_rows, r in zip(rows_at, args.regions):
             if fleet is not None:
                 try:
                     config = replace(base, seed=seed, n_regions=r)
@@ -344,16 +380,14 @@ def cmd_simulate(args, parser):
     if not rows:
         print("all %d trials failed" % failures, file=sys.stderr)
         return 4
-    return _write_outputs(opts, [("metrics.csv", lambda path: append_metrics_csv(path, rows))])
+    return _write_outputs(args.out, [("metrics.csv", lambda path: append_metrics_csv(path, rows))])
 
 
 def cmd_sweep(args, parser):
-    opts = _Options(args, parser)
-    r = opts.get("regions", cast=_integer, required=True)
-    step = opts.get("alpha_step", default=ALPHA_STEP, cast=float)
+    step = args.alpha_step
     if not 0 < step <= 1 or abs(round(1.0 / step) - 1.0 / step) > 1e-9:
         parser.error("--alpha-step must divide 1 evenly")
-    base, seeds = _batch(opts, n_regions=r)
+    base, seeds = _batch(args, parser, n_regions=args.regions)
     try:
         rows = run_sweep(base, seeds, step)
     except (ValueError, RuntimeError) as exc:
@@ -366,51 +400,37 @@ def cmd_sweep(args, parser):
             for row in rows:
                 fh.write("%r,%r,%r,%r,%r\n" % row)
 
-    return _write_outputs(opts, [("sweep.csv", save_sweep)])
+    return _write_outputs(args.out, [("sweep.csv", save_sweep)])
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_common(sub):
-    sub.add_argument("--out", help="output directory (default .)")
-    sub.add_argument("--config", help="JSON file supplying defaults for any option")
-
-
-def _add_options(sub, cls, options):
-    """One flag per (option, field, type, help); each help quotes cls's default of field."""
-    defaults = {f.name: f.default for f in fields(cls)}
-    for option, name, kind, text in options:
-        sub.add_argument("--" + option.replace("_", "-"), type=kind,
-                         help="%s (default %g)" % (text, defaults[name]))
-
-
-def _add_env_flags(sub):
-    _add_options(sub, Environment, ENVIRONMENT_OPTIONS)
-    sub.add_argument("--wall", type=float, nargs=4, action="append",
-                     metavar=("X1", "Y1", "X2", "Y2"),
-                     help="wall segment; repeatable")
-
-
-def _add_fusion_flags(sub):
-    """The communication radius and solver flags of solve, simulate and sweep."""
-    sub.add_argument("--comm-radius", type=float,
-                     help="communication radius (default %g x diagonal)" % COMM_RADIUS_PER_DIAGONAL)
-    sub.add_argument("--alpha", type=float, nargs=3, metavar=("A1", "A2", "A3"),
-                     help="graph weights, must sum to 1 (default equal)")
-    _add_options(sub, SolverConfig, SOLVER_OPTIONS)
-
-
-def _add_fleet_flags(sub):
-    """The seeded-fleet, environment and solver flags of simulate and sweep."""
-    sub.add_argument("--robots", type=int)
-    sub.add_argument("--capabilities", type=int)
-    sub.add_argument("--seeds", type=int, help="number of consecutive seeds")
-    sub.add_argument("--seed", type=int, help="base seed (default 0)")
-    _add_options(sub, SimConfig, TRIAL_OPTIONS)
-    _add_env_flags(sub)
-    _add_fusion_flags(sub)
+# each subcommand: (help, function, its options before --out)
+COMMANDS = {
+    "generate": ("write a random system JSON", cmd_generate, (
+        ROBOTS, CAPABILITIES, Option("seed", _integer, "RNG seed", required=True),
+    ) + ENVIRONMENT_FLAGS),
+    "solve": ("fuse a system's graphs into Z", cmd_solve, (
+        Option("system", _path, "system JSON path", required=True),
+        Option("epsilon", float, "spatial distance guard (default %g x diagonal)"
+               % SPATIAL_EPSILON_PER_DIAGONAL),
+    ) + FUSION_FLAGS),
+    "partition": ("split a solved Z into teams", cmd_partition, (
+        Option("z", _path, "Z matrix CSV path", required=True),
+        TEAMS,
+        Option("raster", _integer, "also write the team region grid at this resolution"),
+        Option("system", _path, "system JSON (needed with --raster)"),
+    )),
+    "simulate": ("batch trials into metrics.csv", cmd_simulate, (
+        Option("regions", _parse_regions, "team counts: one value, a..b, or a,b,c",
+               required=True),
+    ) + FLEET_FLAGS),
+    "sweep": ("ternary weight sweep into sweep.csv", cmd_sweep, (
+        TEAMS, Option("alpha_step", float, "simplex grid step", default=ALPHA_STEP),
+    ) + FLEET_FLAGS),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,53 +440,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "and score coverage assignments.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("generate", help="write a random system JSON")
-    p.add_argument("--robots", type=int, help="number of robots (>= 2)")
-    p.add_argument("--capabilities", type=int, help="capability universe size")
-    p.add_argument("--seed", type=int, help="RNG seed")
-    _add_env_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_generate)
-
-    p = commands.add_parser("solve", help="fuse a system's graphs into Z")
-    p.add_argument("--system", help="system JSON path")
-    p.add_argument("--epsilon", type=float,
-                   help="spatial distance guard (default %g x diagonal)"
-                        % SPATIAL_EPSILON_PER_DIAGONAL)
-    _add_fusion_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = commands.add_parser("partition", help="split a solved Z into teams")
-    p.add_argument("--z", help="Z matrix CSV path")
-    p.add_argument("--regions", type=int, help="team count r")
-    p.add_argument("--raster", type=int,
-                   help="also write the team region grid at this resolution")
-    p.add_argument("--system", help="system JSON (needed with --raster)")
-    _add_common(p)
-    p.set_defaults(func=cmd_partition)
-
-    p = commands.add_parser("simulate", help="batch trials into metrics.csv")
-    p.add_argument("--regions", help="team counts: one value, a..b, or a,b,c")
-    _add_fleet_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = commands.add_parser("sweep", help="ternary weight sweep into sweep.csv")
-    p.add_argument("--regions", type=int, help="team count r")
-    p.add_argument("--alpha-step", type=float,
-                   help="simplex grid step (default %g)" % ALPHA_STEP)
-    _add_fleet_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
-
+    for name, (text, func, options) in COMMANDS.items():
+        sub = commands.add_parser(name, help=text)
+        options += (OUT,)
+        for option in options:
+            quoted = option.help if option.default is None else "%s (default %s)" % (
+                option.help, option.default)
+            sub.add_argument(option.flag, help=quoted, **option.extra)
+        sub.add_argument("--config", help="JSON file supplying defaults for any option")
+        sub.set_defaults(func=func, options=options)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _resolve(parser.parse_args(argv), parser)
     return args.func(args, parser)
 
 

@@ -161,11 +161,18 @@ def load_assignment(path) -> TeamAssignment:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
-        team_of = [int(t) for t in doc["team_of"]]
-        r = int(doc["r"])
+        team_of, r = doc["team_of"], doc["r"]
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed assignment document: %s" % exc) from exc
+    if not (isinstance(team_of, list) and all(map(_is_integer, team_of))):
+        raise ValueError("team_of must be a list of integer team ids, got %r" % (team_of,))
+    if not _is_integer(r):
+        raise ValueError("r must be an integer, got %r" % (r,))
     assignment = TeamAssignment.from_team_of(team_of)
     if assignment.r != r:
         raise ValueError("declared r=%d but team_of uses %d teams" % (r, assignment.r))
     return assignment
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)

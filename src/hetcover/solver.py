@@ -16,17 +16,10 @@ symmetric, non-negative.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-
-
-class NumericalSolverError(RuntimeError):
-    """An internal linear-algebra failure; carries the offending matrix."""
-
-    def __init__(self, message, iterate=None):
-        super().__init__(message)
-        self.iterate = iterate
 
 
 @dataclass(frozen=True)
@@ -65,6 +58,14 @@ class SolverConfig:
             raise ValueError("tolerance must be positive")
         if not (isinstance(self.max_iterations, int) and self.max_iterations >= 1):
             raise ValueError("max_iterations must be a positive integer")
+        # mu grows to mu0 * rho**max_iterations, and the Z step forms about 4 mu
+        try:
+            peak = 4.0 * self.mu0 * self.rho**self.max_iterations
+        except OverflowError:
+            peak = math.inf
+        if not math.isfinite(peak):
+            raise ValueError("the penalty overflows before max_iterations: mu0=%r, rho=%r, "
+                             "max_iterations=%r" % (self.mu0, self.rho, self.max_iterations))
 
     def resolved(self, m: int) -> "SolverConfig":
         """Fill in equal alphas for m graphs; check the count otherwise."""
@@ -196,10 +197,7 @@ def _shrink(G, tau):
         raise ValueError("tau must be non-negative")
     if tau == 0:
         return G.copy(), None
-    try:
-        U, s, Vt = np.linalg.svd(G, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalSolverError("SVD failed during thresholding: %s" % exc, iterate=G) from exc
+    U, s, Vt = np.linalg.svd(G, full_matrices=False)
     shrunk = np.maximum(s - tau, 0.0)
     return (U * shrunk) @ Vt, shrunk
 
@@ -243,11 +241,8 @@ def update_z_unclamped(state: SolverState, problem: Problem) -> np.ndarray:
         problem.ones + state.Zhat.T + state.Zhat + problem.eye - state.L)
     rhs = rhs - state.phi1[:, None] - state.Phi2.T - state.Phi3 + state.Phi4
     B = (problem.z_weight + 3.0 * mu) * problem.eye + mu * problem.ones
-    try:
-        # Z B = rhs with B symmetric, so solve B Z^T = rhs^T
-        return np.linalg.solve(B, rhs.T).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalSolverError("Z-update solve failed: %s" % exc, iterate=B) from exc
+    # Z B = rhs with B symmetric, so solve B Z^T = rhs^T
+    return np.linalg.solve(B, rhs.T).T
 
 
 def update_z(state: SolverState, problem: Problem) -> np.ndarray:

@@ -9,7 +9,6 @@ its original form (a second SVD for the objective, per-step set-up, and a
 frozen state rebuilt after every step).
 """
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 

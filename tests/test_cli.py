@@ -476,6 +476,23 @@ class TestSweep:
             assert abs(sum(alphas) - 1.0) < 1e-12
 
 
+# mu = mu0 * rho**k overflows a float before k reaches --max-iters; in the
+# third case the last mu is finite, but the Z step's 4 mu is not
+@pytest.mark.parametrize("command, settings", [
+    ("solve", ("--tol", "1e-300", "--rho", "1.99", "--max-iters", "2000")),
+    ("simulate", ("--tol", "1e-300", "--rho", "1.99", "--max-iters", "2000")),
+    ("solve", ("--mu0", "1", "--rho", "1.99", "--max-iters", "1031")),
+], ids=["solve", "simulate", "solve-last-mu-finite"])
+def test_penalty_schedule_that_overflows_rejected_before_any_work(small_run, tmp_path, capsys,
+                                                                  command, settings):
+    out = tmp_path / "out"
+    assert small_run(command, out, *settings) == 2
+    err = capsys.readouterr().err
+    assert "invalid solver settings: " in err
+    assert all(name in err for name in ("mu0=", "rho=", "max_iterations="))
+    assert not out.exists()
+
+
 class TestConfigLayering:
     def test_config_file_supplies_values(self, tmp_path):
         config = tmp_path / "config.json"
@@ -507,6 +524,20 @@ class TestConfigLayering:
         config.write_text(json.dumps({"alpha": 5}))
         assert small_run(command, tmp_path / "out", "--config", str(config)) == 2
         assert "invalid solver settings: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, setting, argv", [
+        ("solve", {"system": 1}, ("--out", "out")),
+        ("partition", {"z": 0}, ("--regions", "2", "--out", "out")),
+        ("simulate", {"out": 7}, SMALL_RUNS["simulate"]),
+    ], ids=["solve-system", "partition-z", "simulate-out"])
+    def test_config_value_is_checked_like_its_flag(self, tmp_path, capsys, monkeypatch,
+                                                   command, setting, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(json.dumps(setting))
+        assert run_cli(command, *argv, "--config", "config.json") == 2
+        (name, value), = setting.items()
+        assert "invalid value for --%s: %r" % (name, value) in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]
 
     def test_unreadable_config_rejected(self, tmp_path):
         code = run_cli("generate", "--config", str(tmp_path / "none.json"),

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import json
 import pathlib
 import re
 import types
@@ -66,11 +67,16 @@ def test_unused_import_finder():
     assert unused_imports(source) == ["e", "os"]
 
 
+# the package's modules by file name, the tests' and demos' by folder/name;
 # __init__.py imports only to export
-@pytest.mark.parametrize("module", sorted(p.name for p in SOURCES.glob("*.py")
-                                          if p.name != "__init__.py"))
+MODULES = {p.name: p for p in SOURCES.glob("*.py") if p.name != "__init__.py"}
+MODULES.update(("%s/%s" % (folder, p.name), p)
+               for folder in ("tests", "demos") for p in (ROOT / folder).glob("*.py"))
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_module_reads_every_name_it_imports(module):
-    assert unused_imports((SOURCES / module).read_text(encoding="utf-8")) == []
+    assert unused_imports(MODULES[module].read_text(encoding="utf-8")) == []
 
 
 def test_every_benchmark_trace_site_is_callable():
@@ -86,10 +92,11 @@ def test_every_benchmark_trace_site_is_callable():
 
 
 def parsed_options(*argv):
+    """The options of argv after config layering, and the parser that reports their errors."""
     from hetcover import cli
 
     parser = cli.build_parser()
-    return cli._Options(parser.parse_args(list(argv)), parser)
+    return cli._resolve(parser.parse_args(list(argv)), parser), parser
 
 
 def first_trial_config(monkeypatch, tmp_path, *flags):
@@ -103,13 +110,33 @@ def first_trial_config(monkeypatch, tmp_path, *flags):
     return configs[0]
 
 
+# a value other than the default for every simulate option but --out, as a
+# config file holds it
+CUSTOM_SIMULATE = {
+    "regions": 3, "robots": 7, "capabilities": 3, "seeds": 1, "seed": 2, "events": 9,
+    "width": 2, "height": 3, "wall": [[0.5, 0, 0.5, 1]], "comm_radius": 0.3,
+    "alpha": [0.2, 0.1, 0.7], "lambda1": 0.2, "lambda2": 0.3, "mu0": 0.2, "rho": 1.5,
+    "tol": 1e-5, "max_iters": 50,
+}
+
+
+def as_flags(settings):
+    """The command line that sets each config-file setting by its flag."""
+    argv = []
+    for name, value in settings.items():
+        for item in value if name == "wall" else [value]:  # one --wall per segment
+            argv += ["--" + name.replace("_", "-")]
+            argv += [str(v) for v in item] if isinstance(item, list) else [str(item)]
+    return argv
+
+
 # the CLI's settings have no defaults of their own: with no option set it
 # builds the library's default config, and each field has an option that sets it
 def test_cli_solver_config_defaults_to_the_library_default():
     from hetcover.cli import _solver_config
     from hetcover.solver import SolverConfig
 
-    assert _solver_config(parsed_options("solve")) == SolverConfig()
+    assert _solver_config(*parsed_options("solve", "--system", "system.json")) == SolverConfig()
 
 
 def test_every_config_field_is_set_by_a_cli_option(monkeypatch, tmp_path):
@@ -120,14 +147,20 @@ def test_every_config_field_is_set_by_a_cli_option(monkeypatch, tmp_path):
 
     plain = first_trial_config(monkeypatch, tmp_path, "--robots", "6", "--capabilities", "2",
                                "--regions", "2", "--seeds", "1")
-    custom = first_trial_config(
-        monkeypatch, tmp_path, "--robots", "7", "--capabilities", "3", "--regions", "3",
-        "--seeds", "1", "--seed", "2", "--events", "9", "--comm-radius", "0.3",
-        "--width", "2", "--height", "3", "--wall", "0.5", "0", "0.5", "1",
-        "--alpha", "0.2", "0.1", "0.7", "--lambda1", "0.2", "--lambda2", "0.3",
-        "--mu0", "0.2", "--rho", "1.5", "--tol", "1e-5", "--max-iters", "50")
+    custom = first_trial_config(monkeypatch, tmp_path, *as_flags(CUSTOM_SIMULATE))
     unset = [f.name for f in fields(SimConfig)
              if getattr(plain, f.name) == getattr(custom, f.name)]
     unset += [f.name for f in fields(SolverConfig)
               if getattr(plain.solver, f.name) == getattr(custom.solver, f.name)]
     assert unset == []
+
+
+def test_every_option_sets_the_same_config_from_the_config_file(monkeypatch, tmp_path):
+    from hetcover.cli import COMMANDS
+
+    _, _, options = COMMANDS["simulate"]
+    assert set(CUSTOM_SIMULATE) == {option.name for option in options}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CUSTOM_SIMULATE))
+    assert (first_trial_config(monkeypatch, tmp_path, "--config", str(config))
+            == first_trial_config(monkeypatch, tmp_path, *as_flags(CUSTOM_SIMULATE)))

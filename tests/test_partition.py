@@ -381,6 +381,18 @@ class TestAssignmentSerialization:
         with pytest.raises(ValueError):
             load_assignment(path)
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"r": 2, "team_of": [0, 1.7]}, "team_of"),
+        ({"r": 2, "team_of": "01"}, "team_of"),
+        ({"r": 2.9, "team_of": [0, 1]}, "r"),
+        ({"r": True, "team_of": [0, 0]}, "r"),
+    ], ids=["fractional-team", "team-string", "fractional-r", "bool-r"])
+    def test_non_integer_field_rejected(self, tmp_path, doc, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="^%s must be" % field):
+            load_assignment(path)
+
     def test_declared_r_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"r": 3, "team_of": [0, 0, 1]}))

@@ -6,7 +6,6 @@ import pytest
 
 from hetcover.graphs import build_relation_graphs
 from hetcover.solver import (
-    NumericalSolverError,
     SolverConfig,
     SolverState,
     constraint_residuals,
@@ -107,6 +106,18 @@ class TestSolverConfig:
     def test_max_iterations_positive_integer(self):
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
+
+    @pytest.mark.parametrize("settings", [
+        dict(rho=1.99, max_iterations=2000),
+        dict(mu0=1.0, rho=1.99, max_iterations=1031),  # mu is finite, 4 mu is not
+        dict(max_iterations=7448),
+    ])
+    def test_penalty_that_overflows_rejected(self, settings):
+        with pytest.raises(ValueError, match="mu0=.*rho=.*max_iterations="):
+            SolverConfig(**settings)
+
+    def test_default_penalty_allows_7447_iterations(self):
+        assert SolverConfig(max_iterations=7447).max_iterations == 7447
 
     def test_resolved_fills_equal_weights(self):
         cfg = SolverConfig().resolved(4)
