@@ -38,7 +38,7 @@ from .simulation import (
     Method,
     SimConfig,
     append_metrics_csv,
-    fuse_fleet,
+    fuse_weightings,
     generate_system,
     metrics_rows,
     place_fleet,
@@ -64,15 +64,16 @@ def run_sweep(base: SimConfig, seeds, alpha_step):
     """Rows (a1, a2, a3, mean detection, mean duplication) for the full method.
 
     Each seed's system, graphs and events are made once from base at that
-    seed; only the Full Z is solved again for each weighting.
+    seed; only the Full Z is solved for each weighting, the weightings of a
+    seed together in stacks.
     """
     grid = sweep_grid(alpha_step)
+    solvers = [replace(base.solver, alphas=alphas) for alphas in grid]
     detections = [[] for _ in grid]
     duplications = [[] for _ in grid]
     for seed in seeds:
         fleet = place_fleet(replace(base, seed=seed))
-        for alphas, det, dup in zip(grid, detections, duplications):
-            fused = fuse_fleet(fleet, replace(base.solver, alphas=alphas), (Method.FULL,))
+        for fused, det, dup in zip(fuse_weightings(fleet, solvers), detections, duplications):
             report, = run_trial(fused.config, fused, methods=(Method.FULL,))
             det.append(report.detection_rate)
             dup.append(report.duplication_rate)
@@ -91,6 +92,13 @@ def _integer(value):
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError("not an integer: %r" % (value,))
     return int(value)
+
+
+def _real(value):
+    """float(value), refusing a bool as _integer does: a flag cannot spell one."""
+    if isinstance(value, bool):
+        raise ValueError("not a number: %r" % (value,))
+    return float(value)
 
 
 def _path(value):
@@ -146,15 +154,15 @@ def _field_options(cls, *specs):
                  for name, field, kind, text in specs)
 
 
-ENVIRONMENT_OPTIONS = _field_options(Environment, ("width", "width", float, "environment width"),
-                                     ("height", "height", float, "environment height"))
+ENVIRONMENT_OPTIONS = _field_options(Environment, ("width", "width", _real, "environment width"),
+                                     ("height", "height", _real, "environment height"))
 SOLVER_OPTIONS = _field_options(
     SolverConfig,
-    ("lambda1", "lambda1", float, "Frobenius regularizer weight"),
-    ("lambda2", "lambda2", float, "nuclear-norm regularizer weight"),
-    ("mu0", "mu0", float, "initial penalty"),
-    ("rho", "rho", float, "penalty growth factor in (1,2)"),
-    ("tol", "tolerance", float, "residual tolerance"),
+    ("lambda1", "lambda1", _real, "Frobenius regularizer weight"),
+    ("lambda2", "lambda2", _real, "nuclear-norm regularizer weight"),
+    ("mu0", "mu0", _real, "initial penalty"),
+    ("rho", "rho", _real, "penalty growth factor in (1,2)"),
+    ("tol", "tolerance", _real, "residual tolerance"),
     ("max_iters", "max_iterations", _integer, "iteration cap"),
 )
 TRIAL_OPTIONS = _field_options(SimConfig, ("events", "n_events", _integer, "events per trial"))
@@ -167,7 +175,7 @@ WALL = Option("wall", None, "wall segment; repeatable",
               extra=dict(nargs=4, action="append", metavar=("X1", "Y1", "X2", "Y2")))
 ALPHA = Option("alpha", None, "graph weights, must sum to 1 (default equal)",
                extra=dict(nargs=3, metavar=("A1", "A2", "A3")))
-COMM_RADIUS = Option("comm_radius", float,
+COMM_RADIUS = Option("comm_radius", _real,
                      "communication radius (default %g x diagonal)" % COMM_RADIUS_PER_DIAGONAL)
 
 ENVIRONMENT_FLAGS = ENVIRONMENT_OPTIONS + (WALL,)
@@ -226,7 +234,7 @@ def _given(args, options) -> dict:
 
 def _alpha_triple(value):
     try:
-        alphas = tuple(float(v) for v in value)
+        alphas = tuple(_real(v) for v in value)
     except TypeError:
         raise ValueError("alpha must be a list of three weights, got %r" % (value,)) from None
     if len(alphas) != 3:
@@ -237,7 +245,7 @@ def _alpha_triple(value):
 def _environment(args, parser) -> Environment:
     try:
         obstacles = tuple(
-            Wall(Position(float(w[0]), float(w[1])), Position(float(w[2]), float(w[3])))
+            Wall(Position(_real(w[0]), _real(w[1])), Position(_real(w[2]), _real(w[3])))
             for w in args.wall or ()
         )
         return Environment(obstacles=obstacles, **_given(args, ENVIRONMENT_OPTIONS))
@@ -301,7 +309,7 @@ def cmd_solve(args, parser):
         graphs = build_relation_graphs(system, args.comm_radius, args.epsilon)
     except ValueError as exc:  # an AllZeroGraphError among them
         parser.error("cannot build graphs: %s" % exc)
-    result = solve(graphs, solver_config)
+    result = solve(graphs, solver_config, trace=True)
     code = _write_outputs(args.out, [
         ("Z.csv", lambda path: save_matrix_csv(result.Z, path)),
         ("trace.json", lambda path: save_solve_trace(result, path)),
@@ -414,7 +422,7 @@ COMMANDS = {
     ) + ENVIRONMENT_FLAGS),
     "solve": ("fuse a system's graphs into Z", cmd_solve, (
         Option("system", _path, "system JSON path", required=True),
-        Option("epsilon", float, "spatial distance guard (default %g x diagonal)"
+        Option("epsilon", _real, "spatial distance guard (default %g x diagonal)"
                % SPATIAL_EPSILON_PER_DIAGONAL),
     ) + FUSION_FLAGS),
     "partition": ("split a solved Z into teams", cmd_partition, (
@@ -428,7 +436,7 @@ COMMANDS = {
                required=True),
     ) + FLEET_FLAGS),
     "sweep": ("ternary weight sweep into sweep.csv", cmd_sweep, (
-        TEAMS, Option("alpha_step", float, "simplex grid step", default=ALPHA_STEP),
+        TEAMS, Option("alpha_step", _real, "simplex grid step", default=ALPHA_STEP),
     ) + FLEET_FLAGS),
 }
 

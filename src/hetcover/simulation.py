@@ -277,10 +277,32 @@ def fuse_fleet(fleet: Fleet, solver: SolverConfig, methods=tuple(Method)) -> Fle
     solver_config = solver.resolved(len(fleet.graphs))
     fused = {}
     if Method.FULL in methods:
-        fused[Method.FULL] = solve(fleet.graphs, solver_config).Z
+        fused[Method.FULL] = solve(fleet.graphs, solver_config, trace=False).Z
     if Method.BASELINE in methods:
-        fused[Method.BASELINE] = solve(fleet.graphs, baseline_solver_config(solver_config)).Z
+        fused[Method.BASELINE] = solve(fleet.graphs, baseline_solver_config(solver_config),
+                                       trace=False).Z
     return replace(fleet, config=replace(fleet.config, solver=solver), fused=fused)
+
+
+# fuse_weightings solves this many weightings of a fleet as one stack: the
+# stack shares numpy's per-call overhead, and its arrays stay small enough
+# that a sweep's peak memory does not rise
+WEIGHTING_STACK = 8
+
+
+def fuse_weightings(fleet: Fleet, solvers):
+    """fuse_fleet(fleet, solver, (Method.FULL,)) for each of solvers, in order.
+
+    The solvers may differ only in alphas. Their solves run WEIGHTING_STACK
+    at a time as one stack, which gives each Z byte for byte; the fleets are
+    yielded one by one.
+    """
+    for start in range(0, len(solvers), WEIGHTING_STACK):
+        chunk = solvers[start:start + WEIGHTING_STACK]
+        stack = solve([fleet.graphs] * len(chunk), chunk, trace=False)
+        for solver, result in zip(chunk, stack.results):
+            yield replace(fleet, config=replace(fleet.config, solver=solver),
+                          fused={Method.FULL: result.Z})
 
 
 def prepare_fleet(config: SimConfig, methods=tuple(Method)) -> Fleet:

@@ -11,6 +11,14 @@ geometrically growing penalty mu.
 
 Entries of the result are pairwise same-team affinities: row-stochastic,
 symmetric, non-negative.
+
+The steps are written for a stack of problems along a leading axis, and
+solve always runs one: a single problem is a stack of one. Problems that
+share N and every setting but alphas can be solved together (a sweep's
+weightings of one fleet), which spends numpy's per-call overhead once per
+iteration for the whole stack; each problem's Z and iteration count are
+those of its own solve, bit for bit. The per-iteration objective is only
+computed for a trace someone asks for (solve(..., trace=True), the default).
 """
 
 from __future__ import annotations
@@ -39,11 +47,16 @@ class SolverConfig:
     max_iterations: int = 1000
 
     def __post_init__(self):
+        for name in ("lambda1", "lambda2", "mu0", "rho", "tolerance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
         if self.alphas is not None:
             a = tuple(float(x) for x in self.alphas)
             object.__setattr__(self, "alphas", a)
             if len(a) == 0:
                 raise ValueError("alphas must be non-empty when given")
+            if not all(math.isfinite(x) for x in a):
+                raise ValueError("alphas must be finite, got %r" % (a,))
             if any(x < 0 for x in a):
                 raise ValueError("alphas must be non-negative")
             if abs(sum(a) - 1.0) > 1e-12:
@@ -80,10 +93,11 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """All iterates of one solver run at some iteration k.
+    """All iterates of one solver run, or of a stack of runs, at some iteration k.
 
     solve advances one state in place: each step's result is assigned to
-    its field, and update_multipliers moves the multipliers, mu and k.
+    its field, and update_multipliers moves the multipliers, mu and k. For a
+    stack every array carries a leading stack axis; mu and k are shared.
     """
 
     Z: np.ndarray
@@ -99,25 +113,30 @@ class SolverState:
 
 @dataclass(frozen=True)
 class Problem:
-    """What stays fixed over one solve: the graphs, the config and the Z step's constants.
+    """What stays fixed over one solve: the settings and the steps' constants.
 
-    adjs are the graphs as arrays and config has its alphas resolved.
-    weighted_sum is sum_m 2 alpha_m A_m; z_weight is 2 sum alpha + 2 lambda1,
-    the part of the Z step's diagonal that mu does not scale; eye and ones
-    are I and 1 1^T.
+    For one problem config has its alphas resolved. start is the warm start
+    sum_m alpha_m A_m, weighted_sum is sum_m 2 alpha_m A_m, and z_weight is
+    2 sum alpha + 2 lambda1, the part of the Z step's diagonal that mu does
+    not scale; eye and ones are I and 1 1^T. stack_problems puts problems on
+    a leading stack axis: start, weighted_sum and z_weight (k x 1 x 1) then
+    carry it, and config holds the settings they share, with alphas None.
     """
 
-    adjs: tuple
     config: SolverConfig
+    start: np.ndarray
     weighted_sum: np.ndarray
-    z_weight: float
+    z_weight: float | np.ndarray
     eye: np.ndarray
     ones: np.ndarray
 
 
 @dataclass(frozen=True)
 class Residuals:
-    """Infinity-norm violations of the four equality constraints."""
+    """Infinity-norm violations of the four equality constraints.
+
+    Each is a float for one problem, or an array over a stack's problems.
+    """
 
     r1: float  # |Z 1 - 1|_inf       (row sums)
     r2: float  # max |Z^T - Zhat|    (transpose copy)
@@ -125,8 +144,8 @@ class Residuals:
     r4: float  # max |Zhat - Z|      (symmetry via the copy)
 
     @property
-    def max_residual(self) -> float:
-        return max(self.r1, self.r2, self.r3, self.r4)
+    def max_residual(self):
+        return np.maximum(np.maximum(self.r1, self.r2), np.maximum(self.r3, self.r4))
 
 
 @dataclass(frozen=True)
@@ -145,6 +164,25 @@ class SolveResult:
     residual_trace: tuple = field(default_factory=tuple)
 
 
+@dataclass(frozen=True)
+class StackResult:
+    """One SolveResult per problem of a stack, in the order given.
+
+    iterations counts the loop's passes (the most any problem ran), and
+    converged holds when every problem converged.
+    """
+
+    results: tuple
+
+    @property
+    def iterations(self) -> int:
+        return max(result.iterations for result in self.results)
+
+    @property
+    def converged(self) -> bool:
+        return all(result.converged for result in self.results)
+
+
 def _adjacency(graph) -> np.ndarray:
     a = getattr(graph, "adjacency", graph)
     return np.asarray(a, dtype=float)
@@ -159,12 +197,36 @@ def prepare_problem(graphs, config: SolverConfig) -> Problem:
         if a.shape != (n, n):
             raise ValueError("all graphs must share the same square shape")
     return Problem(
-        adjs=adjs,
         config=config,
+        start=sum(alpha * a for alpha, a in zip(config.alphas, adjs)),
         weighted_sum=sum(2.0 * alpha * a for alpha, a in zip(config.alphas, adjs)),
         z_weight=2.0 * sum(config.alphas) + 2.0 * config.lambda1,
         eye=np.eye(n),
         ones=np.ones((n, n)),
+    )
+
+
+def stack_problems(problems) -> Problem:
+    """One Problem holding problems along a leading stack axis.
+
+    They must share n and every setting but alphas, since one loop advances
+    them with one penalty mu and one shrinkage threshold.
+    """
+    first = problems[0]
+    config = replace(first.config, alphas=None)
+    for problem in problems:
+        if problem.eye.shape != first.eye.shape:
+            raise ValueError("stacked problems must share n: %d and %d"
+                             % (first.eye.shape[0], problem.eye.shape[0]))
+        if replace(problem.config, alphas=None) != config:
+            raise ValueError("stacked problems may differ only in alphas")
+    return Problem(
+        config=config,
+        start=np.stack([p.start for p in problems]),
+        weighted_sum=np.stack([p.weighted_sum for p in problems]),
+        z_weight=np.array([p.z_weight for p in problems])[:, None, None],
+        eye=first.eye,
+        ones=first.ones,
     )
 
 
@@ -199,7 +261,7 @@ def _shrink(G, tau):
         return G.copy(), None
     U, s, Vt = np.linalg.svd(G, full_matrices=False)
     shrunk = np.maximum(s - tau, 0.0)
-    return (U * shrunk) @ Vt, shrunk
+    return (U * shrunk[..., None, :]) @ Vt, shrunk
 
 
 def svt(G, tau: float) -> np.ndarray:
@@ -213,16 +275,15 @@ def svt(G, tau: float) -> np.ndarray:
 
 def initial_state(problem: Problem) -> SolverState:
     """Warm start at the weighted graph average with zero multipliers."""
-    n = problem.eye.shape[0]
-    Z0 = sum(alpha * a for alpha, a in zip(problem.config.alphas, problem.adjs))
+    Z0 = problem.start
     return SolverState(
         Z=Z0,
-        Zhat=Z0.T.copy(),
+        Zhat=Z0.mT.copy(),
         L=problem.eye - Z0,
-        phi1=np.zeros(n),
-        Phi2=np.zeros((n, n)),
-        Phi3=np.zeros((n, n)),
-        Phi4=np.zeros((n, n)),
+        phi1=np.zeros(Z0.shape[:-1]),
+        Phi2=np.zeros(Z0.shape),
+        Phi3=np.zeros(Z0.shape),
+        Phi4=np.zeros(Z0.shape),
         mu=problem.config.mu0,
         k=0,
     )
@@ -238,11 +299,11 @@ def update_z_unclamped(state: SolverState, problem: Problem) -> np.ndarray:
     """
     mu = state.mu
     rhs = problem.weighted_sum + mu * (
-        problem.ones + state.Zhat.T + state.Zhat + problem.eye - state.L)
-    rhs = rhs - state.phi1[:, None] - state.Phi2.T - state.Phi3 + state.Phi4
+        problem.ones + state.Zhat.mT + state.Zhat + problem.eye - state.L)
+    rhs = rhs - state.phi1[..., None] - state.Phi2.mT - state.Phi3 + state.Phi4
     B = (problem.z_weight + 3.0 * mu) * problem.eye + mu * problem.ones
     # Z B = rhs with B symmetric, so solve B Z^T = rhs^T
-    return np.linalg.solve(B, rhs.T).T
+    return np.linalg.solve(B, rhs.mT).mT
 
 
 def update_z(state: SolverState, problem: Problem) -> np.ndarray:
@@ -253,7 +314,7 @@ def update_z(state: SolverState, problem: Problem) -> np.ndarray:
 def update_zhat(state: SolverState) -> np.ndarray:
     """The transpose-copy step: Zhat = (mu Z^T + mu Z + Phi2 + Phi4) / (2 mu)."""
     mu = state.mu
-    return (mu * (state.Z.T + state.Z) + state.Phi2 + state.Phi4) / (2.0 * mu)
+    return (mu * (state.Z.mT + state.Z) + state.Phi2 + state.Phi4) / (2.0 * mu)
 
 
 def update_laplacian(state: SolverState, problem: Problem):
@@ -268,7 +329,7 @@ def update_laplacian(state: SolverState, problem: Problem):
 
 
 def constraint_residuals(state: SolverState, problem: Problem):
-    """The four constraint gaps and their infinity norms.
+    """The four constraint gaps and their infinity norms, per problem of a stack.
 
     Returns (Residuals, gaps) with gaps = (Z 1 - 1, Z^T - Zhat, L - I + Z,
     Zhat - Z); the multiplier update ascends along the same gaps.
@@ -276,11 +337,12 @@ def constraint_residuals(state: SolverState, problem: Problem):
     ones = problem.ones[0]  # a row of 1 1^T is the all-ones vector
     gaps = (
         state.Z @ ones - ones,
-        state.Z.T - state.Zhat,
+        state.Z.mT - state.Zhat,
         state.L - problem.eye + state.Z,
         state.Zhat - state.Z,
     )
-    return Residuals(*(float(np.max(np.abs(g))) for g in gaps)), gaps
+    stack = state.Z.shape[:-2]
+    return Residuals(*(np.abs(g).reshape(stack + (-1,)).max(axis=-1) for g in gaps)), gaps
 
 
 def update_multipliers(state: SolverState, gaps, config: SolverConfig) -> None:
@@ -298,8 +360,17 @@ def update_multipliers(state: SolverState, gaps, config: SolverConfig) -> None:
     state.mu = config.mu0 * config.rho**state.k
 
 
-def solve(graphs, config: SolverConfig | None = None) -> SolveResult:
-    """Run the full alternating loop until the constraints hold.
+def _result(state: SolverState, i: int, converged: bool, trace) -> SolveResult:
+    """The result of the problem at slice i: its last Z symmetrized, then row-normalized."""
+    Z = 0.5 * (state.Z[i] + state.Z[i].T)
+    sums = Z.sum(axis=1, keepdims=True)
+    sums[sums <= 0] = 1.0  # only possible on wildly non-converged runs
+    return SolveResult(Z=Z / sums, converged=converged, iterations=state.k,
+                       residual_trace=tuple(trace))
+
+
+def solve(graphs, config=None, *, trace: bool = True):
+    """Run the alternating loop until the constraints hold.
 
     Parameters
     ----------
@@ -307,40 +378,70 @@ def solve(graphs, config: SolverConfig | None = None) -> SolveResult:
         The relation graphs A_m, all N x N with N >= 2. Pass normalized
         graphs so the alphas stay interpretable.
     config : SolverConfig, optional
+    trace : bool
+        Record each iteration's residuals and objective. The objective
+        costs a pass over the graphs per iteration, so leave it off when
+        only Z is kept.
+
+    A stack of problems is solved by passing a list of configs and, as
+    graphs, a list of graph lists, one per config. The problems must share
+    N and every setting but alphas; one loop advances them all, and each
+    leaves the stack at the iteration its own residuals pass, with the Z,
+    count and trace a solve of it alone would give.
 
     Returns
     -------
-    SolveResult
+    SolveResult, or a StackResult for a stack
         Final Z (symmetrized and row-renormalized), a converged flag,
         the iteration count, and the per-iteration residual/objective
-        trace. Non-convergence is reported through the flag, not raised.
+        trace (empty without trace). Non-convergence is reported through
+        the flag, not raised.
     """
-    problem = prepare_problem(graphs, SolverConfig() if config is None else config)
+    single = config is None or isinstance(config, SolverConfig)
+    if single:
+        graphs, configs = [graphs], [SolverConfig() if config is None else config]
+    else:
+        configs = list(config)
+        if not configs or len(graphs) != len(configs):
+            raise ValueError("a stack needs one graph list per config: %d for %d"
+                             % (len(graphs), len(configs)))
+    problem = stack_problems([prepare_problem(g, c) for g, c in zip(graphs, configs)])
     if problem.eye.shape[0] < 2:
         raise ValueError("graphs must be at least 2x2")
     config = problem.config
 
     state = initial_state(problem)
-    trace = []
-    converged = False
+    active = list(range(len(configs)))  # the problem at each slice of the stack
+    traces = [[] for _ in configs]
+    results = [None] * len(configs)
     for _ in range(config.max_iterations):
         state.Z = update_z(state, problem)
         state.Zhat = update_zhat(state)
         state.L, singular_values = update_laplacian(state, problem)
         res, gaps = constraint_residuals(state, problem)
-        trace.append(IterationRecord(
-            res, objective(state.Z, state.L, problem.adjs, config, singular_values)))
+        if trace:
+            for i, p in enumerate(active):
+                traces[p].append(IterationRecord(
+                    Residuals(*(float(r[i]) for r in (res.r1, res.r2, res.r3, res.r4))),
+                    objective(state.Z[i], state.L[i], graphs[p], configs[p],
+                              None if singular_values is None else singular_values[i])))
         update_multipliers(state, gaps, config)
-        if res.max_residual <= config.tolerance:
-            converged = True
-            break
-
-    Z = 0.5 * (state.Z + state.Z.T)
-    sums = Z.sum(axis=1, keepdims=True)
-    sums[sums <= 0] = 1.0  # only possible on wildly non-converged runs
-    Z = Z / sums
-    return SolveResult(Z=Z, converged=converged, iterations=state.k,
-                       residual_trace=tuple(trace))
+        done = res.max_residual <= config.tolerance
+        if done.any():
+            for i in np.flatnonzero(done):
+                results[active[i]] = _result(state, i, True, traces[active[i]])
+            active = [p for p, finished in zip(active, done) if not finished]
+            if not active:
+                break
+            keep = ~done
+            problem = replace(problem, start=problem.start[keep],
+                              weighted_sum=problem.weighted_sum[keep],
+                              z_weight=problem.z_weight[keep])
+            state = replace(state, **{name: value[keep] for name, value in vars(state).items()
+                                      if isinstance(value, np.ndarray)})
+    for i, p in enumerate(active):
+        results[p] = _result(state, i, False, traces[p])
+    return results[0] if single else StackResult(tuple(results))
 
 
 def save_solve_trace(result: SolveResult, path) -> None:

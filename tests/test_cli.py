@@ -5,13 +5,21 @@ import os
 import numpy as np
 import pytest
 
-from hetcover.cli import ALPHA_STEP, main, run_sweep, sweep_grid
-from hetcover.graphs import load_matrix_csv, save_matrix_csv
+from hetcover.cli import ALPHA_STEP, COMMANDS, _real, main, run_sweep, sweep_grid
+from hetcover.graphs import build_relation_graphs, load_matrix_csv, save_matrix_csv
 from hetcover.partition import load_assignment
-from hetcover.simulation import METRICS_HEADER, Method, SimConfig, metrics_rows, run_trial
+from hetcover.simulation import (
+    METRICS_HEADER,
+    WEIGHTING_STACK,
+    Method,
+    SimConfig,
+    metrics_rows,
+    run_trial,
+)
 from hetcover.solver import SolverConfig
 from hetcover.system import load_system, save_system
 
+from _oracles import reference_solve
 from _planted import planted_system
 
 
@@ -155,6 +163,22 @@ class TestSolve:
                            "--out", str(out)) == 0
         assert (a / "Z.csv").read_bytes() == (b / "Z.csv").read_bytes()
         assert (a / "trace.json").read_bytes() == (b / "trace.json").read_bytes()
+
+    def test_outputs_match_the_reference_loop(self, tmp_path):
+        # the CLI asks for the trace that fleets skip; it keeps every record
+        system_path = tmp_path / "system.json"
+        system, _ = write_planted_system(system_path)
+        assert run_cli("solve", "--system", str(system_path), "--out", str(tmp_path)) == 0
+        want = reference_solve(build_relation_graphs(system))
+        save_matrix_csv(want.Z, tmp_path / "want.csv")
+        assert (tmp_path / "Z.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        trace = json.loads((tmp_path / "trace.json").read_text())
+        assert (trace["converged"], trace["iterations"]) == (want.converged, want.iterations)
+        assert len(trace["residuals"]) == len(want.residual_trace) == want.iterations
+        for mine, ref in zip(trace["residuals"], want.residual_trace):
+            assert [mine[name] for name in ("r1", "r2", "r3", "r4")] == [
+                ref.residuals.r1, ref.residuals.r2, ref.residuals.r3, ref.residuals.r4]
+            assert abs(mine["objective"] - ref.objective) <= 1e-12 * abs(ref.objective)
 
     @pytest.mark.parametrize("environment, capabilities, defect", [
         ([], ["rgb"], "environment must be an object"),
@@ -459,8 +483,10 @@ class TestSweep:
         base = SimConfig(n_robots=6, n_capabilities=2, n_regions=2, seed=0,
                          n_events=20, solver=SolverConfig())
         run_sweep(base, (0, 1), 0.5)
+        # each solve call is one stack of up to WEIGHTING_STACK weightings
+        stacks = math.ceil(len(sweep_grid(0.5)) / WEIGHTING_STACK)
         assert calls == {"generate_system": 2, "build_relation_graphs": 2,
-                         "simulate_events": 2, "solve": 2 * len(sweep_grid(0.5))}
+                         "simulate_events": 2, "solve": 2 * stacks}
 
     def test_step_must_divide_one(self, tmp_path):
         code = run_cli("sweep", "--robots", "5", "--capabilities", "2",
@@ -490,6 +516,26 @@ def test_penalty_schedule_that_overflows_rejected_before_any_work(small_run, tmp
     err = capsys.readouterr().err
     assert "invalid solver settings: " in err
     assert all(name in err for name in ("mu0=", "rho=", "max_iterations="))
+    assert not out.exists()
+
+
+# a NaN weight passes the sum check (abs(nan - 1) > 1e-12 is False), and an
+# infinite tolerance would stop after one iteration
+@pytest.mark.parametrize("command, settings", [
+    ("solve", ("--lambda1", "nan")),
+    ("solve", ("--lambda2", "nan")),
+    ("solve", ("--lambda1", "inf")),
+    ("solve", ("--alpha", "nan", "0.5", "0.5")),
+    ("solve", ("--tol", "inf")),
+    ("simulate", ("--lambda2", "nan")),
+    ("sweep", ("--lambda1", "inf")),
+], ids=["solve-lambda1-nan", "solve-lambda2-nan", "solve-lambda1-inf", "solve-alpha-nan",
+        "solve-tol-inf", "simulate-lambda2-nan", "sweep-lambda1-inf"])
+def test_non_finite_solver_setting_rejected_before_any_work(small_run, tmp_path, capsys,
+                                                            command, settings):
+    out = tmp_path / "out"
+    assert small_run(command, out, *settings) == 2
+    assert "invalid solver settings: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -538,6 +584,30 @@ class TestConfigLayering:
         (name, value), = setting.items()
         assert "invalid value for --%s: %r" % (name, value) in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["config.json"]
+
+    # a flag cannot spell a bool, so a config file may not give one for a number
+    @pytest.mark.parametrize("command, setting, message", [
+        ("generate", {"width": True}, "invalid value for --width: True"),
+        ("solve", {"tol": False}, "invalid value for --tol: False"),
+        ("simulate", {"comm_radius": True}, "invalid value for --comm-radius: True"),
+        ("solve", {"alpha": [True, False, False]}, "invalid solver settings: "),
+        ("generate", {"wall": [[True, 0, 0.5, 1]]}, "invalid environment: "),
+    ], ids=["width", "tol", "comm-radius", "alpha", "wall"])
+    def test_bool_for_a_number_rejected(self, small_run, tmp_path, capsys,
+                                        command, setting, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(setting))
+        assert small_run(command, tmp_path / "out", "--config", str(config)) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_every_number_option_refuses_a_bool(self):
+        numbers = [option for _, _, options in COMMANDS.values() for option in options
+                   if option.kind in (float, _real)]
+        assert numbers and all(option.kind is _real for option in numbers)
+        with pytest.raises(ValueError):
+            _real(True)
+        assert _real("0.5") == _real(0.5) == 0.5
 
     def test_unreadable_config_rejected(self, tmp_path):
         code = run_cli("generate", "--config", str(tmp_path / "none.json"),

@@ -79,16 +79,39 @@ def test_module_reads_every_name_it_imports(module):
     assert unused_imports(MODULES[module].read_text(encoding="utf-8")) == []
 
 
-def test_every_benchmark_trace_site_is_callable():
-    # benchmark/spans.py wraps functions by module and name; a renamed or moved
-    # function must fail here rather than stop a traced benchmark run
+def benchmark_spans():
+    """benchmark/spans.py, the benchmark's tracer, loaded by path."""
     spec = importlib.util.spec_from_file_location("benchmark_spans",
                                                   ROOT / "benchmark" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_benchmark_trace_site_is_callable():
+    # benchmark/spans.py wraps functions by module and name; a renamed or moved
+    # function must fail here rather than stop a traced benchmark run
+    spans = benchmark_spans()
     missing = [(module, attr) for module, attr, _ in spans.SITES
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert spans.SITES and missing == []
+
+
+def test_benchmark_tracer_reads_a_sweep_of_stacked_solves(tmp_path):
+    # the tracer adds up result.iterations and counts `not result.converged`
+    # for each hetcover.simulation.solve call, which a sweep makes per stack
+    from hetcover.cli import main
+
+    with benchmark_spans().Tracer().installed() as tracer:
+        assert main(["sweep", "--robots", "5", "--capabilities", "2", "--regions", "2",
+                     "--seeds", "2", "--alpha-step", "0.5", "--events", "10",
+                     "--out", str(tmp_path)]) == 0
+    metrics = tracer.layer_metrics()
+    assert metrics["solver.solve.calls"] > 0
+    assert type(metrics["solver.solve.iterations"]) is int
+    assert metrics["solver.solve.unconverged"] == 0
+    assert metrics["solver.objective.s"] == 0.0  # a sweep keeps no trace
+    assert tracer.problems() == []
 
 
 def parsed_options(*argv):

@@ -4,11 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hetcover.cli import run_sweep
 from hetcover.graphs import build_relation_graphs
 from hetcover.partition import TeamAssignment, partition
 from hetcover.simulation import (
     CAPABILITY_NAMES,
     METRICS_HEADER,
+    WEIGHTING_STACK,
     Event,
     Fleet,
     Method,
@@ -19,6 +21,7 @@ from hetcover.simulation import (
     detection_rate,
     duplication_rate,
     fuse_fleet,
+    fuse_weightings,
     generate_system,
     greedy_assign,
     metrics_rows,
@@ -486,6 +489,32 @@ class TestFleetReuse:
             assert (run_trial(other, fused, methods=(Method.FULL,))
                     == run_trial(other, methods=(Method.FULL,)))
         assert placed.fused == {}
+
+    def test_weightings_fused_together_match_one_by_one(self):
+        placed = place_fleet(self.config(seed=1, r=3))
+        solvers = [SolverConfig(alphas=alphas) for alphas in
+                   ((0.1, 0.2, 0.7), (1.0, 0.0, 0.0), (0.2, 0.1, 0.7))] * 4  # 12: two stacks
+        fused = list(fuse_weightings(placed, solvers))
+        assert len(fused) == len(solvers) > WEIGHTING_STACK
+        for solver, fleet in zip(solvers, fused):
+            alone = fuse_fleet(placed, solver, (Method.FULL,))
+            assert fleet.config == alone.config
+            assert set(fleet.fused) == {Method.FULL}
+            assert fleet.fused[Method.FULL].tobytes() == alone.fused[Method.FULL].tobytes()
+
+    def test_fleets_never_compute_the_objective(self, monkeypatch):
+        # only a caller that keeps the solver's trace pays for its objective
+        import hetcover.solver as solver
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the objective was computed for a fleet")
+
+        monkeypatch.setattr(solver, "objective", refuse)
+        config = self.config(r=3)
+        fleet = prepare_fleet(config)
+        assert set(fleet.fused) == {Method.FULL, Method.BASELINE}
+        assert len(run_trial(config)) == 3
+        assert len(run_sweep(config, (0, 1), 0.5)) == 6
 
     def test_fleet_without_a_method_rejected(self):
         config = self.config()

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hetcover.cli import ALPHA_STEP, sweep_grid
 from hetcover.graphs import build_relation_graphs
 from hetcover.solver import (
     SolverConfig,
@@ -118,6 +119,16 @@ class TestSolverConfig:
 
     def test_default_penalty_allows_7447_iterations(self):
         assert SolverConfig(max_iterations=7447).max_iterations == 7447
+
+    @pytest.mark.parametrize("settings", [
+        dict(lambda1=math.nan), dict(lambda2=math.inf), dict(mu0=math.inf),
+        dict(rho=math.nan), dict(tolerance=math.inf), dict(alphas=(math.nan, 0.5, 0.5)),
+        dict(alphas=(math.inf, 0.0, 0.0)),
+    ], ids=["lambda1-nan", "lambda2-inf", "mu0-inf", "rho-nan", "tolerance-inf", "alpha-nan",
+            "alpha-inf"])
+    def test_non_finite_setting_rejected(self, settings):
+        with pytest.raises(ValueError, match="must be finite"):
+            SolverConfig(**settings)
 
     def test_resolved_fills_equal_weights(self):
         cfg = SolverConfig().resolved(4)
@@ -480,6 +491,7 @@ def fleet_graphs(n_robots, seed, walls=()):
 
 
 DEFAULT_WEIGHTS = SolverConfig(alphas=(1 / 3, 1 / 3, 1 / 3))
+SWEEP_WEIGHTS = [SolverConfig(alphas=alphas) for alphas in sweep_grid(ALPHA_STEP)]
 WALL = Wall(Position(0.5, 0.0), Position(0.5, 1.0))
 
 
@@ -513,3 +525,69 @@ class TestMatchesReferenceLoop:
         result = self.assert_same_run(fleet_graphs(20, 4),
                                       replace(DEFAULT_WEIGHTS, max_iterations=25))
         assert not result.converged and result.iterations == 25
+
+    def assert_same_stack(self, stacked_graphs, configs, trace):
+        """Each problem of the stack gives the reference loop's Z, count and trace."""
+        stack = solve(stacked_graphs, configs, trace=trace)
+        assert len(stack.results) == len(configs)
+        for graphs, config, got in zip(stacked_graphs, configs, stack.results):
+            want = reference_solve(graphs, config)
+            assert got.Z.tobytes() == want.Z.tobytes()
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+            assert len(got.residual_trace) == (want.iterations if trace else 0)
+            for mine, ref in zip(got.residual_trace, want.residual_trace):
+                assert mine.residuals == ref.residuals
+                assert abs(mine.objective - ref.objective) <= 1e-12 * abs(ref.objective)
+        # the stack reports its loop passes and whether every problem converged
+        assert stack.iterations == max(result.iterations for result in stack.results)
+        assert stack.converged == all(result.converged for result in stack.results)
+        assert type(stack.iterations) is int and type(stack.converged) is bool
+        return stack
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stack_of_the_sweep_weightings(self, seed):
+        stack = self.assert_same_stack([fleet_graphs(20, seed)] * len(SWEEP_WEIGHTS),
+                                       SWEEP_WEIGHTS, trace=False)
+        assert stack.converged
+        assert len({result.iterations for result in stack.results}) > 1  # they leave apart
+
+    def test_stack_with_one_problem_stopped_by_the_iteration_cap(self):
+        # alone, these converge after 95, 152 and 159 iterations
+        configs = [SolverConfig(alphas=alphas, max_iterations=155)
+                   for alphas in ((0.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3), (0.0, 0.5, 0.5))]
+        stack = self.assert_same_stack([fleet_graphs(20, 0)] * 3, configs, trace=True)
+        assert [(r.iterations, r.converged) for r in stack.results] == [
+            (95, True), (152, True), (155, False)]
+        assert (stack.iterations, stack.converged) == (155, False)
+
+    def test_stack_of_one_with_fifty_robots_behind_a_wall(self):
+        self.assert_same_stack([fleet_graphs(50, 3, walls=(WALL,))], [DEFAULT_WEIGHTS],
+                               trace=True)
+
+    def test_stack_must_share_n_and_every_setting_but_alphas(self):
+        graphs = fleet_graphs(20, 0)
+        with pytest.raises(ValueError, match="share n"):
+            solve([graphs, fleet_graphs(21, 0)], [DEFAULT_WEIGHTS] * 2)
+        for other in (baseline_solver_config(DEFAULT_WEIGHTS),
+                      replace(DEFAULT_WEIGHTS, tolerance=1e-5),
+                      replace(DEFAULT_WEIGHTS, max_iterations=999)):
+            with pytest.raises(ValueError, match="only in alphas"):
+                solve([graphs, graphs], [DEFAULT_WEIGHTS, other])
+        with pytest.raises(ValueError, match="one graph list per config"):
+            solve([graphs], [DEFAULT_WEIGHTS] * 2)
+        with pytest.raises(ValueError, match="one graph list per config"):
+            solve([], [])
+
+    def test_no_trace_skips_the_objective(self, monkeypatch):
+        import hetcover.solver as solver
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the objective was computed")
+
+        graphs = fleet_graphs(20, 0)
+        want = solve(graphs, DEFAULT_WEIGHTS)
+        monkeypatch.setattr(solver, "objective", refuse)
+        got = solve(graphs, DEFAULT_WEIGHTS, trace=False)
+        assert got.Z.tobytes() == want.Z.tobytes()
+        assert (got.iterations, got.converged, got.residual_trace) == (
+            want.iterations, want.converged, ())
