@@ -38,7 +38,7 @@ from .simulation import (
     Method,
     SimConfig,
     append_metrics_csv,
-    fuse_weightings,
+    fuse_fleet,
     generate_system,
     metrics_rows,
     place_fleet,
@@ -72,8 +72,8 @@ def run_sweep(base: SimConfig, seeds, alpha_step):
     detections = [[] for _ in grid]
     duplications = [[] for _ in grid]
     for seed in seeds:
-        fleet = place_fleet(replace(base, seed=seed))
-        for fused, det, dup in zip(fuse_weightings(fleet, solvers), detections, duplications):
+        fleets = fuse_fleet(place_fleet(replace(base, seed=seed)), solvers, (Method.FULL,))
+        for fused, det, dup in zip(fleets, detections, duplications):
             report, = run_trial(fused.config, fused, methods=(Method.FULL,))
             det.append(report.detection_rate)
             dup.append(report.duplication_rate)

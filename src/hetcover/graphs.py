@@ -88,8 +88,8 @@ def build_spatial_graph(system: RobotSystem, epsilon: float | None = None) -> Re
     """
     if epsilon is None:
         epsilon = SPATIAL_EPSILON_PER_DIAGONAL * system.environment.diagonal
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
+    if not (np.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError("epsilon must be finite and non-negative, got %r" % (epsilon,))
     dist = _pairwise_distances(system)
     n = len(system)
     off = ~np.eye(n, dtype=bool)

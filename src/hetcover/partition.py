@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .system import is_integer
+
 
 @dataclass(frozen=True)
 class TeamAssignment:
@@ -139,7 +141,7 @@ def partition(Z, r: int) -> TeamAssignment:
     if (Z < 0).any():
         raise ValueError("Z must be non-negative, but its smallest entry is %r" % float(Z.min()))
     n = Z.shape[0]
-    if not (isinstance(r, int) and 1 <= r <= n):
+    if not (is_integer(r) and 1 <= r <= n):
         raise ValueError("r must be an integer in 1..%d, got %r" % (n, r))
     groups = [frozenset(range(n))]
     while len(groups) < r:
@@ -164,15 +166,11 @@ def load_assignment(path) -> TeamAssignment:
         team_of, r = doc["team_of"], doc["r"]
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed assignment document: %s" % exc) from exc
-    if not (isinstance(team_of, list) and all(map(_is_integer, team_of))):
+    if not (isinstance(team_of, list) and all(map(is_integer, team_of))):
         raise ValueError("team_of must be a list of integer team ids, got %r" % (team_of,))
-    if not _is_integer(r):
+    if not is_integer(r):
         raise ValueError("r must be an integer, got %r" % (r,))
     assignment = TeamAssignment.from_team_of(team_of)
     if assignment.r != r:
         raise ValueError("declared r=%d but team_of uses %d teams" % (r, assignment.r))
     return assignment
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)

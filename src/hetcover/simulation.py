@@ -6,7 +6,9 @@ the result into teams, and scores the assignment on simulated typed events
 baselines run alongside: the same pipeline with both regularizers off, and
 plain agglomerative spatial clustering. Everything in a trial except
 forming the r teams and scoring them depends only on the fleet, so it is
-kept in a Fleet that serves every r at one seed.
+kept in a Fleet that serves every r at one seed. fuse_fleet fuses a fleet
+under one solver setting or several (a sweep's weightings); each method's
+settings are solved together, in stacks of at most STACK.
 
 All randomness flows from SimConfig.seed; system generation and event
 placement draw from independent child streams so each is reproducible on
@@ -29,6 +31,7 @@ from .system import (
     Position,
     RobotSpec,
     RobotSystem,
+    is_integer,
     point_segment_distance,
 )
 
@@ -66,15 +69,15 @@ class SimConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if not (isinstance(self.n_robots, int) and self.n_robots >= 2):
+        if not (is_integer(self.n_robots) and self.n_robots >= 2):
             raise ValueError("n_robots must be an integer >= 2")
-        if not (isinstance(self.n_capabilities, int) and self.n_capabilities >= 1):
+        if not (is_integer(self.n_capabilities) and self.n_capabilities >= 1):
             raise ValueError("n_capabilities must be a positive integer")
-        if not (isinstance(self.n_regions, int) and 1 <= self.n_regions <= self.n_robots):
+        if not (is_integer(self.n_regions) and 1 <= self.n_regions <= self.n_robots):
             raise ValueError("n_regions must lie in 1..n_robots")
-        if not (isinstance(self.n_events, int) and self.n_events >= 1):
+        if not (is_integer(self.n_events) and self.n_events >= 1):
             raise ValueError("n_events must be a positive integer")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (is_integer(self.seed) and self.seed >= 0):
             raise ValueError("seed must be a non-negative integer")
         object.__setattr__(self, "comm_radius",
                            communication_radius(self.environment, self.comm_radius))
@@ -207,7 +210,7 @@ def greedy_assign(system: RobotSystem, r: int) -> TeamAssignment:
     clusters remain.
     """
     n = len(system)
-    if not (isinstance(r, int) and 1 <= r <= n):
+    if not (is_integer(r) and 1 <= r <= n):
         raise ValueError("r must lie in 1..%d, got %r" % (n, r))
     pos = system.positions()
 
@@ -272,42 +275,36 @@ def place_fleet(config: SimConfig) -> Fleet:
                  nearest=nearest_robots(system, events), fused={})
 
 
-def fuse_fleet(fleet: Fleet, solver: SolverConfig, methods=tuple(Method)) -> Fleet:
-    """The fleet under the given solver settings, with only the listed methods solved."""
-    solver_config = solver.resolved(len(fleet.graphs))
-    fused = {}
-    if Method.FULL in methods:
-        fused[Method.FULL] = solve(fleet.graphs, solver_config, trace=False).Z
-    if Method.BASELINE in methods:
-        fused[Method.BASELINE] = solve(fleet.graphs, baseline_solver_config(solver_config),
-                                       trace=False).Z
-    return replace(fleet, config=replace(fleet.config, solver=solver), fused=fused)
-
-
-# fuse_weightings solves this many weightings of a fleet as one stack: the
+# fuse_fleet solves at most this many settings of a fleet as one stack: the
 # stack shares numpy's per-call overhead, and its arrays stay small enough
 # that a sweep's peak memory does not rise
-WEIGHTING_STACK = 8
+STACK = 8
 
 
-def fuse_weightings(fleet: Fleet, solvers):
-    """fuse_fleet(fleet, solver, (Method.FULL,)) for each of solvers, in order.
+def fuse_fleet(fleet: Fleet, solvers, methods=tuple(Method)):
+    """The fleet under each of solvers, in order, with only the listed methods solved.
 
-    The solvers may differ only in alphas. Their solves run WEIGHTING_STACK
-    at a time as one stack, which gives each Z byte for byte; the fleets are
-    yielded one by one.
+    Full solves the solvers and Baseline their baseline_solver_config; the
+    solvers may differ only in alphas. Each method's settings run STACK at a
+    time as one stack, which gives each Z byte for byte as a solve of it
+    alone; the fleets are yielded one by one.
     """
-    for start in range(0, len(solvers), WEIGHTING_STACK):
-        chunk = solvers[start:start + WEIGHTING_STACK]
-        stack = solve([fleet.graphs] * len(chunk), chunk, trace=False)
-        for solver, result in zip(chunk, stack.results):
-            yield replace(fleet, config=replace(fleet.config, solver=solver),
-                          fused={Method.FULL: result.Z})
+    for start in range(0, len(solvers), STACK):
+        chunk = solvers[start:start + STACK]
+        fused = [{} for _ in chunk]
+        for method, settings in ((Method.FULL, chunk),
+                                 (Method.BASELINE, [baseline_solver_config(s) for s in chunk])):
+            if method in methods:
+                for z, result in zip(fused, solve(fleet.graphs, settings, trace=False).results):
+                    z[method] = result.Z
+        for solver, z in zip(chunk, fused):
+            yield replace(fleet, config=replace(fleet.config, solver=solver), fused=z)
 
 
 def prepare_fleet(config: SimConfig, methods=tuple(Method)) -> Fleet:
     """Generate, fuse and place events once; solves only the listed methods."""
-    return fuse_fleet(place_fleet(config), config.solver, methods)
+    fleet, = fuse_fleet(place_fleet(config), [config.solver], methods)
+    return fleet
 
 
 def run_trial(config: SimConfig, fleet: Fleet | None = None, methods=tuple(Method)):
@@ -349,7 +346,7 @@ def region_raster(system: RobotSystem, assignment: TeamAssignment, resolution: i
     ((i + 0.5) w / res, (j + 0.5) h / res); merged team Voronoi regions
     appear as constant patches.
     """
-    if not (isinstance(resolution, int) and resolution >= 2):
+    if not (is_integer(resolution) and resolution >= 2):
         raise ValueError("resolution must be an integer >= 2")
     if len(assignment.team_of) != len(system):
         raise ValueError("the system has %d robots but the assignment covers %d"

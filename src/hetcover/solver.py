@@ -13,8 +13,8 @@ Entries of the result are pairwise same-team affinities: row-stochastic,
 symmetric, non-negative.
 
 The steps are written for a stack of problems along a leading axis, and
-solve always runs one: a single problem is a stack of one. Problems that
-share N and every setting but alphas can be solved together (a sweep's
+solve always runs one: a single problem is a stack of one. A stack is one
+graph list under several settings that differ only in alphas (a sweep's
 weightings of one fleet), which spends numpy's per-call overhead once per
 iteration for the whole stack; each problem's Z and iteration count are
 those of its own solve, bit for bit. The per-iteration objective is only
@@ -28,6 +28,8 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
+
+from .system import is_integer
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ class SolverConfig:
             raise ValueError("rho must lie strictly between 1 and 2")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if not (isinstance(self.max_iterations, int) and self.max_iterations >= 1):
+        if not (is_integer(self.max_iterations) and self.max_iterations >= 1):
             raise ValueError("max_iterations must be a positive integer")
         # mu grows to mu0 * rho**max_iterations, and the Z step forms about 4 mu
         try:
@@ -115,16 +117,16 @@ class SolverState:
 class Problem:
     """What stays fixed over one solve: the settings and the steps' constants.
 
-    For one problem config has its alphas resolved. start is the warm start
-    sum_m alpha_m A_m, weighted_sum is sum_m 2 alpha_m A_m, and z_weight is
-    2 sum alpha + 2 lambda1, the part of the Z step's diagonal that mu does
-    not scale; eye and ones are I and 1 1^T. stack_problems puts problems on
-    a leading stack axis: start, weighted_sum and z_weight (k x 1 x 1) then
-    carry it, and config holds the settings they share, with alphas None.
+    For one problem config has its alphas resolved. weighted_sum is
+    sum_m 2 alpha_m A_m, exactly twice the warm start sum_m alpha_m A_m, and
+    z_weight is 2 sum alpha + 2 lambda1, the part of the Z step's diagonal
+    that mu does not scale; eye and ones are I and 1 1^T. stack_problems
+    puts problems on a leading stack axis: weighted_sum and z_weight
+    (k x 1 x 1) then carry it, and config holds the settings they share,
+    with alphas None.
     """
 
     config: SolverConfig
-    start: np.ndarray
     weighted_sum: np.ndarray
     z_weight: float | np.ndarray
     eye: np.ndarray
@@ -198,7 +200,6 @@ def prepare_problem(graphs, config: SolverConfig) -> Problem:
             raise ValueError("all graphs must share the same square shape")
     return Problem(
         config=config,
-        start=sum(alpha * a for alpha, a in zip(config.alphas, adjs)),
         weighted_sum=sum(2.0 * alpha * a for alpha, a in zip(config.alphas, adjs)),
         z_weight=2.0 * sum(config.alphas) + 2.0 * config.lambda1,
         eye=np.eye(n),
@@ -207,22 +208,19 @@ def prepare_problem(graphs, config: SolverConfig) -> Problem:
 
 
 def stack_problems(problems) -> Problem:
-    """One Problem holding problems along a leading stack axis.
+    """One Problem holding problems of one graph list along a leading stack axis.
 
-    They must share n and every setting but alphas, since one loop advances
-    them with one penalty mu and one shrinkage threshold.
+    They must share every setting but alphas, since one loop advances them
+    with one penalty mu and one shrinkage threshold.
     """
+    if not problems:
+        raise ValueError("a stack needs at least one config")
     first = problems[0]
     config = replace(first.config, alphas=None)
-    for problem in problems:
-        if problem.eye.shape != first.eye.shape:
-            raise ValueError("stacked problems must share n: %d and %d"
-                             % (first.eye.shape[0], problem.eye.shape[0]))
-        if replace(problem.config, alphas=None) != config:
-            raise ValueError("stacked problems may differ only in alphas")
+    if any(replace(problem.config, alphas=None) != config for problem in problems):
+        raise ValueError("stacked problems may differ only in alphas")
     return Problem(
         config=config,
-        start=np.stack([p.start for p in problems]),
         weighted_sum=np.stack([p.weighted_sum for p in problems]),
         z_weight=np.array([p.z_weight for p in problems])[:, None, None],
         eye=first.eye,
@@ -275,7 +273,7 @@ def svt(G, tau: float) -> np.ndarray:
 
 def initial_state(problem: Problem) -> SolverState:
     """Warm start at the weighted graph average with zero multipliers."""
-    Z0 = problem.start
+    Z0 = 0.5 * problem.weighted_sum
     return SolverState(
         Z=Z0,
         Zhat=Z0.mT.copy(),
@@ -377,17 +375,16 @@ def solve(graphs, config=None, *, trace: bool = True):
     graphs : list of RelationGraph or array-like
         The relation graphs A_m, all N x N with N >= 2. Pass normalized
         graphs so the alphas stay interpretable.
-    config : SolverConfig, optional
+    config : SolverConfig, or a sequence of them, optional
+        A sequence solves the graphs under each config as one stack. The
+        configs must share every setting but alphas; one loop advances them
+        all, and each problem leaves the stack at the iteration its own
+        residuals pass, with the Z, count and trace a solve of it alone
+        would give.
     trace : bool
         Record each iteration's residuals and objective. The objective
         costs a pass over the graphs per iteration, so leave it off when
         only Z is kept.
-
-    A stack of problems is solved by passing a list of configs and, as
-    graphs, a list of graph lists, one per config. The problems must share
-    N and every setting but alphas; one loop advances them all, and each
-    leaves the stack at the iteration its own residuals pass, with the Z,
-    count and trace a solve of it alone would give.
 
     Returns
     -------
@@ -398,14 +395,8 @@ def solve(graphs, config=None, *, trace: bool = True):
         the flag, not raised.
     """
     single = config is None or isinstance(config, SolverConfig)
-    if single:
-        graphs, configs = [graphs], [SolverConfig() if config is None else config]
-    else:
-        configs = list(config)
-        if not configs or len(graphs) != len(configs):
-            raise ValueError("a stack needs one graph list per config: %d for %d"
-                             % (len(graphs), len(configs)))
-    problem = stack_problems([prepare_problem(g, c) for g, c in zip(graphs, configs)])
+    configs = [SolverConfig() if config is None else config] if single else list(config)
+    problem = stack_problems([prepare_problem(graphs, c) for c in configs])
     if problem.eye.shape[0] < 2:
         raise ValueError("graphs must be at least 2x2")
     config = problem.config
@@ -423,7 +414,7 @@ def solve(graphs, config=None, *, trace: bool = True):
             for i, p in enumerate(active):
                 traces[p].append(IterationRecord(
                     Residuals(*(float(r[i]) for r in (res.r1, res.r2, res.r3, res.r4))),
-                    objective(state.Z[i], state.L[i], graphs[p], configs[p],
+                    objective(state.Z[i], state.L[i], graphs, configs[p],
                               None if singular_values is None else singular_values[i])))
         update_multipliers(state, gaps, config)
         done = res.max_residual <= config.tolerance
@@ -434,8 +425,7 @@ def solve(graphs, config=None, *, trace: bool = True):
             if not active:
                 break
             keep = ~done
-            problem = replace(problem, start=problem.start[keep],
-                              weighted_sum=problem.weighted_sum[keep],
+            problem = replace(problem, weighted_sum=problem.weighted_sum[keep],
                               z_weight=problem.z_weight[keep])
             state = replace(state, **{name: value[keep] for name, value in vars(state).items()
                                       if isinstance(value, np.ndarray)})

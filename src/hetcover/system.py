@@ -64,6 +64,11 @@ class Environment:
         return 0.0 <= p.x <= self.width and 0.0 <= p.y <= self.height
 
 
+def is_integer(value) -> bool:
+    """An int and not a bool, which Python counts as an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RobotSpec:
     """One robot: integer id, a position, and a non-empty capability set."""
@@ -73,7 +78,7 @@ class RobotSpec:
     capabilities: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if not isinstance(self.id, int) or isinstance(self.id, bool) or self.id < 0:
+        if not is_integer(self.id) or self.id < 0:
             raise ValueError("robot id must be a non-negative integer, got %r" % (self.id,))
         object.__setattr__(self, "capabilities", frozenset(self.capabilities))
         if not self.capabilities:

@@ -10,7 +10,7 @@ from hetcover.graphs import build_relation_graphs, load_matrix_csv, save_matrix_
 from hetcover.partition import load_assignment
 from hetcover.simulation import (
     METRICS_HEADER,
-    WEIGHTING_STACK,
+    STACK,
     Method,
     SimConfig,
     metrics_rows,
@@ -225,6 +225,14 @@ class TestSolve:
         trace = json.loads((tmp_path / "trace.json").read_text())
         assert trace["converged"] is False
         assert trace["iterations"] == 2
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+    def test_bad_epsilon_named_with_its_value(self, small_run, tmp_path, capsys, epsilon):
+        code = small_run("solve", tmp_path / "out", "--epsilon", epsilon)
+        assert code == 2
+        assert ("cannot build graphs: epsilon must be finite and non-negative, got %r"
+                % float(epsilon)) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestPartition:
@@ -483,8 +491,8 @@ class TestSweep:
         base = SimConfig(n_robots=6, n_capabilities=2, n_regions=2, seed=0,
                          n_events=20, solver=SolverConfig())
         run_sweep(base, (0, 1), 0.5)
-        # each solve call is one stack of up to WEIGHTING_STACK weightings
-        stacks = math.ceil(len(sweep_grid(0.5)) / WEIGHTING_STACK)
+        # each solve call is one stack of up to STACK weightings
+        stacks = math.ceil(len(sweep_grid(0.5)) / STACK)
         assert calls == {"generate_system": 2, "build_relation_graphs": 2,
                          "simulate_events": 2, "solve": 2 * stacks}
 

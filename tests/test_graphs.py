@@ -78,6 +78,12 @@ class TestSpatialGraph:
         with pytest.raises(ValueError):
             build_spatial_graph(system_at([(0, 0), (2, 0)]), epsilon=-0.1)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -1.0])
+    def test_bad_epsilon_named_with_its_value(self, epsilon):
+        with pytest.raises(ValueError, match=r"epsilon must be finite and non-negative, got %r$"
+                           % epsilon):
+            build_spatial_graph(system_at([(0, 0), (2, 0)]), epsilon=epsilon)
+
     def test_default_epsilon_is_relative_to_diagonal(self):
         system = system_at([(0, 0), (2, 0)])
         g = build_spatial_graph(system)

@@ -49,6 +49,19 @@ def test_partition_is_the_submodule():
     assert callable(P.fiedler_cut)
 
 
+def test_readme_names_resolve():
+    # a backticked `<module>.<name>` in the README names what a hetcover
+    # submodule defines, so a rename cannot leave the docs pointing at nothing;
+    # file names such as `system.json` share the shape and are skipped
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    submodules = {p.stem for p in SOURCES.glob("*.py") if p.name != "__init__.py"}
+    named = {(module, name) for module, name in re.findall(r"`(\w+)\.(\w+)`", readme)
+             if module in submodules and name not in ("json", "csv", "py")}
+    missing = [(module, name) for module, name in sorted(named)
+               if not hasattr(importlib.import_module("hetcover." + module), name)]
+    assert named and missing == []
+
+
 def unused_imports(source):
     """Names a module imports but never reads, in sorted order."""
     tree = ast.parse(source)

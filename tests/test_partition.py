@@ -320,6 +320,10 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition(Z, 4)
 
+    def test_bool_r_rejected(self):
+        with pytest.raises(ValueError, match="r must be an integer"):
+            partition(np.eye(3), True)
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             partition(np.zeros((2, 3)), 1)

@@ -10,7 +10,7 @@ from hetcover.partition import TeamAssignment, partition
 from hetcover.simulation import (
     CAPABILITY_NAMES,
     METRICS_HEADER,
-    WEIGHTING_STACK,
+    STACK,
     Event,
     Fleet,
     Method,
@@ -21,7 +21,6 @@ from hetcover.simulation import (
     detection_rate,
     duplication_rate,
     fuse_fleet,
-    fuse_weightings,
     generate_system,
     greedy_assign,
     metrics_rows,
@@ -102,6 +101,14 @@ class TestSimConfig:
     def test_seed_non_negative(self):
         with pytest.raises(ValueError):
             SimConfig(n_robots=4, n_capabilities=2, n_regions=2, seed=-1)
+
+    @pytest.mark.parametrize("count", [
+        dict(n_capabilities=True), dict(n_regions=True), dict(seed=False), dict(n_events=True),
+    ], ids=["n_capabilities", "n_regions", "seed", "n_events"])
+    def test_bool_count_rejected(self, count):
+        # a bool is an int to Python, but no count is meant as True or False
+        with pytest.raises(ValueError, match=next(iter(count))):
+            SimConfig(**{**dict(n_robots=4, n_capabilities=2, n_regions=2, seed=0), **count})
 
     def test_comm_radius_positive(self):
         with pytest.raises(ValueError):
@@ -327,6 +334,11 @@ class TestGreedyAssign:
         with pytest.raises(ValueError):
             greedy_assign(system, 3)
 
+    def test_bool_r_rejected(self):
+        system = make_system([((0.1, 0.1), "rgb"), ((0.9, 0.9), "rgb")])
+        with pytest.raises(ValueError, match="r must lie in"):
+            greedy_assign(system, True)
+
     def assert_matches_oracle(self, system, r):
         want = TeamAssignment.from_teams(greedy_teams_oracle(system.positions(), r),
                                          len(system))
@@ -363,8 +375,8 @@ def baseline_assign(graphs, solver_config, r):
                        seed=0, solver=solver_config)
     fleet = Fleet(config=config, system=None, graphs=tuple(graphs), events=(), nearest=(),
                   fused={})
-    fused = fuse_fleet(fleet, solver_config, (Method.BASELINE,)).fused
-    return partition(fused[Method.BASELINE], r)
+    fused, = fuse_fleet(fleet, [solver_config], (Method.BASELINE,))
+    return partition(fused.fused[Method.BASELINE], r)
 
 
 class TestBaselineAssign:
@@ -482,7 +494,7 @@ class TestFleetReuse:
         for alphas in ((0.1, 0.2, 0.7), (1.0, 0.0, 0.0)):
             solver = SolverConfig(alphas=alphas)
             other = replace(config, solver=solver)
-            fused = fuse_fleet(placed, solver, (Method.FULL,))
+            fused, = fuse_fleet(placed, [solver], (Method.FULL,))
             fresh = prepare_fleet(other, (Method.FULL,))
             assert fused.config == other
             assert fused.fused[Method.FULL].tobytes() == fresh.fused[Method.FULL].tobytes()
@@ -491,16 +503,18 @@ class TestFleetReuse:
         assert placed.fused == {}
 
     def test_weightings_fused_together_match_one_by_one(self):
-        placed = place_fleet(self.config(seed=1, r=3))
+        config = self.config(seed=1, r=3)
+        placed = place_fleet(config)
         solvers = [SolverConfig(alphas=alphas) for alphas in
                    ((0.1, 0.2, 0.7), (1.0, 0.0, 0.0), (0.2, 0.1, 0.7))] * 4  # 12: two stacks
-        fused = list(fuse_weightings(placed, solvers))
-        assert len(fused) == len(solvers) > WEIGHTING_STACK
+        fused = list(fuse_fleet(placed, solvers))
+        assert len(fused) == len(solvers) > STACK
         for solver, fleet in zip(solvers, fused):
-            alone = fuse_fleet(placed, solver, (Method.FULL,))
+            alone = prepare_fleet(replace(config, solver=solver))
             assert fleet.config == alone.config
-            assert set(fleet.fused) == {Method.FULL}
-            assert fleet.fused[Method.FULL].tobytes() == alone.fused[Method.FULL].tobytes()
+            assert set(fleet.fused) == {Method.FULL, Method.BASELINE}
+            for method in (Method.FULL, Method.BASELINE):
+                assert fleet.fused[method].tobytes() == alone.fused[method].tobytes()
 
     def test_fleets_never_compute_the_objective(self, monkeypatch):
         # only a caller that keeps the solver's trace pays for its objective
