@@ -8,10 +8,11 @@ subcommand runs the same loop at a finer step and writes sweep.csv.
 
 import numpy as np
 
-from hetcover.simulation import Method, SimConfig, run_trial
+from hetcover.simulation import Method, SimConfig, prepare_fleet, run_trial
 from hetcover.solver import SolverConfig
 
-base = dict(n_robots=10, n_capabilities=2, n_regions=3)
+base = dict(n_robots=10, n_capabilities=2)
+n_teams = 3
 seeds = (0, 1, 2)
 step = 2  # lattice of i/2, j/2, k/2 with i+j+k = 2
 
@@ -24,7 +25,7 @@ for i in range(step + 1):
         det, dup = [], []
         for seed in seeds:
             config = SimConfig(seed=seed, solver=SolverConfig(alphas=alphas), **base)
-            full, = run_trial(config, methods=(Method.FULL,))
+            full, = run_trial(prepare_fleet(config, (Method.FULL,)), n_teams)
             det.append(full.detection_rate)
             dup.append(full.duplication_rate)
         print("  %.1f    %.1f    %.1f      %.3f      %.3f"

@@ -7,6 +7,6 @@ imported from its module (hetcover.partition, hetcover.solver, ...).
 from .system import Environment, Position, RobotSpec, RobotSystem
 from .graphs import build_relation_graphs
 from .solver import solve
-from .simulation import Method, SimConfig, run_trial
+from .simulation import Method, SimConfig, prepare_fleet, run_trial
 
 __version__ = "0.1.0"

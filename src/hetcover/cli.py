@@ -9,7 +9,10 @@ text, so {"robots": 4.7} or {"out": 7} exits 2 like --robots 4.7 does.
 A setting's library default and its check live in the library type it sets
 (SimConfig, SolverConfig, Environment, graphs.communication_radius); the
 CLI passes on only what a flag or the config file gives. SolverConfig caps
---max-iters below the point where the penalty mu0 * rho**k overflows. All
+--max-iters below the point where the penalty mu0 * rho**k overflows.
+simulate and sweep check their fleet settings once, before any trial; the
+team count r is each trial's own, so simulate fails only the trials whose r
+exceeds the robot count, and sweep refuses such an r before any solve. All
 outputs are plain JSON/CSV files named after their role, written under --out.
 
 Exit codes: 0 success; 2 usage or validation problems (including unreadable
@@ -33,7 +36,7 @@ from .graphs import (
     load_matrix_csv,
     save_matrix_csv,
 )
-from .partition import partition, save_assignment
+from .partition import check_team_count, partition, save_assignment
 from .simulation import (
     Method,
     SimConfig,
@@ -45,6 +48,7 @@ from .simulation import (
     prepare_fleet,
     region_raster,
     run_trial,
+    sweep_grid,
     trial_rngs,
 )
 from .solver import SolverConfig, save_solve_trace, solve
@@ -53,15 +57,8 @@ from .system import Environment, Position, Wall, load_system, save_system
 ALPHA_STEP = 0.1  # sweep's default simplex grid step
 
 
-def sweep_grid(alpha_step):
-    """The ternary grid over the three graph weights at alpha_step resolution."""
-    steps = round(1.0 / alpha_step)
-    return [(i / steps, j / steps, (steps - i - j) / steps)
-            for i in range(steps + 1) for j in range(steps + 1 - i)]
-
-
-def run_sweep(base: SimConfig, seeds, alpha_step):
-    """Rows (a1, a2, a3, mean detection, mean duplication) for the full method.
+def run_sweep(base: SimConfig, seeds, r, alpha_step):
+    """Rows (a1, a2, a3, mean detection, mean duplication) of Full's r teams.
 
     Each seed's system, graphs and events are made once from base at that
     seed; only the Full Z is solved for each weighting, the weightings of a
@@ -74,7 +71,7 @@ def run_sweep(base: SimConfig, seeds, alpha_step):
     for seed in seeds:
         fleets = fuse_fleet(place_fleet(replace(base, seed=seed)), solvers, (Method.FULL,))
         for fused, det, dup in zip(fleets, detections, duplications):
-            report, = run_trial(fused.config, fused, methods=(Method.FULL,))
+            report, = run_trial(fused, r)
             det.append(report.detection_rate)
             dup.append(report.duplication_rate)
     return [
@@ -295,7 +292,7 @@ def _write_outputs(out, outputs) -> int:
 def cmd_generate(args, parser):
     try:
         config = SimConfig(n_robots=args.robots, n_capabilities=args.capabilities,
-                           n_regions=1, seed=args.seed, environment=_environment(args, parser))
+                           seed=args.seed, environment=_environment(args, parser))
         system = generate_system(config, trial_rngs(config.seed)[0])
     except (ValueError, RuntimeError) as exc:
         parser.error(str(exc))
@@ -346,14 +343,14 @@ def cmd_partition(args, parser):
     return _write_outputs(args.out, outputs)
 
 
-def _batch(args, parser, n_regions):
+def _batch(args, parser):
     """The checked base SimConfig of a simulate or sweep batch, at its first seed,
     and the batch's seeds; any invalid setting exits here, before a trial runs."""
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
     try:
         base = SimConfig(n_robots=args.robots, n_capabilities=args.capabilities,
-                         n_regions=n_regions, seed=args.seed, comm_radius=args.comm_radius,
+                         seed=args.seed, comm_radius=args.comm_radius,
                          environment=_environment(args, parser),
                          solver=_solver_config(args, parser), **_given(args, TRIAL_OPTIONS))
     except ValueError as exc:
@@ -363,7 +360,7 @@ def _batch(args, parser, n_regions):
 
 def cmd_simulate(args, parser):
     # r is checked per trial, so an r above the robot count fails only its trials
-    base, seeds = _batch(args, parser, n_regions=1)
+    base, seeds = _batch(args, parser)
     # one fleet per seed serves every r; rows are kept per --regions entry so
     # the file stays r-major in the order given
     rows_at = [[] for _ in args.regions]
@@ -377,8 +374,7 @@ def cmd_simulate(args, parser):
         for r_rows, r in zip(rows_at, args.regions):
             if fleet is not None:
                 try:
-                    config = replace(base, seed=seed, n_regions=r)
-                    r_rows.extend(metrics_rows(config, run_trial(config, fleet)))
+                    r_rows.extend(metrics_rows(fleet.config, run_trial(fleet, r)))
                     continue
                 except (ValueError, RuntimeError) as exc:
                     failure = exc
@@ -395,9 +391,13 @@ def cmd_sweep(args, parser):
     step = args.alpha_step
     if not 0 < step <= 1 or abs(round(1.0 / step) - 1.0 / step) > 1e-9:
         parser.error("--alpha-step must divide 1 evenly")
-    base, seeds = _batch(args, parser, n_regions=args.regions)
+    base, seeds = _batch(args, parser)
     try:
-        rows = run_sweep(base, seeds, step)
+        check_team_count(args.regions, base.n_robots)
+    except ValueError as exc:
+        parser.error("invalid value for --regions: %s" % exc)
+    try:
+        rows = run_sweep(base, seeds, args.regions, step)
     except (ValueError, RuntimeError) as exc:
         print("sweep failed: %s" % exc, file=sys.stderr)
         return 4

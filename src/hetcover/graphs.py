@@ -103,27 +103,22 @@ def build_spatial_graph(system: RobotSystem, epsilon: float | None = None) -> Re
 def build_communication_graph(system: RobotSystem, radius: float | None = None) -> RelationGraph:
     """Binary links: a_ij = 1 iff d_ij <= radius and no wall blocks the pair."""
     radius = communication_radius(system.environment, radius)
-    dist = _pairwise_distances(system)
     n = len(system)
     a = np.zeros((n, n))
-    env = system.environment
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist[i, j] <= radius and line_of_sight(
-                system.robots[i].position, system.robots[j].position, env
-            ):
-                a[i, j] = a[j, i] = 1.0
+    for i, j in zip(*np.nonzero(np.triu(_pairwise_distances(system) <= radius, 1))):
+        if line_of_sight(system.robots[i].position, system.robots[j].position,
+                         system.environment):
+            a[i, j] = a[j, i] = 1.0
     return RelationGraph(GraphKind.COMMUNICATION, a)
 
 
 def build_capability_graph(system: RobotSystem) -> RelationGraph:
-    """Overlap weights a_ij = |C_i & C_j| (shared capability count)."""
-    n = len(system)
-    a = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            shared = len(system.robots[i].capabilities & system.robots[j].capabilities)
-            a[i, j] = a[j, i] = float(shared)
+    """Overlap weights a_ij = |C_i & C_j| (shared capability count): C C^T off
+    the diagonal, for the robot x capability 0/1 matrix C, exact in floats."""
+    C = np.array([[c in robot.capabilities for c in system.capabilities]
+                  for robot in system.robots], dtype=float)
+    a = C @ C.T
+    np.fill_diagonal(a, 0.0)
     return RelationGraph(GraphKind.CAPABILITY, a)
 
 

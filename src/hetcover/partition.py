@@ -126,6 +126,12 @@ def fiedler_cut(Z, indices):
     return set(idx) - negative, negative
 
 
+def check_team_count(r, n: int) -> None:
+    """Raise ValueError unless r is a team count that n robots allow: an integer in 1..n."""
+    if not (is_integer(r) and 1 <= r <= n):
+        raise ValueError("r must be an integer in 1..%d, got %r" % (n, r))
+
+
 def partition(Z, r: int) -> TeamAssignment:
     """Cut the full index set down to r teams.
 
@@ -141,8 +147,7 @@ def partition(Z, r: int) -> TeamAssignment:
     if (Z < 0).any():
         raise ValueError("Z must be non-negative, but its smallest entry is %r" % float(Z.min()))
     n = Z.shape[0]
-    if not (is_integer(r) and 1 <= r <= n):
-        raise ValueError("r must be an integer in 1..%d, got %r" % (n, r))
+    check_team_count(r, n)
     groups = [frozenset(range(n))]
     while len(groups) < r:
         target = max(groups, key=lambda g: (len(g), -min(g)))

@@ -1,14 +1,15 @@
 """Seeded coverage experiments: system generation, metrics, and baselines.
 
-A trial generates a random system, fuses its three relation graphs, partitions
-the result into teams, and scores the assignment on simulated typed events
-(detection) and within-team capability redundancy (duplication). Two
-baselines run alongside: the same pipeline with both regularizers off, and
-plain agglomerative spatial clustering. Everything in a trial except
-forming the r teams and scoring them depends only on the fleet, so it is
-kept in a Fleet that serves every r at one seed. fuse_fleet fuses a fleet
-under one solver setting or several (a sweep's weightings); each method's
-settings are solved together, in stacks of at most STACK.
+A SimConfig describes one seeded fleet. prepare_fleet generates its system,
+fuses its three relation graphs and places its typed events, once; a trial,
+run_trial(fleet, r), then cuts the fused Z into r teams and scores them on
+the events (detection) and on within-team capability redundancy
+(duplication). Two baselines run alongside: the same pipeline with both
+regularizers off, and plain agglomerative spatial clustering. One fleet
+serves every r at its seed, scored for exactly the methods it was prepared
+for. fuse_fleet fuses a fleet under one solver setting or several (a
+sweep's weightings, from sweep_grid); each method's settings are solved
+together, in stacks of at most STACK.
 
 All randomness flows from SimConfig.seed; system generation and event
 placement draw from independent child streams so each is reproducible on
@@ -24,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .graphs import build_relation_graphs, communication_radius
-from .partition import TeamAssignment, partition
+from .partition import TeamAssignment, check_team_count, partition
 from .solver import SolverConfig, solve
 from .system import (
     Environment,
@@ -55,13 +56,13 @@ class Method(Enum):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One trial's knobs. The environment defaults to Environment(), the
-    solver to SolverConfig(), and the communication radius to the default of
+    """One seeded fleet's settings; each trial gives its own team count r.
+    The environment defaults to Environment(), the solver to SolverConfig(),
+    and the communication radius to the default of
     graphs.communication_radius, which also checks a given one."""
 
     n_robots: int
     n_capabilities: int
-    n_regions: int
     seed: int
     n_events: int = 100
     comm_radius: float | None = None
@@ -73,8 +74,6 @@ class SimConfig:
             raise ValueError("n_robots must be an integer >= 2")
         if not (is_integer(self.n_capabilities) and self.n_capabilities >= 1):
             raise ValueError("n_capabilities must be a positive integer")
-        if not (is_integer(self.n_regions) and 1 <= self.n_regions <= self.n_robots):
-            raise ValueError("n_regions must lie in 1..n_robots")
         if not (is_integer(self.n_events) and self.n_events >= 1):
             raise ValueError("n_events must be a positive integer")
         if not (is_integer(self.seed) and self.seed >= 0):
@@ -210,8 +209,7 @@ def greedy_assign(system: RobotSystem, r: int) -> TeamAssignment:
     clusters remain.
     """
     n = len(system)
-    if not (is_integer(r) and 1 <= r <= n):
-        raise ValueError("r must lie in 1..%d, got %r" % (n, r))
+    check_team_count(r, n)
     pos = system.positions()
 
     def cluster(members):
@@ -251,10 +249,10 @@ class Fleet:
     """The part of a trial that does not depend on the team count r.
 
     One fleet serves every r at its seed: the generated system, its relation
-    graphs, its events with each event's nearest robot, and the fused Z of
-    each solved method (Full, Baseline). config is the configuration it was
-    prepared from; trials may differ from it only in n_regions. Only the
-    fused Z depend on config.solver.
+    graphs, its events with each event's nearest robot, the methods it is
+    scored for, in order, and the fused Z of each of them that is solved
+    (Full, Baseline). config is the configuration it was prepared from; only
+    the fused Z depend on config.solver.
     """
 
     config: SimConfig
@@ -262,6 +260,7 @@ class Fleet:
     graphs: tuple
     events: tuple
     nearest: tuple  # nearest_robots(system, events)
+    methods: tuple  # the methods run_trial scores
     fused: dict  # Method -> Z
 
 
@@ -272,7 +271,14 @@ def place_fleet(config: SimConfig) -> Fleet:
     graphs = tuple(build_relation_graphs(system, config.comm_radius))
     events = tuple(simulate_events(config, event_rng))
     return Fleet(config=config, system=system, graphs=graphs, events=events,
-                 nearest=nearest_robots(system, events), fused={})
+                 nearest=nearest_robots(system, events), methods=(), fused={})
+
+
+def sweep_grid(alpha_step):
+    """The ternary grid over the three graph weights at alpha_step resolution."""
+    steps = round(1.0 / alpha_step)
+    return [(i / steps, j / steps, (steps - i - j) / steps)
+            for i in range(steps + 1) for j in range(steps + 1 - i)]
 
 
 # fuse_fleet solves at most this many settings of a fleet as one stack: the
@@ -282,7 +288,7 @@ STACK = 8
 
 
 def fuse_fleet(fleet: Fleet, solvers, methods=tuple(Method)):
-    """The fleet under each of solvers, in order, with only the listed methods solved.
+    """The fleet under each of solvers, in order, to be scored for methods in their order.
 
     Full solves the solvers and Baseline their baseline_solver_config; the
     solvers may differ only in alphas. Each method's settings run STACK at a
@@ -298,34 +304,25 @@ def fuse_fleet(fleet: Fleet, solvers, methods=tuple(Method)):
                 for z, result in zip(fused, solve(fleet.graphs, settings, trace=False).results):
                     z[method] = result.Z
         for solver, z in zip(chunk, fused):
-            yield replace(fleet, config=replace(fleet.config, solver=solver), fused=z)
+            yield replace(fleet, config=replace(fleet.config, solver=solver),
+                          methods=tuple(methods), fused=z)
 
 
 def prepare_fleet(config: SimConfig, methods=tuple(Method)) -> Fleet:
-    """Generate, fuse and place events once; solves only the listed methods."""
+    """Generate, fuse and place events once, for the listed methods only."""
     fleet, = fuse_fleet(place_fleet(config), [config.solver], methods)
     return fleet
 
 
-def run_trial(config: SimConfig, fleet: Fleet | None = None, methods=tuple(Method)):
-    """One experiment at one seed and team count; one MetricsReport per method.
+def run_trial(fleet: Fleet, r: int):
+    """The fleet's teams at team count r, scored: one MetricsReport per method.
 
-    Reports come in the order of `methods`. A fleet from prepare_fleet is
-    reused as is; without one, the fleet is prepared for this trial alone.
+    The methods are those the fleet was prepared or fused for, in that order.
     """
-    if fleet is None:
-        fleet = prepare_fleet(config, methods)
-    elif replace(fleet.config, n_regions=1) != replace(config, n_regions=1):
-        raise ValueError("the fleet was prepared from a different configuration")
-    r = config.n_regions
     reports = []
-    for method in methods:
-        if method is Method.GREEDY:
-            assignment = greedy_assign(fleet.system, r)
-        elif method in fleet.fused:
-            assignment = partition(fleet.fused[method], r)
-        else:
-            raise ValueError("the fleet holds no %s solution" % method.value)
+    for method in fleet.methods:
+        assignment = (greedy_assign(fleet.system, r) if method is Method.GREEDY
+                      else partition(fleet.fused[method], r))
         reports.append(
             MetricsReport(
                 method=method,
@@ -333,7 +330,7 @@ def run_trial(config: SimConfig, fleet: Fleet | None = None, methods=tuple(Metho
                                               fleet.nearest),
                 duplication_rate=duplication_rate(fleet.system, assignment),
                 r=r,
-                seed=config.seed,
+                seed=fleet.config.seed,
             )
         )
     return reports

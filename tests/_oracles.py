@@ -4,7 +4,9 @@ Each oracle reaches a reference answer by a different route than the library
 code under test: proximal results via plain subgradient descent, gradients
 via central finite differences, eigenpairs via characteristic-polynomial
 roots plus a nullspace extraction, partitions via exhaustive enumeration,
-greedy teams via the plain pairwise merge loop, and the solver's loop via
+greedy teams via the plain pairwise merge loop, the communication and
+capability graphs via their pair loops (set intersection for the
+capability overlap), and the solver's loop via
 its original form (a second SVD for the objective, per-step set-up, and a
 frozen state rebuilt after every step).
 """
@@ -24,15 +26,19 @@ def nuclear_prox_oracle(G, tau, iters=100_000, step0=0.5, step_final=1e-5):
     norm at L is U V^T restricted to the non-zero singular values (the zero
     block contributes nothing). The objective is 1-strongly convex, so the
     final iterate sits within roughly step * tau of the true minimizer.
+
+    G may be a stack of matrices (leading axes) with tau a scalar or one
+    value per matrix; every matrix then descends on its own, in one loop.
     """
     G = np.asarray(G, dtype=float)
+    tau = np.asarray(tau, dtype=float)[..., None, None]
     L = G.copy()
     decay = (step_final / step0) ** (1.0 / max(iters - 1, 1))
     step = step0
     for _ in range(iters):
         U, s, Vt = np.linalg.svd(L, full_matrices=False)
-        support = s > 1e-12
-        subgrad = tau * (U[:, support] @ Vt[support, :]) + (L - G)
+        support = (s > 1e-12)[..., None, :]  # drops the columns of U outside the support
+        subgrad = tau * ((U * support) @ Vt) + (L - G)
         L = L - step * subgrad
         step *= decay
     return L
@@ -144,6 +150,31 @@ def greedy_teams_oracle(positions, r):
         clusters = [c for i, c in enumerate(clusters) if i not in (a, b)]
         clusters.append(merged)
     return clusters
+
+
+def communication_graph_oracle(system, radius, line_of_sight):
+    """Links a_ij = 1 for i < j within radius whose line_of_sight holds, pair by pair."""
+    pos = system.positions()
+    n = len(system)
+    a = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            close = np.hypot(pos[i, 0] - pos[j, 0], pos[i, 1] - pos[j, 1]) <= radius
+            if close and line_of_sight(system.robots[i].position, system.robots[j].position,
+                                       system.environment):
+                a[i, j] = a[j, i] = 1.0
+    return a
+
+
+def capability_graph_oracle(system):
+    """Overlap a_ij = |C_i & C_j| by set intersection, pair by pair."""
+    n = len(system)
+    a = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            shared = len(system.robots[i].capabilities & system.robots[j].capabilities)
+            a[i, j] = a[j, i] = float(shared)
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from _planted import blocks_recovered, planted_system
 
 def random_fleet_graphs(n_robots, seed):
     """Relation graphs of a randomly generated fleet with three capabilities."""
-    config = SimConfig(n_robots=n_robots, n_capabilities=3, n_regions=3, seed=seed)
+    config = SimConfig(n_robots=n_robots, n_capabilities=3, seed=seed)
     system = generate_system(config, trial_rngs(seed)[0])
     return build_relation_graphs(system, config.comm_radius)
 
@@ -127,15 +127,11 @@ def benchmark_runs(tmp_path_factory):
         start = time.perf_counter()
         reports = {}
         for seed in range(30):
-            fleet = None
+            fleet = prepare_fleet(SimConfig(n_robots=20, n_capabilities=3, seed=seed))
             for r in range(2, 11):
-                config = SimConfig(n_robots=20, n_capabilities=3,
-                                   n_regions=r, seed=seed)
-                if fleet is None:
-                    fleet = prepare_fleet(config)
-                trial = run_trial(config, fleet)
+                trial = run_trial(fleet, r)
                 reports[(seed, r)] = trial
-                append_metrics_csv(path, metrics_rows(config, trial))
+                append_metrics_csv(path, metrics_rows(fleet.config, trial))
         return reports, path.read_bytes(), time.perf_counter() - start
 
     reports, bytes_a, seconds = one_run(
@@ -158,23 +154,26 @@ def test_random_fleet_solutions_feasible_and_fast(feasibility_runs):
 
 
 def test_laplacian_prox_matches_descent_oracle():
+    n = 4
+    config = SolverConfig(alphas=(1.0,))
+    problem = prepare_problem([np.zeros((n, n))], config)
+    cases = []
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        n = 4
         Z = rng.random((n, n))
         Phi3 = rng.standard_normal((n, n))
         mu = 0.1 * 1.1 ** (seed % 12)
-        config = SolverConfig(alphas=(1.0,))
         state = SolverState(
             Z=Z, Zhat=Z.T.copy(), L=np.eye(n) - Z,
             phi1=np.zeros(n), Phi2=np.zeros((n, n)), Phi3=Phi3,
             Phi4=np.zeros((n, n)), mu=mu, k=0,
         )
-        target = np.eye(n) - Z - Phi3 / mu
-        tau = config.lambda2 / mu
-        want = nuclear_prox_oracle(target, tau, iters=60_000)
+        cases.append((state, np.eye(n) - Z - Phi3 / mu, config.lambda2 / mu))
+    # the 20 descents run as one stack; each slice is its own descent
+    wants = nuclear_prox_oracle(np.stack([target for _, target, _ in cases]),
+                                [tau for _, _, tau in cases], iters=60_000)
+    for (state, target, tau), want in zip(cases, wants):
         assert np.abs(svt(target, tau) - want).max() < 1e-4
-        problem = prepare_problem([np.zeros((n, n))], config)
         assert np.abs(update_laplacian(state, problem)[0] - want).max() < 1e-4
     # diagonal inputs have a closed-form answer: shrink each entry toward zero
     diagonal_cases = [
@@ -283,8 +282,8 @@ def test_fused_teams_beat_greedy_on_detection_and_duplication(benchmark_runs):
 
 def test_one_robot_teams_never_duplicate():
     for seed in range(10):
-        config = SimConfig(n_robots=8, n_capabilities=2, n_regions=8, seed=seed)
-        for report in run_trial(config):
+        config = SimConfig(n_robots=8, n_capabilities=2, seed=seed)
+        for report in run_trial(prepare_fleet(config), 8):
             assert report.duplication_rate == 0.0
 
 
@@ -292,9 +291,10 @@ def test_capability_weight_lowers_duplication():
     def mean_duplication(alphas):
         values = []
         for seed in range(10):
-            config = SimConfig(n_robots=20, n_capabilities=3, n_regions=3,
+            config = SimConfig(n_robots=20, n_capabilities=3,
                                seed=seed, solver=SolverConfig(alphas=alphas))
-            values.append(report_for(run_trial(config), Method.FULL).duplication_rate)
+            values.append(report_for(run_trial(prepare_fleet(config), 3),
+                                     Method.FULL).duplication_rate)
         return float(np.mean(values))
 
     capability_heavy = mean_duplication((0.1, 0.2, 0.7))

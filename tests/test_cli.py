@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from hetcover.cli import ALPHA_STEP, COMMANDS, _real, main, run_sweep, sweep_grid
+from hetcover.cli import ALPHA_STEP, COMMANDS, _real, main, run_sweep
 from hetcover.graphs import build_relation_graphs, load_matrix_csv, save_matrix_csv
 from hetcover.partition import load_assignment
 from hetcover.simulation import (
@@ -14,7 +14,9 @@ from hetcover.simulation import (
     Method,
     SimConfig,
     metrics_rows,
+    prepare_fleet,
     run_trial,
+    sweep_grid,
 )
 from hetcover.solver import SolverConfig
 from hetcover.system import load_system, save_system
@@ -381,9 +383,9 @@ class TestSimulate:
         want = [METRICS_HEADER]
         for r in (3, 2, 3):
             for seed in range(3):
-                config = SimConfig(n_robots=6, n_capabilities=2, n_regions=r,
-                                   seed=seed, solver=SolverConfig())
-                want += metrics_rows(config, run_trial(config))
+                config = SimConfig(n_robots=6, n_capabilities=2, seed=seed,
+                                   solver=SolverConfig())
+                want += metrics_rows(config, run_trial(prepare_fleet(config), r))
         assert (tmp_path / "metrics.csv").read_text().splitlines() == want
 
     def test_all_trials_failing_exits_4(self, tmp_path):
@@ -464,19 +466,19 @@ class TestSweep:
         assert (tmp_path / "sweep.csv").read_text() == first
 
     def test_rows_are_means_of_full_trial_reports(self):
-        base = SimConfig(n_robots=6, n_capabilities=2, n_regions=2, seed=0,
+        base = SimConfig(n_robots=6, n_capabilities=2, seed=0,
                          n_events=20, solver=SolverConfig())
         want = []
         for alphas in sweep_grid(0.5):
             full = []
             for seed in (0, 1):
-                config = SimConfig(n_robots=6, n_capabilities=2, n_regions=2, seed=seed,
+                config = SimConfig(n_robots=6, n_capabilities=2, seed=seed,
                                    n_events=20, solver=SolverConfig(alphas=alphas))
-                full.append(next(rep for rep in run_trial(config)
+                full.append(next(rep for rep in run_trial(prepare_fleet(config), 2)
                                  if rep.method is Method.FULL))
             want.append(alphas + (sum(rep.detection_rate for rep in full) / len(full),
                                   sum(rep.duplication_rate for rep in full) / len(full)))
-        assert run_sweep(base, (0, 1), 0.5) == want
+        assert run_sweep(base, (0, 1), 2, 0.5) == want
 
     def test_each_seed_fleet_is_built_once(self, monkeypatch):
         import hetcover.simulation as simulation
@@ -488,13 +490,27 @@ class TestSweep:
                 calls[name] += 1
                 return fn(*args, **kwargs)
             monkeypatch.setattr(simulation, name, counted)
-        base = SimConfig(n_robots=6, n_capabilities=2, n_regions=2, seed=0,
+        base = SimConfig(n_robots=6, n_capabilities=2, seed=0,
                          n_events=20, solver=SolverConfig())
-        run_sweep(base, (0, 1), 0.5)
+        run_sweep(base, (0, 1), 2, 0.5)
         # each solve call is one stack of up to STACK weightings
         stacks = math.ceil(len(sweep_grid(0.5)) / STACK)
         assert calls == {"generate_system": 2, "build_relation_graphs": 2,
                          "simulate_events": 2, "solve": 2 * stacks}
+
+    def test_team_count_above_the_robot_count_rejected_before_any_solve(
+            self, tmp_path, capsys, monkeypatch):
+        import hetcover.simulation as simulation
+
+        solves = []
+        monkeypatch.setattr(simulation, "solve", lambda *args, **kwargs: solves.append(args))
+        code = run_cli("sweep", "--robots", "6", "--capabilities", "2",
+                       "--regions", "7", "--seeds", "1", "--out", str(tmp_path))
+        assert code == 2
+        assert solves == []
+        assert "invalid value for --regions: r must be an integer in 1..6, got 7" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_step_must_divide_one(self, tmp_path):
         code = run_cli("sweep", "--robots", "5", "--capabilities", "2",

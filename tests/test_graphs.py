@@ -15,7 +15,9 @@ from hetcover.graphs import (
     normalize_graph,
     save_matrix_csv,
 )
-from hetcover.system import Environment, Position, RobotSpec, RobotSystem, Wall
+from hetcover.system import Environment, Position, RobotSpec, RobotSystem, Wall, line_of_sight
+
+from _oracles import capability_graph_oracle, communication_graph_oracle
 
 
 def system_at(points, caps=None, env=None):
@@ -115,6 +117,29 @@ class TestCommunicationGraph:
         with pytest.raises(ValueError):
             build_communication_graph(system_at([(0, 0), (1, 0)]), radius=0.0)
 
+    def test_matches_the_pair_loop_and_its_wall_tests(self, monkeypatch):
+        # walls are tested for the same pairs, in the same order, as the loop does
+        import hetcover.graphs as graphs
+
+        def recorded(calls):
+            def traced(p, q, env):
+                calls.append((p, q))
+                return line_of_sight(p, q, env)
+            return traced
+
+        walls = (Wall(Position(5.0, 0.0), Position(5.0, 7.0)),
+                 Wall(Position(2.0, 8.0), Position(9.0, 3.0)))
+        rng = np.random.default_rng(0)
+        for n in range(2, 22):
+            system = system_at(rng.uniform(0.0, 10.0, size=(n, 2)),
+                               env=Environment(10.0, 10.0, walls))
+            want_calls, got_calls = [], []
+            want = communication_graph_oracle(system, 4.0, recorded(want_calls))
+            monkeypatch.setattr(graphs, "line_of_sight", recorded(got_calls))
+            got = build_communication_graph(system, radius=4.0).adjacency
+            assert got.tobytes() == want.tobytes()
+            assert got_calls == want_calls
+
 
 class TestCapabilityGraph:
     def test_single_shared(self):
@@ -129,6 +154,19 @@ class TestCapabilityGraph:
     def test_disjoint(self):
         system = system_at([(0, 0), (1, 0)], caps=[{"rgb"}, {"depth"}])
         assert build_capability_graph(system).adjacency[0, 1] == 0.0
+
+    def test_matches_the_set_intersection_loop(self):
+        universe = ("rgb", "depth", "audio", "thermal")
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(rng.integers(2, 16))
+            caps = []
+            for _ in range(n):
+                size = int(rng.integers(1, len(universe) + 1))
+                caps.append(set(rng.choice(universe, size=size, replace=False).tolist()))
+            system = system_at([(i % 10, i // 10) for i in range(n)], caps=caps)
+            got = build_capability_graph(system).adjacency
+            assert got.tobytes() == capability_graph_oracle(system).tobytes()
 
 
 class TestBuilderInvariants:

@@ -15,7 +15,7 @@ SOURCES = ROOT / "src" / "hetcover"
 
 QUICK_START_NAMES = {
     "Environment", "Position", "RobotSpec", "RobotSystem", "build_relation_graphs",
-    "solve", "Method", "SimConfig", "run_trial",
+    "solve", "Method", "SimConfig", "prepare_fleet", "run_trial",
 }
 
 
@@ -136,12 +136,17 @@ def parsed_options(*argv):
 
 
 def first_trial_config(monkeypatch, tmp_path, *flags):
-    """The config of the first trial that `hetcover simulate` runs with flags."""
+    """The config of the first fleet that `hetcover simulate` prepares with flags."""
     from hetcover import cli
 
     configs = []
-    monkeypatch.setattr(cli, "prepare_fleet", lambda config: object())
-    monkeypatch.setattr(cli, "run_trial", lambda config, fleet: configs.append(config) or [])
+
+    def prepare_fleet(config):
+        configs.append(config)
+        return types.SimpleNamespace(config=config)
+
+    monkeypatch.setattr(cli, "prepare_fleet", prepare_fleet)
+    monkeypatch.setattr(cli, "run_trial", lambda fleet, r: [])
     cli.main(["simulate", *flags, "--out", str(tmp_path)])
     return configs[0]
 

@@ -216,7 +216,7 @@ def test_capability_heavy_teams_survive_tiny_noise():
     rng = np.random.default_rng(0)
     moved = []
     for seed in range(5):
-        config = SimConfig(n_robots=20, n_capabilities=3, n_regions=2, seed=seed, solver=solver)
+        config = SimConfig(n_robots=20, n_capabilities=3, seed=seed, solver=solver)
         Z = prepare_fleet(config, (Method.FULL,)).fused[Method.FULL]
         for r in range(2, 11):
             teams = partition(Z, r).teams

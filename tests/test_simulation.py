@@ -68,7 +68,7 @@ class TestCapabilityUniverse:
 
 class TestSimConfig:
     def test_derived_defaults(self):
-        cfg = SimConfig(n_robots=10, n_capabilities=3, n_regions=3, seed=0)
+        cfg = SimConfig(n_robots=10, n_capabilities=3, seed=0)
         assert cfg.environment == Environment(1.0, 1.0)
         assert cfg.comm_radius == pytest.approx(0.4 * math.hypot(1.0, 1.0))
         assert cfg.solver == SolverConfig()  # equal weights, filled in by resolved
@@ -77,7 +77,7 @@ class TestSimConfig:
 
     def test_explicit_values_kept(self):
         env = Environment(4.0, 2.0)
-        cfg = SimConfig(n_robots=5, n_capabilities=2, n_regions=2, seed=1,
+        cfg = SimConfig(n_robots=5, n_capabilities=2, seed=1,
                         comm_radius=1.5, environment=env,
                         solver=SolverConfig(alphas=(0.2, 0.3, 0.5)))
         assert cfg.environment == env
@@ -86,39 +86,33 @@ class TestSimConfig:
 
     def test_too_few_robots_rejected(self):
         with pytest.raises(ValueError):
-            SimConfig(n_robots=1, n_capabilities=1, n_regions=1, seed=0)
-
-    def test_regions_bounded_by_robots(self):
-        with pytest.raises(ValueError):
-            SimConfig(n_robots=4, n_capabilities=2, n_regions=5, seed=0)
-        with pytest.raises(ValueError):
-            SimConfig(n_robots=4, n_capabilities=2, n_regions=0, seed=0)
+            SimConfig(n_robots=1, n_capabilities=1, seed=0)
 
     def test_events_positive(self):
         with pytest.raises(ValueError):
-            SimConfig(n_robots=4, n_capabilities=2, n_regions=2, seed=0, n_events=0)
+            SimConfig(n_robots=4, n_capabilities=2, seed=0, n_events=0)
 
     def test_seed_non_negative(self):
         with pytest.raises(ValueError):
-            SimConfig(n_robots=4, n_capabilities=2, n_regions=2, seed=-1)
+            SimConfig(n_robots=4, n_capabilities=2, seed=-1)
 
     @pytest.mark.parametrize("count", [
-        dict(n_capabilities=True), dict(n_regions=True), dict(seed=False), dict(n_events=True),
-    ], ids=["n_capabilities", "n_regions", "seed", "n_events"])
+        dict(n_capabilities=True), dict(seed=False), dict(n_events=True),
+    ], ids=["n_capabilities", "seed", "n_events"])
     def test_bool_count_rejected(self, count):
         # a bool is an int to Python, but no count is meant as True or False
         with pytest.raises(ValueError, match=next(iter(count))):
-            SimConfig(**{**dict(n_robots=4, n_capabilities=2, n_regions=2, seed=0), **count})
+            SimConfig(**{**dict(n_robots=4, n_capabilities=2, seed=0), **count})
 
     def test_comm_radius_positive(self):
         with pytest.raises(ValueError):
-            SimConfig(n_robots=4, n_capabilities=2, n_regions=2, seed=0,
+            SimConfig(n_robots=4, n_capabilities=2, seed=0,
                       comm_radius=0.0)
 
 
 class TestGenerateSystem:
     def config(self, **kw):
-        defaults = dict(n_robots=10, n_capabilities=3, n_regions=3, seed=7)
+        defaults = dict(n_robots=10, n_capabilities=3, seed=7)
         defaults.update(kw)
         return SimConfig(**defaults)
 
@@ -170,25 +164,25 @@ class TestGenerateSystem:
 
 class TestSimulateEvents:
     def test_event_count(self):
-        cfg = SimConfig(n_robots=4, n_capabilities=3, n_regions=2, seed=3)
+        cfg = SimConfig(n_robots=4, n_capabilities=3, seed=3)
         events = simulate_events(cfg, trial_rngs(cfg.seed)[1])
         assert len(events) == 100
 
     def test_deterministic_for_fixed_seed(self):
-        cfg = SimConfig(n_robots=4, n_capabilities=3, n_regions=2, seed=3)
+        cfg = SimConfig(n_robots=4, n_capabilities=3, seed=3)
         first = simulate_events(cfg, trial_rngs(cfg.seed)[1])
         second = simulate_events(cfg, trial_rngs(cfg.seed)[1])
         assert first == second
 
     def test_single_capability_types(self):
-        cfg = SimConfig(n_robots=4, n_capabilities=1, n_regions=2, seed=3,
+        cfg = SimConfig(n_robots=4, n_capabilities=1, seed=3,
                         n_events=20)
         events = simulate_events(cfg, trial_rngs(cfg.seed)[1])
         assert {e.event_type for e in events} == {"rgb"}
 
     def test_positions_in_bounds(self):
         env = Environment(5.0, 0.5)
-        cfg = SimConfig(n_robots=4, n_capabilities=2, n_regions=2, seed=9,
+        cfg = SimConfig(n_robots=4, n_capabilities=2, seed=9,
                         environment=env, n_events=50)
         for event in simulate_events(cfg, trial_rngs(cfg.seed)[1]):
             assert 0.0 <= event.position.x <= 5.0
@@ -336,7 +330,7 @@ class TestGreedyAssign:
 
     def test_bool_r_rejected(self):
         system = make_system([((0.1, 0.1), "rgb"), ((0.9, 0.9), "rgb")])
-        with pytest.raises(ValueError, match="r must lie in"):
+        with pytest.raises(ValueError, match="r must be an integer"):
             greedy_assign(system, True)
 
     def assert_matches_oracle(self, system, r):
@@ -350,8 +344,7 @@ class TestGreedyAssign:
     ])
     def test_matches_pairwise_oracle_on_random_fleets(self, n_robots, seeds, regions):
         for seed in seeds:
-            config = SimConfig(n_robots=n_robots, n_capabilities=3, n_regions=2,
-                               seed=seed)
+            config = SimConfig(n_robots=n_robots, n_capabilities=3, seed=seed)
             system = generate_system(config, trial_rngs(seed)[0])
             for r in regions:
                 self.assert_matches_oracle(system, r)
@@ -371,10 +364,10 @@ class TestGreedyAssign:
 
 def baseline_assign(graphs, solver_config, r):
     """Baseline teams of the graphs, solved by fuse_fleet as run_trial's fleets are."""
-    config = SimConfig(n_robots=len(graphs[0].adjacency), n_capabilities=1, n_regions=r,
-                       seed=0, solver=solver_config)
+    config = SimConfig(n_robots=len(graphs[0].adjacency), n_capabilities=1, seed=0,
+                       solver=solver_config)
     fleet = Fleet(config=config, system=None, graphs=tuple(graphs), events=(), nearest=(),
-                  fused={})
+                  methods=(), fused={})
     fused, = fuse_fleet(fleet, [solver_config], (Method.BASELINE,))
     return partition(fused.fused[Method.BASELINE], r)
 
@@ -410,58 +403,54 @@ class TestBaselineAssign:
 
 
 class TestRunTrial:
-    def config(self, seed=5):
-        return SimConfig(n_robots=8, n_capabilities=2, n_regions=3, seed=seed,
-                         n_events=40)
+    def trial(self, seed=5):
+        return run_trial(prepare_fleet(SimConfig(n_robots=8, n_capabilities=2, seed=seed,
+                                                 n_events=40)), 3)
 
     def test_three_reports_in_method_order(self):
-        reports = run_trial(self.config())
+        reports = self.trial()
         assert [rep.method for rep in reports] == [Method.FULL, Method.BASELINE,
                                                    Method.GREEDY]
 
     def test_deterministic_repeat(self):
-        assert run_trial(self.config()) == run_trial(self.config())
+        assert self.trial() == self.trial()
 
     def test_rates_within_bounds_and_tagged(self):
-        cfg = self.config(seed=11)
-        for rep in run_trial(cfg):
+        for rep in self.trial(seed=11):
             assert 0.0 <= rep.detection_rate <= 1.0
             assert 0.0 <= rep.duplication_rate <= 1.0
             assert rep.r == 3
             assert rep.seed == 11
 
     def test_singleton_regions_zero_duplication(self):
-        cfg = SimConfig(n_robots=6, n_capabilities=2, n_regions=6, seed=2,
-                        n_events=20)
-        for rep in run_trial(cfg):
+        cfg = SimConfig(n_robots=6, n_capabilities=2, seed=2, n_events=20)
+        for rep in run_trial(prepare_fleet(cfg), 6):
             assert rep.duplication_rate == 0.0
+
+    @pytest.mark.parametrize("r", [0, 7])
+    def test_team_count_outside_the_fleet_rejected(self, r):
+        fleet = prepare_fleet(SimConfig(n_robots=6, n_capabilities=2, seed=2, n_events=20))
+        with pytest.raises(ValueError, match=r"r must be an integer in 1\.\.6, got %d" % r):
+            run_trial(fleet, r)
 
 
 class TestFleetReuse:
-    def config(self, seed=0, r=2):
-        return SimConfig(n_robots=10, n_capabilities=3, n_regions=r, seed=seed,
-                         n_events=50)
+    def config(self, seed=0):
+        return SimConfig(n_robots=10, n_capabilities=3, seed=seed, n_events=50)
 
     def test_shared_fleet_matches_fresh_trials(self):
         for seed in range(3):
             fleet = prepare_fleet(self.config(seed))
             for r in range(2, 11):
-                config = self.config(seed, r)
-                assert run_trial(config, fleet) == run_trial(config)
-
-    def test_fleet_from_other_config_rejected(self):
-        config = self.config()
-        fleet = prepare_fleet(config)
-        for other in (replace(config, seed=1), replace(config, n_events=51),
-                      replace(config, comm_radius=0.5),
-                      replace(config, solver=SolverConfig(alphas=(0.5, 0.25, 0.25)))):
-            with pytest.raises(ValueError):
-                run_trial(other, fleet)
+                assert run_trial(fleet, r) == run_trial(prepare_fleet(self.config(seed)), r)
 
     def test_only_listed_methods_solved_and_scored(self, monkeypatch):
+        # a trial scores the fleet's methods in the order it was prepared for;
+        # Full and Baseline take one solve each, the greedy baseline none
         import hetcover.simulation as simulation
 
-        calls = {"solve": 0, "greedy": 0}
+        every = {rep.method: rep for rep in run_trial(prepare_fleet(self.config()), 3)}
+        calls = {}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -472,10 +461,13 @@ class TestFleetReuse:
         monkeypatch.setattr(simulation, "solve", counted("solve", simulation.solve))
         monkeypatch.setattr(simulation, "greedy_assign",
                             counted("greedy", simulation.greedy_assign))
-        config = self.config(r=3)
-        full_only = run_trial(config, methods=(Method.FULL,))
-        assert calls == {"solve": 1, "greedy": 0}
-        assert full_only == run_trial(config)[:1]
+        for methods in ((Method.FULL,), (Method.GREEDY,), tuple(Method),
+                        tuple(reversed(Method))):
+            calls.update(solve=0, greedy=0)
+            reports = run_trial(prepare_fleet(self.config(), methods), 3)
+            assert reports == [every[method] for method in methods]
+            assert calls == {"solve": len(set(methods) - {Method.GREEDY}),
+                             "greedy": int(Method.GREEDY in methods)}
 
     def test_nearest_robots_found_once_per_fleet(self, monkeypatch):
         import hetcover.simulation as simulation
@@ -485,11 +477,11 @@ class TestFleetReuse:
                             lambda *args: calls.append(args) or nearest_robots(*args))
         fleet = prepare_fleet(self.config())
         for r in range(2, 11):
-            run_trial(self.config(r=r), fleet)
+            run_trial(fleet, r)
         assert len(calls) == 1
 
     def test_refused_fleet_matches_a_fresh_one(self):
-        config = self.config(seed=1, r=3)
+        config = self.config(seed=1)
         placed = place_fleet(config)
         for alphas in ((0.1, 0.2, 0.7), (1.0, 0.0, 0.0)):
             solver = SolverConfig(alphas=alphas)
@@ -498,12 +490,11 @@ class TestFleetReuse:
             fresh = prepare_fleet(other, (Method.FULL,))
             assert fused.config == other
             assert fused.fused[Method.FULL].tobytes() == fresh.fused[Method.FULL].tobytes()
-            assert (run_trial(other, fused, methods=(Method.FULL,))
-                    == run_trial(other, methods=(Method.FULL,)))
+            assert run_trial(fused, 3) == run_trial(fresh, 3)
         assert placed.fused == {}
 
     def test_weightings_fused_together_match_one_by_one(self):
-        config = self.config(seed=1, r=3)
+        config = self.config(seed=1)
         placed = place_fleet(config)
         solvers = [SolverConfig(alphas=alphas) for alphas in
                    ((0.1, 0.2, 0.7), (1.0, 0.0, 0.0), (0.2, 0.1, 0.7))] * 4  # 12: two stacks
@@ -524,18 +515,11 @@ class TestFleetReuse:
             raise AssertionError("the objective was computed for a fleet")
 
         monkeypatch.setattr(solver, "objective", refuse)
-        config = self.config(r=3)
+        config = self.config()
         fleet = prepare_fleet(config)
         assert set(fleet.fused) == {Method.FULL, Method.BASELINE}
-        assert len(run_trial(config)) == 3
-        assert len(run_sweep(config, (0, 1), 0.5)) == 6
-
-    def test_fleet_without_a_method_rejected(self):
-        config = self.config()
-        fleet = prepare_fleet(config, (Method.FULL,))
-        assert set(fleet.fused) == {Method.FULL}
-        with pytest.raises(ValueError):
-            run_trial(config, fleet, methods=(Method.BASELINE,))
+        assert len(run_trial(fleet, 3)) == 3
+        assert len(run_sweep(config, (0, 1), 3, 0.5)) == 6
 
 
 class TestMetricsReport:
@@ -612,9 +596,9 @@ class TestMetricsCsv:
         assert METRICS_HEADER == "method,n,k_capabilities,r,seed,detection,duplication"
 
     def test_row_format_round_trips(self):
-        cfg = SimConfig(n_robots=6, n_capabilities=2, n_regions=2, seed=4,
+        cfg = SimConfig(n_robots=6, n_capabilities=2, seed=4,
                         n_events=30)
-        reports = run_trial(cfg)
+        reports = run_trial(prepare_fleet(cfg), 2)
         rows = metrics_rows(cfg, reports)
         assert len(rows) == 3
         for row, rep in zip(rows, reports):

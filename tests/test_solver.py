@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hetcover.cli import ALPHA_STEP, sweep_grid
+from hetcover.cli import ALPHA_STEP
 from hetcover.graphs import build_relation_graphs
 from hetcover.solver import (
     SolverConfig,
@@ -21,7 +21,13 @@ from hetcover.solver import (
     update_z_unclamped,
     update_zhat,
 )
-from hetcover.simulation import SimConfig, baseline_solver_config, generate_system, trial_rngs
+from hetcover.simulation import (
+    SimConfig,
+    baseline_solver_config,
+    generate_system,
+    sweep_grid,
+    trial_rngs,
+)
 from hetcover.system import Environment, Position, RobotSpec, RobotSystem, Wall
 
 from _oracles import nuclear_prox_oracle, reference_solve
@@ -488,7 +494,7 @@ class TestSolve:
 
 def fleet_graphs(n_robots, seed, walls=()):
     """Relation graphs of the seeded n-robot, three-capability fleet the simulator generates."""
-    config = SimConfig(n_robots=n_robots, n_capabilities=3, n_regions=2, seed=seed,
+    config = SimConfig(n_robots=n_robots, n_capabilities=3, seed=seed,
                        environment=Environment(1.0, 1.0, tuple(walls)))
     system = generate_system(config, trial_rngs(seed)[0])
     return build_relation_graphs(system, config.comm_radius)
