@@ -10,14 +10,17 @@ A setting's library default and its check live in the library type it sets
 (SimConfig, SolverConfig, Environment, graphs.communication_radius); the
 CLI passes on only what a flag or the config file gives. SolverConfig caps
 --max-iters below the point where the penalty mu0 * rho**k overflows.
-simulate and sweep check their fleet settings once, before any trial; the
-team count r is each trial's own, so simulate fails only the trials whose r
-exceeds the robot count, and sweep refuses such an r before any solve. All
-outputs are plain JSON/CSV files named after their role, written under --out.
+simulate and sweep check their fleet settings once, before any trial, then
+share one batch driver, _trials: per seed, place the fleet, fuse it under
+the batch's solver settings, and score it at each team count r. simulate
+names each failed trial (an r above the robot count fails only its own);
+sweep refuses such an r before any solve and stops at its first failed
+trial. All outputs are plain JSON/CSV files named after their role,
+written under --out.
 
 Exit codes: 0 success; 2 usage or validation problems (including unreadable
 inputs); 3 solver ran but did not converge (outputs still written); 4 output
-I/O failure, or a batch in which every trial failed.
+I/O failure, a simulate batch in which every trial failed, or a failed sweep.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .simulation import (
     generate_system,
     metrics_rows,
     place_fleet,
-    prepare_fleet,
     region_raster,
     run_trial,
     sweep_grid,
@@ -55,29 +57,6 @@ from .solver import SolverConfig, save_solve_trace, solve
 from .system import Environment, Position, Wall, load_system, save_system
 
 ALPHA_STEP = 0.1  # sweep's default simplex grid step
-
-
-def run_sweep(base: SimConfig, seeds, r, alpha_step):
-    """Rows (a1, a2, a3, mean detection, mean duplication) of Full's r teams.
-
-    Each seed's system, graphs and events are made once from base at that
-    seed; only the Full Z is solved for each weighting, the weightings of a
-    seed together in stacks.
-    """
-    grid = sweep_grid(alpha_step)
-    solvers = [replace(base.solver, alphas=alphas) for alphas in grid]
-    detections = [[] for _ in grid]
-    duplications = [[] for _ in grid]
-    for seed in seeds:
-        fleets = fuse_fleet(place_fleet(replace(base, seed=seed)), solvers, (Method.FULL,))
-        for fused, det, dup in zip(fleets, detections, duplications):
-            report, = run_trial(fused, r)
-            det.append(report.detection_rate)
-            dup.append(report.duplication_rate)
-    return [
-        (alphas[0], alphas[1], alphas[2], sum(det) / len(det), sum(dup) / len(dup))
-        for alphas, det, dup in zip(grid, detections, duplications)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -358,28 +337,41 @@ def _batch(args, parser):
     return base, range(args.seed, args.seed + args.seeds)
 
 
+def _trials(base, seeds, solvers, regions, methods=tuple(Method)):
+    """(seed, setting index, r index, the trial's reports or the error that failed it).
+
+    Seed-major: each seed's fleet is placed once and fused under every one of
+    solvers (fuse_fleet, in stacks), then each fused fleet runs at every r of
+    regions. A fleet that fails to place or fuse fails each of its trials with
+    its error. Only one seed's fleets are alive at a time.
+    """
+    for seed in seeds:
+        fleets = fleet = None  # frees the last seed's fleets before this seed's are made
+        try:
+            fleets = list(fuse_fleet(place_fleet(replace(base, seed=seed)), solvers, methods))
+        except (ValueError, RuntimeError) as exc:
+            fleets = [exc] * len(solvers)
+        for s, fleet in enumerate(fleets):
+            for i, r in enumerate(regions):
+                try:
+                    outcome = fleet if isinstance(fleet, Exception) else run_trial(fleet, r)
+                except (ValueError, RuntimeError) as exc:
+                    outcome = exc
+                yield seed, s, i, outcome
+
+
 def cmd_simulate(args, parser):
-    # r is checked per trial, so an r above the robot count fails only its trials
     base, seeds = _batch(args, parser)
-    # one fleet per seed serves every r; rows are kept per --regions entry so
-    # the file stays r-major in the order given
+    # rows are kept per --regions entry so the file stays r-major in the order given
     rows_at = [[] for _ in args.regions]
     failures = 0
-    for seed in seeds:
-        fleet = None  # frees the last seed's fleet before this one is prepared
-        try:
-            fleet = prepare_fleet(replace(base, seed=seed))
-        except (ValueError, RuntimeError) as exc:
-            failure = exc
-        for r_rows, r in zip(rows_at, args.regions):
-            if fleet is not None:
-                try:
-                    r_rows.extend(metrics_rows(fleet.config, run_trial(fleet, r)))
-                    continue
-                except (ValueError, RuntimeError) as exc:
-                    failure = exc
+    for seed, _, i, outcome in _trials(base, seeds, [base.solver], args.regions):
+        if isinstance(outcome, Exception):
             failures += 1
-            print("trial r=%d seed=%d failed: %s" % (r, seed, failure), file=sys.stderr)
+            print("trial r=%d seed=%d failed: %s" % (args.regions[i], seed, outcome),
+                  file=sys.stderr)
+        else:
+            rows_at[i] += metrics_rows(base, outcome)
     rows = [row for r_rows in rows_at for row in r_rows]
     if not rows:
         print("all %d trials failed" % failures, file=sys.stderr)
@@ -396,17 +388,22 @@ def cmd_sweep(args, parser):
         check_team_count(args.regions, base.n_robots)
     except ValueError as exc:
         parser.error("invalid value for --regions: %s" % exc)
-    try:
-        rows = run_sweep(base, seeds, args.regions, step)
-    except (ValueError, RuntimeError) as exc:
-        print("sweep failed: %s" % exc, file=sys.stderr)
-        return 4
+    grid = sweep_grid(step)
+    solvers = [replace(base.solver, alphas=alphas) for alphas in grid]
+    rates = [[] for _ in grid]  # each weighting's Full (detection, duplication), in seed order
+    for _, s, _, outcome in _trials(base, seeds, solvers, [args.regions], (Method.FULL,)):
+        if isinstance(outcome, Exception):
+            print("sweep failed: %s" % outcome, file=sys.stderr)
+            return 4
+        full, = outcome
+        rates[s].append((full.detection_rate, full.duplication_rate))
 
     def save_sweep(path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("alpha1,alpha2,alpha3,detection,duplication\n")
-            for row in rows:
-                fh.write("%r,%r,%r,%r,%r\n" % row)
+            for alphas, pairs in zip(grid, rates):
+                means = tuple(sum(values) / len(values) for values in zip(*pairs))
+                fh.write("%r,%r,%r,%r,%r\n" % (alphas + means))
 
     return _write_outputs(args.out, [("sweep.csv", save_sweep)])
 

@@ -1,15 +1,17 @@
 """Seeded coverage experiments: system generation, metrics, and baselines.
 
-A SimConfig describes one seeded fleet. prepare_fleet generates its system,
-fuses its three relation graphs and places its typed events, once; a trial,
-run_trial(fleet, r), then cuts the fused Z into r teams and scores them on
-the events (detection) and on within-team capability redundancy
-(duplication). Two baselines run alongside: the same pipeline with both
-regularizers off, and plain agglomerative spatial clustering. One fleet
-serves every r at its seed, scored for exactly the methods it was prepared
-for. fuse_fleet fuses a fleet under one solver setting or several (a
-sweep's weightings, from sweep_grid); each method's settings are solved
-together, in stacks of at most STACK.
+A SimConfig describes one seeded fleet. place_fleet generates its system,
+builds its three relation graphs and places its typed events, once;
+fuse_fleet fuses that fleet under one solver setting or several (a sweep's
+weightings, from sweep_grid), each method's settings solved together in
+stacks of at most STACK; prepare_fleet does both for the config's own
+setting. A trial, run_trial(fleet, r), then cuts the fused Z into r teams
+and scores them on the events (detection) and on within-team capability
+redundancy (duplication). Two baselines run alongside: the same pipeline
+with both regularizers off, and plain agglomerative spatial clustering.
+One fused fleet serves every r at its seed, scored for exactly the methods
+it was fused for. The CLI's simulate and sweep batches are this loop over
+seeds: place, fuse under the batch's settings, run at each r.
 
 All randomness flows from SimConfig.seed; system generation and event
 placement draw from independent child streams so each is reproducible on

@@ -220,36 +220,62 @@ def system_to_dict(system: RobotSystem) -> dict:
     }
 
 
-def _wall_from_points(i, points) -> Wall:
-    try:
-        (x1, y1), (x2, y2) = points
-    except (TypeError, ValueError):
-        raise ValueError("malformed system document: obstacle %d must be [[x1, y1], [x2, y2]],"
-                         " got %r" % (i, points)) from None
-    return Wall(Position(float(x1), float(y1)), Position(float(x2), float(y2)))
+def _malformed(what, shape, value) -> ValueError:
+    return ValueError("malformed system document: %s must be %s, got %r" % (what, shape, value))
+
+
+def _is_number(value) -> bool:
+    """A JSON int or float: not a bool (which Python counts as an int), not a string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, what) -> float:
+    if not _is_number(value):
+        raise _malformed(what, "a number", value)
+    return float(value)
+
+
+def _point(value, what) -> Position:
+    """A position or wall endpoint: a list of exactly two numbers."""
+    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))):
+        raise _malformed(what, "[x, y] of two numbers", value)
+    return Position(float(value[0]), float(value[1]))
+
+
+def _names(value, what) -> list:
+    if not (isinstance(value, list) and all(isinstance(name, str) for name in value)):
+        raise _malformed(what, "a list of strings", value)
+    return value
 
 
 def system_from_dict(data: dict) -> RobotSystem:
-    """Inverse of system_to_dict. Runs full validation."""
+    """Inverse of system_to_dict. Runs full validation.
+
+    Robots and obstacles are named by their index in their list.
+    """
     try:
         env_data = data["environment"]
         if not isinstance(env_data, dict):
             raise ValueError("malformed system document: environment must be an object, got %s"
                              % type(env_data).__name__)
-        walls = tuple(_wall_from_points(i, points)
-                      for i, points in enumerate(env_data.get("obstacles", [])))
-        env = Environment(float(env_data["width"]), float(env_data["height"]), walls)
+        walls = []
+        for i, points in enumerate(env_data.get("obstacles", [])):
+            if not (isinstance(points, list) and len(points) == 2):
+                raise _malformed("obstacle %d" % i, "[[x1, y1], [x2, y2]]", points)
+            walls.append(Wall(*(_point(p, "obstacle %d endpoint" % i) for p in points)))
+        env = Environment(_number(env_data["width"], "width"),
+                          _number(env_data["height"], "height"), walls)
         robots = tuple(
             RobotSpec(
                 id=r["id"],
-                position=Position(float(r["position"][0]), float(r["position"][1])),
-                capabilities=frozenset(r["capabilities"]),
+                position=_point(r["position"], "robot %d position" % i),
+                capabilities=frozenset(_names(r["capabilities"], "robot %d capabilities" % i)),
             )
-            for r in data["robots"]
+            for i, r in enumerate(data["robots"])
         )
         return RobotSystem(robots=robots, environment=env,
-                           capabilities=tuple(data["capabilities"]))
-    except (KeyError, IndexError, TypeError) as exc:
+                           capabilities=tuple(_names(data["capabilities"], "capabilities")))
+    except (KeyError, IndexError, TypeError, OverflowError) as exc:
         raise ValueError("malformed system document: %s" % exc) from exc
 
 

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from hetcover.cli import ALPHA_STEP, COMMANDS, _real, main, run_sweep
+from hetcover.cli import ALPHA_STEP, COMMANDS, _real, main
 from hetcover.graphs import build_relation_graphs, load_matrix_csv, save_matrix_csv
 from hetcover.partition import load_assignment
 from hetcover.simulation import (
@@ -185,8 +185,9 @@ class TestSolve:
     @pytest.mark.parametrize("environment, capabilities, defect", [
         ([], ["rgb"], "environment must be an object"),
         ("unit square", ["rgb"], "environment must be an object"),
-        ({"width": 1, "height": 1}, [["rgb"]], "unhashable type"),
-    ], ids=["environment-list", "environment-string", "capability-list"])
+        ({"width": 1, "height": 1}, [["rgb"]], "capabilities must be a list of strings"),
+        ({"width": 10**400, "height": 1}, ["rgb"], "int too large to convert to float"),
+    ], ids=["environment-list", "environment-string", "capability-list", "huge-width"])
     def test_malformed_system_rejected_with_its_defect(self, tmp_path, capsys,
                                                        environment, capabilities, defect):
         system_path = tmp_path / "system.json"
@@ -205,7 +206,31 @@ class TestSolve:
         (lambda doc: doc["environment"].update(obstacles=[[0.5, 0, 0.5, 1]]),
          "malformed system document: obstacle 0 must be [[x1, y1], [x2, y2]], "
          "got [0.5, 0, 0.5, 1]"),
-    ], ids=["fractional-id", "flat-wall"])
+        (lambda doc: doc["environment"].update(width=True),
+         "malformed system document: width must be a number, got True"),
+        (lambda doc: doc["environment"].update(width="2"),
+         "malformed system document: width must be a number, got '2'"),
+        (lambda doc: doc["robots"][0].update(position=["0.5", "0.5"]),
+         "malformed system document: robot 0 position must be [x, y] of two numbers, "
+         "got ['0.5', '0.5']"),
+        (lambda doc: doc["robots"][0].update(position=[True, 0.5]),
+         "malformed system document: robot 0 position must be [x, y] of two numbers, "
+         "got [True, 0.5]"),
+        (lambda doc: doc["robots"][0].update(position=[0.5, 0.5, 0.5]),
+         "malformed system document: robot 0 position must be [x, y] of two numbers, "
+         "got [0.5, 0.5, 0.5]"),
+        (lambda doc: doc["environment"].update(obstacles=[[["0.5", 0], [0.5, 1]]]),
+         "malformed system document: obstacle 0 endpoint must be [x, y] of two numbers, "
+         "got ['0.5', 0]"),
+        (lambda doc: doc["robots"][0].update(capabilities="rgb"),
+         "malformed system document: robot 0 capabilities must be a list of strings, "
+         "got 'rgb'"),
+        (lambda doc: doc.update(capabilities="rgbdepth"),
+         "malformed system document: capabilities must be a list of strings, "
+         "got 'rgbdepth'"),
+    ], ids=["fractional-id", "flat-wall", "bool-width", "string-width", "string-position",
+            "bool-position", "three-coordinate-position", "string-wall-endpoint",
+            "string-robot-capabilities", "string-universe"])
     def test_malformed_field_is_named(self, tmp_path, capsys, edit, defect):
         system_path = tmp_path / "system.json"
         write_planted_system(system_path)
@@ -465,9 +490,10 @@ class TestSweep:
         assert run_cli(*args) == 0
         assert (tmp_path / "sweep.csv").read_text() == first
 
-    def test_rows_are_means_of_full_trial_reports(self):
-        base = SimConfig(n_robots=6, n_capabilities=2, seed=0,
-                         n_events=20, solver=SolverConfig())
+    SWEEP = ("sweep", "--robots", "6", "--capabilities", "2", "--regions", "2",
+             "--seeds", "2", "--alpha-step", "0.5", "--events", "20")
+
+    def test_rows_are_means_of_full_trial_reports(self, tmp_path):
         want = []
         for alphas in sweep_grid(0.5):
             full = []
@@ -478,9 +504,12 @@ class TestSweep:
                                  if rep.method is Method.FULL))
             want.append(alphas + (sum(rep.detection_rate for rep in full) / len(full),
                                   sum(rep.duplication_rate for rep in full) / len(full)))
-        assert run_sweep(base, (0, 1), 2, 0.5) == want
+        assert run_cli(*self.SWEEP, "--out", str(tmp_path)) == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        # each value is written as its repr, so it reads back as the same float
+        assert [tuple(float(v) for v in line.split(",")) for line in lines] == want
 
-    def test_each_seed_fleet_is_built_once(self, monkeypatch):
+    def test_each_seed_fleet_is_built_once(self, tmp_path, monkeypatch):
         import hetcover.simulation as simulation
 
         calls = {"generate_system": 0, "build_relation_graphs": 0,
@@ -490,9 +519,7 @@ class TestSweep:
                 calls[name] += 1
                 return fn(*args, **kwargs)
             monkeypatch.setattr(simulation, name, counted)
-        base = SimConfig(n_robots=6, n_capabilities=2, seed=0,
-                         n_events=20, solver=SolverConfig())
-        run_sweep(base, (0, 1), 2, 0.5)
+        assert run_cli(*self.SWEEP, "--out", str(tmp_path)) == 0
         # each solve call is one stack of up to STACK weightings
         stacks = math.ceil(len(sweep_grid(0.5)) / STACK)
         assert calls == {"generate_system": 2, "build_relation_graphs": 2,
@@ -510,6 +537,16 @@ class TestSweep:
         assert solves == []
         assert "invalid value for --regions: r must be an integer in 1..6, got 7" in (
             capsys.readouterr().err)
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_failing_fleet_stops_the_sweep(self, tmp_path, capsys):
+        # no two robots lie within the radius, so the communication graph is empty
+        code = run_cli("sweep", "--robots", "6", "--capabilities", "2",
+                       "--regions", "2", "--seeds", "2", "--alpha-step", "0.5",
+                       "--events", "10", "--comm-radius", "1e-9", "--out", str(tmp_path))
+        assert code == 4
+        assert "sweep failed: graph of kind communication has no non-zero entry" in (
+            capsys.readouterr().err.splitlines())
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_step_must_divide_one(self, tmp_path):

@@ -4,8 +4,11 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import types
 
 import pytest
@@ -92,6 +95,18 @@ def test_module_reads_every_name_it_imports(module):
     assert unused_imports(MODULES[module].read_text(encoding="utf-8")) == []
 
 
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo, tmp_path):
+    # the unused-import check reads a demo's source only; running it also
+    # checks every library name the demo calls
+    path = os.pathsep.join(filter(None, [str(SOURCES.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()
+
+
 def benchmark_spans():
     """benchmark/spans.py, the benchmark's tracer, loaded by path."""
     spec = importlib.util.spec_from_file_location("benchmark_spans",
@@ -136,17 +151,16 @@ def parsed_options(*argv):
 
 
 def first_trial_config(monkeypatch, tmp_path, *flags):
-    """The config of the first fleet that `hetcover simulate` prepares with flags."""
+    """The config of the first fleet that `hetcover simulate` places with flags."""
     from hetcover import cli
 
     configs = []
 
-    def prepare_fleet(config):
+    def place_fleet(config):
         configs.append(config)
-        return types.SimpleNamespace(config=config)
+        raise ValueError("placed")  # fails the seed's trials before any work
 
-    monkeypatch.setattr(cli, "prepare_fleet", prepare_fleet)
-    monkeypatch.setattr(cli, "run_trial", lambda fleet, r: [])
+    monkeypatch.setattr(cli, "place_fleet", place_fleet)
     cli.main(["simulate", *flags, "--out", str(tmp_path)])
     return configs[0]
 

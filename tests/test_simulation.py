@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hetcover.cli import run_sweep
+from hetcover.cli import main
 from hetcover.graphs import build_relation_graphs
 from hetcover.partition import TeamAssignment, partition
 from hetcover.simulation import (
@@ -507,7 +507,7 @@ class TestFleetReuse:
             for method in (Method.FULL, Method.BASELINE):
                 assert fleet.fused[method].tobytes() == alone.fused[method].tobytes()
 
-    def test_fleets_never_compute_the_objective(self, monkeypatch):
+    def test_fleets_never_compute_the_objective(self, tmp_path, monkeypatch):
         # only a caller that keeps the solver's trace pays for its objective
         import hetcover.solver as solver
 
@@ -519,7 +519,10 @@ class TestFleetReuse:
         fleet = prepare_fleet(config)
         assert set(fleet.fused) == {Method.FULL, Method.BASELINE}
         assert len(run_trial(fleet, 3)) == 3
-        assert len(run_sweep(config, (0, 1), 3, 0.5)) == 6
+        assert main(["sweep", "--robots", "10", "--capabilities", "3", "--regions", "3",
+                     "--seeds", "2", "--alpha-step", "0.5", "--events", "50",
+                     "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 6
 
 
 class TestMetricsReport:
