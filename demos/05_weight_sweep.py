@@ -3,9 +3,9 @@
 The three weights decide how much the fused matrix listens to position,
 radio reachability, and shared sensors. A coarse lattice over the weight
 simplex is enough to see the trade-off on a small fleet. As in the sweep
-subcommand, each seed's fleet is placed once and fused under every
-weighting together; the subcommand runs the same loop at a finer step and
-writes sweep.csv.
+subcommand, each seed's fleet is placed once, and the fleets are fused
+under every weighting together; the subcommand runs the same loop at a
+finer step and writes sweep.csv.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import numpy as np
 from hetcover.simulation import (
     Method,
     SimConfig,
-    fuse_fleet,
+    fuse_fleets,
     place_fleet,
     run_trial,
     sweep_grid,
@@ -27,10 +27,9 @@ solvers = [SolverConfig(alphas=alphas) for alphas in grid]
 
 det = [[] for _ in grid]
 dup = [[] for _ in grid]
-for seed in seeds:
-    placed = place_fleet(SimConfig(n_robots=10, n_capabilities=2, seed=seed))
-    for fleet, fleet_det, fleet_dup in zip(fuse_fleet(placed, solvers, (Method.FULL,)),
-                                           det, dup):
+placed = [place_fleet(SimConfig(n_robots=10, n_capabilities=2, seed=seed)) for seed in seeds]
+for fleets in fuse_fleets(placed, solvers, (Method.FULL,)):
+    for fleet, fleet_det, fleet_dup in zip(fleets, det, dup):
         full, = run_trial(fleet, n_teams)
         fleet_det.append(full.detection_rate)
         fleet_dup.append(full.duplication_rate)

@@ -11,12 +11,14 @@ A setting's library default and its check live in the library type it sets
 CLI passes on only what a flag or the config file gives. SolverConfig caps
 --max-iters below the point where the penalty mu0 * rho**k overflows.
 simulate and sweep check their fleet settings once, before any trial, then
-share one batch driver, _trials: per seed, place the fleet, fuse it under
-the batch's solver settings, and score it at each team count r. simulate
-names each failed trial (an r above the robot count fails only its own);
-sweep refuses such an r before any solve and stops at its first failed
-trial. All outputs are plain JSON/CSV files named after their role,
-written under --out.
+share one batch driver, _trials: per group of seeds, place each seed's
+fleet, fuse the group's fleets together under the batch's solver settings
+(in solver stacks of problems from one or more fleets, sized by
+simulation.STACK_ENTRIES), and score each fleet once at each distinct team
+count r. simulate names each failed trial (an r above the robot count
+fails only its own); sweep refuses such an r before any solve and stops at
+its first failed trial. All outputs are plain JSON/CSV files named after
+their role, written under --out.
 
 Exit codes: 0 success; 2 usage or validation problems (including unreadable
 inputs); 3 solver ran but did not converge (outputs still written); 4 output
@@ -44,12 +46,13 @@ from .simulation import (
     Method,
     SimConfig,
     append_metrics_csv,
-    fuse_fleet,
+    fuse_fleets,
     generate_system,
     metrics_rows,
     place_fleet,
     region_raster,
     run_trial,
+    stack_size,
     sweep_grid,
     trial_rngs,
 )
@@ -337,27 +340,54 @@ def _batch(args, parser):
     return base, range(args.seed, args.seed + args.seeds)
 
 
+def _attempt(fn, *args):
+    """fn(*args), or the ValueError or RuntimeError that failed it."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return exc
+
+
+def _fused_group(base, seeds, solvers, methods):
+    """Each seed's fleets fused under every one of solvers, or the error that failed the seed.
+
+    A fleet that fails to place leaves with its error. The rest are fused
+    together (fuse_fleets, in stacks); if that raises, they are fused again
+    one at a time, so that only a fleet whose own fusion fails is lost.
+    """
+    placed = [_attempt(place_fleet, replace(base, seed=seed)) for seed in seeds]
+    ready = [fleet for fleet in placed if not isinstance(fleet, Exception)]
+    fused = _attempt(fuse_fleets, ready, solvers, methods)
+    if isinstance(fused, Exception):
+        fused = [_attempt(lambda fleet: fuse_fleets([fleet], solvers, methods)[0], fleet)
+                 for fleet in ready]
+    fused = iter(fused)
+    return [fleet if isinstance(fleet, Exception) else next(fused) for fleet in placed]
+
+
 def _trials(base, seeds, solvers, regions, methods=tuple(Method)):
     """(seed, setting index, r index, the trial's reports or the error that failed it).
 
-    Seed-major: each seed's fleet is placed once and fused under every one of
-    solvers (fuse_fleet, in stacks), then each fused fleet runs at every r of
-    regions. A fleet that fails to place or fuse fails each of its trials with
-    its error. Only one seed's fleets are alive at a time.
+    Seed-major. The seeds go in groups whose (fleet, setting) problems fill
+    about one solver stack (simulation.stack_size): each group's fleets are
+    placed, then fused together under every one of solvers, then each fused
+    fleet runs once at each distinct r of regions, and a repeated r gets
+    the same outcome again. A fleet that fails to place or fuse fails each
+    of its trials with its error. Only one group's fleets are alive at a time.
     """
-    for seed in seeds:
-        fleets = fleet = None  # frees the last seed's fleets before this seed's are made
-        try:
-            fleets = list(fuse_fleet(place_fleet(replace(base, seed=seed)), solvers, methods))
-        except (ValueError, RuntimeError) as exc:
-            fleets = [exc] * len(solvers)
-        for s, fleet in enumerate(fleets):
-            for i, r in enumerate(regions):
-                try:
-                    outcome = fleet if isinstance(fleet, Exception) else run_trial(fleet, r)
-                except (ValueError, RuntimeError) as exc:
-                    outcome = exc
-                yield seed, s, i, outcome
+    group = max(1, stack_size(base.n_robots) // len(solvers))
+    for start in range(0, len(seeds), group):
+        outcomes = fleets = fleet = None  # frees the last group's fleets before this group's
+        outcomes = _fused_group(base, seeds[start:start + group], solvers, methods)
+        for seed, fleets in zip(seeds[start:start + group], outcomes):
+            for s in range(len(solvers)):
+                fleet = fleets if isinstance(fleets, Exception) else fleets[s]
+                scored = {}
+                for i, r in enumerate(regions):
+                    if r not in scored:
+                        scored[r] = (fleet if isinstance(fleet, Exception)
+                                     else _attempt(run_trial, fleet, r))
+                    yield seed, s, i, scored[r]
 
 
 def cmd_simulate(args, parser):

@@ -2,16 +2,19 @@
 
 A SimConfig describes one seeded fleet. place_fleet generates its system,
 builds its three relation graphs and places its typed events, once;
-fuse_fleet fuses that fleet under one solver setting or several (a sweep's
-weightings, from sweep_grid), each method's settings solved together in
-stacks of at most STACK; prepare_fleet does both for the config's own
-setting. A trial, run_trial(fleet, r), then cuts the fused Z into r teams
-and scores them on the events (detection) and on within-team capability
+fuse_fleets fuses a group of placed fleets of one size under one solver
+setting or several (a sweep's weightings, from sweep_grid). It solves each
+method's (fleet, setting) problems together, in stacks of stack_size(n),
+which holds about STACK_ENTRIES matrix entries whatever the fleet size;
+prepare_fleet places and fuses one fleet under its config's own setting.
+A trial, run_trial(fleet, r), then cuts the fused Z into r teams and
+scores them on the events (detection) and on within-team capability
 redundancy (duplication). Two baselines run alongside: the same pipeline
 with both regularizers off, and plain agglomerative spatial clustering.
 One fused fleet serves every r at its seed, scored for exactly the methods
 it was fused for. The CLI's simulate and sweep batches are this loop over
-seeds: place, fuse under the batch's settings, run at each r.
+groups of seeds: place each seed's fleet, fuse the group under the batch's
+settings, run each fleet at each r.
 
 All randomness flows from SimConfig.seed; system generation and event
 placement draw from independent child streams so each is reproducible on
@@ -283,36 +286,50 @@ def sweep_grid(alpha_step):
             for i in range(steps + 1) for j in range(steps + 1 - i)]
 
 
-# fuse_fleet solves at most this many settings of a fleet as one stack: the
-# stack shares numpy's per-call overhead, and its arrays stay small enough
-# that a sweep's peak memory does not rise
-STACK = 8
+# one solver stack holds about this many matrix entries, k problems of n x n
+# each: stacking spends numpy's per-call overhead once per iteration for the
+# whole stack, while at n = 50 and above a deeper stack no longer pays for
+# its memory (k is 25 at n = 20, 4 at n = 50 and 1 at n = 100)
+STACK_ENTRIES = 10_000
 
 
-def fuse_fleet(fleet: Fleet, solvers, methods=tuple(Method)):
-    """The fleet under each of solvers, in order, to be scored for methods in their order.
+def stack_size(n_robots: int) -> int:
+    """How many problems of n_robots robots one solver stack holds: at least 1."""
+    return max(1, STACK_ENTRIES // (n_robots * n_robots))
 
-    Full solves the solvers and Baseline their baseline_solver_config; the
-    solvers may differ only in alphas. Each method's settings run STACK at a
+
+def fuse_fleets(fleets, solvers, methods=tuple(Method)):
+    """Each placed fleet under each of solvers: a list per fleet, in order, of
+    fused fleets, one per solver in order, to be scored for methods in their order.
+
+    The fleets must share their robot count. Full solves the solvers and
+    Baseline their baseline_solver_config; the solvers may differ only in
+    alphas. Each method's (fleet, setting) problems run stack_size(n) at a
     time as one stack, which gives each Z byte for byte as a solve of it
-    alone; the fleets are yielded one by one.
+    alone. An error of any solve is raised; the caller can fuse the fleets
+    one at a time to find the fleet it belongs to.
     """
-    for start in range(0, len(solvers), STACK):
-        chunk = solvers[start:start + STACK]
-        fused = [{} for _ in chunk]
-        for method, settings in ((Method.FULL, chunk),
-                                 (Method.BASELINE, [baseline_solver_config(s) for s in chunk])):
+    pairs = [(fleet, solver) for fleet in fleets for solver in solvers]
+    fused = [{} for _ in pairs]
+    size = stack_size(fleets[0].config.n_robots) if fleets else 1
+    for start in range(0, len(pairs), size):
+        chunk = pairs[start:start + size]
+        graphs = [fleet.graphs for fleet, _ in chunk]
+        for method, settings in ((Method.FULL, [s for _, s in chunk]),
+                                 (Method.BASELINE, [baseline_solver_config(s) for _, s in chunk])):
             if method in methods:
-                for z, result in zip(fused, solve(fleet.graphs, settings, trace=False).results):
+                for z, result in zip(fused[start:start + size],
+                                     solve(graphs, settings, trace=False).results):
                     z[method] = result.Z
-        for solver, z in zip(chunk, fused):
-            yield replace(fleet, config=replace(fleet.config, solver=solver),
-                          methods=tuple(methods), fused=z)
+    done = iter(replace(fleet, config=replace(fleet.config, solver=solver),
+                        methods=tuple(methods), fused=z)
+                for (fleet, solver), z in zip(pairs, fused))
+    return [[next(done) for _ in solvers] for _ in fleets]
 
 
 def prepare_fleet(config: SimConfig, methods=tuple(Method)) -> Fleet:
     """Generate, fuse and place events once, for the listed methods only."""
-    fleet, = fuse_fleet(place_fleet(config), [config.solver], methods)
+    (fleet,), = fuse_fleets([place_fleet(config)], [config.solver], methods)
     return fleet
 
 

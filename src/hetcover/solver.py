@@ -13,12 +13,14 @@ Entries of the result are pairwise same-team affinities: row-stochastic,
 symmetric, non-negative.
 
 The steps are written for a stack of problems along a leading axis, and
-solve always runs one: a single problem is a stack of one. A stack is one
-graph list under several settings that differ only in alphas (a sweep's
-weightings of one fleet), which spends numpy's per-call overhead once per
-iteration for the whole stack; each problem's Z and iteration count are
-those of its own solve, bit for bit. The per-iteration objective is only
-computed for a trace someone asks for (solve(..., trace=True), the default).
+solve always runs one: a single problem is a stack of one. A stack holds
+problems of one size n: the graph lists of one or more fleets, each under
+settings that differ only in alphas (a sweep's weightings, or the one
+setting of a simulate batch), which spends numpy's per-call overhead once
+per iteration for the whole stack; each problem's Z and iteration count
+are those of its own solve, bit for bit. The per-iteration objective is
+only computed for a trace someone asks for (solve(..., trace=True), the
+default).
 """
 
 from __future__ import annotations
@@ -208,14 +210,19 @@ def prepare_problem(graphs, config: SolverConfig) -> Problem:
 
 
 def stack_problems(problems) -> Problem:
-    """One Problem holding problems of one graph list along a leading stack axis.
+    """One Problem holding problems along a leading stack axis.
 
-    They must share every setting but alphas, since one loop advances them
-    with one penalty mu and one shrinkage threshold.
+    Their graph lists may differ but must share the size n, and they must
+    share every setting but alphas, since one loop advances them with one
+    penalty mu and one shrinkage threshold.
     """
     if not problems:
         raise ValueError("a stack needs at least one config")
     first = problems[0]
+    sizes = sorted({problem.eye.shape[0] for problem in problems})
+    if len(sizes) > 1:
+        raise ValueError("stacked problems must share n, got n = %s"
+                         % ", ".join(map(str, sizes)))
     config = replace(first.config, alphas=None)
     if any(replace(problem.config, alphas=None) != config for problem in problems):
         raise ValueError("stacked problems may differ only in alphas")
@@ -372,15 +379,16 @@ def solve(graphs, config=None, *, trace: bool = True):
 
     Parameters
     ----------
-    graphs : list of RelationGraph or array-like
+    graphs : list of RelationGraph or array-like, or a sequence of such lists
         The relation graphs A_m, all N x N with N >= 2. Pass normalized
-        graphs so the alphas stay interpretable.
+        graphs so the alphas stay interpretable. With a sequence of
+        configs, one graph list per config.
     config : SolverConfig, or a sequence of them, optional
-        A sequence solves the graphs under each config as one stack. The
-        configs must share every setting but alphas; one loop advances them
-        all, and each problem leaves the stack at the iteration its own
-        residuals pass, with the Z, count and trace a solve of it alone
-        would give.
+        A sequence solves each config's graph list under it, all as one
+        stack. The graph lists must share N and the configs every setting
+        but alphas; one loop advances them all, and each problem leaves the
+        stack at the iteration its own residuals pass, with the Z, count
+        and trace a solve of it alone would give.
     trace : bool
         Record each iteration's residuals and objective. The objective
         costs a pass over the graphs per iteration, so leave it off when
@@ -395,8 +403,14 @@ def solve(graphs, config=None, *, trace: bool = True):
         the flag, not raised.
     """
     single = config is None or isinstance(config, SolverConfig)
-    configs = [SolverConfig() if config is None else config] if single else list(config)
-    problem = stack_problems([prepare_problem(graphs, c) for c in configs])
+    if single:
+        graph_lists, configs = [graphs], [SolverConfig() if config is None else config]
+    else:
+        graph_lists, configs = list(graphs), list(config)
+        if len(graph_lists) != len(configs):
+            raise ValueError("a stack needs one graph list per config, got %d for %d"
+                             % (len(graph_lists), len(configs)))
+    problem = stack_problems([prepare_problem(g, c) for g, c in zip(graph_lists, configs)])
     if problem.eye.shape[0] < 2:
         raise ValueError("graphs must be at least 2x2")
     config = problem.config
@@ -414,7 +428,7 @@ def solve(graphs, config=None, *, trace: bool = True):
             for i, p in enumerate(active):
                 traces[p].append(IterationRecord(
                     Residuals(*(float(r[i]) for r in (res.r1, res.r2, res.r3, res.r4))),
-                    objective(state.Z[i], state.L[i], graphs, configs[p],
+                    objective(state.Z[i], state.L[i], graph_lists[p], configs[p],
                               None if singular_values is None else singular_values[i])))
         update_multipliers(state, gaps, config)
         done = res.max_residual <= config.tolerance

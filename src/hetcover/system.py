@@ -242,6 +242,22 @@ def _point(value, what) -> Position:
     return Position(float(value[0]), float(value[1]))
 
 
+def _field(mapping, key, what=None):
+    """mapping[key], or a malformed-document error naming what (default key) is missing."""
+    if key not in mapping:
+        raise ValueError("malformed system document: %s is missing" % (what or key))
+    return mapping[key]
+
+
+def _container(value, kind, what):
+    """value if it is a kind (dict or list), or an error naming what and the type found."""
+    if not isinstance(value, kind):
+        raise ValueError("malformed system document: %s must be %s, got %s"
+                         % (what, "an object" if kind is dict else "a list",
+                            type(value).__name__))
+    return value
+
+
 def _names(value, what) -> list:
     if not (isinstance(value, list) and all(isinstance(name, str) for name in value)):
         raise _malformed(what, "a list of strings", value)
@@ -254,27 +270,28 @@ def system_from_dict(data: dict) -> RobotSystem:
     Robots and obstacles are named by their index in their list.
     """
     try:
-        env_data = data["environment"]
-        if not isinstance(env_data, dict):
-            raise ValueError("malformed system document: environment must be an object, got %s"
-                             % type(env_data).__name__)
+        _container(data, dict, "the top level")
+        env_data = _container(_field(data, "environment"), dict, "environment")
         walls = []
-        for i, points in enumerate(env_data.get("obstacles", [])):
+        for i, points in enumerate(_container(env_data.get("obstacles", []), list, "obstacles")):
             if not (isinstance(points, list) and len(points) == 2):
                 raise _malformed("obstacle %d" % i, "[[x1, y1], [x2, y2]]", points)
             walls.append(Wall(*(_point(p, "obstacle %d endpoint" % i) for p in points)))
-        env = Environment(_number(env_data["width"], "width"),
-                          _number(env_data["height"], "height"), walls)
-        robots = tuple(
-            RobotSpec(
-                id=r["id"],
-                position=_point(r["position"], "robot %d position" % i),
-                capabilities=frozenset(_names(r["capabilities"], "robot %d capabilities" % i)),
-            )
-            for i, r in enumerate(data["robots"])
-        )
-        return RobotSystem(robots=robots, environment=env,
-                           capabilities=tuple(_names(data["capabilities"], "capabilities")))
+        env = Environment(_number(_field(env_data, "width"), "width"),
+                          _number(_field(env_data, "height"), "height"), walls)
+        robots = []
+        for i, r in enumerate(_container(_field(data, "robots"), list, "robots")):
+            robot = "robot %d" % i
+            position, capabilities = robot + " position", robot + " capabilities"
+            _container(r, dict, robot)
+            robots.append(RobotSpec(
+                id=_field(r, "id", robot + " id"),
+                position=_point(_field(r, "position", position), position),
+                capabilities=frozenset(_names(_field(r, "capabilities", capabilities),
+                                              capabilities)),
+            ))
+        universe = _names(_field(data, "capabilities"), "capabilities")
+        return RobotSystem(robots=tuple(robots), environment=env, capabilities=tuple(universe))
     except (KeyError, IndexError, TypeError, OverflowError) as exc:
         raise ValueError("malformed system document: %s" % exc) from exc
 

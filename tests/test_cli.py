@@ -10,12 +10,13 @@ from hetcover.graphs import build_relation_graphs, load_matrix_csv, save_matrix_
 from hetcover.partition import load_assignment
 from hetcover.simulation import (
     METRICS_HEADER,
-    STACK,
     Method,
     SimConfig,
     metrics_rows,
     prepare_fleet,
+    place_fleet,
     run_trial,
+    stack_size,
     sweep_grid,
 )
 from hetcover.solver import SolverConfig
@@ -242,6 +243,26 @@ class TestSolve:
         assert defect in capsys.readouterr().err
         assert not (tmp_path / "Z.csv").exists()
 
+    @pytest.mark.parametrize("document, defect", [
+        (lambda doc: dict(doc, environment=dict(doc["environment"], obstacles="ab")),
+         "obstacles must be a list, got str"),
+        (lambda doc: dict(doc, robots={"a": 1}), "robots must be a list, got dict"),
+        (lambda doc: dict(doc, robots=["ab", "cd"]), "robot 0 must be an object, got str"),
+        (lambda doc: [doc], "the top level must be an object, got list"),
+        (lambda doc: dict(doc, environment={"width": 1.0}), "height is missing"),
+        (lambda doc: dict(doc, robots=[{"id": 0, "capabilities": ["rgb"]}]),
+         "robot 0 position is missing"),
+    ], ids=["string-obstacles", "object-robots", "string-robots", "list-document",
+            "missing-height", "missing-position"])
+    def test_malformed_container_is_named(self, tmp_path, capsys, document, defect):
+        system_path = tmp_path / "system.json"
+        write_planted_system(system_path)
+        system_path.write_text(json.dumps(document(json.loads(system_path.read_text()))))
+        code = run_cli("solve", "--system", str(system_path), "--out", str(tmp_path))
+        assert code == 2
+        assert "malformed system document: %s\n" % defect in capsys.readouterr().err
+        assert not (tmp_path / "Z.csv").exists()
+
     def test_non_convergence_exits_3_with_outputs(self, tmp_path):
         system_path = tmp_path / "system.json"
         write_planted_system(system_path)
@@ -463,6 +484,86 @@ class TestSimulate:
         assert [line.split(" failed: ")[0] for line in failed] == [
             "trial r=%d seed=0" % r for r in (2, 3, 4)]
 
+    SIMULATE = ("simulate", "--robots", "6", "--capabilities", "2", "--regions", "2..3",
+                "--seeds", "5", "--events", "10")
+
+    def test_seeds_share_stacks_within_the_entry_budget(self, tmp_path, monkeypatch):
+        import hetcover.cli as cli
+        import hetcover.simulation as simulation
+
+        assert run_cli(*self.SIMULATE, "--out", str(tmp_path / "want")) == 0
+        # a budget of two 6 x 6 problems: seeds go in groups of two, and a
+        # group is placed, fused in one Full and one Baseline stack, and
+        # scored before the next group is placed
+        monkeypatch.setattr(simulation, "STACK_ENTRIES", 2 * 6 * 6)
+        log = []
+        place, solve = cli.place_fleet, simulation.solve
+        monkeypatch.setattr(cli, "place_fleet",
+                            lambda config: log.append(("place", config.seed)) or place(config))
+        monkeypatch.setattr(simulation, "solve", lambda graph_lists, configs, **kwargs:
+                            log.append(("solve", len(configs))) or solve(graph_lists, configs,
+                                                                         **kwargs))
+        monkeypatch.setattr(cli, "run_trial", lambda fleet, r:
+                            log.append(("trial", fleet.config.seed, r)) or run_trial(fleet, r))
+        assert run_cli(*self.SIMULATE, "--out", str(tmp_path / "got")) == 0
+        want = []
+        for seeds in ((0, 1), (2, 3), (4,)):
+            want += [("place", seed) for seed in seeds]
+            want += [("solve", len(seeds))] * 2
+            want += [("trial", seed, r) for seed in seeds for r in (2, 3)]
+        assert log == want
+        assert (tmp_path / "got" / "metrics.csv").read_bytes() == (
+            tmp_path / "want" / "metrics.csv").read_bytes()
+
+    def test_a_fleet_whose_solve_fails_fails_only_its_trials(self, tmp_path, capsys,
+                                                               monkeypatch):
+        import hetcover.simulation as simulation
+
+        argv = self.SIMULATE[:-4] + ("--seeds", "3", "--events", "10")
+        assert run_cli(*argv, "--out", str(tmp_path / "want")) == 0
+        capsys.readouterr()
+        bad = [g.adjacency.tobytes() for g in
+               place_fleet(SimConfig(n_robots=6, n_capabilities=2, seed=1, n_events=10)).graphs]
+        stacks = []
+        solve = simulation.solve
+
+        def failing(graph_lists, configs, **kwargs):
+            stacks.append(len(configs))
+            if any([g.adjacency.tobytes() for g in graphs] == bad for graphs in graph_lists):
+                raise ValueError("the solver refused seed 1")
+            return solve(graph_lists, configs, **kwargs)
+
+        monkeypatch.setattr(simulation, "solve", failing)
+        assert run_cli(*argv, "--out", str(tmp_path / "got")) == 0
+        # the stack of all three fleets fails; fused one at a time, seeds 0
+        # and 2 take a Full and a Baseline solve each, and seed 1 fails at Full
+        assert stacks == [3, 1, 1, 1, 1, 1]
+        assert capsys.readouterr().err.splitlines() == [
+            "trial r=%d seed=1 failed: the solver refused seed 1" % r for r in (2, 3)]
+        want = (tmp_path / "want" / "metrics.csv").read_text().splitlines()
+        assert (tmp_path / "got" / "metrics.csv").read_text().splitlines() == [
+            line for line in want if line.split(",")[4] != "1"]
+
+    def test_each_distinct_r_is_scored_once_per_fleet(self, tmp_path, capsys, monkeypatch):
+        import hetcover.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_trial", lambda fleet, r:
+                            calls.append((fleet.config.seed, r)) or run_trial(fleet, r))
+        code = run_cli("simulate", "--robots", "6", "--capabilities", "2",
+                       "--regions", "3,7,2,3,7", "--seeds", "2", "--out", str(tmp_path))
+        assert code == 0
+        assert calls == [(seed, r) for seed in (0, 1) for r in (3, 7, 2)]
+        # a repeated r still writes its rows, and a failing one its line, again
+        assert [line.split(" failed: ")[0] for line in capsys.readouterr().err.splitlines()] == [
+            "trial r=7 seed=%d" % seed for seed in (0, 0, 1, 1)]
+        want = [METRICS_HEADER]
+        for r in (3, 2, 3):
+            for seed in range(2):
+                config = SimConfig(n_robots=6, n_capabilities=2, seed=seed)
+                want += metrics_rows(config, run_trial(prepare_fleet(config), r))
+        assert (tmp_path / "metrics.csv").read_text().splitlines() == want
+
 
 class TestSweep:
     def test_half_step_grid(self, tmp_path):
@@ -520,10 +621,27 @@ class TestSweep:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(simulation, name, counted)
         assert run_cli(*self.SWEEP, "--out", str(tmp_path)) == 0
-        # each solve call is one stack of up to STACK weightings
-        stacks = math.ceil(len(sweep_grid(0.5)) / STACK)
+        # each solve call is one stack of up to stack_size(6) (seed, weighting)
+        # problems, so the 2 seeds x 6 weightings share one
+        stacks = math.ceil(2 * len(sweep_grid(0.5)) / stack_size(6))
         assert calls == {"generate_system": 2, "build_relation_graphs": 2,
-                         "simulate_events": 2, "solve": 2 * stacks}
+                         "simulate_events": 2, "solve": stacks}
+
+    def test_weightings_fill_stacks_one_seed_at_a_time(self, tmp_path, monkeypatch):
+        import hetcover.simulation as simulation
+
+        assert run_cli(*self.SWEEP, "--out", str(tmp_path / "want")) == 0
+        # a budget of four 6 x 6 problems: the 6 weightings overfill a stack,
+        # so each seed is fused alone, in stacks of 4 and 2
+        monkeypatch.setattr(simulation, "STACK_ENTRIES", 4 * 6 * 6)
+        stacks = []
+        solve = simulation.solve
+        monkeypatch.setattr(simulation, "solve", lambda graph_lists, configs, **kwargs:
+                            stacks.append(len(configs)) or solve(graph_lists, configs, **kwargs))
+        assert run_cli(*self.SWEEP, "--out", str(tmp_path / "got")) == 0
+        assert stacks == [4, 2, 4, 2]
+        assert (tmp_path / "got" / "sweep.csv").read_bytes() == (
+            tmp_path / "want" / "sweep.csv").read_bytes()
 
     def test_team_count_above_the_robot_count_rejected_before_any_solve(
             self, tmp_path, capsys, monkeypatch):

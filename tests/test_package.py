@@ -142,6 +142,25 @@ def test_benchmark_tracer_reads_a_sweep_of_stacked_solves(tmp_path):
     assert tracer.problems() == []
 
 
+def test_benchmark_traced_layers_fire_on_simulate_and_sweep(tmp_path):
+    # the benchmark marks a run incorrect when a traced layer records no call,
+    # so a fusion or trial path that stops calling the traced names fails here
+    from hetcover.cli import main
+
+    spans = benchmark_spans()
+    with spans.Tracer().installed() as tracer:
+        assert main(["simulate", "--robots", "6", "--capabilities", "2", "--regions", "2..3",
+                     "--seeds", "3", "--events", "10", "--out", str(tmp_path / "simulate")]) == 0
+        assert main(["sweep", "--robots", "6", "--capabilities", "2", "--regions", "2",
+                     "--seeds", "2", "--alpha-step", "0.5", "--events", "10",
+                     "--out", str(tmp_path / "sweep")]) == 0
+    metrics = tracer.layer_metrics()
+    for layer in ("solver.solve", "partition.partition", "simulation.run_trial",
+                  "simulation.greedy_assign"):
+        assert metrics[layer + ".calls"] >= 1, layer
+    assert tracer.problems() == []
+
+
 def parsed_options(*argv):
     """The options of argv after config layering, and the parser that reports their errors."""
     from hetcover import cli

@@ -10,7 +10,6 @@ from hetcover.partition import TeamAssignment, partition
 from hetcover.simulation import (
     CAPABILITY_NAMES,
     METRICS_HEADER,
-    STACK,
     Event,
     Fleet,
     Method,
@@ -20,7 +19,7 @@ from hetcover.simulation import (
     capability_universe,
     detection_rate,
     duplication_rate,
-    fuse_fleet,
+    fuse_fleets,
     generate_system,
     greedy_assign,
     metrics_rows,
@@ -30,6 +29,7 @@ from hetcover.simulation import (
     region_raster,
     run_trial,
     simulate_events,
+    stack_size,
     trial_rngs,
 )
 from hetcover.solver import SolverConfig, solve
@@ -363,12 +363,12 @@ class TestGreedyAssign:
 
 
 def baseline_assign(graphs, solver_config, r):
-    """Baseline teams of the graphs, solved by fuse_fleet as run_trial's fleets are."""
+    """Baseline teams of the graphs, solved by fuse_fleets as run_trial's fleets are."""
     config = SimConfig(n_robots=len(graphs[0].adjacency), n_capabilities=1, seed=0,
                        solver=solver_config)
     fleet = Fleet(config=config, system=None, graphs=tuple(graphs), events=(), nearest=(),
                   methods=(), fused={})
-    fused, = fuse_fleet(fleet, [solver_config], (Method.BASELINE,))
+    (fused,), = fuse_fleets([fleet], [solver_config], (Method.BASELINE,))
     return partition(fused.fused[Method.BASELINE], r)
 
 
@@ -486,26 +486,61 @@ class TestFleetReuse:
         for alphas in ((0.1, 0.2, 0.7), (1.0, 0.0, 0.0)):
             solver = SolverConfig(alphas=alphas)
             other = replace(config, solver=solver)
-            fused, = fuse_fleet(placed, [solver], (Method.FULL,))
+            (fused,), = fuse_fleets([placed], [solver], (Method.FULL,))
             fresh = prepare_fleet(other, (Method.FULL,))
             assert fused.config == other
             assert fused.fused[Method.FULL].tobytes() == fresh.fused[Method.FULL].tobytes()
             assert run_trial(fused, 3) == run_trial(fresh, 3)
         assert placed.fused == {}
 
-    def test_weightings_fused_together_match_one_by_one(self):
+    def test_weightings_fused_together_match_one_by_one(self, monkeypatch):
+        import hetcover.simulation as simulation
+
+        # a budget of four 10 x 10 problems, so the 12 weightings take three stacks
+        monkeypatch.setattr(simulation, "STACK_ENTRIES", 4 * 10 * 10)
         config = self.config(seed=1)
         placed = place_fleet(config)
         solvers = [SolverConfig(alphas=alphas) for alphas in
-                   ((0.1, 0.2, 0.7), (1.0, 0.0, 0.0), (0.2, 0.1, 0.7))] * 4  # 12: two stacks
-        fused = list(fuse_fleet(placed, solvers))
-        assert len(fused) == len(solvers) > STACK
+                   ((0.1, 0.2, 0.7), (1.0, 0.0, 0.0), (0.2, 0.1, 0.7))] * 4
+        fused, = fuse_fleets([placed], solvers)
+        assert len(fused) == len(solvers) > stack_size(config.n_robots) == 4
         for solver, fleet in zip(solvers, fused):
             alone = prepare_fleet(replace(config, solver=solver))
             assert fleet.config == alone.config
             assert set(fleet.fused) == {Method.FULL, Method.BASELINE}
             for method in (Method.FULL, Method.BASELINE):
                 assert fleet.fused[method].tobytes() == alone.fused[method].tobytes()
+
+    def test_fleets_fused_together_match_one_by_one(self, monkeypatch):
+        import hetcover.simulation as simulation
+
+        # a budget of two 10 x 10 problems: the 3 fleets x 2 weightings take three stacks
+        monkeypatch.setattr(simulation, "STACK_ENTRIES", 2 * 10 * 10)
+        stacks = []
+        monkeypatch.setattr(simulation, "solve", lambda graph_lists, configs, **kwargs:
+                            stacks.append(len(configs)) or solve(graph_lists, configs, **kwargs))
+        solvers = [SolverConfig(alphas=alphas) for alphas in ((0.1, 0.2, 0.7), (1.0, 0.0, 0.0))]
+        placed = [place_fleet(self.config(seed)) for seed in range(3)]
+        fused = fuse_fleets(placed, solvers)
+        assert stacks == [2] * 6  # Full and Baseline of each stack
+        assert [[fleet.config for fleet in fleets] for fleets in fused] == [
+            [replace(self.config(seed), solver=solver) for solver in solvers]
+            for seed in range(3)]
+        for fleets in fused:
+            for fleet in fleets:
+                alone = prepare_fleet(fleet.config)
+                for method in (Method.FULL, Method.BASELINE):
+                    assert fleet.fused[method].tobytes() == alone.fused[method].tobytes()
+                assert run_trial(fleet, 3) == run_trial(alone, 3)
+
+    def test_stack_size_follows_the_entry_budget(self):
+        assert [stack_size(n) for n in (20, 50, 100, 200)] == [25, 4, 1, 1]
+
+    def test_no_fleets_fuse_to_nothing(self, monkeypatch):
+        import hetcover.simulation as simulation
+
+        monkeypatch.setattr(simulation, "solve", None)  # a call would fail
+        assert fuse_fleets([], [SolverConfig()]) == []
 
     def test_fleets_never_compute_the_objective(self, tmp_path, monkeypatch):
         # only a caller that keeps the solver's trace pays for its objective

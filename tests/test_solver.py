@@ -536,11 +536,12 @@ class TestMatchesReferenceLoop:
                                       replace(DEFAULT_WEIGHTS, max_iterations=25))
         assert not result.converged and result.iterations == 25
 
-    def assert_same_stack(self, graphs, configs, trace):
-        """Each problem of the stack gives the reference loop's Z, count and trace."""
-        stack = solve(graphs, configs, trace=trace)
+    def assert_same_stack(self, graph_lists, configs, trace):
+        """Each problem of the stack, a graph list under its config, gives the
+        reference loop's Z, count and trace."""
+        stack = solve(graph_lists, configs, trace=trace)
         assert len(stack.results) == len(configs)
-        for config, got in zip(configs, stack.results):
+        for graphs, config, got in zip(graph_lists, configs, stack.results):
             want = reference_solve(graphs, config)
             assert got.Z.tobytes() == want.Z.tobytes()
             assert (got.iterations, got.converged) == (want.iterations, want.converged)
@@ -556,7 +557,8 @@ class TestMatchesReferenceLoop:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_stack_of_the_sweep_weightings(self, seed):
-        stack = self.assert_same_stack(fleet_graphs(20, seed), SWEEP_WEIGHTS, trace=False)
+        stack = self.assert_same_stack([fleet_graphs(20, seed)] * len(SWEEP_WEIGHTS),
+                                       SWEEP_WEIGHTS, trace=False)
         assert stack.converged
         assert len({result.iterations for result in stack.results}) > 1  # they leave apart
 
@@ -564,13 +566,47 @@ class TestMatchesReferenceLoop:
         # alone, these converge after 95, 152 and 159 iterations
         configs = [SolverConfig(alphas=alphas, max_iterations=155)
                    for alphas in ((0.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3), (0.0, 0.5, 0.5))]
-        stack = self.assert_same_stack(fleet_graphs(20, 0), configs, trace=True)
+        stack = self.assert_same_stack([fleet_graphs(20, 0)] * 3, configs, trace=True)
         assert [(r.iterations, r.converged) for r in stack.results] == [
             (95, True), (152, True), (155, False)]
         assert (stack.iterations, stack.converged) == (155, False)
 
     def test_stack_of_one_with_fifty_robots_behind_a_wall(self):
-        self.assert_same_stack(fleet_graphs(50, 3, walls=(WALL,)), [DEFAULT_WEIGHTS], trace=True)
+        self.assert_same_stack([fleet_graphs(50, 3, walls=(WALL,))], [DEFAULT_WEIGHTS],
+                               trace=True)
+
+    @pytest.mark.parametrize("baseline", [False, True], ids=["full", "baseline"])
+    def test_stack_of_five_fleets(self, baseline):
+        # a simulate batch stacks its seeds' fleets, Full and Baseline apart
+        config = baseline_solver_config(DEFAULT_WEIGHTS) if baseline else DEFAULT_WEIGHTS
+        stack = self.assert_same_stack([fleet_graphs(20, seed) for seed in range(5)],
+                                       [config] * 5, trace=True)
+        assert stack.converged
+
+    def test_stack_of_fleets_with_one_stopped_by_the_iteration_cap(self):
+        # alone, seeds 0-4 converge after 152, 158, 153, 153 and 156 iterations
+        configs = [replace(DEFAULT_WEIGHTS, max_iterations=157)] * 5
+        stack = self.assert_same_stack([fleet_graphs(20, seed) for seed in range(5)],
+                                       configs, trace=True)
+        assert [(r.iterations, r.converged) for r in stack.results] == [
+            (152, True), (157, False), (153, True), (153, True), (156, True)]
+
+    def test_stack_of_fleets_and_weightings(self):
+        graph_lists = [fleet_graphs(20, seed) for seed in (0, 0, 1, 1)]
+        configs = [SolverConfig(alphas=alphas) for alphas in ((0.1, 0.2, 0.7), (1.0, 0.0, 0.0))] * 2
+        self.assert_same_stack(graph_lists, configs, trace=False)
+
+    def test_stack_must_share_n(self):
+        with pytest.raises(ValueError, match="must share n, got n = 20, 21"):
+            solve([fleet_graphs(20, 0), fleet_graphs(21, 0)], [DEFAULT_WEIGHTS] * 2)
+
+    def test_stack_needs_one_graph_list_per_config(self):
+        graphs = fleet_graphs(20, 0)
+        with pytest.raises(ValueError, match="one graph list per config, got 1 for 2"):
+            solve([graphs], [DEFAULT_WEIGHTS] * 2)
+        # a single config takes one graph list, not a list of them
+        with pytest.raises(TypeError):
+            solve([graphs], DEFAULT_WEIGHTS)
 
     def test_stack_must_be_non_empty_and_differ_only_in_alphas(self):
         graphs = fleet_graphs(20, 0)
@@ -578,9 +614,9 @@ class TestMatchesReferenceLoop:
                       replace(DEFAULT_WEIGHTS, tolerance=1e-5),
                       replace(DEFAULT_WEIGHTS, max_iterations=999)):
             with pytest.raises(ValueError, match="only in alphas"):
-                solve(graphs, [DEFAULT_WEIGHTS, other])
+                solve([graphs, graphs], [DEFAULT_WEIGHTS, other])
         with pytest.raises(ValueError, match="at least one config"):
-            solve(graphs, [])
+            solve([], [])
 
     def test_no_trace_skips_the_objective(self, monkeypatch):
         import hetcover.solver as solver
