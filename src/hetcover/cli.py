@@ -14,10 +14,11 @@ simulate and sweep check their fleet settings once, before any trial, then
 share one batch driver, _trials: per group of seeds, place each seed's
 fleet, fuse the group's fleets together under the batch's solver settings
 (in solver stacks of problems from one or more fleets, sized by
-simulation.STACK_ENTRIES), and score each fleet once at each distinct team
-count r. simulate names each failed trial (an r above the robot count
-fails only its own); sweep refuses such an r before any solve and stops at
-its first failed trial. All outputs are plain JSON/CSV files named after
+simulation.STACK_ENTRIES), and score each fleet in one run_trial call at
+every distinct team count r. simulate names each failed trial (an r above
+the robot count is refused before that call and fails only its own);
+sweep refuses such an r before any solve and stops at its first failed
+trial. All outputs are plain JSON/CSV files named after
 their role, written under --out.
 
 Exit codes: 0 success; 2 usage or validation problems (including unreadable
@@ -371,10 +372,14 @@ def _trials(base, seeds, solvers, regions, methods=tuple(Method)):
     Seed-major. The seeds go in groups whose (fleet, setting) problems fill
     about one solver stack (simulation.stack_size): each group's fleets are
     placed, then fused together under every one of solvers, then each fused
-    fleet runs once at each distinct r of regions, and a repeated r gets
-    the same outcome again. A fleet that fails to place or fuse fails each
-    of its trials with its error. Only one group's fleets are alive at a time.
+    fleet is scored in one run_trial call at every distinct r of regions
+    that check_team_count allows. An r it refuses fails with its error, and
+    a repeated r gets the same outcome again. A fleet that fails to place
+    or fuse fails each of its trials with its error. Only one group's fleets
+    are alive at a time.
     """
+    refused = {r: _attempt(check_team_count, r, base.n_robots) for r in regions}
+    valid = [r for r, error in refused.items() if error is None]
     group = max(1, stack_size(base.n_robots) // len(solvers))
     for start in range(0, len(seeds), group):
         outcomes = fleets = fleet = None  # frees the last group's fleets before this group's
@@ -382,11 +387,14 @@ def _trials(base, seeds, solvers, regions, methods=tuple(Method)):
         for seed, fleets in zip(seeds[start:start + group], outcomes):
             for s in range(len(solvers)):
                 fleet = fleets if isinstance(fleets, Exception) else fleets[s]
-                scored = {}
+                if isinstance(fleet, Exception):
+                    scored = dict.fromkeys(refused, fleet)
+                else:
+                    reports = _attempt(run_trial, fleet, *valid)
+                    scored = {**refused, **{r: reports if isinstance(reports, Exception)
+                                            else [rep for rep in reports if rep.r == r]
+                                            for r in valid}}
                 for i, r in enumerate(regions):
-                    if r not in scored:
-                        scored[r] = (fleet if isinstance(fleet, Exception)
-                                     else _attempt(run_trial, fleet, r))
                     yield seed, s, i, scored[r]
 
 

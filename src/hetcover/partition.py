@@ -3,7 +3,8 @@
 A cut bisects a vertex set. A connected set splits by the sign pattern of
 its Laplacian's second eigenvector; a disconnected one splits off the
 connected component holding its smallest index, never cutting a component.
-Applying the cut repeatedly to the largest remaining group yields r teams.
+Applying the cut repeatedly to the largest remaining group yields r teams,
+and the teams at one r are where the cuts to any larger r continue from.
 Cuts on subsets use the subset's own degree matrix (D - W on the principal
 submatrix), which keeps row sums zero where the bistochastic identity
 L = I - Z no longer holds.
@@ -132,12 +133,16 @@ def check_team_count(r, n: int) -> None:
         raise ValueError("r must be an integer in 1..%d, got %r" % (n, r))
 
 
-def partition(Z, r: int) -> TeamAssignment:
+def partition(Z, r: int, teams: TeamAssignment | None = None) -> TeamAssignment:
     """Cut the full index set down to r teams.
 
     Each round splits the largest group (ties go to the group holding the
     smallest index). Team numbering follows ascending smallest member. Z
-    must be square, finite and non-negative.
+    must be square, finite and non-negative. teams, when given, is what
+    partition gave this same Z at a team count no larger than r: the cuts
+    continue from its groups, which are the loop's only state, so the
+    result equals partition(Z, r) and the cuts teams already made are not
+    made again.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
@@ -148,7 +153,14 @@ def partition(Z, r: int) -> TeamAssignment:
         raise ValueError("Z must be non-negative, but its smallest entry is %r" % float(Z.min()))
     n = Z.shape[0]
     check_team_count(r, n)
-    groups = [frozenset(range(n))]
+    if teams is None:
+        groups = [frozenset(range(n))]
+    elif len(teams.team_of) != n:
+        raise ValueError("teams cover %d robots but Z has %d" % (len(teams.team_of), n))
+    elif teams.r > r:
+        raise ValueError("teams hold %d teams, more than r=%d" % (teams.r, r))
+    else:
+        groups = list(teams.teams)
     while len(groups) < r:
         target = max(groups, key=lambda g: (len(g), -min(g)))
         groups.remove(target)

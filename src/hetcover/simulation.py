@@ -7,14 +7,15 @@ setting or several (a sweep's weightings, from sweep_grid). It solves each
 method's (fleet, setting) problems together, in stacks of stack_size(n),
 which holds about STACK_ENTRIES matrix entries whatever the fleet size;
 prepare_fleet places and fuses one fleet under its config's own setting.
-A trial, run_trial(fleet, r), then cuts the fused Z into r teams and
-scores them on the events (detection) and on within-team capability
-redundancy (duplication). Two baselines run alongside: the same pipeline
-with both regularizers off, and plain agglomerative spatial clustering.
-One fused fleet serves every r at its seed, scored for exactly the methods
-it was fused for. The CLI's simulate and sweep batches are this loop over
-groups of seeds: place each seed's fleet, fuse the group under the batch's
-settings, run each fleet at each r.
+A trial, run_trial(fleet, *regions), then cuts the fused Z into r teams at
+each team count r given and scores them on the events (detection) and on
+within-team capability redundancy (duplication). Two baselines run
+alongside: the same pipeline with both regularizers off, and plain
+agglomerative spatial clustering. One fused fleet serves every r at its
+seed, scored for exactly the methods it was fused for; the Fiedler cuts to
+each r continue from the teams at the r below it. The CLI's simulate and
+sweep batches are this loop over groups of seeds: place each seed's fleet,
+fuse the group under the batch's settings, run each fleet once at all its r.
 
 All randomness flows from SimConfig.seed; system generation and event
 placement draw from independent child streams so each is reproducible on
@@ -211,31 +212,36 @@ def greedy_assign(system: RobotSystem, r: int) -> TeamAssignment:
 
     Repeatedly merges the two clusters whose centroids are closest (ties by
     the lexicographically smallest pair of smallest-member ids) until r
-    clusters remain.
+    clusters remain. A cluster keeps the slot of its smallest member, and a
+    matrix holds the centroid distance of every live pair of slots, so a
+    merge computes only the merged cluster's row (Muellner, "Modern
+    hierarchical, agglomerative clustering algorithms", arXiv:1109.2378).
+    The matrix is symmetric with an infinite diagonal, so its row-major
+    argmin is the closest pair with the smallest (low, high) slots.
     """
     n = len(system)
     check_team_count(r, n)
     pos = system.positions()
-
-    def cluster(members):
-        # a cluster's centroid and smallest member are computed once, when it forms
-        return members, pos[list(members)].mean(axis=0).tolist(), min(members)
-
-    clusters = [cluster(frozenset([i])) for i in range(n)]
-    while len(clusters) > r:
-        best = None
-        for a, (_, (xa, ya), low_a) in enumerate(clusters):
-            for b in range(a + 1, len(clusters)):
-                _, (xb, yb), low_b = clusters[b]
-                d = math.hypot(xa - xb, ya - yb)
-                label = (low_a, low_b) if low_a < low_b else (low_b, low_a)
-                key = (d, label)
-                if best is None or key < best[0]:
-                    best = (key, a, b)
-        _, a, b = best
-        merged = cluster(clusters[a][0] | clusters[b][0])
-        clusters = [c for i, c in enumerate(clusters) if i not in (a, b)] + [merged]
-    return TeamAssignment.from_teams([members for members, _, _ in clusters], n)
+    members = [frozenset([i]) for i in range(n)]
+    born = list(range(n))  # creation order: a union takes the older cluster first
+    centroids = pos.tolist()  # the mean of one row is that row
+    dist = np.full((n, n), np.inf)
+    for a, (xa, ya) in enumerate(centroids):
+        dist[a, a + 1:] = [math.hypot(xa - xb, ya - yb) for xb, yb in centroids[a + 1:]]
+    dist = np.minimum(dist, dist.T)  # x - y is exactly -(y - x), so d is symmetric
+    live = [True] * n
+    for birth in range(n, 2 * n - r):
+        low, high = divmod(int(dist.argmin()), n)
+        older, newer = (low, high) if born[low] < born[high] else (high, low)
+        members[low] = merged = members[older] | members[newer]
+        born[low] = birth
+        # a centroid is computed once, when its cluster forms
+        centroids[low] = xa, ya = pos[list(merged)].mean(axis=0).tolist()
+        live[high] = False
+        dist[high] = dist[:, high] = np.inf
+        dist[low] = dist[:, low] = [math.hypot(xa - xb, ya - yb) if live[s] and s != low
+                                    else math.inf for s, (xb, yb) in enumerate(centroids)]
+    return TeamAssignment.from_teams([members[s] for s in range(n) if live[s]], n)
 
 
 def baseline_solver_config(solver_config: SolverConfig) -> SolverConfig:
@@ -333,25 +339,34 @@ def prepare_fleet(config: SimConfig, methods=tuple(Method)) -> Fleet:
     return fleet
 
 
-def run_trial(fleet: Fleet, r: int):
-    """The fleet's teams at team count r, scored: one MetricsReport per method.
+def run_trial(fleet: Fleet, *regions):
+    """The fleet's teams at each distinct team count of regions, scored.
 
-    The methods are those the fleet was prepared or fused for, in that order.
+    One MetricsReport per (r, method): r ascending, and within each r the
+    methods the fleet was prepared or fused for, in that order. Full and
+    Baseline cut each r on from their teams at the r before it.
     """
+    for r in regions:
+        check_team_count(r, len(fleet.system))
+    regions = sorted(set(regions))
+    teams = dict.fromkeys(fleet.methods)  # each fused method's teams at the last r
     reports = []
-    for method in fleet.methods:
-        assignment = (greedy_assign(fleet.system, r) if method is Method.GREEDY
-                      else partition(fleet.fused[method], r))
-        reports.append(
-            MetricsReport(
-                method=method,
-                detection_rate=detection_rate(fleet.system, assignment, fleet.events,
-                                              fleet.nearest),
-                duplication_rate=duplication_rate(fleet.system, assignment),
-                r=r,
-                seed=fleet.config.seed,
+    for r in regions:
+        for method in fleet.methods:
+            if method is Method.GREEDY:
+                assignment = greedy_assign(fleet.system, r)
+            else:
+                assignment = teams[method] = partition(fleet.fused[method], r, teams[method])
+            reports.append(
+                MetricsReport(
+                    method=method,
+                    detection_rate=detection_rate(fleet.system, assignment, fleet.events,
+                                                  fleet.nearest),
+                    duplication_rate=duplication_rate(fleet.system, assignment),
+                    r=r,
+                    seed=fleet.config.seed,
+                )
             )
-        )
     return reports
 
 

@@ -503,14 +503,15 @@ class TestSimulate:
         monkeypatch.setattr(simulation, "solve", lambda graph_lists, configs, **kwargs:
                             log.append(("solve", len(configs))) or solve(graph_lists, configs,
                                                                          **kwargs))
-        monkeypatch.setattr(cli, "run_trial", lambda fleet, r:
-                            log.append(("trial", fleet.config.seed, r)) or run_trial(fleet, r))
+        monkeypatch.setattr(cli, "run_trial", lambda fleet, *regions:
+                            log.append(("trial", fleet.config.seed, regions))
+                            or run_trial(fleet, *regions))
         assert run_cli(*self.SIMULATE, "--out", str(tmp_path / "got")) == 0
         want = []
         for seeds in ((0, 1), (2, 3), (4,)):
             want += [("place", seed) for seed in seeds]
             want += [("solve", len(seeds))] * 2
-            want += [("trial", seed, r) for seed in seeds for r in (2, 3)]
+            want += [("trial", seed, (2, 3)) for seed in seeds]
         assert log == want
         assert (tmp_path / "got" / "metrics.csv").read_bytes() == (
             tmp_path / "want" / "metrics.csv").read_bytes()
@@ -548,12 +549,14 @@ class TestSimulate:
         import hetcover.cli as cli
 
         calls = []
-        monkeypatch.setattr(cli, "run_trial", lambda fleet, r:
-                            calls.append((fleet.config.seed, r)) or run_trial(fleet, r))
+        monkeypatch.setattr(cli, "run_trial", lambda fleet, *regions:
+                            calls.append((fleet.config.seed, regions))
+                            or run_trial(fleet, *regions))
         code = run_cli("simulate", "--robots", "6", "--capabilities", "2",
                        "--regions", "3,7,2,3,7", "--seeds", "2", "--out", str(tmp_path))
         assert code == 0
-        assert calls == [(seed, r) for seed in (0, 1) for r in (3, 7, 2)]
+        # one call per fleet; r = 7 is refused before it
+        assert calls == [(seed, (3, 2)) for seed in (0, 1)]
         # a repeated r still writes its rows, and a failing one its line, again
         assert [line.split(" failed: ")[0] for line in capsys.readouterr().err.splitlines()] == [
             "trial r=7 seed=%d" % seed for seed in (0, 0, 1, 1)]

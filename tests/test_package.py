@@ -33,7 +33,7 @@ def test_readme_quick_start_runs_as_written(capsys):
     for block in quick_start_blocks():
         exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["teams"].teams == ({0, 1}, {2, 3})
-    assert len(capsys.readouterr().out.splitlines()) == 3  # one line per method
+    assert len(capsys.readouterr().out.splitlines()) == 9  # one line per (r, method)
 
 
 def test_package_exports_the_quick_start_names():
@@ -158,6 +158,9 @@ def test_benchmark_traced_layers_fire_on_simulate_and_sweep(tmp_path):
     for layer in ("solver.solve", "partition.partition", "simulation.run_trial",
                   "simulation.greedy_assign"):
         assert metrics[layer + ".calls"] >= 1, layer
+    # each fused Z is cut once up to its largest r: simulate's 3 seeds x
+    # (Full, Baseline) x 2 cuts, and sweep's 2 seeds x 6 weightings x 1 cut
+    assert metrics["partition.fiedler_cut.calls"] == 24
     assert tracer.problems() == []
 
 

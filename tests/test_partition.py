@@ -329,6 +329,48 @@ class TestPartition:
             partition(np.zeros((2, 3)), 1)
 
 
+class TestPartitionResume:
+    """partition(Z, r, teams) continues the cuts from teams = partition(Z, q), q <= r."""
+
+    def planted(self):
+        system, _ = planted_system((4, 3, 3), seed=0)
+        graphs = build_relation_graphs(system, comm_radius=0.4 * math.hypot(1.0, 1.0))
+        return solve(graphs, SolverConfig(alphas=(1 / 3, 1 / 3, 1 / 3))).Z
+
+    def fleet(self):
+        config = SimConfig(n_robots=12, n_capabilities=3, seed=4)
+        return prepare_fleet(config, (Method.FULL,)).fused[Method.FULL]
+
+    def disconnected(self):
+        # blocks {0, 3, 6}, {1, 4, 7, 9} and {2, 5, 8}, each a weighted path:
+        # the first cuts follow components, the later ones Fiedler signs
+        Z = np.zeros((10, 10))
+        rng = np.random.default_rng(3)
+        for block in ([0, 3, 6], [1, 4, 7, 9], [2, 5, 8]):
+            for i, j in zip(block, block[1:]):
+                Z[i, j] = Z[j, i] = rng.uniform(0.1, 1.0)
+        assert partition(Z, 2).teams == ({0, 3, 6}, {1, 2, 4, 5, 7, 8, 9})
+        return Z
+
+    @pytest.mark.parametrize("kind", ["planted", "fleet", "disconnected"])
+    def test_cuts_continue_from_any_smaller_team_count(self, kind):
+        Z = getattr(self, kind)()
+        n = len(Z)
+        fresh = {r: partition(Z, r) for r in range(1, n + 1)}
+        for r in range(1, n + 1):
+            for q in range(1, r + 1):
+                assert partition(Z, r, fresh[q]) == fresh[r], (q, r)
+
+    def test_teams_over_another_robot_count_rejected(self):
+        with pytest.raises(ValueError, match="teams cover 4 robots but Z has 5"):
+            partition(two_block_matrix(), 3, partition(np.full((4, 4), 0.25), 2))
+
+    def test_more_teams_than_r_rejected(self):
+        Z = two_block_matrix()
+        with pytest.raises(ValueError, match="teams hold 3 teams, more than r=2"):
+            partition(Z, 2, partition(Z, 3))
+
+
 class TestTeamAssignment:
     def test_from_teams_orders_by_smallest_member(self):
         asgn = TeamAssignment.from_teams([{2, 3}, {0, 1}], 4)

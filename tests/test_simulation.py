@@ -341,6 +341,7 @@ class TestGreedyAssign:
     @pytest.mark.parametrize("n_robots, seeds, regions", [
         (20, range(5), (2, 5, 10)),
         (50, range(3), (4,)),
+        (100, range(1), (4,)),
     ])
     def test_matches_pairwise_oracle_on_random_fleets(self, n_robots, seeds, regions):
         for seed in seeds:
@@ -426,6 +427,12 @@ class TestRunTrial:
         cfg = SimConfig(n_robots=6, n_capabilities=2, seed=2, n_events=20)
         for rep in run_trial(prepare_fleet(cfg), 6):
             assert rep.duplication_rate == 0.0
+
+    def test_several_team_counts_match_one_at_a_time(self):
+        # r ascending and each once; Full and Baseline cut on from the r before
+        fleet = prepare_fleet(SimConfig(n_robots=8, n_capabilities=2, seed=5, n_events=40))
+        assert run_trial(fleet, 5, 2, 5, 3) == (
+            run_trial(fleet, 2) + run_trial(fleet, 3) + run_trial(fleet, 5))
 
     @pytest.mark.parametrize("r", [0, 7])
     def test_team_count_outside_the_fleet_rejected(self, r):
