@@ -5,7 +5,8 @@ is required or its default, and its help. The declaration makes the flag,
 and main resolves every option of the command once, as flag > JSON config
 file (--config, keys named after the option with underscores) > default.
 The option's type checks a config value exactly as it checks the flag's
-text, so {"robots": 4.7} or {"out": 7} exits 2 like --robots 4.7 does.
+text, so {"robots": 4.7} or {"out": 7} exits 2 like --robots 4.7 does; a
+key that no subcommand's option uses, such as {"event": 5}, exits 2 too.
 A setting's library default and its check live in the library type it sets
 (SimConfig, SolverConfig, Environment, graphs.communication_radius); the
 CLI passes on only what a flag or the config file gives. SolverConfig caps
@@ -15,11 +16,12 @@ share one batch driver, _trials: per group of seeds, place each seed's
 fleet, fuse the group's fleets together under the batch's solver settings
 (in solver stacks of problems from one or more fleets, sized by
 simulation.STACK_ENTRIES), and score each fleet in one run_trial call at
-every distinct team count r. simulate names each failed trial (an r above
-the robot count is refused before that call and fails only its own);
-sweep refuses such an r before any solve and stops at its first failed
-trial. All outputs are plain JSON/CSV files named after
-their role, written under --out.
+the batch's team counts. simulate scores the distinct r that are not above
+the robot count and names each failed trial: a failed fleet fails every r
+listed, a refused r only its own. sweep, which sets the alphas of each
+weighting itself and so has no --alpha, refuses such an r before any solve
+and stops at its first failed trial. All outputs are plain JSON/CSV files
+named after their role, written under --out.
 
 Exit codes: 0 success; 2 usage or validation problems (including unreadable
 inputs); 3 solver ran but did not converge (outputs still written); 4 output
@@ -159,7 +161,7 @@ COMM_RADIUS = Option("comm_radius", _real,
                      "communication radius (default %g x diagonal)" % COMM_RADIUS_PER_DIAGONAL)
 
 ENVIRONMENT_FLAGS = ENVIRONMENT_OPTIONS + (WALL,)
-FUSION_FLAGS = (COMM_RADIUS, ALPHA) + SOLVER_OPTIONS  # solve, simulate and sweep
+FUSION_FLAGS = (COMM_RADIUS,) + SOLVER_OPTIONS  # solve, simulate and sweep
 FLEET_FLAGS = (  # the seeded fleet of simulate and sweep
     ROBOTS, CAPABILITIES,
     Option("seeds", _integer, "number of consecutive seeds", required=True),
@@ -176,6 +178,11 @@ def _resolve(args, parser):
     config = _read(parser, "config file", _load_json, args.config) if args.config else {}
     if not isinstance(config, dict):
         parser.error("config file must hold a JSON object")
+    # a key of another subcommand's option is kept, so one file can serve several
+    unknown = set(config) - {option.name for _, _, options in COMMANDS.values()
+                             for option in options + (OUT,)}
+    if unknown:
+        parser.error("unknown key in config file: %s" % ", ".join(map(repr, sorted(unknown))))
     for option in args.options:
         value = getattr(args, option.name)
         if value is None:
@@ -236,7 +243,7 @@ def _environment(args, parser) -> Environment:
 def _solver_config(args, parser) -> SolverConfig:
     settings = _given(args, SOLVER_OPTIONS)
     try:
-        if args.alpha is not None:
+        if getattr(args, "alpha", None) is not None:  # sweep has no --alpha
             settings["alphas"] = _alpha_triple(args.alpha)
         return SolverConfig(**settings)
     except ValueError as exc:
@@ -349,67 +356,53 @@ def _attempt(fn, *args):
         return exc
 
 
-def _fused_group(base, seeds, solvers, methods):
-    """Each seed's fleets fused under every one of solvers, or the error that failed the seed.
-
-    A fleet that fails to place leaves with its error. The rest are fused
-    together (fuse_fleets, in stacks); if that raises, they are fused again
-    one at a time, so that only a fleet whose own fusion fails is lost.
-    """
-    placed = [_attempt(place_fleet, replace(base, seed=seed)) for seed in seeds]
-    ready = [fleet for fleet in placed if not isinstance(fleet, Exception)]
-    fused = _attempt(fuse_fleets, ready, solvers, methods)
-    if isinstance(fused, Exception):
-        fused = [_attempt(lambda fleet: fuse_fleets([fleet], solvers, methods)[0], fleet)
-                 for fleet in ready]
-    fused = iter(fused)
-    return [fleet if isinstance(fleet, Exception) else next(fused) for fleet in placed]
-
-
 def _trials(base, seeds, solvers, regions, methods=tuple(Method)):
-    """(seed, setting index, r index, the trial's reports or the error that failed it).
+    """(seed, setting index, the fleet's run_trial(fleet, *regions) or the error that failed it).
 
     Seed-major. The seeds go in groups whose (fleet, setting) problems fill
-    about one solver stack (simulation.stack_size): each group's fleets are
-    placed, then fused together under every one of solvers, then each fused
-    fleet is scored in one run_trial call at every distinct r of regions
-    that check_team_count allows. An r it refuses fails with its error, and
-    a repeated r gets the same outcome again. A fleet that fails to place
-    or fuse fails each of its trials with its error. Only one group's fleets
-    are alive at a time.
+    about one solver stack (simulation.stack_size). Each group's fleets are
+    placed, then fused together under every one of solvers (fuse_fleets, in
+    stacks; if that raises, one fleet at a time, so that only a fleet whose
+    own fusion fails is lost), then each fused fleet is scored in one
+    run_trial call at regions. A fleet that fails to place, fuse or score
+    yields its error. Only one group's fleets are alive at a time.
     """
-    refused = {r: _attempt(check_team_count, r, base.n_robots) for r in regions}
-    valid = [r for r, error in refused.items() if error is None]
     group = max(1, stack_size(base.n_robots) // len(solvers))
     for start in range(0, len(seeds), group):
-        outcomes = fleets = fleet = None  # frees the last group's fleets before this group's
-        outcomes = _fused_group(base, seeds[start:start + group], solvers, methods)
-        for seed, fleets in zip(seeds[start:start + group], outcomes):
+        placed = ready = fused = fleets = fleet = None  # frees the last group's fleets first
+        placed = [_attempt(place_fleet, replace(base, seed=seed))
+                  for seed in seeds[start:start + group]]
+        ready = [fleet for fleet in placed if not isinstance(fleet, Exception)]
+        fused = _attempt(fuse_fleets, ready, solvers, methods)
+        if isinstance(fused, Exception):
+            fused = [_attempt(lambda fleet: fuse_fleets([fleet], solvers, methods)[0], fleet)
+                     for fleet in ready]
+        fused = iter(fused)
+        for seed, fleets in zip(seeds[start:start + group], placed):
+            if not isinstance(fleets, Exception):
+                fleets = next(fused)
             for s in range(len(solvers)):
                 fleet = fleets if isinstance(fleets, Exception) else fleets[s]
-                if isinstance(fleet, Exception):
-                    scored = dict.fromkeys(refused, fleet)
-                else:
-                    reports = _attempt(run_trial, fleet, *valid)
-                    scored = {**refused, **{r: reports if isinstance(reports, Exception)
-                                            else [rep for rep in reports if rep.r == r]
-                                            for r in valid}}
-                for i, r in enumerate(regions):
-                    yield seed, s, i, scored[r]
+                yield seed, s, (fleet if isinstance(fleet, Exception)
+                                else _attempt(run_trial, fleet, *regions))
 
 
 def cmd_simulate(args, parser):
     base, seeds = _batch(args, parser)
+    refused = {r: _attempt(check_team_count, r, base.n_robots) for r in args.regions}
     # rows are kept per --regions entry so the file stays r-major in the order given
     rows_at = [[] for _ in args.regions]
     failures = 0
-    for seed, _, i, outcome in _trials(base, seeds, [base.solver], args.regions):
-        if isinstance(outcome, Exception):
-            failures += 1
-            print("trial r=%d seed=%d failed: %s" % (args.regions[i], seed, outcome),
-                  file=sys.stderr)
-        else:
-            rows_at[i] += metrics_rows(base, outcome)
+    for seed, _, outcome in _trials(base, seeds, [base.solver],
+                                    [r for r, error in refused.items() if error is None]):
+        for i, r in enumerate(args.regions):
+            # a failed fleet fails every listed r, a refused one included
+            error = outcome if isinstance(outcome, Exception) else refused[r]
+            if error is not None:
+                failures += 1
+                print("trial r=%d seed=%d failed: %s" % (r, seed, error), file=sys.stderr)
+            else:
+                rows_at[i] += metrics_rows(base, [rep for rep in outcome if rep.r == r])
     rows = [row for r_rows in rows_at for row in r_rows]
     if not rows:
         print("all %d trials failed" % failures, file=sys.stderr)
@@ -418,18 +411,18 @@ def cmd_simulate(args, parser):
 
 
 def cmd_sweep(args, parser):
-    step = args.alpha_step
-    if not 0 < step <= 1 or abs(round(1.0 / step) - 1.0 / step) > 1e-9:
-        parser.error("--alpha-step must divide 1 evenly")
+    try:
+        grid = sweep_grid(args.alpha_step)
+    except ValueError as exc:
+        parser.error("invalid value for --alpha-step: %s" % exc)
     base, seeds = _batch(args, parser)
     try:
         check_team_count(args.regions, base.n_robots)
     except ValueError as exc:
         parser.error("invalid value for --regions: %s" % exc)
-    grid = sweep_grid(step)
     solvers = [replace(base.solver, alphas=alphas) for alphas in grid]
     rates = [[] for _ in grid]  # each weighting's Full (detection, duplication), in seed order
-    for _, s, _, outcome in _trials(base, seeds, solvers, [args.regions], (Method.FULL,)):
+    for _, s, outcome in _trials(base, seeds, solvers, [args.regions], (Method.FULL,)):
         if isinstance(outcome, Exception):
             print("sweep failed: %s" % outcome, file=sys.stderr)
             return 4
@@ -459,6 +452,7 @@ COMMANDS = {
         Option("system", _path, "system JSON path", required=True),
         Option("epsilon", _real, "spatial distance guard (default %g x diagonal)"
                % SPATIAL_EPSILON_PER_DIAGONAL),
+        ALPHA,
     ) + FUSION_FLAGS),
     "partition": ("split a solved Z into teams", cmd_partition, (
         Option("z", _path, "Z matrix CSV path", required=True),
@@ -469,6 +463,7 @@ COMMANDS = {
     "simulate": ("batch trials into metrics.csv", cmd_simulate, (
         Option("regions", _parse_regions, "team counts: one value, a..b, or a,b,c",
                required=True),
+        ALPHA,
     ) + FLEET_FLAGS),
     "sweep": ("ternary weight sweep into sweep.csv", cmd_sweep, (
         TEAMS, Option("alpha_step", _real, "simplex grid step", default=ALPHA_STEP),

@@ -287,6 +287,9 @@ def place_fleet(config: SimConfig) -> Fleet:
 
 def sweep_grid(alpha_step):
     """The ternary grid over the three graph weights at alpha_step resolution."""
+    if not (0 < alpha_step <= 1 and math.isfinite(1.0 / alpha_step)
+            and abs(round(1.0 / alpha_step) - 1.0 / alpha_step) <= 1e-9):
+        raise ValueError("alpha_step must lie in (0, 1] and divide 1 evenly, got %r" % alpha_step)
     steps = round(1.0 / alpha_step)
     return [(i / steps, j / steps, (steps - i - j) / steps)
             for i in range(steps + 1) for j in range(steps + 1 - i)]

@@ -442,6 +442,18 @@ class TestSimulate:
         assert code == 4
         assert not (tmp_path / "metrics.csv").exists()
 
+    def test_a_failed_fleet_fails_a_refused_r_too(self, tmp_path, capsys):
+        # r = 7 is above the robot count, but the fleet's error comes first:
+        # no two robots lie within the radius, so no fleet is built
+        code = run_cli("simulate", "--robots", "6", "--capabilities", "2",
+                       "--regions", "2,7,2", "--seeds", "2", "--comm-radius", "1e-9",
+                       "--out", str(tmp_path))
+        assert code == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "trial r=%d seed=%d failed: graph of kind communication has no non-zero entry"
+            % (r, seed) for seed in (0, 1) for r in (2, 7, 2)] + ["all 6 trials failed"]
+        assert not (tmp_path / "metrics.csv").exists()
+
     def test_bad_region_spec_rejected(self, tmp_path):
         code = run_cli("simulate", "--robots", "6", "--capabilities", "2",
                        "--regions", "0", "--seeds", "1", "--out", str(tmp_path))
@@ -676,6 +688,19 @@ class TestSweep:
                        "--out", str(tmp_path))
         assert code == 2
 
+    # round(1 / step) would give the 1/3 grid for 0.3 and the 1/2 grid for 0.4,
+    # 0 steps for 2.0, and no integer for the smallest float, whose inverse is inf
+    @pytest.mark.parametrize("step", [0.3, 0.4, 2.0, 5e-324])
+    def test_grid_refuses_a_step_that_does_not_divide_one(self, step):
+        with pytest.raises(ValueError, match=r"alpha_step must lie in \(0, 1\] and divide 1"):
+            sweep_grid(step)
+
+    def test_alpha_is_not_an_option(self, small_run, tmp_path, capsys):
+        # each weighting of the grid sets the alphas
+        assert small_run("sweep", tmp_path / "out", "--alpha", "1", "0", "0") == 2
+        assert "unrecognized arguments: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_default_grid_has_66_points_with_paper_combination(self):
         grid = sweep_grid(ALPHA_STEP)
         assert len(grid) == 66
@@ -752,6 +777,20 @@ class TestConfigLayering:
         config.write_text(json.dumps({"alpha": 5}))
         assert small_run(command, tmp_path / "out", "--config", str(config)) == 2
         assert "invalid solver settings: " in capsys.readouterr().err
+
+    def test_key_that_no_option_uses_rejected(self, small_run, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"event": 5}))  # a typo for "events"
+        assert small_run("simulate", tmp_path / "out", "--config", str(config)) == 2
+        assert "unknown key in config file: 'event'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_one_file_serves_simulate_and_sweep(self, small_run, tmp_path, command):
+        # alpha is simulate's option and alpha_step sweep's; each ignores the other's
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": [0.5, 0.25, 0.25], "alpha_step": 0.5}))
+        assert small_run(command, tmp_path / "out", "--config", str(config)) == 0
 
     @pytest.mark.parametrize("command, setting, argv", [
         ("solve", {"system": 1}, ("--out", "out")),

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -349,6 +350,37 @@ class TestGreedyAssign:
             system = generate_system(config, trial_rngs(seed)[0])
             for r in regions:
                 self.assert_matches_oracle(system, r)
+
+    def test_merged_centroids_are_the_bit_exact_means_along_the_oracle(self, monkeypatch):
+        # a merged cluster's centroid is pos[list(older | newer)].mean(axis=0):
+        # averaging its members in another order can move a last bit without
+        # changing any team, so compare the centroid differences greedy_assign
+        # hands math.hypot with those the oracle's merge sequence gives
+        import hetcover.simulation as simulation
+
+        calls = []
+        monkeypatch.setattr(simulation, "math", SimpleNamespace(
+            inf=math.inf, hypot=lambda dx, dy: calls.append((dx, dy)) or math.hypot(dx, dy)))
+        for seed in range(3):
+            system = generate_system(SimConfig(n_robots=20, n_capabilities=3, seed=seed),
+                                     trial_rngs(seed)[0])
+            pos = system.positions()
+            calls.clear()
+            greedy_assign(system, 1)
+            centroid = {frozenset([i]): xy for i, xy in enumerate(pos.tolist())}
+            live = list(centroid)  # in creation order
+            want = [(xa - xb, ya - yb) for a, (xa, ya) in enumerate(centroid.values())
+                    for xb, yb in list(centroid.values())[a + 1:]]
+            for r in range(len(system) - 1, 0, -1):
+                teams = greedy_teams_oracle(pos, r)
+                older, newer = [c for c in live if c not in teams]
+                merged = older | newer
+                assert merged in teams
+                live = [c for c in live if c not in (older, newer)] + [merged]
+                centroid[merged] = xa, ya = pos[list(merged)].mean(axis=0).tolist()
+                want += [(xa - centroid[c][0], ya - centroid[c][1])
+                         for c in sorted(live, key=min) if c is not merged]
+            assert calls == want
 
     def test_matches_pairwise_oracle_on_tie_heavy_grids(self):
         # distinct integer lattice points: many centroid distances are exactly
