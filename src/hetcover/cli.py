@@ -11,17 +11,14 @@ A setting's library default and its check live in the library type it sets
 (SimConfig, SolverConfig, Environment, graphs.communication_radius); the
 CLI passes on only what a flag or the config file gives. SolverConfig caps
 --max-iters below the point where the penalty mu0 * rho**k overflows.
-simulate and sweep check their fleet settings once, before any trial, then
-share one batch driver, _trials: per group of seeds, place each seed's
-fleet, fuse the group's fleets together under the batch's solver settings
-(in solver stacks of problems from one or more fleets, sized by
-simulation.STACK_ENTRIES), and score each fleet in one run_trial call at
-the batch's team counts. simulate scores the distinct r that are not above
-the robot count and names each failed trial: a failed fleet fails every r
-listed, a refused r only its own. sweep, which sets the alphas of each
-weighting itself and so has no --alpha, refuses such an r before any solve
-and stops at its first failed trial. All outputs are plain JSON/CSV files
-named after their role, written under --out.
+simulate and sweep check every setting once, before any trial, a team
+count above the robot count included; then each runs a batch as the
+simulation module describes it, scoring each fused fleet of
+simulation.batch_fleets in one run_trial call at the batch's team counts.
+simulate names each failed trial, one line per r listed; sweep, which sets
+the alphas of each weighting itself and so has no --alpha, stops at its
+first failed trial. All outputs are plain JSON/CSV files named after their
+role, written under --out.
 
 Exit codes: 0 success; 2 usage or validation problems (including unreadable
 inputs); 3 solver ran but did not converge (outputs still written); 4 output
@@ -49,13 +46,12 @@ from .simulation import (
     Method,
     SimConfig,
     append_metrics_csv,
-    fuse_fleets,
+    attempt,
+    batch_fleets,
     generate_system,
     metrics_rows,
-    place_fleet,
     region_raster,
     run_trial,
-    stack_size,
     sweep_grid,
     trial_rngs,
 )
@@ -333,9 +329,10 @@ def cmd_partition(args, parser):
     return _write_outputs(args.out, outputs)
 
 
-def _batch(args, parser):
+def _batch(args, parser, regions):
     """The checked base SimConfig of a simulate or sweep batch, at its first seed,
-    and the batch's seeds; any invalid setting exits here, before a trial runs."""
+    and the batch's seeds; any invalid setting, a team count of regions above
+    the robot count included, exits here, before a trial runs."""
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
     try:
@@ -345,62 +342,33 @@ def _batch(args, parser):
                          solver=_solver_config(args, parser), **_given(args, TRIAL_OPTIONS))
     except ValueError as exc:
         parser.error("invalid trial configuration: %s" % exc)
+    for r in regions:
+        try:
+            check_team_count(r, base.n_robots)
+        except ValueError as exc:
+            parser.error("invalid value for --regions: %s" % exc)
     return base, range(args.seed, args.seed + args.seeds)
 
 
-def _attempt(fn, *args):
-    """fn(*args), or the ValueError or RuntimeError that failed it."""
-    try:
-        return fn(*args)
-    except (ValueError, RuntimeError) as exc:
-        return exc
-
-
 def _trials(base, seeds, solvers, regions, methods=tuple(Method)):
-    """(seed, setting index, the fleet's run_trial(fleet, *regions) or the error that failed it).
-
-    Seed-major. The seeds go in groups whose (fleet, setting) problems fill
-    about one solver stack (simulation.stack_size). Each group's fleets are
-    placed, then fused together under every one of solvers (fuse_fleets, in
-    stacks; if that raises, one fleet at a time, so that only a fleet whose
-    own fusion fails is lost), then each fused fleet is scored in one
-    run_trial call at regions. A fleet that fails to place, fuse or score
-    yields its error. Only one group's fleets are alive at a time.
-    """
-    group = max(1, stack_size(base.n_robots) // len(solvers))
-    for start in range(0, len(seeds), group):
-        placed = ready = fused = fleets = fleet = None  # frees the last group's fleets first
-        placed = [_attempt(place_fleet, replace(base, seed=seed))
-                  for seed in seeds[start:start + group]]
-        ready = [fleet for fleet in placed if not isinstance(fleet, Exception)]
-        fused = _attempt(fuse_fleets, ready, solvers, methods)
-        if isinstance(fused, Exception):
-            fused = [_attempt(lambda fleet: fuse_fleets([fleet], solvers, methods)[0], fleet)
-                     for fleet in ready]
-        fused = iter(fused)
-        for seed, fleets in zip(seeds[start:start + group], placed):
-            if not isinstance(fleets, Exception):
-                fleets = next(fused)
-            for s in range(len(solvers)):
-                fleet = fleets if isinstance(fleets, Exception) else fleets[s]
-                yield seed, s, (fleet if isinstance(fleet, Exception)
-                                else _attempt(run_trial, fleet, *regions))
+    """(seed, setting index, the fleet's run_trial(fleet, *regions) or the error
+    that failed it), for each fused fleet of simulation.batch_fleets."""
+    for seed, s, outcome in batch_fleets(base, seeds, solvers, methods):
+        if not isinstance(outcome, Exception):  # the fleet is dropped once scored
+            outcome = attempt(run_trial, outcome, *regions)
+        yield seed, s, outcome
 
 
 def cmd_simulate(args, parser):
-    base, seeds = _batch(args, parser)
-    refused = {r: _attempt(check_team_count, r, base.n_robots) for r in args.regions}
+    base, seeds = _batch(args, parser, args.regions)
     # rows are kept per --regions entry so the file stays r-major in the order given
     rows_at = [[] for _ in args.regions]
     failures = 0
-    for seed, _, outcome in _trials(base, seeds, [base.solver],
-                                    [r for r, error in refused.items() if error is None]):
+    for seed, _, outcome in _trials(base, seeds, [base.solver], args.regions):
         for i, r in enumerate(args.regions):
-            # a failed fleet fails every listed r, a refused one included
-            error = outcome if isinstance(outcome, Exception) else refused[r]
-            if error is not None:
+            if isinstance(outcome, Exception):
                 failures += 1
-                print("trial r=%d seed=%d failed: %s" % (r, seed, error), file=sys.stderr)
+                print("trial r=%d seed=%d failed: %s" % (r, seed, outcome), file=sys.stderr)
             else:
                 rows_at[i] += metrics_rows(base, [rep for rep in outcome if rep.r == r])
     rows = [row for r_rows in rows_at for row in r_rows]
@@ -415,11 +383,7 @@ def cmd_sweep(args, parser):
         grid = sweep_grid(args.alpha_step)
     except ValueError as exc:
         parser.error("invalid value for --alpha-step: %s" % exc)
-    base, seeds = _batch(args, parser)
-    try:
-        check_team_count(args.regions, base.n_robots)
-    except ValueError as exc:
-        parser.error("invalid value for --regions: %s" % exc)
+    base, seeds = _batch(args, parser, [args.regions])
     solvers = [replace(base.solver, alphas=alphas) for alphas in grid]
     rates = [[] for _ in grid]  # each weighting's Full (detection, duplication), in seed order
     for _, s, outcome in _trials(base, seeds, solvers, [args.regions], (Method.FULL,)):
@@ -473,13 +437,13 @@ COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="hetcover",
+        prog="hetcover", allow_abbrev=False,
         description="Fuse robot relationship graphs, partition into teams, "
                     "and score coverage assignments.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
     for name, (text, func, options) in COMMANDS.items():
-        sub = commands.add_parser(name, help=text)
+        sub = commands.add_parser(name, help=text, allow_abbrev=False)
         options += (OUT,)
         for option in options:
             quoted = option.help if option.default is None else "%s (default %s)" % (

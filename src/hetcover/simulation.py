@@ -13,9 +13,14 @@ within-team capability redundancy (duplication). Two baselines run
 alongside: the same pipeline with both regularizers off, and plain
 agglomerative spatial clustering. One fused fleet serves every r at its
 seed, scored for exactly the methods it was fused for; the Fiedler cuts to
-each r continue from the teams at the r below it. The CLI's simulate and
-sweep batches are this loop over groups of seeds: place each seed's fleet,
-fuse the group under the batch's settings, run each fleet once at all its r.
+each r continue from the teams at the r below it.
+
+A batch, as the CLI's simulate and sweep run it, is batch_fleets over
+consecutive seeds: it places their fleets in groups whose (fleet, setting)
+problems fill about one solver stack, fuses each group under the batch's
+solver settings and yields each fused fleet, or the error that failed it,
+seed-major, keeping one group alive at a time. The caller scores each fused
+fleet in one run_trial call at all the batch's team counts.
 
 All randomness flows from SimConfig.seed; system generation and event
 placement draw from independent child streams so each is reproducible on
@@ -334,6 +339,39 @@ def fuse_fleets(fleets, solvers, methods=tuple(Method)):
                         methods=tuple(methods), fused=z)
                 for (fleet, solver), z in zip(pairs, fused))
     return [[next(done) for _ in solvers] for _ in fleets]
+
+
+def attempt(fn, *args):
+    """fn(*args), or the ValueError or RuntimeError that failed it."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return exc
+
+
+def batch_fleets(base: SimConfig, seeds, solvers, methods=tuple(Method)):
+    """(seed, setting index, the fused fleet or the error that failed it), seed-major.
+
+    Each seed's fleet is base at that seed, fused for methods under each of
+    solvers: a group's fleets together, or one at a time if that raises, so
+    a fleet that fails to place or fuse loses only its own settings.
+    """
+    group = max(1, stack_size(base.n_robots) // len(solvers))
+    for start in range(0, len(seeds), group):
+        placed = ready = fused = fleets = None  # frees the last group's fleets first
+        placed = [attempt(place_fleet, replace(base, seed=seed))
+                  for seed in seeds[start:start + group]]
+        ready = [fleet for fleet in placed if not isinstance(fleet, Exception)]
+        fused = attempt(fuse_fleets, ready, solvers, methods)
+        if isinstance(fused, Exception):
+            fused = [attempt(lambda fleet: fuse_fleets([fleet], solvers, methods)[0], fleet)
+                     for fleet in ready]
+        fused = iter(fused)
+        for seed, fleets in zip(seeds[start:start + group], placed):
+            if not isinstance(fleets, Exception):
+                fleets = next(fused)
+            for s in range(len(solvers)):
+                yield seed, s, fleets if isinstance(fleets, Exception) else fleets[s]
 
 
 def prepare_fleet(config: SimConfig, methods=tuple(Method)) -> Fleet:

@@ -122,17 +122,15 @@ class Problem:
     For one problem config has its alphas resolved. weighted_sum is
     sum_m 2 alpha_m A_m, exactly twice the warm start sum_m alpha_m A_m, and
     z_weight is 2 sum alpha + 2 lambda1, the part of the Z step's diagonal
-    that mu does not scale; eye and ones are I and 1 1^T. stack_problems
-    puts problems on a leading stack axis: weighted_sum and z_weight
-    (k x 1 x 1) then carry it, and config holds the settings they share,
-    with alphas None.
+    that mu does not scale; eye is I. stack_problems puts problems on a
+    leading stack axis: weighted_sum and z_weight (k x 1 x 1) then carry
+    it, and config holds the settings they share, with alphas None.
     """
 
     config: SolverConfig
     weighted_sum: np.ndarray
     z_weight: float | np.ndarray
     eye: np.ndarray
-    ones: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -205,7 +203,6 @@ def prepare_problem(graphs, config: SolverConfig) -> Problem:
         weighted_sum=sum(2.0 * alpha * a for alpha, a in zip(config.alphas, adjs)),
         z_weight=2.0 * sum(config.alphas) + 2.0 * config.lambda1,
         eye=np.eye(n),
-        ones=np.ones((n, n)),
     )
 
 
@@ -231,7 +228,6 @@ def stack_problems(problems) -> Problem:
         weighted_sum=np.stack([p.weighted_sum for p in problems]),
         z_weight=np.array([p.z_weight for p in problems])[:, None, None],
         eye=first.eye,
-        ones=first.ones,
     )
 
 
@@ -304,9 +300,9 @@ def update_z_unclamped(state: SolverState, problem: Problem) -> np.ndarray:
     """
     mu = state.mu
     rhs = problem.weighted_sum + mu * (
-        problem.ones + state.Zhat.mT + state.Zhat + problem.eye - state.L)
+        1.0 + state.Zhat.mT + state.Zhat + problem.eye - state.L)
     rhs = rhs - state.phi1[..., None] - state.Phi2.mT - state.Phi3 + state.Phi4
-    B = (problem.z_weight + 3.0 * mu) * problem.eye + mu * problem.ones
+    B = (problem.z_weight + 3.0 * mu) * problem.eye + mu  # each entry of mu 1 1^T is mu
     # Z B = rhs with B symmetric, so solve B Z^T = rhs^T
     return np.linalg.solve(B, rhs.mT).mT
 
@@ -339,7 +335,7 @@ def constraint_residuals(state: SolverState, problem: Problem):
     Returns (Residuals, gaps) with gaps = (Z 1 - 1, Z^T - Zhat, L - I + Z,
     Zhat - Z); the multiplier update ascends along the same gaps.
     """
-    ones = problem.ones[0]  # a row of 1 1^T is the all-ones vector
+    ones = np.ones(state.Z.shape[-1])
     gaps = (
         state.Z @ ones - ones,
         state.Z.mT - state.Zhat,

@@ -418,14 +418,10 @@ class TestSimulate:
         assert {line.split(",")[3] for line in lines} == {"2", "4"}
 
     def test_rows_match_per_trial_runs_in_listed_order(self, tmp_path, capsys):
-        # r = 7 exceeds the robot count: those trials fail, the others run
         code = run_cli("simulate", "--robots", "6", "--capabilities", "2",
-                       "--regions", "3,2,3,7", "--seeds", "3", "--out", str(tmp_path))
+                       "--regions", "3,2,3", "--seeds", "3", "--out", str(tmp_path))
         assert code == 0
-        failed = [line for line in capsys.readouterr().err.splitlines()
-                  if line.startswith("trial ")]
-        assert len(failed) == 3
-        assert all(line.startswith("trial r=7 ") for line in failed)
+        assert capsys.readouterr().err == ""
         want = [METRICS_HEADER]
         for r in (3, 2, 3):
             for seed in range(3):
@@ -434,25 +430,40 @@ class TestSimulate:
                 want += metrics_rows(config, run_trial(prepare_fleet(config), r))
         assert (tmp_path / "metrics.csv").read_text().splitlines() == want
 
-    def test_all_trials_failing_exits_4(self, tmp_path):
-        # r = 7 exceeds the robot count, so every trial is invalid
+    def test_all_trials_failing_exits_4(self, tmp_path, capsys):
+        # no two robots lie within the radius, so no seed's fleet is built
         code = run_cli("simulate", "--robots", "6", "--capabilities", "2",
-                       "--regions", "7", "--seeds", "2", "--events", "10",
-                       "--out", str(tmp_path))
+                       "--regions", "2", "--seeds", "2", "--events", "10",
+                       "--comm-radius", "1e-9", "--out", str(tmp_path))
         assert code == 4
+        assert capsys.readouterr().err.splitlines()[-1] == "all 2 trials failed"
         assert not (tmp_path / "metrics.csv").exists()
 
-    def test_a_failed_fleet_fails_a_refused_r_too(self, tmp_path, capsys):
-        # r = 7 is above the robot count, but the fleet's error comes first:
-        # no two robots lie within the radius, so no fleet is built
+    def test_a_failed_fleet_fails_every_listed_r(self, tmp_path, capsys):
+        # no two robots lie within the radius, so no fleet is built; each
+        # listed r, a repeated one too, names its failed trial
         code = run_cli("simulate", "--robots", "6", "--capabilities", "2",
-                       "--regions", "2,7,2", "--seeds", "2", "--comm-radius", "1e-9",
+                       "--regions", "2,3,2", "--seeds", "2", "--comm-radius", "1e-9",
                        "--out", str(tmp_path))
         assert code == 4
         assert capsys.readouterr().err.splitlines() == [
             "trial r=%d seed=%d failed: graph of kind communication has no non-zero entry"
-            % (r, seed) for seed in (0, 1) for r in (2, 7, 2)] + ["all 6 trials failed"]
+            % (r, seed) for seed in (0, 1) for r in (2, 3, 2)] + ["all 6 trials failed"]
         assert not (tmp_path / "metrics.csv").exists()
+
+    def test_team_count_above_the_robot_count_rejected_before_any_solve(
+            self, tmp_path, capsys, monkeypatch):
+        import hetcover.simulation as simulation
+
+        solves = []
+        monkeypatch.setattr(simulation, "solve", lambda *args, **kwargs: solves.append(args))
+        code = run_cli("simulate", "--robots", "6", "--capabilities", "2",
+                       "--regions", "2,7", "--seeds", "1", "--out", str(tmp_path))
+        assert code == 2
+        assert solves == []
+        assert "invalid value for --regions: r must be an integer in 1..6, got 7" in (
+            capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_region_spec_rejected(self, tmp_path):
         code = run_cli("simulate", "--robots", "6", "--capabilities", "2",
@@ -509,8 +520,8 @@ class TestSimulate:
         # scored before the next group is placed
         monkeypatch.setattr(simulation, "STACK_ENTRIES", 2 * 6 * 6)
         log = []
-        place, solve = cli.place_fleet, simulation.solve
-        monkeypatch.setattr(cli, "place_fleet",
+        place, solve = simulation.place_fleet, simulation.solve
+        monkeypatch.setattr(simulation, "place_fleet",
                             lambda config: log.append(("place", config.seed)) or place(config))
         monkeypatch.setattr(simulation, "solve", lambda graph_lists, configs, **kwargs:
                             log.append(("solve", len(configs))) or solve(graph_lists, configs,
@@ -557,21 +568,24 @@ class TestSimulate:
         assert (tmp_path / "got" / "metrics.csv").read_text().splitlines() == [
             line for line in want if line.split(",")[4] != "1"]
 
-    def test_each_distinct_r_is_scored_once_per_fleet(self, tmp_path, capsys, monkeypatch):
+    def test_each_distinct_r_is_scored_once_per_fleet(self, tmp_path, monkeypatch):
         import hetcover.cli as cli
+        import hetcover.simulation as simulation
 
-        calls = []
+        calls, greedy = [], []
         monkeypatch.setattr(cli, "run_trial", lambda fleet, *regions:
                             calls.append((fleet.config.seed, regions))
                             or run_trial(fleet, *regions))
+        assign = simulation.greedy_assign
+        monkeypatch.setattr(simulation, "greedy_assign",
+                            lambda system, r: greedy.append(r) or assign(system, r))
         code = run_cli("simulate", "--robots", "6", "--capabilities", "2",
-                       "--regions", "3,7,2,3,7", "--seeds", "2", "--out", str(tmp_path))
+                       "--regions", "3,2,3", "--seeds", "2", "--out", str(tmp_path))
         assert code == 0
-        # one call per fleet; r = 7 is refused before it
-        assert calls == [(seed, (3, 2)) for seed in (0, 1)]
-        # a repeated r still writes its rows, and a failing one its line, again
-        assert [line.split(" failed: ")[0] for line in capsys.readouterr().err.splitlines()] == [
-            "trial r=7 seed=%d" % seed for seed in (0, 0, 1, 1)]
+        # one call per fleet, which scores each distinct r once, ascending
+        assert calls == [(seed, (3, 2, 3)) for seed in (0, 1)]
+        assert greedy == [2, 3, 2, 3]
+        # a repeated r still writes its rows again
         want = [METRICS_HEADER]
         for r in (3, 2, 3):
             for seed in range(2):
@@ -696,10 +710,13 @@ class TestSweep:
             sweep_grid(step)
 
     def test_alpha_is_not_an_option(self, small_run, tmp_path, capsys):
-        # each weighting of the grid sets the alphas
-        assert small_run("sweep", tmp_path / "out", "--alpha", "1", "0", "0") == 2
-        assert "unrecognized arguments: " in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        # each weighting of the grid sets the alphas; nor is --alpha read as
+        # a prefix of --alpha-step
+        for alpha in (["1", "0", "0"], ["0.5"]):
+            assert small_run("sweep", tmp_path / "out", "--alpha", *alpha) == 2
+            assert "unrecognized arguments: --alpha %s" % " ".join(alpha) in (
+                capsys.readouterr().err)
+            assert not (tmp_path / "out").exists()
 
     def test_default_grid_has_66_points_with_paper_combination(self):
         grid = sweep_grid(ALPHA_STEP)
@@ -872,3 +889,11 @@ class TestParser:
 
     def test_unknown_subcommand_is_usage_error(self):
         assert run_cli("frobnicate") == 2
+
+    def test_a_prefix_of_an_option_is_not_the_option(self, tmp_path, capsys):
+        code = run_cli("simulate", "--rob", "6", "--capabilities", "2", "--regions", "2",
+                       "--seeds", "1", "--events", "10", "--out", str(tmp_path))
+        assert code == 2
+        assert "unrecognized arguments: --rob 6" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
+        assert run_cli("--he") == 2  # the top parser's --help is not abbreviated either

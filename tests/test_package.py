@@ -154,13 +154,18 @@ def test_benchmark_traced_layers_fire_on_simulate_and_sweep(tmp_path):
         assert main(["sweep", "--robots", "6", "--capabilities", "2", "--regions", "2",
                      "--seeds", "2", "--alpha-step", "0.5", "--events", "10",
                      "--out", str(tmp_path / "sweep")]) == 0
+        # ladder's fleets stand behind a wall, so their graphs test line of sight
+        assert main(["simulate", "--robots", "6", "--capabilities", "2", "--regions", "2",
+                     "--seeds", "1", "--events", "10", "--wall", "0.5", "0", "0.5", "1",
+                     "--out", str(tmp_path / "walled")]) == 0
     metrics = tracer.layer_metrics()
     for layer in ("solver.solve", "partition.partition", "simulation.run_trial",
-                  "simulation.greedy_assign"):
+                  "simulation.greedy_assign", "system.line_of_sight"):
         assert metrics[layer + ".calls"] >= 1, layer
     # each fused Z is cut once up to its largest r: simulate's 3 seeds x
-    # (Full, Baseline) x 2 cuts, and sweep's 2 seeds x 6 weightings x 1 cut
-    assert metrics["partition.fiedler_cut.calls"] == 24
+    # (Full, Baseline) x 2 cuts, sweep's 2 seeds x 6 weightings x 1 cut, and
+    # the walled fleet's (Full, Baseline) x 1 cut
+    assert metrics["partition.fiedler_cut.calls"] == 26
     assert tracer.problems() == []
 
 
@@ -174,7 +179,7 @@ def parsed_options(*argv):
 
 def first_trial_config(monkeypatch, tmp_path, *flags):
     """The config of the first fleet that `hetcover simulate` places with flags."""
-    from hetcover import cli
+    from hetcover import cli, simulation
 
     configs = []
 
@@ -182,7 +187,7 @@ def first_trial_config(monkeypatch, tmp_path, *flags):
         configs.append(config)
         raise ValueError("placed")  # fails the seed's trials before any work
 
-    monkeypatch.setattr(cli, "place_fleet", place_fleet)
+    monkeypatch.setattr(simulation, "place_fleet", place_fleet)
     cli.main(["simulate", *flags, "--out", str(tmp_path)])
     return configs[0]
 

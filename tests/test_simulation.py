@@ -17,6 +17,7 @@ from hetcover.simulation import (
     MetricsReport,
     SimConfig,
     append_metrics_csv,
+    batch_fleets,
     capability_universe,
     detection_rate,
     duplication_rate,
@@ -597,6 +598,95 @@ class TestFleetReuse:
                      "--seeds", "2", "--alpha-step", "0.5", "--events", "50",
                      "--out", str(tmp_path)]) == 0
         assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 6
+
+
+class TestBatchFleets:
+    BASE = SimConfig(n_robots=6, n_capabilities=2, seed=0, n_events=10)
+    SOLVERS = [SolverConfig(alphas=alphas) for alphas in ((0.1, 0.2, 0.7), (1.0, 0.0, 0.0))]
+
+    def fused_alone(self, seed, s):
+        return prepare_fleet(replace(self.BASE, seed=seed, solver=self.SOLVERS[s]))
+
+    def assert_fused_alone(self, fleet, seed, s):
+        alone = self.fused_alone(seed, s)
+        assert fleet.config == alone.config
+        for method in (Method.FULL, Method.BASELINE):
+            assert fleet.fused[method].tobytes() == alone.fused[method].tobytes()
+
+    def test_yields_seed_major_one_group_at_a_time(self, monkeypatch):
+        import hetcover.simulation as simulation
+
+        # a budget of four 6 x 6 problems: with two settings, seeds go in
+        # groups of two, and a group's fleets are all yielded before the
+        # next group is placed
+        monkeypatch.setattr(simulation, "STACK_ENTRIES", 4 * 6 * 6)
+        log = []
+        place = simulation.place_fleet
+        monkeypatch.setattr(simulation, "place_fleet",
+                            lambda config: log.append(("place", config.seed)) or place(config))
+        got = []
+        for seed, s, fleet in batch_fleets(self.BASE, range(5), self.SOLVERS):
+            log.append(("yield", seed, s))
+            got.append((seed, s, fleet))
+        want = []
+        for seeds in ((0, 1), (2, 3), (4,)):
+            want += [("place", seed) for seed in seeds]
+            want += [("yield", seed, s) for seed in seeds for s in (0, 1)]
+        assert log == want
+        monkeypatch.setattr(simulation, "place_fleet", place)
+        for seed, s, fleet in got:
+            self.assert_fused_alone(fleet, seed, s)
+
+    def test_a_seed_that_fails_to_place_fails_every_setting(self, monkeypatch):
+        import hetcover.simulation as simulation
+
+        place = simulation.place_fleet
+
+        def failing(config):
+            if config.seed == 1:
+                raise RuntimeError("seed 1 cannot be placed")
+            return place(config)
+
+        stacks = []
+        monkeypatch.setattr(simulation, "place_fleet", failing)
+        monkeypatch.setattr(simulation, "solve", lambda graph_lists, configs, **kwargs:
+                            stacks.append(len(configs)) or solve(graph_lists, configs, **kwargs))
+        got = list(batch_fleets(self.BASE, range(3), self.SOLVERS))
+        # seeds 0 and 2 still share one Full and one Baseline stack
+        assert stacks == [4, 4]
+        assert [(seed, s) for seed, s, _ in got] == [(seed, s) for seed in range(3)
+                                                     for s in (0, 1)]
+        for seed, s, fleet in got:
+            if seed == 1:
+                assert isinstance(fleet, RuntimeError)
+                assert str(fleet) == "seed 1 cannot be placed"
+            else:
+                self.assert_fused_alone(fleet, seed, s)
+
+    def test_a_failed_stack_is_fused_again_one_fleet_at_a_time(self, monkeypatch):
+        import hetcover.simulation as simulation
+
+        bad = [g.adjacency.tobytes() for g in place_fleet(replace(self.BASE, seed=1)).graphs]
+        stacks = []
+
+        def failing(graph_lists, configs, **kwargs):
+            stacks.append(len(configs))
+            if any([g.adjacency.tobytes() for g in graphs] == bad for graphs in graph_lists):
+                raise ValueError("the solver refused seed 1")
+            return solve(graph_lists, configs, **kwargs)
+
+        monkeypatch.setattr(simulation, "solve", failing)
+        got = list(batch_fleets(self.BASE, range(3), self.SOLVERS))
+        # the stack of all three fleets fails; fused one at a time, seeds 0
+        # and 2 take a Full and a Baseline stack each, and seed 1 fails at Full
+        assert stacks == [6, 2, 2, 2, 2, 2]
+        assert [(seed, s) for seed, s, _ in got] == [(seed, s) for seed in range(3)
+                                                     for s in (0, 1)]
+        for seed, s, fleet in got:
+            if seed == 1:
+                assert str(fleet) == "the solver refused seed 1"
+            else:
+                self.assert_fused_alone(fleet, seed, s)
 
 
 class TestMetricsReport:
