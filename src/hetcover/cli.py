@@ -450,14 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
                 option.help, option.default)
             sub.add_argument(option.flag, help=quoted, **option.extra)
         sub.add_argument("--config", help="JSON file supplying defaults for any option")
-        sub.set_defaults(func=func, options=options)
+        sub.set_defaults(func=func, options=options, parser=sub)  # sub reports its errors
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = _resolve(parser.parse_args(argv), parser)
-    return args.func(args, parser)
+    args = build_parser().parse_args(argv)
+    return args.func(_resolve(args, args.parser), args.parser)
 
 
 if __name__ == "__main__":

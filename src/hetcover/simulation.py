@@ -7,13 +7,13 @@ setting or several (a sweep's weightings, from sweep_grid). It solves each
 method's (fleet, setting) problems together, in stacks of stack_size(n),
 which holds about STACK_ENTRIES matrix entries whatever the fleet size;
 prepare_fleet places and fuses one fleet under its config's own setting.
-A trial, run_trial(fleet, *regions), then cuts the fused Z into r teams at
-each team count r given and scores them on the events (detection) and on
-within-team capability redundancy (duplication). Two baselines run
-alongside: the same pipeline with both regularizers off, and plain
-agglomerative spatial clustering. One fused fleet serves every r at its
-seed, scored for exactly the methods it was fused for; the Fiedler cuts to
-each r continue from the teams at the r below it.
+A trial, run_trial(fleet, *regions), builds each method's teams at every
+team count r given in one pass and scores them on the events (detection)
+and on within-team capability redundancy (duplication): the Fiedler cuts of
+a fused Z to each r continue from the teams at the r below it. Two
+baselines run alongside: the same pipeline with both regularizers off, and
+agglomerative spatial clustering, whose one merge sequence gives every r.
+One fused fleet serves every r at its seed, for the methods it was fused for.
 
 A batch, as the CLI's simulate and sweep run it, is batch_fleets over
 consecutive seeds: it places their fleets in groups whose (fleet, setting)
@@ -23,13 +23,13 @@ seed-major, keeping one group alive at a time. The caller scores each fused
 fleet in one run_trial call at all the batch's team counts.
 
 All randomness flows from SimConfig.seed; system generation and event
-placement draw from independent child streams so each is reproducible on
-its own.
+placement draw from independent child streams, each reproducible alone.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -212,20 +212,22 @@ def duplication_rate(system: RobotSystem, assignment: TeamAssignment) -> float:
     return duplicates / len(system)
 
 
-def greedy_assign(system: RobotSystem, r: int) -> TeamAssignment:
+def greedy_assign(system: RobotSystem, *regions) -> list:
     """Spatial-only baseline: agglomerative merging by centroid distance.
 
     Repeatedly merges the two clusters whose centroids are closest (ties by
-    the lexicographically smallest pair of smallest-member ids) until r
-    clusters remain. A cluster keeps the slot of its smallest member, and a
-    matrix holds the centroid distance of every live pair of slots, so a
-    merge computes only the merged cluster's row (Muellner, "Modern
-    hierarchical, agglomerative clustering algorithms", arXiv:1109.2378).
-    The matrix is symmetric with an infinite diagonal, so its row-major
-    argmin is the closest pair with the smallest (low, high) slots.
+    the lexicographically smallest pair of smallest-member ids) down to the
+    smallest r of regions, and gives the clusters live at each r: one
+    TeamAssignment per r, in the order given. A cluster keeps the slot of its
+    smallest member, and a matrix holds the centroid distance of every live
+    pair of slots, so a merge computes only the merged cluster's row
+    (Muellner, "Modern hierarchical, agglomerative clustering algorithms",
+    arXiv:1109.2378). The matrix is symmetric with an infinite diagonal, so
+    its row-major argmin is the closest pair with the smallest (low, high) slots.
     """
     n = len(system)
-    check_team_count(r, n)
+    for r in regions:
+        check_team_count(r, n)
     pos = system.positions()
     members = [frozenset([i]) for i in range(n)]
     born = list(range(n))  # creation order: a union takes the older cluster first
@@ -235,7 +237,13 @@ def greedy_assign(system: RobotSystem, r: int) -> TeamAssignment:
         dist[a, a + 1:] = [math.hypot(xa - xb, ya - yb) for xb, yb in centroids[a + 1:]]
     dist = np.minimum(dist, dist.T)  # x - y is exactly -(y - x), so d is symmetric
     live = [True] * n
-    for birth in range(n, 2 * n - r):
+    wanted, levels = set(regions), {}  # levels: r -> the teams while r clusters live
+    for birth in range(n, 2 * n):  # 2n - birth clusters live before this merge
+        if 2 * n - birth in wanted:
+            levels[2 * n - birth] = TeamAssignment.from_teams(
+                [members[s] for s in range(n) if live[s]], n)
+        if levels.keys() == wanted:  # the smallest r is read: no merge is left to make
+            break
         low, high = divmod(int(dist.argmin()), n)
         older, newer = (low, high) if born[low] < born[high] else (high, low)
         members[low] = merged = members[older] | members[newer]
@@ -246,7 +254,7 @@ def greedy_assign(system: RobotSystem, r: int) -> TeamAssignment:
         dist[high] = dist[:, high] = np.inf
         dist[low] = dist[:, low] = [math.hypot(xa - xb, ya - yb) if live[s] and s != low
                                     else math.inf for s, (xb, yb) in enumerate(centroids)]
-    return TeamAssignment.from_teams([members[s] for s in range(n) if live[s]], n)
+    return [levels[r] for r in regions]
 
 
 def baseline_solver_config(solver_config: SolverConfig) -> SolverConfig:
@@ -383,32 +391,26 @@ def prepare_fleet(config: SimConfig, methods=tuple(Method)) -> Fleet:
 def run_trial(fleet: Fleet, *regions):
     """The fleet's teams at each distinct team count of regions, scored.
 
-    One MetricsReport per (r, method): r ascending, and within each r the
-    methods the fleet was prepared or fused for, in that order. Full and
-    Baseline cut each r on from their teams at the r before it.
+    One MetricsReport per (r, method): r ascending, then the methods the
+    fleet was fused for, in order. Each method builds its teams at every r in
+    one pass: one greedy merge sequence, or Fiedler cuts continued up the r.
     """
     for r in regions:
         check_team_count(r, len(fleet.system))
     regions = sorted(set(regions))
-    teams = dict.fromkeys(fleet.methods)  # each fused method's teams at the last r
-    reports = []
-    for r in regions:
-        for method in fleet.methods:
-            if method is Method.GREEDY:
-                assignment = greedy_assign(fleet.system, r)
-            else:
-                assignment = teams[method] = partition(fleet.fused[method], r, teams[method])
-            reports.append(
-                MetricsReport(
-                    method=method,
-                    detection_rate=detection_rate(fleet.system, assignment, fleet.events,
-                                                  fleet.nearest),
-                    duplication_rate=duplication_rate(fleet.system, assignment),
-                    r=r,
-                    seed=fleet.config.seed,
-                )
-            )
-    return reports
+    levels = []  # each method's teams at each r of regions
+    for method in fleet.methods:
+        if method is Method.GREEDY:
+            levels.append(greedy_assign(fleet.system, *regions))
+        else:
+            teams = None  # each r's cuts continue from the teams at the r before
+            levels.append([teams := partition(fleet.fused[method], r, teams) for r in regions])
+    return [MetricsReport(method=method, r=r, seed=fleet.config.seed,
+                          detection_rate=detection_rate(fleet.system, assignment, fleet.events,
+                                                        fleet.nearest),
+                          duplication_rate=duplication_rate(fleet.system, assignment))
+            for r, assignments in zip(regions, zip(*levels))
+            for method, assignment in zip(fleet.methods, assignments)]
 
 
 def region_raster(system: RobotSystem, assignment: TeamAssignment, resolution: int) -> np.ndarray:
@@ -449,8 +451,6 @@ def metrics_rows(config: SimConfig, reports) -> list:
 
 def append_metrics_csv(path, rows) -> None:
     """Append rows to a metrics CSV, writing the header on first touch."""
-    import os
-
     fresh = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", encoding="utf-8") as fh:
         if fresh:

@@ -578,13 +578,15 @@ class TestSimulate:
                             or run_trial(fleet, *regions))
         assign = simulation.greedy_assign
         monkeypatch.setattr(simulation, "greedy_assign",
-                            lambda system, r: greedy.append(r) or assign(system, r))
+                            lambda system, *regions: greedy.append(regions)
+                            or assign(system, *regions))
         code = run_cli("simulate", "--robots", "6", "--capabilities", "2",
                        "--regions", "3,2,3", "--seeds", "2", "--out", str(tmp_path))
         assert code == 0
-        # one call per fleet, which scores each distinct r once, ascending
+        # one call per fleet, which scores each distinct r once, ascending,
+        # reading the greedy teams at every r off one merge pass
         assert calls == [(seed, (3, 2, 3)) for seed in (0, 1)]
-        assert greedy == [2, 3, 2, 3]
+        assert greedy == [(2, 3), (2, 3)]
         # a repeated r still writes its rows again
         want = [METRICS_HEADER]
         for r in (3, 2, 3):
@@ -897,3 +899,17 @@ class TestParser:
         assert "unrecognized arguments: --rob 6" in capsys.readouterr().err
         assert not (tmp_path / "metrics.csv").exists()
         assert run_cli("--he") == 2  # the top parser's --help is not abbreviated either
+
+    @pytest.mark.parametrize("robots, regions, message", [
+        ("6", "3,7", "invalid value for --regions: r must be an integer in 1..6, got 7"),
+        ("4.7", "3", "invalid value for --robots: '4.7'"),  # found while resolving options
+    ], ids=["handler", "resolve"])
+    def test_an_error_prints_the_usage_of_its_subcommand(self, tmp_path, capsys, robots,
+                                                           regions, message):
+        code = run_cli("simulate", "--robots", robots, "--capabilities", "2",
+                       "--regions", regions, "--seeds", "2", "--out", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hetcover simulate [-h] ")
+        assert err.splitlines()[-1] == "hetcover simulate: error: " + message
+        assert list(tmp_path.iterdir()) == []

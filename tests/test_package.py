@@ -166,6 +166,9 @@ def test_benchmark_traced_layers_fire_on_simulate_and_sweep(tmp_path):
     # (Full, Baseline) x 2 cuts, sweep's 2 seeds x 6 weightings x 1 cut, and
     # the walled fleet's (Full, Baseline) x 1 cut
     assert metrics["partition.fiedler_cut.calls"] == 26
+    # one greedy merge pass per scored fleet, whatever its team counts: the 3
+    # simulate fleets and the walled one (a sweep scores Full only)
+    assert metrics["simulation.greedy_assign.calls"] == 4
     assert tracer.problems() == []
 
 
@@ -173,8 +176,8 @@ def parsed_options(*argv):
     """The options of argv after config layering, and the parser that reports their errors."""
     from hetcover import cli
 
-    parser = cli.build_parser()
-    return cli._resolve(parser.parse_args(list(argv)), parser), parser
+    args = cli.build_parser().parse_args(list(argv))
+    return cli._resolve(args, args.parser), args.parser
 
 
 def first_trial_config(monkeypatch, tmp_path, *flags):

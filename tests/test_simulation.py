@@ -306,13 +306,13 @@ class TestGreedyAssign:
             ((0.1, 0.1), "rgb"), ((0.15, 0.1), "rgb"),
             ((0.9, 0.9), "rgb"), ((0.85, 0.9), "rgb"),
         ])
-        asgn = greedy_assign(system, 2)
+        asgn, = greedy_assign(system, 2)
         assert set(asgn.teams) == {frozenset({0, 1}), frozenset({2, 3})}
 
     def test_r_equals_n_gives_singletons(self):
         system = make_system([((0.1, 0.1), "rgb"), ((0.5, 0.5), "rgb"),
                               ((0.9, 0.9), "rgb")])
-        asgn = greedy_assign(system, 3)
+        asgn, = greedy_assign(system, 3)
         assert all(len(t) == 1 for t in asgn.teams)
 
     def test_collinear_merge_sequence(self):
@@ -320,7 +320,7 @@ class TestGreedyAssign:
             [((x, 0.5), "rgb") for x in (0.0, 1.0, 2.0, 10.0, 11.0)],
             env=Environment(12.0, 1.0),
         )
-        asgn = greedy_assign(system, 2)
+        asgn, = greedy_assign(system, 2)
         assert set(asgn.teams) == {frozenset({0, 1, 2}), frozenset({3, 4})}
 
     def test_r_out_of_range_rejected(self):
@@ -335,10 +335,35 @@ class TestGreedyAssign:
         with pytest.raises(ValueError, match="r must be an integer"):
             greedy_assign(system, True)
 
-    def assert_matches_oracle(self, system, r):
-        want = TeamAssignment.from_teams(greedy_teams_oracle(system.positions(), r),
-                                         len(system))
-        assert greedy_assign(system, r) == want
+    def test_levels_in_the_order_given_with_duplicates_kept(self):
+        system = make_system([((x, 0.5), "rgb") for x in (0.0, 1.0, 2.0, 10.0, 11.0)],
+                             env=Environment(12.0, 1.0))
+        three, two, again = greedy_assign(system, 3, 2, 3)
+        assert set(three.teams) == {frozenset({0, 1}), frozenset({2}), frozenset({3, 4})}
+        assert set(two.teams) == {frozenset({0, 1, 2}), frozenset({3, 4})}
+        assert again == three
+
+    def test_every_r_checked_before_any_merge(self, monkeypatch):
+        import hetcover.simulation as simulation
+
+        # r = 2 alone would merge once; no centroid distance is taken at all
+        calls = []
+        monkeypatch.setattr(simulation, "math", SimpleNamespace(
+            inf=math.inf, hypot=lambda dx, dy: calls.append((dx, dy)) or math.hypot(dx, dy)))
+        system = make_system([((0.1, 0.1), "rgb"), ((0.5, 0.5), "rgb"), ((0.9, 0.9), "rgb")])
+        with pytest.raises(ValueError, match=r"r must be an integer in 1\.\.3, got 0"):
+            greedy_assign(system, 2, 0)
+        assert calls == []
+
+    def test_no_team_count_gives_no_teams(self):
+        system = make_system([((0.1, 0.1), "rgb"), ((0.9, 0.9), "rgb")])
+        assert greedy_assign(system) == []
+
+    def assert_matches_oracle(self, system, regions):
+        # one merge sequence gives every r; each level is the oracle's teams at r
+        want = [TeamAssignment.from_teams(greedy_teams_oracle(system.positions(), r),
+                                          len(system)) for r in regions]
+        assert greedy_assign(system, *regions) == want
 
     @pytest.mark.parametrize("n_robots, seeds, regions", [
         (20, range(5), (2, 5, 10)),
@@ -349,8 +374,7 @@ class TestGreedyAssign:
         for seed in seeds:
             config = SimConfig(n_robots=n_robots, n_capabilities=3, seed=seed)
             system = generate_system(config, trial_rngs(seed)[0])
-            for r in regions:
-                self.assert_matches_oracle(system, r)
+            self.assert_matches_oracle(system, regions)
 
     def test_merged_centroids_are_the_bit_exact_means_along_the_oracle(self, monkeypatch):
         # a merged cluster's centroid is pos[list(older | newer)].mean(axis=0):
@@ -392,8 +416,7 @@ class TestGreedyAssign:
                 picks = np.random.default_rng(seed).permutation(len(lattice))[:size]
                 system = make_system([(lattice[i], "rgb") for i in picks],
                                      env=Environment(6.0, 6.0))
-                for r in range(1, size):
-                    self.assert_matches_oracle(system, r)
+                self.assert_matches_oracle(system, range(1, size))
 
 
 def baseline_assign(graphs, solver_config, r):
@@ -466,6 +489,10 @@ class TestRunTrial:
         fleet = prepare_fleet(SimConfig(n_robots=8, n_capabilities=2, seed=5, n_events=40))
         assert run_trial(fleet, 5, 2, 5, 3) == (
             run_trial(fleet, 2) + run_trial(fleet, 3) + run_trial(fleet, 5))
+
+    def test_no_team_count_gives_no_reports(self):
+        fleet = prepare_fleet(SimConfig(n_robots=6, n_capabilities=2, seed=2, n_events=20))
+        assert run_trial(fleet) == []
 
     @pytest.mark.parametrize("r", [0, 7])
     def test_team_count_outside_the_fleet_rejected(self, r):
