@@ -27,12 +27,13 @@ print("sign split: %s vs %s"
       % (sorted(i for i in range(5) if v[i] >= 0),
          sorted(i for i in range(5) if v[i] < 0)))
 
-for r in (2, 3, 5):
-    assignment = partition(Z, r)
+# one cut sequence gives the teams at every r
+levels = partition(Z, 2, 3, 5)
+for assignment in levels:
     print()
-    print("r = %d teams:" % r)
+    print("r = %d teams:" % assignment.r)
     for t, members in enumerate(assignment.teams):
         print("  team %d: %s" % (t, sorted(members)))
 
 print()
-print("team_of vector at r=2:", partition(Z, 2).team_of)
+print("team_of vector at r=2:", levels[0].team_of)

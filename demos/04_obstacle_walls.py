@@ -43,6 +43,7 @@ print(build_communication_graph(walled_system, radius).adjacency)
 for label, system in (("open floor", open_system), ("with wall", walled_system)):
     graphs = build_relation_graphs(system, comm_radius=radius)
     result = solve(graphs)
-    teams = partition(result.Z, 2).teams
+    assignment, = partition(result.Z, 2)
+    teams = assignment.teams
     print()
     print("%s -> teams %s" % (label, [sorted(t) for t in teams]))

@@ -87,13 +87,16 @@ def _path(value):
 
 
 def _parse_regions(text):
+    """Team counts: "a..b" as a range, which stays lazy so that checking it
+    against the robot count stops at the first r too large, or "a,b,c"."""
     text = str(text).strip()
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
-    else:
-        values = [int(part) for part in text.split(",")]
-    if not values or any(v < 1 for v in values):
+        lo, hi = (int(part) for part in text.split("..", 1))
+        if not 1 <= lo <= hi:
+            raise ValueError("a..b needs 1 <= a <= b, got %r" % text)
+        return range(lo, hi + 1)
+    values = [int(part) for part in text.split(",")]
+    if any(v < 1 for v in values):
         raise ValueError("region counts must be positive")
     return values
 
@@ -307,7 +310,7 @@ def cmd_solve(args, parser):
 def cmd_partition(args, parser):
     Z = _read(parser, "matrix", load_matrix_csv, args.z)
     try:
-        assignment = partition(Z, args.regions)
+        assignment, = partition(Z, args.regions)
     except ValueError as exc:
         parser.error(str(exc))
     outputs = [("assignment.json", lambda path: save_assignment(assignment, path))]

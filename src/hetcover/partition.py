@@ -4,7 +4,8 @@ A cut bisects a vertex set. A connected set splits by the sign pattern of
 its Laplacian's second eigenvector; a disconnected one splits off the
 connected component holding its smallest index, never cutting a component.
 Applying the cut repeatedly to the largest remaining group yields r teams,
-and the teams at one r are where the cuts to any larger r continue from.
+so one cut sequence gives the teams at every r, each a refinement of the
+teams at any smaller r.
 Cuts on subsets use the subset's own degree matrix (D - W on the principal
 submatrix), which keeps row sums zero where the bistochastic identity
 L = I - Z no longer holds.
@@ -133,16 +134,14 @@ def check_team_count(r, n: int) -> None:
         raise ValueError("r must be an integer in 1..%d, got %r" % (n, r))
 
 
-def partition(Z, r: int, teams: TeamAssignment | None = None) -> TeamAssignment:
-    """Cut the full index set down to r teams.
+def partition(Z, *regions) -> list:
+    """Cut the full index set down to each team count r of regions.
 
     Each round splits the largest group (ties go to the group holding the
-    smallest index). Team numbering follows ascending smallest member. Z
-    must be square, finite and non-negative. teams, when given, is what
-    partition gave this same Z at a team count no larger than r: the cuts
-    continue from its groups, which are the loop's only state, so the
-    result equals partition(Z, r) and the cuts teams already made are not
-    made again.
+    smallest index), up to the largest r of regions, and gives the groups
+    live at each r: one TeamAssignment per r, in the order given. Team
+    numbering follows ascending smallest member. Z must be square, finite
+    and non-negative, and every r is checked before any cut.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
@@ -152,22 +151,18 @@ def partition(Z, r: int, teams: TeamAssignment | None = None) -> TeamAssignment:
     if (Z < 0).any():
         raise ValueError("Z must be non-negative, but its smallest entry is %r" % float(Z.min()))
     n = Z.shape[0]
-    check_team_count(r, n)
-    if teams is None:
-        groups = [frozenset(range(n))]
-    elif len(teams.team_of) != n:
-        raise ValueError("teams cover %d robots but Z has %d" % (len(teams.team_of), n))
-    elif teams.r > r:
-        raise ValueError("teams hold %d teams, more than r=%d" % (teams.r, r))
-    else:
-        groups = list(teams.teams)
-    while len(groups) < r:
-        target = max(groups, key=lambda g: (len(g), -min(g)))
-        groups.remove(target)
-        a, b = fiedler_cut(Z, target)
-        groups.append(frozenset(a))
-        groups.append(frozenset(b))
-    return TeamAssignment.from_teams(groups, n)
+    for r in regions:
+        check_team_count(r, n)
+    groups, levels = [frozenset(range(n))], {}  # levels: r -> the teams at r groups
+    for r in sorted(set(regions)):
+        while len(groups) < r:
+            target = max(groups, key=lambda g: (len(g), -min(g)))
+            groups.remove(target)
+            a, b = fiedler_cut(Z, target)
+            groups.append(frozenset(a))
+            groups.append(frozenset(b))
+        levels[r] = TeamAssignment.from_teams(groups, n)
+    return [levels[r] for r in regions]
 
 
 def save_assignment(assignment: TeamAssignment, path) -> None:

@@ -9,10 +9,10 @@ which holds about STACK_ENTRIES matrix entries whatever the fleet size;
 prepare_fleet places and fuses one fleet under its config's own setting.
 A trial, run_trial(fleet, *regions), builds each method's teams at every
 team count r given in one pass and scores them on the events (detection)
-and on within-team capability redundancy (duplication): the Fiedler cuts of
-a fused Z to each r continue from the teams at the r below it. Two
-baselines run alongside: the same pipeline with both regularizers off, and
-agglomerative spatial clustering, whose one merge sequence gives every r.
+and on within-team capability redundancy (duplication): one Fiedler cut
+sequence of a fused Z gives every r. Two baselines run alongside: the same
+pipeline with both regularizers off, and agglomerative spatial clustering,
+whose one merge sequence gives every r.
 One fused fleet serves every r at its seed, for the methods it was fused for.
 
 A batch, as the CLI's simulate and sweep run it, is batch_fleets over
@@ -393,18 +393,13 @@ def run_trial(fleet: Fleet, *regions):
 
     One MetricsReport per (r, method): r ascending, then the methods the
     fleet was fused for, in order. Each method builds its teams at every r in
-    one pass: one greedy merge sequence, or Fiedler cuts continued up the r.
+    one pass: one greedy merge sequence, or one Fiedler cut sequence of its Z.
     """
     for r in regions:
         check_team_count(r, len(fleet.system))
     regions = sorted(set(regions))
-    levels = []  # each method's teams at each r of regions
-    for method in fleet.methods:
-        if method is Method.GREEDY:
-            levels.append(greedy_assign(fleet.system, *regions))
-        else:
-            teams = None  # each r's cuts continue from the teams at the r before
-            levels.append([teams := partition(fleet.fused[method], r, teams) for r in regions])
+    levels = [greedy_assign(fleet.system, *regions) if method is Method.GREEDY
+              else partition(fleet.fused[method], *regions) for method in fleet.methods]
     return [MetricsReport(method=method, r=r, seed=fleet.config.seed,
                           detection_rate=detection_rate(fleet.system, assignment, fleet.events,
                                                         fleet.nearest),

@@ -102,7 +102,7 @@ def recovery_runs(tmp_path_factory):
                 system, blocks = planted_system(sizes, seed=seed)
                 graphs = build_relation_graphs(system, comm_radius=comm_radius)
                 result = solve(graphs)
-                assignment = partition(result.Z, k)
+                assignment, = partition(result.Z, k)
                 ok = result.converged and blocks_recovered(assignment, blocks)
                 hits[k] += ok
                 lines.append("%d,%d,%d,%s" % (

@@ -470,6 +470,35 @@ class TestSimulate:
                        "--regions", "0", "--seeds", "1", "--out", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["0..3", "3..2", "2..x"])
+    def test_bad_region_range_rejected(self, tmp_path, capsys, spec):
+        code = run_cli("simulate", "--robots", "6", "--capabilities", "2",
+                       "--regions", spec, "--seeds", "1", "--out", str(tmp_path))
+        assert code == 2
+        assert "invalid value for --regions: %r" % spec in capsys.readouterr().err
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_a_long_region_range_is_checked_without_being_built(self, tmp_path, capsys,
+                                                                 given):
+        import tracemalloc
+
+        regions = ("--regions", "2..2000000")
+        if given == "config":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"regions": "2..2000000"}))
+            regions = ("--config", str(config))
+        tracemalloc.start()
+        try:
+            code = run_cli("simulate", "--robots", "6", "--capabilities", "2", *regions,
+                           "--seeds", "1", "--out", str(tmp_path / "out"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "invalid value for --regions: r must be an integer in 1..6, got 7" in (
+            capsys.readouterr().err)
+        assert peak < 2**20  # as a list, the range's 1,999,999 ints take about 80 MB
+
     @pytest.mark.parametrize("flag, value, defect", [
         ("--events", "0", "n_events must"),
         ("--robots", "1", "n_robots must"),

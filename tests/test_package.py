@@ -162,6 +162,10 @@ def test_benchmark_traced_layers_fire_on_simulate_and_sweep(tmp_path):
     for layer in ("solver.solve", "partition.partition", "simulation.run_trial",
                   "simulation.greedy_assign", "system.line_of_sight"):
         assert metrics[layer + ".calls"] >= 1, layer
+    # one partition call per fused Z, whatever its team counts: simulate's 3
+    # seeds x (Full, Baseline), sweep's 2 seeds x 6 weightings, and the
+    # walled fleet's (Full, Baseline)
+    assert metrics["partition.partition.calls"] == 20
     # each fused Z is cut once up to its largest r: simulate's 3 seeds x
     # (Full, Baseline) x 2 cuts, sweep's 2 seeds x 6 weightings x 1 cut, and
     # the walled fleet's (Full, Baseline) x 1 cut

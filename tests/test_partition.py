@@ -172,7 +172,7 @@ class TestFiedlerCut:
             Z[np.ix_(block, block)] = weight
         assert fiedler_cut(Z, range(6)) == ({0, 3}, {1, 2, 4, 5})
         assert fiedler_cut(Z, {1, 2, 4, 5}) == ({1, 4}, {2, 5})
-        assert partition(Z, 3).teams == ({0, 3}, {1, 4}, {2, 5})
+        assert partition(Z, 3)[0].teams == ({0, 3}, {1, 4}, {2, 5})
 
     def test_bridge_below_eigensolver_resolution_counts_as_absent(self):
         Z = np.array([
@@ -219,18 +219,18 @@ def test_capability_heavy_teams_survive_tiny_noise():
         config = SimConfig(n_robots=20, n_capabilities=3, seed=seed, solver=solver)
         Z = prepare_fleet(config, (Method.FULL,)).fused[Method.FULL]
         for r in range(2, 11):
-            teams = partition(Z, r).teams
+            teams = partition(Z, r)[0].teams
             for _ in range(10):
                 noise = rng.standard_normal(Z.shape)
                 noisy = Z * (1.0 + 1e-10 * (noise + noise.T) / 2)
-                if partition(noisy, r).teams != teams:
+                if partition(noisy, r)[0].teams != teams:
                     moved.append((seed, r))
     assert moved == []
 
 
 class TestPartition:
     def test_single_team(self):
-        asgn = partition(np.eye(4) * 0 + 0.25, 1)
+        asgn, = partition(np.eye(4) * 0 + 0.25, 1)
         assert asgn.r == 1
         assert asgn.teams == (frozenset({0, 1, 2, 3}),)
         assert asgn.team_of == (0, 0, 0, 0)
@@ -239,16 +239,16 @@ class TestPartition:
         rng = np.random.default_rng(2)
         Z = rng.random((5, 5))
         Z = 0.5 * (Z + Z.T)
-        asgn = partition(Z, 5)
+        asgn, = partition(Z, 5)
         assert asgn.r == 5
         assert all(len(t) == 1 for t in asgn.teams)
         assert asgn.team_of == (0, 1, 2, 3, 4)
 
     def test_two_three_split_then_largest_group_recut(self):
         Z = two_block_matrix()
-        two = partition(Z, 2)
+        two, = partition(Z, 2)
         assert set(two.teams) == {frozenset({0, 1}), frozenset({2, 3, 4})}
-        three = partition(Z, 3)
+        three, = partition(Z, 3)
         # the third cut lands on the bigger group, leaving {0,1} intact
         assert frozenset({0, 1}) in three.teams
         rest = [t for t in three.teams if t != frozenset({0, 1})]
@@ -263,7 +263,7 @@ class TestPartition:
             Z[start:start + s, start:start + s] = 1.0 / s
             blocks.append(frozenset(range(start, start + s)))
             start += s
-        asgn = partition(Z, 3)
+        asgn, = partition(Z, 3)
         assert set(asgn.teams) == set(blocks)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -272,7 +272,7 @@ class TestPartition:
         graphs = build_relation_graphs(system, comm_radius=0.4 * math.hypot(1.0, 1.0))
         result = solve(graphs, SolverConfig(alphas=(1 / 3, 1 / 3, 1 / 3)))
         assert result.converged
-        asgn = partition(result.Z, 3)
+        asgn, = partition(result.Z, 3)
         assert blocks_recovered(asgn, blocks)
         assert frozenset(asgn.teams) == best_partition_by_mass(result.Z, 3)
 
@@ -281,7 +281,7 @@ class TestPartition:
         rng = np.random.default_rng(r)
         Z = rng.random((8, 8))
         Z = 0.5 * (Z + Z.T)
-        asgn = partition(Z, r)
+        asgn, = partition(Z, r)
         assert asgn.r == r
         assert len(asgn.teams) == r
         members = sorted(i for t in asgn.teams for i in t)
@@ -293,8 +293,8 @@ class TestPartition:
         Z = 0.5 * (Z + Z.T)
         p = np.array([3, 0, 4, 1, 2])
         P = np.eye(5)[p]
-        base = partition(Z, 2)
-        permuted = partition(P @ Z @ P.T, 2)
+        base, = partition(Z, 2)
+        permuted, = partition(P @ Z @ P.T, 2)
         relabeled = {frozenset(int(np.nonzero(p == i)[0][0]) for i in t) for t in base.teams}
         assert set(permuted.teams) == relabeled
 
@@ -302,14 +302,14 @@ class TestPartition:
         rng = np.random.default_rng(6)
         Z = rng.random((7, 7))
         Z = 0.5 * (Z + Z.T)
-        first = partition(Z, 3)
-        second = partition(Z, 3)
+        first, = partition(Z, 3)
+        second, = partition(Z, 3)
         assert first.teams == second.teams
         assert first.team_of == second.team_of
 
     def test_team_numbering_follows_smallest_member(self):
         Z = two_block_matrix()
-        asgn = partition(Z, 2)
+        asgn, = partition(Z, 2)
         assert min(asgn.teams[0]) < min(asgn.teams[1])
         assert asgn.team_of[0] == 0
 
@@ -330,7 +330,8 @@ class TestPartition:
 
 
 class TestPartitionResume:
-    """partition(Z, r, teams) continues the cuts from teams = partition(Z, q), q <= r."""
+    """partition(Z, *regions) reads every r off one cut sequence, each r's cuts
+    continuing from the teams at the r below it."""
 
     def planted(self):
         system, _ = planted_system((4, 3, 3), seed=0)
@@ -349,26 +350,34 @@ class TestPartitionResume:
         for block in ([0, 3, 6], [1, 4, 7, 9], [2, 5, 8]):
             for i, j in zip(block, block[1:]):
                 Z[i, j] = Z[j, i] = rng.uniform(0.1, 1.0)
-        assert partition(Z, 2).teams == ({0, 3, 6}, {1, 2, 4, 5, 7, 8, 9})
+        assert partition(Z, 2)[0].teams == ({0, 3, 6}, {1, 2, 4, 5, 7, 8, 9})
         return Z
 
     @pytest.mark.parametrize("kind", ["planted", "fleet", "disconnected"])
     def test_cuts_continue_from_any_smaller_team_count(self, kind):
         Z = getattr(self, kind)()
-        n = len(Z)
-        fresh = {r: partition(Z, r) for r in range(1, n + 1)}
-        for r in range(1, n + 1):
-            for q in range(1, r + 1):
-                assert partition(Z, r, fresh[q]) == fresh[r], (q, r)
+        regions = range(1, len(Z) + 1)
+        assert partition(Z, *regions) == [partition(Z, r)[0] for r in regions]
 
-    def test_teams_over_another_robot_count_rejected(self):
-        with pytest.raises(ValueError, match="teams cover 4 robots but Z has 5"):
-            partition(two_block_matrix(), 3, partition(np.full((4, 4), 0.25), 2))
+    def test_levels_in_the_order_given_with_duplicates_kept(self):
+        three, two, again = partition(two_block_matrix(), 3, 2, 3)
+        assert two.teams == ({0, 1}, {2, 3, 4})
+        assert three.r == 3 and frozenset({0, 1}) in three.teams
+        assert again == three
 
-    def test_more_teams_than_r_rejected(self):
-        Z = two_block_matrix()
-        with pytest.raises(ValueError, match="teams hold 3 teams, more than r=2"):
-            partition(Z, 2, partition(Z, 3))
+    def test_every_r_checked_before_any_cut(self, monkeypatch):
+        import hetcover.partition as P
+
+        # r = 2 alone would cut once
+        calls = []
+        monkeypatch.setattr(P, "fiedler_cut", lambda Z, indices: calls.append(indices)
+                            or fiedler_cut(Z, indices))
+        with pytest.raises(ValueError, match=r"r must be an integer in 1\.\.5, got 0"):
+            partition(two_block_matrix(), 2, 0)
+        assert calls == []
+
+    def test_no_team_count_gives_no_teams(self):
+        assert partition(two_block_matrix()) == []
 
 
 class TestTeamAssignment:

@@ -426,7 +426,8 @@ def baseline_assign(graphs, solver_config, r):
     fleet = Fleet(config=config, system=None, graphs=tuple(graphs), events=(), nearest=(),
                   methods=(), fused={})
     (fused,), = fuse_fleets([fleet], [solver_config], (Method.BASELINE,))
-    return partition(fused.fused[Method.BASELINE], r)
+    assignment, = partition(fused.fused[Method.BASELINE], r)
+    return assignment
 
 
 class TestBaselineAssign:
@@ -452,7 +453,7 @@ class TestBaselineAssign:
         for seed in range(30):
             system, blocks = planted_system((5, 5), jitter=0.8, seed=seed)
             graphs = build_relation_graphs(system, comm_radius=0.4 * math.hypot(1.0, 1.0))
-            full = partition(solve(graphs, cfg).Z, 2)
+            full, = partition(solve(graphs, cfg).Z, 2)
             base = baseline_assign(graphs, cfg, 2)
             full_wins += blocks_recovered(full, blocks)
             base_wins += blocks_recovered(base, blocks)
