@@ -1,16 +1,18 @@
 """Command-line pipeline: generate, solve, partition, simulate, sweep.
 
 Each option is declared once, as an Option: its flag, its type, whether it
-is required or its default, and its help. The declaration makes the flag,
-and main resolves every option of the command once, as flag > JSON config
-file (--config, keys named after the option with underscores) > default.
-The option's type checks a config value exactly as it checks the flag's
-text, so {"robots": 4.7} or {"out": 7} exits 2 like --robots 4.7 does; a
-key that no subcommand's option uses, such as {"event": 5}, exits 2 too.
-A setting's library default and its check live in the library type it sets
-(SimConfig, SolverConfig, Environment, graphs.communication_radius); the
-CLI passes on only what a flag or the config file gives. SolverConfig caps
---max-iters below the point where the penalty mu0 * rho**k overflows.
+is required or its default, its help, and the library field it sets, if
+any. The declaration makes the flag, and main resolves every option of the
+command once, as flag > JSON config file (--config, keys named after the
+option with underscores) > default. The option's type checks a config
+value exactly as it checks the flag's text, so {"robots": 4.7}, {"out": 7}
+or {"alpha": "100"} exits 2 like --robots 4.7 does; a key that no
+subcommand's option uses, such as {"event": 5}, exits 2 too. A setting's
+library default and its check live in the library type it sets
+(SimConfig, SolverConfig, Environment, graphs.communication_radius); _build
+makes each type from the fields that a flag or the config file gives.
+SolverConfig caps --max-iters below the point where the penalty
+mu0 * rho**k overflows.
 simulate and sweep check every setting once, before any trial, a team
 count above the robot count included; then each runs a batch as the
 simulation module describes it, scoring each fused fleet of
@@ -79,6 +81,26 @@ def _real(value):
     return float(value)
 
 
+def _reals(value, count):
+    """A list of exactly count numbers, each read by _real; a string is not a list."""
+    if not isinstance(value, list) or len(value) != count:
+        raise ValueError("not a list of %d numbers: %r" % (count, value))
+    return tuple(map(_real, value))
+
+
+def _alphas(value):
+    """Three graph weights; SolverConfig checks that they are finite and sum to 1."""
+    return _reals(value, 3)
+
+
+def _walls(value):
+    """Wall segments from a list of [x1, y1, x2, y2] lists of numbers."""
+    if not isinstance(value, list):
+        raise ValueError("not a list of wall segments: %r" % (value,))
+    return tuple(Wall(Position(x1, y1), Position(x2, y2))
+                 for x1, y1, x2, y2 in (_reals(segment, 4) for segment in value))
+
+
 def _path(value):
     """A path: the flag's text, or a string in the config file."""
     if not isinstance(value, str):
@@ -104,11 +126,11 @@ def _parse_regions(text):
 class Option(NamedTuple):
     """One option: flag --name (dashes for underscores) and config key name.
 
-    kind turns the flag's text or the config value into the option's value,
-    raising TypeError or ValueError on a bad one; None hands the raw value
-    (a list for nargs) to the command, which checks it. An option that is
-    not given is an error if required, else takes default, which help quotes.
-    field names the library field the option sets, if any.
+    kind turns the flag's text (a list of texts for nargs) or the config
+    value into the option's value, raising TypeError or ValueError on a bad
+    one. An option that is not given is an error if required, else takes
+    default, which help quotes. field names the field of SimConfig,
+    Environment or SolverConfig that the option sets, if any.
     """
 
     name: str
@@ -149,22 +171,24 @@ SOLVER_OPTIONS = _field_options(
 TRIAL_OPTIONS = _field_options(SimConfig, ("events", "n_events", _integer, "events per trial"))
 
 OUT = Option("out", _path, "output directory", default=".")
-ROBOTS = Option("robots", _integer, "number of robots (>= 2)", required=True)
-CAPABILITIES = Option("capabilities", _integer, "capability universe size", required=True)
+ROBOTS = Option("robots", _integer, "number of robots (>= 2)", required=True, field="n_robots")
+CAPABILITIES = Option("capabilities", _integer, "capability universe size", required=True,
+                      field="n_capabilities")
 TEAMS = Option("regions", _integer, "team count r", required=True)
-WALL = Option("wall", None, "wall segment; repeatable",
+WALL = Option("wall", _walls, "wall segment; repeatable", field="obstacles",
               extra=dict(nargs=4, action="append", metavar=("X1", "Y1", "X2", "Y2")))
-ALPHA = Option("alpha", None, "graph weights, must sum to 1 (default equal)",
-               extra=dict(nargs=3, metavar=("A1", "A2", "A3")))
+ALPHA = Option("alpha", _alphas, "graph weights, must sum to 1 (default equal)",
+               field="alphas", extra=dict(nargs=3, metavar=("A1", "A2", "A3")))
 COMM_RADIUS = Option("comm_radius", _real,
-                     "communication radius (default %g x diagonal)" % COMM_RADIUS_PER_DIAGONAL)
+                     "communication radius (default %g x diagonal)" % COMM_RADIUS_PER_DIAGONAL,
+                     field="comm_radius")
 
 ENVIRONMENT_FLAGS = ENVIRONMENT_OPTIONS + (WALL,)
 FUSION_FLAGS = (COMM_RADIUS,) + SOLVER_OPTIONS  # solve, simulate and sweep
 FLEET_FLAGS = (  # the seeded fleet of simulate and sweep
     ROBOTS, CAPABILITIES,
     Option("seeds", _integer, "number of consecutive seeds", required=True),
-    Option("seed", _integer, "base seed", default=0),
+    Option("seed", _integer, "base seed", default=0, field="seed"),
 ) + TRIAL_OPTIONS + ENVIRONMENT_FLAGS + FUSION_FLAGS
 
 
@@ -190,7 +214,7 @@ def _resolve(args, parser):
             if option.required:
                 parser.error("%s is required" % option.flag)
             value = option.default
-        elif option.kind is not None:
+        else:
             try:
                 value = option.kind(value)
             except (TypeError, ValueError, OverflowError):
@@ -212,41 +236,17 @@ def _read(parser, what, load, path):
         parser.error("cannot read %s %s: %s" % (what, path, exc))
 
 
-def _given(args, options) -> dict:
-    """{field: value} for each of options that a flag or the config file sets."""
-    return {option.field: getattr(args, option.name) for option in options
-            if getattr(args, option.name) is not None}
-
-
-def _alpha_triple(value):
+def _build(cls, args, parser, what, **parts):
+    """cls(**parts) with each field of cls that an option of args' command
+    sets, if a flag or the config file gives it; a field left out keeps
+    cls's default. A value cls refuses exits 2 with "invalid <what>: ..."."""
+    names = {f.name for f in fields(cls)}
+    settings = {option.field: getattr(args, option.name) for option in args.options
+                if option.field in names and getattr(args, option.name) is not None}
     try:
-        alphas = tuple(_real(v) for v in value)
-    except TypeError:
-        raise ValueError("alpha must be a list of three weights, got %r" % (value,)) from None
-    if len(alphas) != 3:
-        raise ValueError("need exactly three weights")
-    return alphas
-
-
-def _environment(args, parser) -> Environment:
-    try:
-        obstacles = tuple(
-            Wall(Position(_real(w[0]), _real(w[1])), Position(_real(w[2]), _real(w[3])))
-            for w in args.wall or ()
-        )
-        return Environment(obstacles=obstacles, **_given(args, ENVIRONMENT_OPTIONS))
-    except (ValueError, TypeError, IndexError) as exc:
-        parser.error("invalid environment: %s" % exc)
-
-
-def _solver_config(args, parser) -> SolverConfig:
-    settings = _given(args, SOLVER_OPTIONS)
-    try:
-        if getattr(args, "alpha", None) is not None:  # sweep has no --alpha
-            settings["alphas"] = _alpha_triple(args.alpha)
-        return SolverConfig(**settings)
+        return cls(**settings, **parts)
     except ValueError as exc:
-        parser.error("invalid solver settings: %s" % exc)
+        parser.error("invalid %s: %s" % (what, exc))
 
 
 def _write_outputs(out, outputs) -> int:
@@ -279,9 +279,9 @@ def _write_outputs(out, outputs) -> int:
 
 
 def cmd_generate(args, parser):
+    config = _build(SimConfig, args, parser, "trial configuration",
+                    environment=_build(Environment, args, parser, "environment"))
     try:
-        config = SimConfig(n_robots=args.robots, n_capabilities=args.capabilities,
-                           seed=args.seed, environment=_environment(args, parser))
         system = generate_system(config, trial_rngs(config.seed)[0])
     except (ValueError, RuntimeError) as exc:
         parser.error(str(exc))
@@ -290,7 +290,7 @@ def cmd_generate(args, parser):
 
 def cmd_solve(args, parser):
     system = _read(parser, "system", load_system, args.system)
-    solver_config = _solver_config(args, parser)
+    solver_config = _build(SolverConfig, args, parser, "solver settings")
     try:
         graphs = build_relation_graphs(system, args.comm_radius, args.epsilon)
     except ValueError as exc:  # an AllZeroGraphError among them
@@ -338,13 +338,9 @@ def _batch(args, parser, regions):
     the robot count included, exits here, before a trial runs."""
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
-    try:
-        base = SimConfig(n_robots=args.robots, n_capabilities=args.capabilities,
-                         seed=args.seed, comm_radius=args.comm_radius,
-                         environment=_environment(args, parser),
-                         solver=_solver_config(args, parser), **_given(args, TRIAL_OPTIONS))
-    except ValueError as exc:
-        parser.error("invalid trial configuration: %s" % exc)
+    base = _build(SimConfig, args, parser, "trial configuration",
+                  environment=_build(Environment, args, parser, "environment"),
+                  solver=_build(SolverConfig, args, parser, "solver settings"))
     for r in regions:
         try:
             check_team_count(r, base.n_robots)
@@ -413,7 +409,7 @@ def cmd_sweep(args, parser):
 # each subcommand: (help, function, its options before --out)
 COMMANDS = {
     "generate": ("write a random system JSON", cmd_generate, (
-        ROBOTS, CAPABILITIES, Option("seed", _integer, "RNG seed", required=True),
+        ROBOTS, CAPABILITIES, Option("seed", _integer, "RNG seed", required=True, field="seed"),
     ) + ENVIRONMENT_FLAGS),
     "solve": ("fuse a system's graphs into Z", cmd_solve, (
         Option("system", _path, "system JSON path", required=True),

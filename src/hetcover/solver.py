@@ -195,9 +195,11 @@ def prepare_problem(graphs, config: SolverConfig) -> Problem:
     adjs = tuple(_adjacency(g) for g in graphs)
     config = config.resolved(len(adjs))
     n = adjs[0].shape[0]
-    for a in adjs:
+    for m, a in enumerate(adjs):
         if a.shape != (n, n):
             raise ValueError("all graphs must share the same square shape")
+        if not np.isfinite(a).all():
+            raise ValueError("graph %d has a non-finite entry" % m)
     return Problem(
         config=config,
         weighted_sum=sum(2.0 * alpha * a for alpha, a in zip(config.alphas, adjs)),

@@ -98,10 +98,12 @@ class TestGenerate:
                            "--seed", "3", "--out", str(out)) == 0
         assert (a / "system.json").read_bytes() == (b / "system.json").read_bytes()
 
-    def test_single_robot_rejected(self, tmp_path):
+    def test_single_robot_rejected(self, tmp_path, capsys):
         code = run_cli("generate", "--robots", "1", "--capabilities", "2",
                        "--seed", "0", "--out", str(tmp_path))
         assert code == 2
+        assert ("invalid trial configuration: n_robots must be an integer >= 2"
+                in capsys.readouterr().err)
 
     def test_missing_required_flag_rejected(self, tmp_path):
         code = run_cli("generate", "--capabilities", "2", "--seed", "0",
@@ -824,7 +826,32 @@ class TestConfigLayering:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"alpha": 5}))
         assert small_run(command, tmp_path / "out", "--config", str(config)) == 2
-        assert "invalid solver settings: " in capsys.readouterr().err
+        assert "invalid value for --alpha: 5" in capsys.readouterr().err
+
+    # before --alpha and --wall had a type, "100" ran as the weights (1, 0, 0),
+    # the fifth number was dropped, and the string made a zero-length wall at
+    # (0, 1), each exiting 0; the three-number segment exited 2 as
+    # "invalid environment: list index out of range"
+    @pytest.mark.parametrize("command, setting", [
+        ("solve", {"alpha": "100"}),
+        ("simulate", {"alpha": "100"}),
+        ("solve", {"alpha": [0.5, 0.5]}),
+        ("generate", {"wall": [[0.5, 0.1, 0.5, 0.9, 7]]}),
+        ("simulate", {"wall": [[0.5, 0.1, 0.5, 0.9, 7]]}),
+        ("generate", {"wall": ["0101"]}),
+        ("sweep", {"wall": ["0101"]}),
+        ("generate", {"wall": [[0.5, 0.1, 0.5]]}),
+    ], ids=["solve-alpha-string", "simulate-alpha-string", "alpha-pair",
+            "generate-wall-five-numbers", "simulate-wall-five-numbers",
+            "generate-wall-string", "sweep-wall-string", "wall-three-numbers"])
+    def test_malformed_alpha_or_wall_rejected(self, small_run, tmp_path, capsys,
+                                              command, setting):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(setting))
+        assert small_run(command, tmp_path / "out", "--config", str(config)) == 2
+        (name, value), = setting.items()
+        assert "invalid value for --%s: %r" % (name, value) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_key_that_no_option_uses_rejected(self, small_run, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -859,8 +886,10 @@ class TestConfigLayering:
         ("generate", {"width": True}, "invalid value for --width: True"),
         ("solve", {"tol": False}, "invalid value for --tol: False"),
         ("simulate", {"comm_radius": True}, "invalid value for --comm-radius: True"),
-        ("solve", {"alpha": [True, False, False]}, "invalid solver settings: "),
-        ("generate", {"wall": [[True, 0, 0.5, 1]]}, "invalid environment: "),
+        ("solve", {"alpha": [True, False, False]},
+         "invalid value for --alpha: [True, False, False]"),
+        ("generate", {"wall": [[True, 0, 0.5, 1]]},
+         "invalid value for --wall: [[True, 0, 0.5, 1]]"),
     ], ids=["width", "tol", "comm-radius", "alpha", "wall"])
     def test_bool_for_a_number_rejected(self, small_run, tmp_path, capsys,
                                         command, setting, message):

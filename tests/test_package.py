@@ -7,6 +7,7 @@ import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 import types
@@ -222,10 +223,23 @@ def as_flags(settings):
 # the CLI's settings have no defaults of their own: with no option set it
 # builds the library's default config, and each field has an option that sets it
 def test_cli_solver_config_defaults_to_the_library_default():
-    from hetcover.cli import _solver_config
+    from hetcover.cli import _build
+    from hetcover.simulation import SimConfig
     from hetcover.solver import SolverConfig
+    from hetcover.system import Environment
 
-    assert _solver_config(*parsed_options("solve", "--system", "system.json")) == SolverConfig()
+    assert _build(SolverConfig, *parsed_options("solve", "--system", "system.json"),
+                  "solver settings") == SolverConfig()
+    # simulate builds its SimConfig as _batch does, from the environment and
+    # solver its options build
+    args, parser = parsed_options("simulate", "--robots", "6", "--capabilities", "2",
+                                  "--regions", "2", "--seeds", "1")
+    environment = _build(Environment, args, parser, "environment")
+    solver = _build(SolverConfig, args, parser, "solver settings")
+    assert (environment, solver) == (Environment(), SolverConfig())
+    assert (_build(SimConfig, args, parser, "trial configuration", environment=environment,
+                   solver=solver)
+            == SimConfig(n_robots=6, n_capabilities=2, seed=0))
 
 
 def test_every_config_field_is_set_by_a_cli_option(monkeypatch, tmp_path):
@@ -253,3 +267,41 @@ def test_every_option_sets_the_same_config_from_the_config_file(monkeypatch, tmp
     config.write_text(json.dumps(CUSTOM_SIMULATE))
     assert (first_trial_config(monkeypatch, tmp_path, "--config", str(config))
             == first_trial_config(monkeypatch, tmp_path, *as_flags(CUSTOM_SIMULATE)))
+
+
+def test_every_option_has_a_kind_and_sets_a_field_of_one_library_type():
+    from dataclasses import fields
+
+    from hetcover.cli import COMMANDS, OUT
+    from hetcover.simulation import SimConfig
+    from hetcover.solver import SolverConfig
+    from hetcover.system import Environment
+
+    owners = {}  # field name: the library types that have it
+    for cls in (SimConfig, Environment, SolverConfig):
+        for f in fields(cls):
+            owners.setdefault(f.name, []).append(cls.__name__)
+    for command, (_, _, options) in COMMANDS.items():
+        options += (OUT,)
+        assert [option.name for option in options if not callable(option.kind)] == [], command
+        declared = [option.field for option in options if option.field is not None]
+        assert len(declared) == len(set(declared)), command
+        assert [name for name in declared if len(owners.get(name, ())) != 1] == [], command
+
+
+def readme_command_lines():
+    """The `hetcover ...` lines of README §Command line, each split into its words."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return [shlex.split(line) for block in re.findall(r"```\n(.*?)```", section, re.S)
+            for line in block.splitlines() if line.startswith("hetcover ")]
+
+
+def test_readme_command_lines_parse():
+    # each example parses and resolves, so a renamed flag or a bad value in
+    # the README fails here; none of them runs
+    lines = readme_command_lines()
+    assert len({argv[1] for argv in lines}) == 5  # one per subcommand at least
+    for argv in lines:
+        args, _ = parsed_options(*argv[1:])
+        assert args.command == argv[1]

@@ -487,6 +487,27 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve([np.zeros((2, 2)), np.zeros((3, 3))], SolverConfig())
 
+    # unchecked, such a graph ran to the iteration cap and gave an all-NaN Z
+    # at lambda2 = 0, and an SVD that did not converge at the default lambda2
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("lambda2", [0.0, 0.1])
+    def test_non_finite_graph_rejected_before_any_iteration(self, monkeypatch, bad, lambda2):
+        import hetcover.solver as solver
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an iteration ran")
+
+        monkeypatch.setattr(solver, "update_z", refuse)
+        good, nan = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, bad], [bad, 0.0]])
+        config = SolverConfig(lambda2=lambda2)
+        with pytest.raises(ValueError, match="^graph 0 has a non-finite entry$"):
+            solve([nan], config)
+        with pytest.raises(ValueError, match="^graph 1 has a non-finite entry$"):
+            solve([good, nan], replace(config, alphas=(0.5, 0.5)))
+        # stacked, each problem's graph list is checked
+        with pytest.raises(ValueError, match="^graph 1 has a non-finite entry$"):
+            solve([[good, good], [good, nan]], [replace(config, alphas=(0.5, 0.5))] * 2)
+
     def test_wrong_alpha_count_rejected(self):
         with pytest.raises(ValueError):
             solve([np.zeros((2, 2))], SolverConfig(alphas=(0.5, 0.5)))
