@@ -75,7 +75,9 @@ class SolverConfig:
             raise ValueError("tolerance must be positive")
         if not (is_integer(self.max_iterations) and self.max_iterations >= 1):
             raise ValueError("max_iterations must be a positive integer")
-        # mu grows to mu0 * rho**max_iterations, and the Z step forms about 4 mu
+        # mu grows to mu0 * rho**max_iterations, and the Z step's right-hand side
+        # holds mu (1 + Zhat^T + Zhat + I - L), about 4 mu, before the step
+        # divides it by mu
         try:
             peak = 4.0 * self.mu0 * self.rho**self.max_iterations
         except OverflowError:
@@ -296,17 +298,23 @@ def update_z_unclamped(state: SolverState, problem: Problem) -> np.ndarray:
     """Closed-form minimizer of the smooth penalized objective in Z.
 
     Setting the Z-gradient of the augmented objective to zero gives
-    Z ((2 sum alpha + 2 lambda1 + 3 mu) I + mu 1 1^T) = RHS, solved as a
-    linear system against the SPD right factor rather than by explicit
-    inverse.
+    Z B = RHS with B = (2 sum alpha + 2 lambda1 + 3 mu) I + mu 1 1^T. In
+    units of mu, B / mu = c I + 1 1^T with c = z_weight / mu + 3, whose
+    Sherman-Morrison inverse is (I - 1 1^T / (c + n)) / c. So with
+    R = RHS / mu,
+
+        Z = (R - (R 1) 1^T / (c + n)) / c.
+
+    Working in units of mu keeps the row sums R 1 finite for any penalty
+    SolverConfig admits, where RHS 1 or mu / (c + n mu) would overflow.
     """
     mu = state.mu
     rhs = problem.weighted_sum + mu * (
         1.0 + state.Zhat.mT + state.Zhat + problem.eye - state.L)
     rhs = rhs - state.phi1[..., None] - state.Phi2.mT - state.Phi3 + state.Phi4
-    B = (problem.z_weight + 3.0 * mu) * problem.eye + mu  # each entry of mu 1 1^T is mu
-    # Z B = rhs with B symmetric, so solve B Z^T = rhs^T
-    return np.linalg.solve(B, rhs.mT).mT
+    R = rhs / mu
+    c = problem.z_weight / mu + 3.0
+    return (R - R.sum(axis=-1, keepdims=True) / (c + R.shape[-1])) / c
 
 
 def update_z(state: SolverState, problem: Problem) -> np.ndarray:

@@ -7,8 +7,8 @@ roots plus a nullspace extraction, partitions via exhaustive enumeration,
 greedy teams via the plain pairwise merge loop, the communication and
 capability graphs via their pair loops (set intersection for the
 capability overlap), and the solver's loop via
-its original form (a second SVD for the objective, per-step set-up, and a
-frozen state rebuilt after every step).
+its original form (a linear solve for the Z step, a second SVD for the
+objective, per-step set-up, and a frozen state rebuilt after every step).
 """
 
 import math

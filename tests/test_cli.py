@@ -170,19 +170,20 @@ class TestSolve:
         assert (a / "trace.json").read_bytes() == (b / "trace.json").read_bytes()
 
     def test_outputs_match_the_reference_loop(self, tmp_path):
-        # the CLI asks for the trace that fleets skip; it keeps every record
+        # the CLI asks for the trace that fleets skip; it keeps every record. The
+        # reference loop's Z step is a linear solve, so Z and the residuals
+        # agree to 1e-12 and the counts exactly
         system_path = tmp_path / "system.json"
         system, _ = write_planted_system(system_path)
         assert run_cli("solve", "--system", str(system_path), "--out", str(tmp_path)) == 0
         want = reference_solve(build_relation_graphs(system))
-        save_matrix_csv(want.Z, tmp_path / "want.csv")
-        assert (tmp_path / "Z.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert np.abs(load_matrix_csv(tmp_path / "Z.csv") - want.Z).max() <= 1e-12
         trace = json.loads((tmp_path / "trace.json").read_text())
         assert (trace["converged"], trace["iterations"]) == (want.converged, want.iterations)
         assert len(trace["residuals"]) == len(want.residual_trace) == want.iterations
         for mine, ref in zip(trace["residuals"], want.residual_trace):
-            assert [mine[name] for name in ("r1", "r2", "r3", "r4")] == [
-                ref.residuals.r1, ref.residuals.r2, ref.residuals.r3, ref.residuals.r4]
+            for name in ("r1", "r2", "r3", "r4"):
+                assert abs(mine[name] - getattr(ref.residuals, name)) <= 1e-12
             assert abs(mine["objective"] - ref.objective) <= 1e-12 * abs(ref.objective)
 
     @pytest.mark.parametrize("environment, capabilities, defect", [

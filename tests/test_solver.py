@@ -7,6 +7,7 @@ import pytest
 from hetcover.cli import ALPHA_STEP
 from hetcover.graphs import build_relation_graphs
 from hetcover.solver import (
+    Problem,
     SolverConfig,
     SolverState,
     constraint_residuals,
@@ -225,6 +226,30 @@ def smooth_part(Z, state, adjs, config):
     return fit + config.lambda1 * np.sum(Z**2) + 0.5 * state.mu * pen
 
 
+def z_step_system(state, problem):
+    """B and RHS of the Z step's gradient equation Z B = RHS, formed as written."""
+    mu = state.mu
+    rhs = (problem.weighted_sum + mu * (1.0 + state.Zhat.mT + state.Zhat + problem.eye - state.L)
+           - state.phi1[..., None] - state.Phi2.mT - state.Phi3 + state.Phi4)
+    B = (problem.z_weight + 3.0 * mu) * problem.eye + mu
+    return B, rhs
+
+
+def random_state(rng, shape, mu):
+    """Random iterates and multipliers of the given (stack) shape, at penalty mu."""
+    return SolverState(
+        Z=rng.random(shape), Zhat=rng.random(shape), L=rng.random(shape),
+        phi1=rng.standard_normal(shape[:-1]), Phi2=rng.standard_normal(shape),
+        Phi3=rng.standard_normal(shape), Phi4=rng.standard_normal(shape), mu=mu, k=0)
+
+
+def assert_close_relative(got, want, rel):
+    """Each matrix of got lies within rel of want's, relative to want's largest entry."""
+    err = np.abs(got - want).reshape(want.shape[:-2] + (-1,)).max(axis=-1)
+    scale = np.abs(want).reshape(want.shape[:-2] + (-1,)).max(axis=-1)
+    assert np.all(err <= rel * scale)
+
+
 class TestUpdateZ:
     def test_output_never_negative(self):
         # a large Phi3 pushes the unclamped solution far below zero
@@ -245,6 +270,37 @@ class TestUpdateZ:
             state = make_state(np.array([[z]]), mu=1e6)
             z = float(update_z(state, prepare_problem(A, cfg))[0, 0])
         assert abs(z - 1.0) < 1e-12
+
+    # mu from mu0 = 0.1 up to about 1e6, the range a converging solve spans
+    @pytest.mark.parametrize("mu", [0.1, 0.1 * 1.1**50, 0.1 * 1.1**100, 0.1 * 1.1**170])
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 100])
+    def test_closed_form_matches_a_linear_solve(self, n, mu):
+        rng = np.random.default_rng(n)
+        problem = prepare_problem([rng.random((n, n)), rng.random((n, n))],
+                                  SolverConfig(alphas=(0.4, 0.6)))
+        state = random_state(rng, (n, n), mu)
+        B, rhs = z_step_system(state, problem)
+        assert_close_relative(update_z_unclamped(state, problem),
+                              np.linalg.solve(B, rhs.T).T, 1e-12)
+        # a stack whose slices differ in z_weight, each solved against its own B
+        stack = Problem(config=problem.config, weighted_sum=rng.random((3, n, n)),
+                        z_weight=np.array([0.2, 2.2, 7.0])[:, None, None], eye=problem.eye)
+        state = random_state(rng, (3, n, n), mu)
+        B, rhs = z_step_system(state, stack)
+        assert_close_relative(update_z_unclamped(state, stack),
+                              np.linalg.solve(B, rhs.mT).mT, 1e-12)
+
+    def test_huge_penalty_stays_finite(self):
+        # SolverConfig admits mu0 = 1e307: B and RHS are finite there, but the
+        # row sums RHS 1 and the factor mu / (c + n mu) overflow
+        graphs = fleet_graphs(20, 0)[1:2]
+        config = SolverConfig(alphas=(1.0,), mu0=1e307, max_iterations=1)
+        problem = prepare_problem(graphs, config)
+        state = initial_state(problem)
+        B, rhs = z_step_system(state, problem)
+        want = np.linalg.solve(B / state.mu, (rhs / state.mu).T).T
+        assert_close_relative(update_z_unclamped(state, problem), want, 1e-12)
+        assert np.isfinite(solve(graphs, config).Z).all()
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_unclamped_point_is_stationary(self, seed):
@@ -526,17 +582,26 @@ SWEEP_WEIGHTS = [SolverConfig(alphas=alphas) for alphas in sweep_grid(ALPHA_STEP
 WALL = Wall(Position(0.5, 0.0), Position(0.5, 1.0))
 
 
+def assert_follows_reference(got, want, trace=True):
+    """got follows the reference loop's run want: the same count, stop and trace
+    length, and Z and every residual within 1e-12."""
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert len(got.residual_trace) == (want.iterations if trace else 0)
+    assert np.abs(got.Z - want.Z).max() <= 1e-12
+    for mine, ref in zip(got.residual_trace, want.residual_trace):
+        for name in ("r1", "r2", "r3", "r4"):
+            assert abs(getattr(mine.residuals, name) - getattr(ref.residuals, name)) <= 1e-12
+        assert abs(mine.objective - ref.objective) <= 1e-12 * abs(ref.objective)
+
+
 class TestMatchesReferenceLoop:
-    """solve() does the reference loop's floating-point work in the same order."""
+    """solve() follows the reference loop, whose Z step is a linear solve where
+    solve's is the Sherman-Morrison closed form; a stack's problems are byte
+    for byte their own solves."""
 
     def assert_same_run(self, graphs, config):
-        got, want = solve(graphs, config), reference_solve(graphs, config)
-        assert got.Z.tobytes() == want.Z.tobytes()
-        assert (got.iterations, got.converged) == (want.iterations, want.converged)
-        assert len(got.residual_trace) == len(want.residual_trace) == got.iterations
-        for mine, ref in zip(got.residual_trace, want.residual_trace):
-            assert mine.residuals == ref.residuals
-            assert abs(mine.objective - ref.objective) <= 1e-12 * abs(ref.objective)
+        got = solve(graphs, config)
+        assert_follows_reference(got, reference_solve(graphs, config))
         return got
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -558,18 +623,16 @@ class TestMatchesReferenceLoop:
         assert not result.converged and result.iterations == 25
 
     def assert_same_stack(self, graph_lists, configs, trace):
-        """Each problem of the stack, a graph list under its config, gives the
-        reference loop's Z, count and trace."""
+        """Each problem of the stack, a graph list under its config, gives the Z
+        bytes, count and trace of its own solve, and follows the reference loop."""
         stack = solve(graph_lists, configs, trace=trace)
         assert len(stack.results) == len(configs)
         for graphs, config, got in zip(graph_lists, configs, stack.results):
-            want = reference_solve(graphs, config)
-            assert got.Z.tobytes() == want.Z.tobytes()
-            assert (got.iterations, got.converged) == (want.iterations, want.converged)
-            assert len(got.residual_trace) == (want.iterations if trace else 0)
-            for mine, ref in zip(got.residual_trace, want.residual_trace):
-                assert mine.residuals == ref.residuals
-                assert abs(mine.objective - ref.objective) <= 1e-12 * abs(ref.objective)
+            alone = solve(graphs, config, trace=trace)
+            assert got.Z.tobytes() == alone.Z.tobytes()
+            assert (got.iterations, got.converged) == (alone.iterations, alone.converged)
+            assert got.residual_trace == alone.residual_trace
+            assert_follows_reference(got, reference_solve(graphs, config), trace)
         # the stack reports its loop passes and whether every problem converged
         assert stack.iterations == max(result.iterations for result in stack.results)
         assert stack.converged == all(result.converged for result in stack.results)
