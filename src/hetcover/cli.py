@@ -12,7 +12,7 @@ library default and its check live in the library type it sets
 (SimConfig, SolverConfig, Environment, graphs.communication_radius); _build
 makes each type from the fields that a flag or the config file gives.
 SolverConfig caps --max-iters below the point where the penalty
-mu0 * rho**k overflows.
+mu0 * rho**k overflows, and floors --mu0 where the Z step would overflow.
 simulate and sweep check every setting once, before any trial, a team
 count above the robot count included; then each runs a batch as the
 simulation module describes it, scoring each fused fleet of

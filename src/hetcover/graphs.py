@@ -1,10 +1,9 @@
 """Relation graphs: one weighted adjacency matrix per robot relationship.
 
-Three builders cover the standard relationships (inverse-distance proximity,
-line-of-sight communication within a radius, capability overlap); anything
-else can be wrapped as a Custom graph. Builders return raw weights; call
-normalize_graph before handing a set of graphs to the solver so their scales
-are commensurable.
+Three builders cover the relationships the paper fuses: inverse-distance
+proximity, line-of-sight communication within a radius, and capability
+overlap. Builders return raw weights; call normalize_graph before handing a
+set of graphs to the solver so their scales are commensurable.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ class GraphKind(Enum):
     SPATIAL = "spatial"
     COMMUNICATION = "communication"
     CAPABILITY = "capability"
-    CUSTOM = "custom"
 
 
 class AllZeroGraphError(ValueError):

@@ -51,14 +51,6 @@ class TeamAssignment:
             raise ValueError("teams must cover all %d robots" % n)
         return cls(teams=ordered, team_of=tuple(team_of), r=len(ordered))
 
-    @classmethod
-    def from_team_of(cls, team_of) -> "TeamAssignment":
-        team_of = list(team_of)
-        groups = {}
-        for robot, tid in enumerate(team_of):
-            groups.setdefault(tid, set()).add(robot)
-        return cls.from_teams(groups.values(), len(team_of))
-
 
 def minor_laplacian(Z, indices) -> np.ndarray:
     """Graph Laplacian D - W of the principal submatrix of (symmetrized) Z."""
@@ -169,20 +161,3 @@ def save_assignment(assignment: TeamAssignment, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"r": assignment.r, "team_of": list(assignment.team_of)}, fh, indent=2)
         fh.write("\n")
-
-
-def load_assignment(path) -> TeamAssignment:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        team_of, r = doc["team_of"], doc["r"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("malformed assignment document: %s" % exc) from exc
-    if not (isinstance(team_of, list) and all(map(is_integer, team_of))):
-        raise ValueError("team_of must be a list of integer team ids, got %r" % (team_of,))
-    if not is_integer(r):
-        raise ValueError("r must be an integer, got %r" % (r,))
-    assignment = TeamAssignment.from_team_of(team_of)
-    if assignment.r != r:
-        raise ValueError("declared r=%d but team_of uses %d teams" % (r, assignment.r))
-    return assignment

@@ -169,19 +169,17 @@ def nearest_robots(system: RobotSystem, events) -> tuple:
 
 
 def detection_rate(system: RobotSystem, assignment: TeamAssignment, events,
-                   nearest=None) -> float:
+                   nearest) -> float:
     """Fraction of events whose nearest robot's team can sense the event type.
 
-    nearest, when given, is nearest_robots(system, events), which depends
-    only on the fleet and so can serve every assignment of it.
+    nearest is nearest_robots(system, events), one robot id per event; it
+    depends only on the fleet, so one list serves every assignment of it.
     """
     if len(assignment.team_of) != len(system):
         raise ValueError("assignment does not cover this system")
     if not events:
         raise ValueError("cannot score an empty event list")
-    if nearest is None:
-        nearest = nearest_robots(system, events)
-    elif len(nearest) != len(events):
+    if len(nearest) != len(events):
         raise ValueError("%d nearest robots for %d events" % (len(nearest), len(events)))
     team_caps = [
         frozenset().union(*(system.robots[i].capabilities for i in team))

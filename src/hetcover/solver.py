@@ -85,6 +85,12 @@ class SolverConfig:
         if not math.isfinite(peak):
             raise ValueError("the penalty overflows before max_iterations: mu0=%r, rho=%r, "
                              "max_iterations=%r" % (self.mu0, self.rho, self.max_iterations))
+        # the Z step's c = z_weight / mu + 3 must be finite at the first mu,
+        # where z_weight = 2 sum(alphas) + 2 lambda1 and the alphas sum to 1 up
+        # to rounding; twice that weight leaves room for the rounding
+        if not math.isfinite(4.0 * (1.0 + self.lambda1) / self.mu0):
+            raise ValueError("mu0 is too small: the Z step's weight over mu0 overflows: "
+                             "mu0=%r, lambda1=%r" % (self.mu0, self.lambda1))
 
     def resolved(self, m: int) -> "SolverConfig":
         """Fill in equal alphas for m graphs; check the count otherwise."""

@@ -7,7 +7,6 @@ import pytest
 
 from hetcover.cli import ALPHA_STEP, COMMANDS, _real, main
 from hetcover.graphs import build_relation_graphs, load_matrix_csv, save_matrix_csv
-from hetcover.partition import load_assignment
 from hetcover.simulation import (
     METRICS_HEADER,
     Method,
@@ -293,18 +292,17 @@ class TestPartition:
         code = run_cli("partition", "--z", str(z_path), "--regions", "1",
                        "--out", str(tmp_path))
         assert code == 0
-        asgn = load_assignment(tmp_path / "assignment.json")
-        assert asgn.r == 1
-        assert asgn.team_of == (0,) * 6
+        doc = json.loads((tmp_path / "assignment.json").read_text())
+        assert doc == {"r": 1, "team_of": [0] * 6}
 
     def test_block_fixture_recovered(self, tmp_path):
         z_path = tmp_path / "Z.csv"
-        blocks = write_block_z(z_path)
+        write_block_z(z_path)  # blocks {0, 1, 2} and {3, 4, 5}
         code = run_cli("partition", "--z", str(z_path), "--regions", "2",
                        "--out", str(tmp_path))
         assert code == 0
-        asgn = load_assignment(tmp_path / "assignment.json")
-        assert set(asgn.teams) == set(blocks)
+        doc = json.loads((tmp_path / "assignment.json").read_text())
+        assert doc == {"r": 2, "team_of": [0, 0, 0, 1, 1, 1]}
 
     def test_all_singletons(self, tmp_path):
         z_path = tmp_path / "Z.csv"
@@ -312,8 +310,8 @@ class TestPartition:
         code = run_cli("partition", "--z", str(z_path), "--regions", "6",
                        "--out", str(tmp_path))
         assert code == 0
-        asgn = load_assignment(tmp_path / "assignment.json")
-        assert all(len(t) == 1 for t in asgn.teams)
+        doc = json.loads((tmp_path / "assignment.json").read_text())
+        assert doc == {"r": 6, "team_of": list(range(6))}
 
     def test_too_many_regions_rejected(self, tmp_path):
         z_path = tmp_path / "Z.csv"
@@ -774,6 +772,18 @@ def test_penalty_schedule_that_overflows_rejected_before_any_work(small_run, tmp
     err = capsys.readouterr().err
     assert "invalid solver settings: " in err
     assert all(name in err for name in ("mu0=", "rho=", "max_iterations="))
+    assert not out.exists()
+
+
+# the Z step divides its weight 2 + 2 lambda1 by mu0, which overflows a float at 1e-308
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_penalty_too_small_for_the_z_step_rejected_before_any_work(small_run, tmp_path, capsys,
+                                                                   command):
+    out = tmp_path / "out"
+    assert small_run(command, out, "--mu0", "1e-308") == 2
+    err = capsys.readouterr().err
+    assert "invalid solver settings: mu0 is too small" in err
+    assert "mu0=1e-308" in err
     assert not out.exists()
 
 

@@ -35,22 +35,22 @@ def system_at(points, caps=None, env=None):
 class TestRelationGraph:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            RelationGraph(GraphKind.CUSTOM, np.zeros((2, 3)))
+            RelationGraph(GraphKind.SPATIAL, np.zeros((2, 3)))
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            RelationGraph(GraphKind.CUSTOM, np.array([[0.0, -1.0], [0.0, 0.0]]))
+            RelationGraph(GraphKind.SPATIAL, np.array([[0.0, -1.0], [0.0, 0.0]]))
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValueError):
-            RelationGraph(GraphKind.CUSTOM, np.eye(2))
+            RelationGraph(GraphKind.SPATIAL, np.eye(2))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            RelationGraph(GraphKind.CUSTOM, np.array([[0.0, np.inf], [1.0, 0.0]]))
+            RelationGraph(GraphKind.SPATIAL, np.array([[0.0, np.inf], [1.0, 0.0]]))
 
     def test_adjacency_read_only(self):
-        g = RelationGraph(GraphKind.CUSTOM, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        g = RelationGraph(GraphKind.SPATIAL, np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError):
             g.adjacency[0, 1] = 5.0
 
@@ -199,7 +199,7 @@ class TestBuilderInvariants:
 class TestNormalize:
     def test_scales_by_max(self):
         a = np.array([[0.0, 4.0, 1.0], [4.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
-        g = normalize_graph(RelationGraph(GraphKind.CUSTOM, a))
+        g = normalize_graph(RelationGraph(GraphKind.SPATIAL, a))
         np.testing.assert_allclose(g.adjacency, a / 4.0)
         assert g.adjacency.max() == 1.0
 
@@ -210,20 +210,20 @@ class TestNormalize:
 
     def test_all_zero_rejected(self):
         with pytest.raises(AllZeroGraphError):
-            normalize_graph(RelationGraph(GraphKind.CUSTOM, np.zeros((3, 3))))
+            normalize_graph(RelationGraph(GraphKind.SPATIAL, np.zeros((3, 3))))
 
     def test_idempotent(self):
         rng = np.random.default_rng(7)
         a = rng.uniform(0, 5, size=(4, 4))
         a = 0.5 * (a + a.T)
         np.fill_diagonal(a, 0.0)
-        once = normalize_graph(RelationGraph(GraphKind.CUSTOM, a))
+        once = normalize_graph(RelationGraph(GraphKind.SPATIAL, a))
         twice = normalize_graph(once)
         np.testing.assert_array_equal(once.adjacency, twice.adjacency)
 
     def test_preserves_symmetry_and_diagonal(self):
         a = np.array([[0.0, 3.0], [3.0, 0.0]])
-        g = normalize_graph(RelationGraph(GraphKind.CUSTOM, a))
+        g = normalize_graph(RelationGraph(GraphKind.SPATIAL, a))
         assert np.array_equal(g.adjacency, g.adjacency.T)
         assert np.all(np.diagonal(g.adjacency) == 0)
 

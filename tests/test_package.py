@@ -96,6 +96,67 @@ def test_module_reads_every_name_it_imports(module):
     assert unused_imports(MODULES[module].read_text(encoding="utf-8")) == []
 
 
+def unread_definitions(defining, reading):
+    """Public names the defining sources define but no reading source reads.
+
+    defining and reading map a label to a module's source. A definition is a
+    top-level def or class, or a def in a top-level class, whose name starts
+    with a letter; it is read when an ast.Name or ast.Attribute of its name
+    is loaded outside the definition itself. Definitions are given as
+    "label.name" or "label.Class.name", in sorted order.
+    """
+    reads = {}  # name -> ids of the nodes that load it
+    trees = {label: ast.parse(source) for label, source in reading.items()}
+    trees.update((label, ast.parse(source)) for label, source in defining.items())
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, set()).add(id(node))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unread = []
+    for label in defining:
+        found = [(label, node) for node in trees[label].body if isinstance(node, defs)]
+        found += [("%s.%s" % (label, cls.name), node) for _, cls in found
+                  if isinstance(cls, ast.ClassDef) for node in cls.body
+                  if isinstance(node, defs)]
+        for prefix, node in found:
+            inside = {id(n) for n in ast.walk(node)}
+            if node.name[0].isalpha() and not reads.get(node.name, set()) - inside:
+                unread.append("%s.%s" % (prefix, node.name))
+    return sorted(unread)
+
+
+def test_unread_definition_finder():
+    defining = {"m": ("def used(): pass\n"
+                      "def recursive(): return recursive()\n"
+                      "def _private(): pass\n"
+                      "class C:\n"
+                      "    def __init__(self): self.method()\n"
+                      "    def method(self): pass\n"
+                      "    def unused(self): pass\n"
+                      "class Unread:\n"
+                      "    def make(cls): return Unread()\n")}
+    reading = {"r": "from m import used, C\nused = used\nC().unused\n"}
+    assert unread_definitions(defining, reading) == ["m.Unread", "m.Unread.make", "m.recursive"]
+    assert unread_definitions(defining, {}) == ["m.C", "m.C.unused", "m.Unread",
+                                                "m.Unread.make", "m.recursive", "m.used"]
+
+
+# what the package defines that only tests read, each with the reason it stays
+UNREAD_BY_DESIGN = {
+    "solver.svt": "ROADMAP item 4",
+}
+
+
+def test_package_definitions_are_read_outside_tests():
+    defining = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES.glob("*.py")}
+    reading = {"%s/%s" % (folder, p.name): p.read_text(encoding="utf-8")
+               for folder in ("demos", "benchmark") for p in (ROOT / folder).glob("*.py")}
+    assert unread_definitions(defining, reading) == sorted(UNREAD_BY_DESIGN)
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo, tmp_path):
     # the unused-import check reads a demo's source only; running it also

@@ -9,7 +9,6 @@ from hetcover.partition import (
     TeamAssignment,
     fiedler_cut,
     fiedler_vector,
-    load_assignment,
     minor_laplacian,
     partition,
     save_assignment,
@@ -403,23 +402,15 @@ class TestTeamAssignment:
         with pytest.raises(ValueError):
             TeamAssignment.from_teams([{0, 5}], 2)
 
-    def test_from_team_of_round_trips(self):
-        asgn = TeamAssignment.from_team_of([0, 1, 0, 2, 1])
-        assert asgn.teams == (
-            frozenset({0, 2}),
-            frozenset({1, 4}),
-            frozenset({3}),
-        )
-        assert asgn.team_of == (0, 1, 0, 2, 1)
-
 
 class TestAssignmentSerialization:
     def test_round_trip(self, tmp_path):
         asgn = TeamAssignment.from_teams([{0, 2}, {1}, {3, 4}], 5)
         path = tmp_path / "assignment.json"
         save_assignment(asgn, path)
-        loaded = load_assignment(path)
-        assert loaded == asgn
+        team_of = json.loads(path.read_text())["team_of"]
+        teams = [{i for i, t in enumerate(team_of) if t == team} for team in set(team_of)]
+        assert TeamAssignment.from_teams(teams, len(team_of)) == asgn
 
     def test_document_shape(self, tmp_path):
         asgn = TeamAssignment.from_teams([{0, 1}, {2}], 3)
@@ -429,27 +420,3 @@ class TestAssignmentSerialization:
         assert set(doc) == {"r", "team_of"}
         assert doc["r"] == 2
         assert doc["team_of"] == [0, 0, 1]
-
-    def test_missing_key_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"team_of": [0, 0]}))
-        with pytest.raises(ValueError):
-            load_assignment(path)
-
-    @pytest.mark.parametrize("doc, field", [
-        ({"r": 2, "team_of": [0, 1.7]}, "team_of"),
-        ({"r": 2, "team_of": "01"}, "team_of"),
-        ({"r": 2.9, "team_of": [0, 1]}, "r"),
-        ({"r": True, "team_of": [0, 0]}, "r"),
-    ], ids=["fractional-team", "team-string", "fractional-r", "bool-r"])
-    def test_non_integer_field_rejected(self, tmp_path, doc, field):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="^%s must be" % field):
-            load_assignment(path)
-
-    def test_declared_r_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"r": 3, "team_of": [0, 0, 1]}))
-        with pytest.raises(ValueError):
-            load_assignment(path)

@@ -199,21 +199,21 @@ class TestDetectionRate:
         ])
         asgn = TeamAssignment.from_teams([{0, 1}, {2, 3}], 4)
         events = [Event(Position(0.3, 0.4), "rgb"), Event(Position(0.7, 0.6), "depth")]
-        assert detection_rate(system, asgn, events) == 1.0
+        assert detection_rate(system, asgn, events, nearest_robots(system, events)) == 1.0
 
     def test_single_team_with_all_capabilities(self):
         system = make_system([((0.1, 0.1), "rgb"), ((0.9, 0.9), "depth")])
         asgn = TeamAssignment.from_teams([{0, 1}], 2)
         events = [Event(Position(x / 10, 0.5), t)
                   for x in range(10) for t in ("rgb", "depth")]
-        assert detection_rate(system, asgn, events) == 1.0
+        assert detection_rate(system, asgn, events, nearest_robots(system, events)) == 1.0
 
     def test_missing_type_goes_undetected(self):
         system = make_system([((0.1, 0.5), "rgb"), ((0.9, 0.5), "depth")])
         asgn = TeamAssignment.from_teams([{0}, {1}], 2)
         # both events land nearest the rgb robot; only the rgb one is seen
         events = [Event(Position(0.2, 0.5), "depth"), Event(Position(0.2, 0.5), "rgb")]
-        assert detection_rate(system, asgn, events) == 0.5
+        assert detection_rate(system, asgn, events, nearest_robots(system, events)) == 0.5
 
     def test_distance_tie_goes_to_lower_id(self):
         # the event sits exactly between the two robots
@@ -222,20 +222,21 @@ class TestDetectionRate:
         event_rgb = [Event(Position(0.5, 0.5), "rgb")]
         event_depth = [Event(Position(0.5, 0.5), "depth")]
         system = make_system(spec)
-        assert detection_rate(system, asgn, event_rgb) == 1.0
-        assert detection_rate(system, asgn, event_depth) == 0.0
+        assert detection_rate(system, asgn, event_rgb, nearest_robots(system, event_rgb)) == 1.0
+        assert detection_rate(system, asgn, event_depth,
+                              nearest_robots(system, event_depth)) == 0.0
 
     def test_empty_event_list_rejected(self):
         system = make_system([((0.1, 0.1), "rgb"), ((0.9, 0.9), "rgb")])
         asgn = TeamAssignment.from_teams([{0, 1}], 2)
         with pytest.raises(ValueError):
-            detection_rate(system, asgn, [])
+            detection_rate(system, asgn, [], nearest_robots(system, []))
 
     def test_mismatched_assignment_rejected(self):
         system = make_system([((0.1, 0.1), "rgb"), ((0.9, 0.9), "rgb")])
         asgn = TeamAssignment.from_teams([{0, 1, 2}], 3)
         with pytest.raises(ValueError):
-            detection_rate(system, asgn, [Event(Position(0.5, 0.5), "rgb")])
+            detection_rate(system, asgn, [Event(Position(0.5, 0.5), "rgb")], (0,))
 
     def test_nearest_robots_is_the_per_event_argmin(self):
         # integer-lattice robots and events put many events at equal distances
@@ -253,8 +254,9 @@ class TestDetectionRate:
         assert nearest_robots(system, events) == tuple(want)
         teams = [set(rng.choice(9, size=4, replace=False).tolist())]
         asgn = TeamAssignment.from_teams(teams + [{i} for i in range(9) if i not in teams[0]], 9)
-        assert (detection_rate(system, asgn, events, nearest_robots(system, events))
-                == detection_rate(system, asgn, events))
+        seen = [any(e.event_type in system.robots[m].capabilities
+                    for m in asgn.teams[asgn.team_of[robot]]) for e, robot in zip(events, want)]
+        assert detection_rate(system, asgn, events, tuple(want)) == sum(seen) / len(events)
 
     def test_nearest_list_must_match_the_events(self):
         system = make_system([((0.1, 0.1), "rgb"), ((0.9, 0.9), "rgb")])
@@ -764,7 +766,7 @@ class TestRegionRaster:
     def test_cells_follow_the_event_nearest_robot_rule(self):
         # lattice robots put many cell centers at equal distances from two robots
         system = make_system([((x / 4, y / 4), "rgb") for x in range(3) for y in range(3)])
-        asgn = TeamAssignment.from_team_of([0, 1, 2, 3, 4, 5, 6, 7, 8])
+        asgn = TeamAssignment.from_teams([{i} for i in range(9)], 9)
         res = 4  # cell centers at odd multiples of 1/8 tie between lattice neighbours
         centers = [Event(Position((i + 0.5) / res, (j + 0.5) / res), "rgb")
                    for j in range(res) for i in range(res)]

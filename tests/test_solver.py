@@ -128,6 +128,15 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="mu0=.*rho=.*max_iterations="):
             SolverConfig(**settings)
 
+    # the Z step's c = z_weight / mu0 + 3 overflows below about 1.22e-308 at
+    # lambda1 = 0.1, and solve then ends in "SVD did not converge"
+    @pytest.mark.parametrize("settings", [
+        dict(mu0=1e-308), dict(mu0=1.2e-308), dict(mu0=1e-300, lambda1=1e10),
+    ], ids=["mu0-1e-308", "mu0-1.2e-308", "lambda1-1e10"])
+    def test_penalty_too_small_for_the_z_step_rejected(self, settings):
+        with pytest.raises(ValueError, match="^mu0 is too small.*mu0=.*lambda1="):
+            SolverConfig(**settings)
+
     def test_default_penalty_allows_7447_iterations(self):
         assert SolverConfig(max_iterations=7447).max_iterations == 7447
 
@@ -301,6 +310,16 @@ class TestUpdateZ:
         want = np.linalg.solve(B / state.mu, (rhs / state.mu).T).T
         assert_close_relative(update_z_unclamped(state, problem), want, 1e-12)
         assert np.isfinite(solve(graphs, config).Z).all()
+
+    def test_tiny_penalty_stays_finite(self):
+        # the smallest mu0 SolverConfig admits at lambda1 = 0.1 is about
+        # 2.45e-308; there c is finite, but the row sums R 1 of the first step
+        # overflow (its unclamped Z is -inf, clamped to 0) and later steps recover
+        graphs = fleet_graphs(20, 0)
+        config = SolverConfig(mu0=2.5e-308, max_iterations=5)
+        assert np.isfinite(prepare_problem(graphs, config).z_weight / config.mu0 + 3.0)
+        with np.errstate(over="ignore"):
+            assert np.isfinite(solve(graphs, config).Z).all()
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_unclamped_point_is_stationary(self, seed):
