@@ -322,6 +322,9 @@ def cmd_partition(args, parser):
             grid = region_raster(system, assignment, args.raster)
         except ValueError as exc:
             parser.error(str(exc))
+        except MemoryError:  # numpy's ArrayMemoryError among them
+            parser.error("invalid value for --raster: a %d x %d grid does not fit in memory"
+                         % (args.raster, args.raster))
 
         def save_regions(path):
             with open(path, "w", encoding="utf-8") as fh:

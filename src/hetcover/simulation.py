@@ -418,11 +418,11 @@ def region_raster(system: RobotSystem, assignment: TeamAssignment, resolution: i
     if len(assignment.team_of) != len(system):
         raise ValueError("the system has %d robots but the assignment covers %d"
                          % (len(system), len(assignment.team_of)))
+    grid = np.empty((resolution, resolution), dtype=int)  # before xs and ys, the largest first
     env = system.environment
     pos = system.positions()
     xs = (np.arange(resolution) + 0.5) * env.width / resolution
     ys = (np.arange(resolution) + 0.5) * env.height / resolution
-    grid = np.empty((resolution, resolution), dtype=int)
     team_of = np.asarray(assignment.team_of)
     for j, y in enumerate(ys):  # one row at a time keeps memory at resolution x n
         grid[j, :] = team_of[_nearest(pos, np.column_stack((xs, np.full(resolution, y))))]

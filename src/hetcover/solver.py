@@ -12,15 +12,15 @@ geometrically growing penalty mu.
 Entries of the result are pairwise same-team affinities: row-stochastic,
 symmetric, non-negative.
 
-The steps are written for a stack of problems along a leading axis, and
-solve always runs one: a single problem is a stack of one. A stack holds
-problems of one size n: the graph lists of one or more fleets, each under
-settings that differ only in alphas (a sweep's weightings, or the one
-setting of a simulate batch), which spends numpy's per-call overhead once
-per iteration for the whole stack; each problem's Z and iteration count
-are those of its own solve, bit for bit. The per-iteration objective is
-only computed for a trace someone asks for (solve(..., trace=True), the
-default).
+The solver has one shape, the stack: prepare_problem puts problems along a
+leading axis and every step advances them all, a single problem being a
+stack of one. A stack holds problems of one size n: the graph lists of one
+or more fleets, each under settings that differ only in alphas (a sweep's
+weightings, or the one setting of a simulate batch), which spends numpy's
+per-call overhead once per iteration for the whole stack; each problem's Z
+and iteration count are those of its own solve, bit for bit. The
+per-iteration objective is only computed for a trace someone asks for
+(solve(..., trace=True), the default).
 """
 
 from __future__ import annotations
@@ -105,11 +105,11 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """All iterates of one solver run, or of a stack of runs, at some iteration k.
+    """All iterates of a stack of solver runs at some iteration k.
 
     solve advances one state in place: each step's result is assigned to
-    its field, and update_multipliers moves the multipliers, mu and k. For a
-    stack every array carries a leading stack axis; mu and k are shared.
+    its field, and update_multipliers moves the multipliers, mu and k. Every
+    array carries the leading stack axis; mu and k are shared.
     """
 
     Z: np.ndarray
@@ -125,19 +125,18 @@ class SolverState:
 
 @dataclass(frozen=True)
 class Problem:
-    """What stays fixed over one solve: the settings and the steps' constants.
+    """What stays fixed over the solve of a stack: the settings and the steps' constants.
 
-    For one problem config has its alphas resolved. weighted_sum is
-    sum_m 2 alpha_m A_m, exactly twice the warm start sum_m alpha_m A_m, and
-    z_weight is 2 sum alpha + 2 lambda1, the part of the Z step's diagonal
-    that mu does not scale; eye is I. stack_problems puts problems on a
-    leading stack axis: weighted_sum and z_weight (k x 1 x 1) then carry
-    it, and config holds the settings they share, with alphas None.
+    config holds the settings the stack's k problems share, with alphas
+    None. Slice i of weighted_sum (k x n x n) is problem i's
+    sum_m 2 alpha_m A_m, exactly twice its warm start sum_m alpha_m A_m, and
+    slice i of z_weight (k x 1 x 1) its 2 sum alpha + 2 lambda1, the part of
+    the Z step's diagonal that mu does not scale; eye is I.
     """
 
     config: SolverConfig
     weighted_sum: np.ndarray
-    z_weight: float | np.ndarray
+    z_weight: np.ndarray
     eye: np.ndarray
 
 
@@ -145,7 +144,8 @@ class Problem:
 class Residuals:
     """Infinity-norm violations of the four equality constraints.
 
-    Each is a float for one problem, or an array over a stack's problems.
+    constraint_residuals gives each as an array over a stack's problems; an
+    IterationRecord holds one problem's, as floats.
     """
 
     r1: float  # |Z 1 - 1|_inf       (row sums)
@@ -198,46 +198,43 @@ def _adjacency(graph) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
 
-def prepare_problem(graphs, config: SolverConfig) -> Problem:
-    """Check the graphs against each other and the config, and fix the loop invariants."""
-    adjs = tuple(_adjacency(g) for g in graphs)
-    config = config.resolved(len(adjs))
-    n = adjs[0].shape[0]
-    for m, a in enumerate(adjs):
-        if a.shape != (n, n):
-            raise ValueError("all graphs must share the same square shape")
-        if not np.isfinite(a).all():
-            raise ValueError("graph %d has a non-finite entry" % m)
-    return Problem(
-        config=config,
-        weighted_sum=sum(2.0 * alpha * a for alpha, a in zip(config.alphas, adjs)),
-        z_weight=2.0 * sum(config.alphas) + 2.0 * config.lambda1,
-        eye=np.eye(n),
-    )
+def prepare_problem(graph_lists, configs) -> Problem:
+    """The stack of each graph list under its config, with the loop invariants fixed.
 
-
-def stack_problems(problems) -> Problem:
-    """One Problem holding problems along a leading stack axis.
-
-    Their graph lists may differ but must share the size n, and they must
-    share every setting but alphas, since one loop advances them with one
-    penalty mu and one shrinkage threshold.
+    Each list's graphs are checked against each other and its config. The
+    lists may differ but must share the size n, and the configs must share
+    every setting but alphas, since one loop advances them with one penalty
+    mu and one shrinkage threshold.
     """
-    if not problems:
+    if len(graph_lists) != len(configs):
+        raise ValueError("a stack needs one graph list per config, got %d for %d"
+                         % (len(graph_lists), len(configs)))
+    if not configs:
         raise ValueError("a stack needs at least one config")
-    first = problems[0]
-    sizes = sorted({problem.eye.shape[0] for problem in problems})
+    shared, weighted_sums, z_weights = [], [], []
+    for graphs, config in zip(graph_lists, configs):
+        adjs = tuple(_adjacency(g) for g in graphs)
+        config = config.resolved(len(adjs))
+        n = adjs[0].shape[0]
+        for m, a in enumerate(adjs):
+            if a.shape != (n, n):
+                raise ValueError("all graphs must share the same square shape")
+            if not np.isfinite(a).all():
+                raise ValueError("graph %d has a non-finite entry" % m)
+        shared.append(replace(config, alphas=None))
+        weighted_sums.append(sum(2.0 * alpha * a for alpha, a in zip(config.alphas, adjs)))
+        z_weights.append(2.0 * sum(config.alphas) + 2.0 * config.lambda1)
+    sizes = sorted({w.shape[0] for w in weighted_sums})
     if len(sizes) > 1:
         raise ValueError("stacked problems must share n, got n = %s"
                          % ", ".join(map(str, sizes)))
-    config = replace(first.config, alphas=None)
-    if any(replace(problem.config, alphas=None) != config for problem in problems):
+    if len(set(shared)) > 1:
         raise ValueError("stacked problems may differ only in alphas")
     return Problem(
-        config=config,
-        weighted_sum=np.stack([p.weighted_sum for p in problems]),
-        z_weight=np.array([p.z_weight for p in problems])[:, None, None],
-        eye=first.eye,
+        config=shared[0],
+        weighted_sum=np.stack(weighted_sums),
+        z_weight=np.array(z_weights)[:, None, None],
+        eye=np.eye(sizes[0]),
     )
 
 
@@ -261,27 +258,6 @@ def objective(Z, L, graphs, config: SolverConfig, singular_values=None) -> float
             singular_values = np.linalg.svd(np.asarray(L, dtype=float), compute_uv=False)
         value = value + config.lambda2 * float(singular_values.sum())
     return float(value)
-
-
-def _shrink(G, tau):
-    """svt(G, tau) and its singular values; None for the values when tau = 0 (no SVD runs)."""
-    G = np.asarray(G, dtype=float)
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
-    if tau == 0:
-        return G.copy(), None
-    U, s, Vt = np.linalg.svd(G, full_matrices=False)
-    shrunk = np.maximum(s - tau, 0.0)
-    return (U * shrunk[..., None, :]) @ Vt, shrunk
-
-
-def svt(G, tau: float) -> np.ndarray:
-    """Singular-value thresholding: shrink each singular value by tau, floor at 0.
-
-    This is the proximal operator of tau * ||.||_*; svt(G, 0) returns G
-    unchanged.
-    """
-    return _shrink(G, tau)[0]
 
 
 def initial_state(problem: Problem) -> SolverState:
@@ -311,8 +287,11 @@ def update_z_unclamped(state: SolverState, problem: Problem) -> np.ndarray:
 
         Z = (R - (R 1) 1^T / (c + n)) / c.
 
-    Working in units of mu keeps the row sums R 1 finite for any penalty
-    SolverConfig admits, where RHS 1 or mu / (c + n mu) would overflow.
+    Working in units of mu keeps R finite for any penalty SolverConfig
+    admits, where RHS 1 or mu / (c + n mu) would overflow. The row sums are
+    taken of R / s with s = 2**ceil(log2 n), divided by c + n and scaled
+    back by s, so they stay finite wherever R is; scaling by a power of two
+    is exact for normal floats, so Z does not move.
     """
     mu = state.mu
     rhs = problem.weighted_sum + mu * (
@@ -320,7 +299,9 @@ def update_z_unclamped(state: SolverState, problem: Problem) -> np.ndarray:
     rhs = rhs - state.phi1[..., None] - state.Phi2.mT - state.Phi3 + state.Phi4
     R = rhs / mu
     c = problem.z_weight / mu + 3.0
-    return (R - R.sum(axis=-1, keepdims=True) / (c + R.shape[-1])) / c
+    n = R.shape[-1]
+    s = 2.0 ** (n - 1).bit_length()
+    return (R - (R / s).sum(axis=-1, keepdims=True) / (c + n) * s) / c
 
 
 def update_z(state: SolverState, problem: Problem) -> np.ndarray:
@@ -335,14 +316,21 @@ def update_zhat(state: SolverState) -> np.ndarray:
 
 
 def update_laplacian(state: SolverState, problem: Problem):
-    """The L step: proximal shrinkage toward I - Z.
+    """The L step: singular-value thresholding of the target I - Z - Phi3/mu.
 
-    Minimizes lambda2 ||L||_* + (mu/2) ||L - (I - Z - Phi3/mu)||_F^2, i.e.
-    svt of the target with threshold lambda2/mu. Returns L and its
-    singular values, or None for them when lambda2 = 0 and L is the target.
+    Minimizes lambda2 ||L||_* + (mu/2) ||L - target||_F^2, whose minimizer
+    (the proximal operator of tau ||.||_* at the target, tau = lambda2/mu)
+    shrinks each singular value of the target by tau, floored at 0. Returns
+    L and its singular values, or None for them when tau = 0 and L is the
+    target (no SVD runs).
     """
     target = problem.eye - state.Z - state.Phi3 / state.mu
-    return _shrink(target, problem.config.lambda2 / state.mu)
+    tau = problem.config.lambda2 / state.mu
+    if tau == 0:
+        return target, None
+    U, s, Vt = np.linalg.svd(target, full_matrices=False)
+    shrunk = np.maximum(s - tau, 0.0)
+    return (U * shrunk[..., None, :]) @ Vt, shrunk
 
 
 def constraint_residuals(state: SolverState, problem: Problem):
@@ -419,10 +407,7 @@ def solve(graphs, config=None, *, trace: bool = True):
         graph_lists, configs = [graphs], [SolverConfig() if config is None else config]
     else:
         graph_lists, configs = list(graphs), list(config)
-        if len(graph_lists) != len(configs):
-            raise ValueError("a stack needs one graph list per config, got %d for %d"
-                             % (len(graph_lists), len(configs)))
-    problem = stack_problems([prepare_problem(g, c) for g, c in zip(graph_lists, configs)])
+    problem = prepare_problem(graph_lists, configs)
     if problem.eye.shape[0] < 2:
         raise ValueError("graphs must be at least 2x2")
     config = problem.config

@@ -48,6 +48,10 @@ class Environment:
             raise ValueError("environment dimensions must be positive")
         if not (math.isfinite(self.width) and math.isfinite(self.height)):
             raise ValueError("environment dimensions must be finite")
+        # nearest-robot queries compare squared distances, at most this sum
+        if not math.isfinite(self.width * self.width + self.height * self.height):
+            raise ValueError("environment dimensions %r x %r are too large: their squared "
+                             "diagonal overflows" % (self.width, self.height))
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         for wall in self.obstacles:
             if not isinstance(wall, Wall):

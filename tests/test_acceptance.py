@@ -31,7 +31,6 @@ from hetcover.solver import (
     SolverState,
     prepare_problem,
     solve,
-    svt,
     update_laplacian,
     update_z_unclamped,
 )
@@ -153,28 +152,36 @@ def test_random_fleet_solutions_feasible_and_fast(feasibility_runs):
         assert stat["seconds"] <= 10.0
 
 
+def target_state(G):
+    """A stack of one state whose L-step target I - Z - Phi3/mu is G up to
+    rounding: Z = 0, Phi3 = I - G and mu = 1."""
+    n = G.shape[-1]
+    zeros = np.zeros((1, n, n))
+    return SolverState(Z=zeros, Zhat=zeros, L=zeros, phi1=np.zeros((1, n)), Phi2=zeros,
+                       Phi3=(np.eye(n) - G)[None], Phi4=zeros, mu=1.0, k=0)
+
+
 def test_laplacian_prox_matches_descent_oracle():
     n = 4
     config = SolverConfig(alphas=(1.0,))
-    problem = prepare_problem([np.zeros((n, n))], config)
+    problem = prepare_problem([[np.zeros((n, n))]], [config])
     cases = []
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        Z = rng.random((n, n))
-        Phi3 = rng.standard_normal((n, n))
+        Z = rng.random((1, n, n))
+        Phi3 = rng.standard_normal((1, n, n))
         mu = 0.1 * 1.1 ** (seed % 12)
         state = SolverState(
-            Z=Z, Zhat=Z.T.copy(), L=np.eye(n) - Z,
-            phi1=np.zeros(n), Phi2=np.zeros((n, n)), Phi3=Phi3,
-            Phi4=np.zeros((n, n)), mu=mu, k=0,
+            Z=Z, Zhat=Z.mT.copy(), L=np.eye(n) - Z,
+            phi1=np.zeros((1, n)), Phi2=np.zeros((1, n, n)), Phi3=Phi3,
+            Phi4=np.zeros((1, n, n)), mu=mu, k=0,
         )
-        cases.append((state, np.eye(n) - Z - Phi3 / mu, config.lambda2 / mu))
+        cases.append((state, np.eye(n) - Z[0] - Phi3[0] / mu, config.lambda2 / mu))
     # the 20 descents run as one stack; each slice is its own descent
     wants = nuclear_prox_oracle(np.stack([target for _, target, _ in cases]),
                                 [tau for _, _, tau in cases], iters=60_000)
-    for (state, target, tau), want in zip(cases, wants):
-        assert np.abs(svt(target, tau) - want).max() < 1e-4
-        assert np.abs(update_laplacian(state, problem)[0] - want).max() < 1e-4
+    for (state, _, _), want in zip(cases, wants):
+        assert np.abs(update_laplacian(state, problem)[0][0] - want).max() < 1e-4
     # diagonal inputs have a closed-form answer: shrink each entry toward zero
     diagonal_cases = [
         ((3.0, 1.0, 0.2), 0.5),
@@ -184,7 +191,10 @@ def test_laplacian_prox_matches_descent_oracle():
     for entries, tau in diagonal_cases:
         d = np.array(entries)
         want = np.diag(np.sign(d) * np.maximum(np.abs(d) - tau, 0.0))
-        assert np.abs(svt(np.diag(d), tau) - want).max() <= 1e-10
+        problem = prepare_problem([[np.zeros((d.size, d.size))]],
+                                  [SolverConfig(alphas=(1.0,), lambda2=tau)])
+        L, _ = update_laplacian(target_state(np.diag(d)), problem)
+        assert np.abs(L[0] - want).max() <= 1e-10
 
 
 def smooth_augmented(Z, state, adjs, config):
@@ -209,12 +219,12 @@ def test_z_step_zeroes_the_smooth_gradient():
         weights = rng.random(3)
         config = SolverConfig(alphas=tuple(weights / weights.sum()))
         state = SolverState(
-            Z=rng.random((n, n)), Zhat=rng.random((n, n)), L=rng.random((n, n)),
-            phi1=rng.standard_normal(n), Phi2=rng.standard_normal((n, n)),
-            Phi3=rng.standard_normal((n, n)), Phi4=rng.standard_normal((n, n)),
+            Z=rng.random((1, n, n)), Zhat=rng.random((1, n, n)), L=rng.random((1, n, n)),
+            phi1=rng.standard_normal((1, n)), Phi2=rng.standard_normal((1, n, n)),
+            Phi3=rng.standard_normal((1, n, n)), Phi4=rng.standard_normal((1, n, n)),
             mu=0.1 * 1.1 ** (seed % 10), k=seed % 10,
         )
-        Zs = update_z_unclamped(state, prepare_problem(adjs, config))
+        Zs = update_z_unclamped(state, prepare_problem([adjs], [config]))[0]
         gradient = numeric_gradient(
             lambda X: smooth_augmented(X, state, adjs, config), Zs, h=1e-6)
         scale = max(1.0, abs(smooth_augmented(Zs, state, adjs, config)))

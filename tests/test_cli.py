@@ -352,6 +352,21 @@ class TestPartition:
                        "--out", str(tmp_path))
         assert code == 2
 
+    def test_raster_grid_that_cannot_be_allocated_rejected(self, tmp_path, capsys):
+        # 10**14 cells of 8 bytes exceed any 64-bit address space, so the
+        # allocation fails at once, whatever the memory overcommit policy
+        z_path = tmp_path / "Z.csv"
+        system_path = tmp_path / "system.json"
+        write_block_z(z_path)
+        write_planted_system(system_path)
+        code = run_cli("partition", "--z", str(z_path), "--regions", "2",
+                       "--raster", "10000000", "--system", str(system_path),
+                       "--out", str(tmp_path))
+        assert code == 2
+        assert ("invalid value for --raster: a 10000000 x 10000000 grid does not fit in memory"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "regions.json").exists()
+
     def test_empty_matrix_rejected_without_a_warning(self, tmp_path, capsys):
         z_path = tmp_path / "Z.csv"
         z_path.write_text("")
@@ -805,6 +820,35 @@ def test_non_finite_solver_setting_rejected_before_any_work(small_run, tmp_path,
     assert small_run(command, out, *settings) == 2
     assert "invalid solver settings: " in capsys.readouterr().err
     assert not out.exists()
+
+
+class TestEnvironmentSize:
+    """Nearest-robot queries compare squared distances, so an environment whose
+    squared diagonal overflows is refused wherever it enters."""
+
+    DEFECT = "environment dimensions 1e+200 x 1.0 are too large"
+
+    @pytest.mark.parametrize("command", ["generate", "simulate"])
+    def test_width_whose_square_overflows_rejected(self, small_run, tmp_path, capsys,
+                                                   command):
+        assert small_run(command, tmp_path / "out", "--width", "1e200") == 2
+        assert "invalid environment: %s" % self.DEFECT in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_system_document_with_that_width_rejected(self, tmp_path, capsys):
+        system_path = tmp_path / "system.json"
+        write_planted_system(system_path)
+        doc = json.loads(system_path.read_text())
+        doc["environment"]["width"] = 1e200
+        system_path.write_text(json.dumps(doc))
+        code = run_cli("solve", "--system", str(system_path), "--out", str(tmp_path))
+        assert code == 2
+        assert ("cannot read system %s: %s" % (system_path, self.DEFECT)
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["generate", "simulate"])
+    def test_width_whose_square_is_finite_runs(self, small_run, tmp_path, command):
+        assert small_run(command, tmp_path, "--width", "1e150") == 0
 
 
 class TestConfigLayering:

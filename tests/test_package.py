@@ -145,9 +145,7 @@ def test_unread_definition_finder():
 
 
 # what the package defines that only tests read, each with the reason it stays
-UNREAD_BY_DESIGN = {
-    "solver.svt": "ROADMAP item 4",
-}
+UNREAD_BY_DESIGN = {}
 
 
 def test_package_definitions_are_read_outside_tests():

@@ -15,7 +15,6 @@ from hetcover.solver import (
     objective,
     prepare_problem,
     solve,
-    svt,
     update_laplacian,
     update_multipliers,
     update_z,
@@ -36,25 +35,37 @@ from _oracles import nuclear_prox_oracle, reference_solve
 
 def make_state(Z, Zhat=None, L=None, phi1=None, Phi2=None, Phi3=None, Phi4=None,
                mu=0.1, k=0):
-    """A SolverState with consistent shapes, defaulting to the feasible companions."""
+    """A stack of one SolverState from n x n iterates, defaulting to the feasible companions."""
     Z = np.asarray(Z, dtype=float)
     n = Z.shape[0]
-    return SolverState(
+    state = SolverState(
         Z=Z,
-        Zhat=Z.T.copy() if Zhat is None else np.asarray(Zhat, dtype=float),
-        L=np.eye(n) - Z if L is None else np.asarray(L, dtype=float),
-        phi1=np.zeros(n) if phi1 is None else np.asarray(phi1, dtype=float),
-        Phi2=np.zeros((n, n)) if Phi2 is None else np.asarray(Phi2, dtype=float),
-        Phi3=np.zeros((n, n)) if Phi3 is None else np.asarray(Phi3, dtype=float),
-        Phi4=np.zeros((n, n)) if Phi4 is None else np.asarray(Phi4, dtype=float),
+        Zhat=Z.T.copy() if Zhat is None else Zhat,
+        L=np.eye(n) - Z if L is None else L,
+        phi1=np.zeros(n) if phi1 is None else phi1,
+        Phi2=np.zeros((n, n)) if Phi2 is None else Phi2,
+        Phi3=np.zeros((n, n)) if Phi3 is None else Phi3,
+        Phi4=np.zeros((n, n)) if Phi4 is None else Phi4,
         mu=mu,
         k=k,
     )
+    return replace(state, **{name: np.asarray(value, dtype=float)[None]
+                             for name, value in vars(state).items() if name not in ("mu", "k")})
 
 
 def problem_for(config, n):
     """The Problem of an n x n zero graph under config, for steps that read only its constants."""
-    return prepare_problem([np.zeros((n, n))], config)
+    return prepare_problem([[np.zeros((n, n))]], [config])
+
+
+def threshold(G, tau):
+    """update_laplacian at threshold tau = lambda2 / mu on a state whose L-step
+    target I - Z - Phi3/mu is G up to rounding (Z = 0, Phi3 = I - G, mu = 1):
+    G's singular-value thresholding, as L and its singular values."""
+    n = G.shape[0]
+    state = make_state(np.zeros((n, n)), Phi3=np.eye(n) - G, mu=1.0)
+    L, values = update_laplacian(state, problem_for(SolverConfig(lambda2=tau), n))
+    return L[0], values
 
 
 def two_pair_system():
@@ -186,39 +197,59 @@ class TestObjective:
             objective(np.zeros((2, 2)), np.zeros((2, 2)), [np.zeros((3, 3))], cfg)
 
 
+class TestPrepareProblem:
+    def test_each_slice_of_a_stack_is_its_own_problem(self):
+        # fleets and weightings, as a simulate or sweep batch stacks them; None
+        # alphas resolve to equal weights
+        graph_lists = [fleet_graphs(20, seed) for seed in (0, 0, 1, 2)]
+        configs = [SolverConfig(alphas=(0.1, 0.2, 0.7)), SolverConfig(alphas=(1.0, 0.0, 0.0)),
+                   SolverConfig(), SolverConfig(alphas=(0.0, 0.5, 0.5))]
+        stack = prepare_problem(graph_lists, configs)
+        assert stack.weighted_sum.shape == (4, 20, 20) and stack.z_weight.shape == (4, 1, 1)
+        assert stack.config == SolverConfig()
+        for i, (graphs, config) in enumerate(zip(graph_lists, configs)):
+            alone = prepare_problem([graphs], [config])
+            assert alone.z_weight.shape == (1, 1, 1)
+            assert stack.weighted_sum[i].tobytes() == alone.weighted_sum[0].tobytes()
+            assert stack.z_weight[i].tobytes() == alone.z_weight[0].tobytes()
+            assert np.array_equal(stack.eye, alone.eye)
+
+
 class TestSvt:
+    """The L step's singular-value thresholding, on states whose target is G."""
+
     def test_diagonal_matrix_shrinks_exactly(self):
         G = np.diag([3.0, 1.0, 0.2])
         want = np.diag([2.5, 0.5, 0.0])
-        assert np.abs(svt(G, 0.5) - want).max() < 1e-10
+        L, values = threshold(G, 0.5)
+        assert np.abs(L - want).max() < 1e-10
+        assert np.abs(values[0] - [2.5, 0.5, 0.0]).max() < 1e-10
 
     def test_zero_matrix_stays_zero(self):
-        assert np.all(svt(np.zeros((3, 3)), 0.7) == 0.0)
+        assert np.all(threshold(np.zeros((3, 3)), 0.7)[0] == 0.0)
 
     def test_zero_threshold_is_identity(self):
+        # with lambda2 = 0, L is the target itself and no SVD runs
         rng = np.random.default_rng(0)
-        G = rng.standard_normal((4, 4))
-        assert np.array_equal(svt(G, 0.0), G)
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            svt(np.eye(2), -0.1)
+        state = make_state(rng.random((4, 4)), Phi3=rng.standard_normal((4, 4)), mu=0.5)
+        L, values = update_laplacian(state, problem_for(SolverConfig(lambda2=0.0), 4))
+        assert values is None
+        assert np.array_equal(L, np.eye(4) - state.Z - state.Phi3 / state.mu)
 
     def test_output_singular_values_never_exceed_input(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
             G = rng.standard_normal((5, 5))
             s_in = np.linalg.svd(G, compute_uv=False)
-            s_out = np.linalg.svd(svt(G, 0.4), compute_uv=False)
+            s_out = np.linalg.svd(threshold(G, 0.4)[0], compute_uv=False)
             assert np.all(s_out <= s_in + 1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_prox_oracle(self, seed):
         rng = np.random.default_rng(seed)
         G = rng.standard_normal((4, 4))
-        got = svt(G, 0.3)
         want = nuclear_prox_oracle(G, 0.3)
-        assert np.abs(got - want).max() < 1e-4
+        assert np.abs(threshold(G, 0.3)[0] - want).max() < 1e-4
 
 
 def smooth_part(Z, state, adjs, config):
@@ -264,8 +295,8 @@ class TestUpdateZ:
         # a large Phi3 pushes the unclamped solution far below zero
         A = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.2], [0.5, 0.2, 0.0]])
         cfg = SolverConfig(alphas=(1.0,))
-        problem = prepare_problem([A], cfg)
-        state = replace(initial_state(problem), Phi3=100.0 * np.ones((3, 3)))
+        problem = prepare_problem([[A]], [cfg])
+        state = replace(initial_state(problem), Phi3=100.0 * np.ones((1, 3, 3)))
         assert update_z_unclamped(state, problem).min() < 0
         assert update_z(state, problem).min() >= 0.0
 
@@ -277,7 +308,7 @@ class TestUpdateZ:
         z = 0.2
         for _ in range(300):
             state = make_state(np.array([[z]]), mu=1e6)
-            z = float(update_z(state, prepare_problem(A, cfg))[0, 0])
+            z = float(update_z(state, prepare_problem([A], [cfg]))[0, 0, 0])
         assert abs(z - 1.0) < 1e-12
 
     # mu from mu0 = 0.1 up to about 1e6, the range a converging solve spans
@@ -285,12 +316,12 @@ class TestUpdateZ:
     @pytest.mark.parametrize("n", [1, 2, 5, 20, 100])
     def test_closed_form_matches_a_linear_solve(self, n, mu):
         rng = np.random.default_rng(n)
-        problem = prepare_problem([rng.random((n, n)), rng.random((n, n))],
-                                  SolverConfig(alphas=(0.4, 0.6)))
-        state = random_state(rng, (n, n), mu)
+        problem = prepare_problem([[rng.random((n, n)), rng.random((n, n))]],
+                                  [SolverConfig(alphas=(0.4, 0.6))])
+        state = random_state(rng, (1, n, n), mu)
         B, rhs = z_step_system(state, problem)
         assert_close_relative(update_z_unclamped(state, problem),
-                              np.linalg.solve(B, rhs.T).T, 1e-12)
+                              np.linalg.solve(B, rhs.mT).mT, 1e-12)
         # a stack whose slices differ in z_weight, each solved against its own B
         stack = Problem(config=problem.config, weighted_sum=rng.random((3, n, n)),
                         z_weight=np.array([0.2, 2.2, 7.0])[:, None, None], eye=problem.eye)
@@ -304,21 +335,23 @@ class TestUpdateZ:
         # row sums RHS 1 and the factor mu / (c + n mu) overflow
         graphs = fleet_graphs(20, 0)[1:2]
         config = SolverConfig(alphas=(1.0,), mu0=1e307, max_iterations=1)
-        problem = prepare_problem(graphs, config)
+        problem = prepare_problem([graphs], [config])
         state = initial_state(problem)
         B, rhs = z_step_system(state, problem)
-        want = np.linalg.solve(B / state.mu, (rhs / state.mu).T).T
+        want = np.linalg.solve(B / state.mu, (rhs / state.mu).mT).mT
         assert_close_relative(update_z_unclamped(state, problem), want, 1e-12)
         assert np.isfinite(solve(graphs, config).Z).all()
 
     def test_tiny_penalty_stays_finite(self):
         # the smallest mu0 SolverConfig admits at lambda1 = 0.1 is about
-        # 2.45e-308; there c is finite, but the row sums R 1 of the first step
-        # overflow (its unclamped Z is -inf, clamped to 0) and later steps recover
-        graphs = fleet_graphs(20, 0)
+        # 2.45e-308; there c and R = RHS / mu are finite, but the first step's
+        # row sums R 1 overflow unless they are taken of R scaled down
         config = SolverConfig(mu0=2.5e-308, max_iterations=5)
-        assert np.isfinite(prepare_problem(graphs, config).z_weight / config.mu0 + 3.0)
-        with np.errstate(over="ignore"):
+        for n in (20, 100):
+            graphs = fleet_graphs(n, 0)
+            problem = prepare_problem([graphs], [config])
+            assert np.isfinite(problem.z_weight / config.mu0 + 3.0).all()
+            assert np.isfinite(update_z_unclamped(initial_state(problem), problem)).all()
             assert np.isfinite(solve(graphs, config).Z).all()
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
@@ -327,19 +360,8 @@ class TestUpdateZ:
         n = 5
         adjs = [rng.random((n, n)) for _ in range(2)]
         cfg = SolverConfig(alphas=(0.4, 0.6))
-        state = SolverState(
-            Z=rng.random((n, n)),
-            Zhat=rng.random((n, n)),
-            L=rng.random((n, n)),
-            phi1=rng.standard_normal(n),
-            Phi2=rng.standard_normal((n, n)),
-            Phi3=rng.standard_normal((n, n)),
-            Phi4=rng.standard_normal((n, n)),
-            mu=0.1 * 1.1**3,
-            k=3,
-        )
-        problem = prepare_problem(adjs, cfg)
-        Zs = update_z_unclamped(state, problem)
+        state = random_state(rng, (1, n, n), 0.1 * 1.1**3)
+        Zs = update_z_unclamped(state, prepare_problem([adjs], [cfg]))[0]
         f0 = smooth_part(Zs, state, adjs, cfg)
         h = 1e-6
         scale = max(1.0, abs(f0))
@@ -366,7 +388,7 @@ class TestUpdateZhat:
         got = update_zhat(state)
         want = 0.5 * (Z + Z.T)
         assert np.abs(got - want).max() < 1e-14
-        assert np.abs(got - got.T).max() < 1e-14
+        assert np.abs(got - got.mT).max() < 1e-14
 
     def test_multipliers_shift_result(self):
         state = make_state(
@@ -420,7 +442,7 @@ class TestUpdateMultipliers:
     def test_penalty_schedule_is_geometric(self):
         cfg = SolverConfig()
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        problem = prepare_problem([A], cfg)
+        problem = prepare_problem([[A]], [cfg])
         state = initial_state(problem)
         update_multipliers(state, constraint_residuals(state, problem)[1], cfg)
         update_multipliers(state, constraint_residuals(state, problem)[1], cfg)

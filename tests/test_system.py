@@ -45,6 +45,11 @@ class TestEnvironment:
         with pytest.raises(ValueError):
             Environment(1.0, -2.0)
 
+    @pytest.mark.parametrize("width, height", [(1e200, 1.0), (1.0, 1e155), (1e154, 1e154)])
+    def test_dimensions_whose_squared_diagonal_overflows_rejected(self, width, height):
+        with pytest.raises(ValueError, match="too large: their squared diagonal overflows"):
+            Environment(width, height)
+
     def test_wall_endpoints_must_be_inside(self):
         with pytest.raises(ValueError):
             Environment(1.0, 1.0, (Wall(Position(0.5, 0.5), Position(1.5, 0.5)),))
