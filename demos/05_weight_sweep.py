@@ -2,10 +2,10 @@
 
 The three weights decide how much the fused matrix listens to position,
 radio reachability, and shared sensors. A coarse lattice over the weight
-simplex is enough to see the trade-off on a small fleet. As in the sweep
-subcommand, each seed's fleet is placed once, and the fleets are fused
-under every weighting together; the subcommand runs the same loop at a
-finer step and writes sweep.csv.
+simplex is enough to see the trade-off on a small fleet. This is the sweep
+subcommand's loop: each seed's fleet is placed once and fused under every
+weighting, the (seed, weighting) problems sharing solver stacks; the
+subcommand runs it at a finer step and writes sweep.csv.
 """
 
 import numpy as np
@@ -13,8 +13,7 @@ import numpy as np
 from hetcover.simulation import (
     Method,
     SimConfig,
-    fuse_fleets,
-    place_fleet,
+    batch_fleets,
     run_trial,
     sweep_grid,
 )
@@ -27,12 +26,11 @@ solvers = [SolverConfig(alphas=alphas) for alphas in grid]
 
 det = [[] for _ in grid]
 dup = [[] for _ in grid]
-placed = [place_fleet(SimConfig(n_robots=10, n_capabilities=2, seed=seed)) for seed in seeds]
-for fleets in fuse_fleets(placed, solvers, (Method.FULL,)):
-    for fleet, fleet_det, fleet_dup in zip(fleets, det, dup):
-        full, = run_trial(fleet, n_teams)
-        fleet_det.append(full.detection_rate)
-        fleet_dup.append(full.duplication_rate)
+base = SimConfig(n_robots=10, n_capabilities=2, seed=0)
+for _, s, fleet in batch_fleets(base, seeds, solvers, (Method.FULL,)):
+    full, = run_trial(fleet, n_teams)
+    det[s].append(full.detection_rate)
+    dup[s].append(full.duplication_rate)
 
 print("alpha1 alpha2 alpha3   detection  duplication   (Full method, %d seeds)"
       % len(seeds))

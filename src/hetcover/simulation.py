@@ -2,11 +2,10 @@
 
 A SimConfig describes one seeded fleet. place_fleet generates its system,
 builds its three relation graphs and places its typed events, once;
-fuse_fleets fuses a group of placed fleets of one size under one solver
-setting or several (a sweep's weightings, from sweep_grid). It solves each
-method's (fleet, setting) problems together, in stacks of stack_size(n),
-which holds about STACK_ENTRIES matrix entries whatever the fleet size;
-prepare_fleet places and fuses one fleet under its config's own setting.
+fuse_fleets fuses placed fleets of one size, each under its own solver
+setting (a sweep's weightings come from sweep_grid), solving each method's
+problems together as one stack; prepare_fleet places and fuses one fleet
+under its config's own setting.
 A trial, run_trial(fleet, *regions), builds each method's teams at every
 team count r given in one pass and scores them on the events (detection)
 and on within-team capability redundancy (duplication): one Fiedler cut
@@ -16,11 +15,11 @@ whose one merge sequence gives every r.
 One fused fleet serves every r at its seed, for the methods it was fused for.
 
 A batch, as the CLI's simulate and sweep run it, is batch_fleets over
-consecutive seeds: it places their fleets in groups whose (fleet, setting)
-problems fill about one solver stack, fuses each group under the batch's
-solver settings and yields each fused fleet, or the error that failed it,
-seed-major, keeping one group alive at a time. The caller scores each fused
-fleet in one run_trial call at all the batch's team counts.
+consecutive seeds: a seed-major stream of (seed, setting) problems, each
+seed's fleet placed when the stream reaches it, cut into stacks of about
+STACK_ENTRIES matrix entries whatever the fleet size, each fused and yielded
+before the next is placed. The caller scores each fused fleet in one
+run_trial call at all the batch's team counts.
 
 All randomness flows from SimConfig.seed; system generation and event
 placement draw from independent child streams, each reproducible alone.
@@ -28,6 +27,7 @@ placement draw from independent child streams, each reproducible alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -274,7 +274,7 @@ class Fleet:
     graphs, its events with each event's nearest robot, the methods it is
     scored for, in order, and the fused Z of each of them that is solved
     (Full, Baseline). config is the configuration it was prepared from; only
-    the fused Z depend on config.solver.
+    the fused Z depend on config.solver, and a placed fleet has none yet.
     """
 
     config: SimConfig
@@ -318,33 +318,24 @@ def stack_size(n_robots: int) -> int:
     return max(1, STACK_ENTRIES // (n_robots * n_robots))
 
 
-def fuse_fleets(fleets, solvers, methods=tuple(Method)):
-    """Each placed fleet under each of solvers: a list per fleet, in order, of
-    fused fleets, one per solver in order, to be scored for methods in their order.
+def fuse_fleets(pairs, methods=tuple(Method)):
+    """Each (placed fleet, solver) pair fused under its solver, in order, to
+    be scored for methods in their order.
 
-    The fleets must share their robot count. Full solves the solvers and
-    Baseline their baseline_solver_config; the solvers may differ only in
-    alphas. Each method's (fleet, setting) problems run stack_size(n) at a
-    time as one stack, which gives each Z byte for byte as a solve of it
-    alone. An error of any solve is raised; the caller can fuse the fleets
-    one at a time to find the fleet it belongs to.
+    The fleets must share their robot count and the solvers every setting
+    but alphas. Full solves the solvers and Baseline their
+    baseline_solver_config, each as one stack, which gives each Z byte for
+    byte as a solve of it alone. An error of any solve is raised; the caller
+    can fuse the pairs one at a time to find the pair it belongs to.
     """
-    pairs = [(fleet, solver) for fleet in fleets for solver in solvers]
-    fused = [{} for _ in pairs]
-    size = stack_size(fleets[0].config.n_robots) if fleets else 1
-    for start in range(0, len(pairs), size):
-        chunk = pairs[start:start + size]
-        graphs = [fleet.graphs for fleet, _ in chunk]
-        for method, settings in ((Method.FULL, [s for _, s in chunk]),
-                                 (Method.BASELINE, [baseline_solver_config(s) for _, s in chunk])):
-            if method in methods:
-                for z, result in zip(fused[start:start + size],
-                                     solve(graphs, settings, trace=False).results):
-                    z[method] = result.Z
-    done = iter(replace(fleet, config=replace(fleet.config, solver=solver),
-                        methods=tuple(methods), fused=z)
-                for (fleet, solver), z in zip(pairs, fused))
-    return [[next(done) for _ in solvers] for _ in fleets]
+    graphs = [fleet.graphs for fleet, _ in pairs]
+    stacks = {Method.FULL: [solver for _, solver in pairs],
+              Method.BASELINE: [baseline_solver_config(solver) for _, solver in pairs]}
+    zs = {method: [result.Z for result in solve(graphs, settings, trace=False).results]
+          for method, settings in stacks.items() if method in methods and pairs}
+    return [replace(fleet, config=replace(fleet.config, solver=solver), methods=tuple(methods),
+                    fused={method: z[i] for method, z in zs.items()})
+            for i, (fleet, solver) in enumerate(pairs)]
 
 
 def attempt(fn, *args):
@@ -358,31 +349,33 @@ def attempt(fn, *args):
 def batch_fleets(base: SimConfig, seeds, solvers, methods=tuple(Method)):
     """(seed, setting index, the fused fleet or the error that failed it), seed-major.
 
-    Each seed's fleet is base at that seed, fused for methods under each of
-    solvers: a group's fleets together, or one at a time if that raises, so
-    a fleet that fails to place or fuse loses only its own settings.
+    Each seed's fleet is base at that seed, placed once when the stream of
+    (seed, setting) problems reaches it and fused for methods under each of
+    solvers: stack_size(n) problems together, or one at a time if that
+    raises, so a problem that fails to place or fuse loses only itself.
     """
-    group = max(1, stack_size(base.n_robots) // len(solvers))
-    for start in range(0, len(seeds), group):
-        placed = ready = fused = fleets = None  # frees the last group's fleets first
-        placed = [attempt(place_fleet, replace(base, seed=seed))
-                  for seed in seeds[start:start + group]]
-        ready = [fleet for fleet in placed if not isinstance(fleet, Exception)]
-        fused = attempt(fuse_fleets, ready, solvers, methods)
-        if isinstance(fused, Exception):
-            fused = [attempt(lambda fleet: fuse_fleets([fleet], solvers, methods)[0], fleet)
-                     for fleet in ready]
-        fused = iter(fused)
-        for seed, fleets in zip(seeds[start:start + group], placed):
-            if not isinstance(fleets, Exception):
-                fleets = next(fused)
+    def problems():
+        for seed in seeds:
+            fleet = None  # frees the last seed's fleet before this one is placed
+            fleet = attempt(place_fleet, replace(base, seed=seed))
             for s in range(len(solvers)):
-                yield seed, s, fleets if isinstance(fleets, Exception) else fleets[s]
+                yield seed, s, fleet
+
+    stream = problems()
+    while stack := list(itertools.islice(stream, stack_size(base.n_robots))):
+        ready = [(fleet, solvers[s]) for _, s, fleet in stack if not isinstance(fleet, Exception)]
+        fused = attempt(fuse_fleets, ready, methods)
+        if isinstance(fused, Exception):
+            fused = [attempt(lambda pair: fuse_fleets([pair], methods)[0], pair) for pair in ready]
+        fused = iter(fused)
+        for seed, s, fleet in stack:
+            yield seed, s, fleet if isinstance(fleet, Exception) else next(fused)
+        stack = ready = fused = fleet = None  # frees this stack's fleets before the next is placed
 
 
 def prepare_fleet(config: SimConfig, methods=tuple(Method)) -> Fleet:
     """Generate, fuse and place events once, for the listed methods only."""
-    (fleet,), = fuse_fleets([place_fleet(config)], [config.solver], methods)
+    fleet, = fuse_fleets([(place_fleet(config), config.solver)], methods)
     return fleet
 
 

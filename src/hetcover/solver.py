@@ -215,7 +215,7 @@ def prepare_problem(graph_lists, configs) -> Problem:
     for graphs, config in zip(graph_lists, configs):
         adjs = tuple(_adjacency(g) for g in graphs)
         config = config.resolved(len(adjs))
-        n = adjs[0].shape[0]
+        n = adjs[0].shape[0] if adjs[0].ndim else None  # a 0-d graph fails the check below
         for m, a in enumerate(adjs):
             if a.shape != (n, n):
                 raise ValueError("all graphs must share the same square shape")

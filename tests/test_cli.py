@@ -560,9 +560,9 @@ class TestSimulate:
         import hetcover.simulation as simulation
 
         assert run_cli(*self.SIMULATE, "--out", str(tmp_path / "want")) == 0
-        # a budget of two 6 x 6 problems: seeds go in groups of two, and a
-        # group is placed, fused in one Full and one Baseline stack, and
-        # scored before the next group is placed
+        # a budget of two 6 x 6 problems: a stack holds two seeds' problems,
+        # and its seeds are placed, fused in one Full and one Baseline solve,
+        # and scored before the next stack's seeds are placed
         monkeypatch.setattr(simulation, "STACK_ENTRIES", 2 * 6 * 6)
         log = []
         place, solve = simulation.place_fleet, simulation.solve
@@ -703,19 +703,23 @@ class TestSweep:
         assert calls == {"generate_system": 2, "build_relation_graphs": 2,
                          "simulate_events": 2, "solve": stacks}
 
-    def test_weightings_fill_stacks_one_seed_at_a_time(self, tmp_path, monkeypatch):
+    def test_weightings_fill_stacks_across_seeds(self, tmp_path, monkeypatch):
         import hetcover.simulation as simulation
 
         assert run_cli(*self.SWEEP, "--out", str(tmp_path / "want")) == 0
-        # a budget of four 6 x 6 problems: the 6 weightings overfill a stack,
-        # so each seed is fused alone, in stacks of 4 and 2
+        # a budget of four 6 x 6 problems: the 2 seeds x 6 weightings fill
+        # three stacks, the second holding both seeds' problems, and each
+        # seed's fleet is placed once
         monkeypatch.setattr(simulation, "STACK_ENTRIES", 4 * 6 * 6)
-        stacks = []
-        solve = simulation.solve
+        log = []
+        place, solve = simulation.place_fleet, simulation.solve
+        monkeypatch.setattr(simulation, "place_fleet",
+                            lambda config: log.append(("place", config.seed)) or place(config))
         monkeypatch.setattr(simulation, "solve", lambda graph_lists, configs, **kwargs:
-                            stacks.append(len(configs)) or solve(graph_lists, configs, **kwargs))
+                            log.append(("solve", len(configs))) or solve(graph_lists, configs,
+                                                                         **kwargs))
         assert run_cli(*self.SWEEP, "--out", str(tmp_path / "got")) == 0
-        assert stacks == [4, 2, 4, 2]
+        assert log == [("place", 0), ("solve", 4), ("place", 1), ("solve", 4), ("solve", 4)]
         assert (tmp_path / "got" / "sweep.csv").read_bytes() == (
             tmp_path / "want" / "sweep.csv").read_bytes()
 

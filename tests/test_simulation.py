@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -427,7 +429,7 @@ def baseline_assign(graphs, solver_config, r):
                        solver=solver_config)
     fleet = Fleet(config=config, system=None, graphs=tuple(graphs), events=(), nearest=(),
                   methods=(), fused={})
-    (fused,), = fuse_fleets([fleet], [solver_config], (Method.BASELINE,))
+    fused, = fuse_fleets([(fleet, solver_config)], (Method.BASELINE,))
     assignment, = partition(fused.fused[Method.BASELINE], r)
     return assignment
 
@@ -556,7 +558,7 @@ class TestFleetReuse:
         for alphas in ((0.1, 0.2, 0.7), (1.0, 0.0, 0.0)):
             solver = SolverConfig(alphas=alphas)
             other = replace(config, solver=solver)
-            (fused,), = fuse_fleets([placed], [solver], (Method.FULL,))
+            fused, = fuse_fleets([(placed, solver)], (Method.FULL,))
             fresh = prepare_fleet(other, (Method.FULL,))
             assert fused.config == other
             assert fused.fused[Method.FULL].tobytes() == fresh.fused[Method.FULL].tobytes()
@@ -566,14 +568,19 @@ class TestFleetReuse:
     def test_weightings_fused_together_match_one_by_one(self, monkeypatch):
         import hetcover.simulation as simulation
 
-        # a budget of four 10 x 10 problems, so the 12 weightings take three stacks
+        # one fleet's 12 weightings take one Full and one Baseline stack,
+        # whatever the entry budget: only batch_fleets cuts stacks
         monkeypatch.setattr(simulation, "STACK_ENTRIES", 4 * 10 * 10)
+        stacks = []
+        monkeypatch.setattr(simulation, "solve", lambda graph_lists, configs, **kwargs:
+                            stacks.append(len(configs)) or solve(graph_lists, configs, **kwargs))
         config = self.config(seed=1)
         placed = place_fleet(config)
         solvers = [SolverConfig(alphas=alphas) for alphas in
                    ((0.1, 0.2, 0.7), (1.0, 0.0, 0.0), (0.2, 0.1, 0.7))] * 4
-        fused, = fuse_fleets([placed], solvers)
-        assert len(fused) == len(solvers) > stack_size(config.n_robots) == 4
+        fused = fuse_fleets([(placed, solver) for solver in solvers])
+        assert stacks == [len(solvers)] * 2
+        assert len(fused) == len(solvers)
         for solver, fleet in zip(solvers, fused):
             alone = prepare_fleet(replace(config, solver=solver))
             assert fleet.config == alone.config
@@ -584,24 +591,21 @@ class TestFleetReuse:
     def test_fleets_fused_together_match_one_by_one(self, monkeypatch):
         import hetcover.simulation as simulation
 
-        # a budget of two 10 x 10 problems: the 3 fleets x 2 weightings take three stacks
-        monkeypatch.setattr(simulation, "STACK_ENTRIES", 2 * 10 * 10)
         stacks = []
         monkeypatch.setattr(simulation, "solve", lambda graph_lists, configs, **kwargs:
                             stacks.append(len(configs)) or solve(graph_lists, configs, **kwargs))
         solvers = [SolverConfig(alphas=alphas) for alphas in ((0.1, 0.2, 0.7), (1.0, 0.0, 0.0))]
         placed = [place_fleet(self.config(seed)) for seed in range(3)]
-        fused = fuse_fleets(placed, solvers)
-        assert stacks == [2] * 6  # Full and Baseline of each stack
-        assert [[fleet.config for fleet in fleets] for fleets in fused] == [
-            [replace(self.config(seed), solver=solver) for solver in solvers]
-            for seed in range(3)]
-        for fleets in fused:
-            for fleet in fleets:
-                alone = prepare_fleet(fleet.config)
-                for method in (Method.FULL, Method.BASELINE):
-                    assert fleet.fused[method].tobytes() == alone.fused[method].tobytes()
-                assert run_trial(fleet, 3) == run_trial(alone, 3)
+        pairs = [(fleet, solver) for fleet in placed for solver in solvers]
+        fused = fuse_fleets(pairs)
+        assert stacks == [6, 6]  # one Full and one Baseline stack of the 3 fleets x 2 weightings
+        assert [fleet.config for fleet in fused] == [
+            replace(self.config(seed), solver=solver) for seed in range(3) for solver in solvers]
+        for fleet in fused:
+            alone = prepare_fleet(fleet.config)
+            for method in (Method.FULL, Method.BASELINE):
+                assert fleet.fused[method].tobytes() == alone.fused[method].tobytes()
+            assert run_trial(fleet, 3) == run_trial(alone, 3)
 
     def test_stack_size_follows_the_entry_budget(self):
         assert [stack_size(n) for n in (20, 50, 100, 200)] == [25, 4, 1, 1]
@@ -610,7 +614,7 @@ class TestFleetReuse:
         import hetcover.simulation as simulation
 
         monkeypatch.setattr(simulation, "solve", None)  # a call would fail
-        assert fuse_fleets([], [SolverConfig()]) == []
+        assert fuse_fleets([]) == []
 
     def test_fleets_never_compute_the_objective(self, tmp_path, monkeypatch):
         # only a caller that keeps the solver's trace pays for its objective
@@ -693,7 +697,7 @@ class TestBatchFleets:
             else:
                 self.assert_fused_alone(fleet, seed, s)
 
-    def test_a_failed_stack_is_fused_again_one_fleet_at_a_time(self, monkeypatch):
+    def test_a_failed_stack_is_fused_again_one_problem_at_a_time(self, monkeypatch):
         import hetcover.simulation as simulation
 
         bad = [g.adjacency.tobytes() for g in place_fleet(replace(self.BASE, seed=1)).graphs]
@@ -707,9 +711,10 @@ class TestBatchFleets:
 
         monkeypatch.setattr(simulation, "solve", failing)
         got = list(batch_fleets(self.BASE, range(3), self.SOLVERS))
-        # the stack of all three fleets fails; fused one at a time, seeds 0
-        # and 2 take a Full and a Baseline stack each, and seed 1 fails at Full
-        assert stacks == [6, 2, 2, 2, 2, 2]
+        # the stack of all six problems fails; fused one at a time, each of
+        # seeds 0 and 2's takes a Full and a Baseline stack, and each of seed
+        # 1's fails at Full
+        assert stacks == [6] + [1] * 10
         assert [(seed, s) for seed, s, _ in got] == [(seed, s) for seed in range(3)
                                                      for s in (0, 1)]
         for seed, s, fleet in got:
@@ -717,6 +722,43 @@ class TestBatchFleets:
                 assert str(fleet) == "the solver refused seed 1"
             else:
                 self.assert_fused_alone(fleet, seed, s)
+
+    def test_a_stack_may_end_inside_a_seed(self, monkeypatch):
+        import hetcover.simulation as simulation
+
+        # a budget of three 6 x 6 problems: the 4 seeds x 2 settings take
+        # three stacks per method, the first ending inside seed 1's settings
+        # and the second after seed 2's
+        monkeypatch.setattr(simulation, "STACK_ENTRIES", 3 * 6 * 6)
+        placed, alive, stacks = [], {}, []
+        place = simulation.place_fleet
+
+        def placing(config):
+            gc.collect()
+            alive[config.seed] = [seed for seed, fleet in placed if fleet() is not None]
+            fleet = place(config)
+            placed.append((config.seed, weakref.ref(fleet)))
+            return fleet
+
+        monkeypatch.setattr(simulation, "place_fleet", placing)
+        monkeypatch.setattr(simulation, "solve", lambda graph_lists, configs, **kwargs:
+                            stacks.append(len(configs)) or solve(graph_lists, configs, **kwargs))
+        got = [(seed, s, fleet.config, fleet.fused)
+               for seed, s, fleet in batch_fleets(self.BASE, range(4), self.SOLVERS)]
+        assert [seed for seed, _ in placed] == [0, 1, 2, 3]
+        assert stacks == [3, 3, 3, 3, 2, 2]  # Full and Baseline of each stack
+        # when a seed is placed, only fleets of the stack being gathered are
+        # alive: seed 1's second setting is in the second stack, seed 2's
+        # settings all lie in it
+        assert alive == {0: [], 1: [0], 2: [1], 3: []}
+        assert [(seed, s) for seed, s, _, _ in got] == [(seed, s) for seed in range(4)
+                                                        for s in (0, 1)]
+        monkeypatch.setattr(simulation, "place_fleet", place)
+        for seed, s, config, fused in got:
+            alone = self.fused_alone(seed, s)
+            assert config == alone.config
+            for method in (Method.FULL, Method.BASELINE):
+                assert fused[method].tobytes() == alone.fused[method].tobytes()
 
 
 class TestMetricsReport:

@@ -584,6 +584,12 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve([np.zeros((2, 2)), np.zeros((3, 3))], SolverConfig())
 
+    @pytest.mark.parametrize("graph", [np.float64(1.0), np.zeros(3), np.zeros((2, 3)),
+                                       np.zeros((2, 2, 2))])
+    def test_graph_that_is_not_a_square_matrix_rejected(self, graph):
+        with pytest.raises(ValueError, match="^all graphs must share the same square shape$"):
+            solve([graph])
+
     # unchecked, such a graph ran to the iteration cap and gave an all-NaN Z
     # at lambda2 = 0, and an SVD that did not converge at the default lambda2
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
