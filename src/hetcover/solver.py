@@ -6,8 +6,8 @@ Minimizes
 
 subject to L = I - Z, Z 1 = 1, Z = Z^T, Z >= 0, by alternating closed-form
 updates of Z, an auxiliary transpose copy Zhat, and the Laplacian iterate L
-(via singular-value thresholding), with multiplier estimates and a
-geometrically growing penalty mu.
+(via eigenvalue thresholding of a symmetric target), with multiplier
+estimates and a geometrically growing penalty mu.
 
 Entries of the result are pairwise same-team affinities: row-stochastic,
 symmetric, non-negative.
@@ -316,21 +316,21 @@ def update_zhat(state: SolverState) -> np.ndarray:
 
 
 def update_laplacian(state: SolverState, problem: Problem):
-    """The L step: singular-value thresholding of the target I - Z - Phi3/mu.
+    """The L step: eigenvalue thresholding of sym T, for T = I - Z - Phi3/mu.
 
-    Minimizes lambda2 ||L||_* + (mu/2) ||L - target||_F^2, whose minimizer
-    (the proximal operator of tau ||.||_* at the target, tau = lambda2/mu)
-    shrinks each singular value of the target by tau, floored at 0. Returns
-    L and its singular values, or None for them when tau = 0 and L is the
-    target (no SVD runs).
+    Minimizes lambda2 ||L||_* + (mu/2) ||L - T||_F^2 over symmetric L. That keeps the
+    problem's optimum, as every feasible L = I - Z is symmetric, and there
+    ||L - T||^2 = ||L - sym T||^2 + ||skew T||^2: with sym T = V diag(w) V^T and tau =
+    lambda2/mu, L = V diag(sign(w) max(|w| - tau, 0)) V^T (Cai, Candes and Shen 2010).
+    Returns L and its singular values, the shrunk |w|, or T and None at tau = 0.
     """
     target = problem.eye - state.Z - state.Phi3 / state.mu
     tau = problem.config.lambda2 / state.mu
     if tau == 0:
         return target, None
-    U, s, Vt = np.linalg.svd(target, full_matrices=False)
-    shrunk = np.maximum(s - tau, 0.0)
-    return (U * shrunk[..., None, :]) @ Vt, shrunk
+    w, V = np.linalg.eigh(0.5 * (target + target.mT))
+    shrunk = np.sign(w) * np.maximum(np.abs(w) - tau, 0.0)
+    return (V * shrunk[..., None, :]) @ V.mT, np.abs(shrunk)
 
 
 def constraint_residuals(state: SolverState, problem: Problem):

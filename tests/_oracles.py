@@ -7,8 +7,9 @@ roots plus a nullspace extraction, partitions via exhaustive enumeration,
 greedy teams via the plain pairwise merge loop, the communication and
 capability graphs via their pair loops (set intersection for the
 capability overlap), and the solver's loop via
-its original form (a linear solve for the Z step, a second SVD for the
-objective, per-step set-up, and a frozen state rebuilt after every step).
+its original form (a linear solve for the Z step, an SVD thresholding of the
+symmetrized target for the L step, a second SVD for the objective, per-step
+set-up, and a frozen state rebuilt after every step).
 """
 
 import math
@@ -178,7 +179,7 @@ def capability_graph_oracle(system):
 
 
 # ---------------------------------------------------------------------------
-# the solver loop as first written: solve() must reproduce its Z bit for bit
+# the solver loop as first written: solve() must follow it to 1e-12
 
 
 @dataclass(frozen=True)
@@ -261,9 +262,13 @@ def _update_zhat(state, config):
 
 
 def _update_laplacian(state, config):
+    # the L step over symmetric L: at tau > 0, the SVD thresholding of the
+    # target's symmetric part (the skew part only adds a constant to the
+    # step's objective); at tau = 0, the target itself
     n = state.Z.shape[0]
     target = np.eye(n) - state.Z - state.Phi3 / state.mu
-    return _svt(target, config.lambda2 / state.mu)
+    tau = config.lambda2 / state.mu
+    return _svt(0.5 * (target + target.T), tau) if tau > 0 else target
 
 
 def _update_multipliers(state, config):

@@ -176,7 +176,9 @@ def test_laplacian_prox_matches_descent_oracle():
             phi1=np.zeros((1, n)), Phi2=np.zeros((1, n, n)), Phi3=Phi3,
             Phi4=np.zeros((1, n, n)), mu=mu, k=0,
         )
-        cases.append((state, np.eye(n) - Z[0] - Phi3[0] / mu, config.lambda2 / mu))
+        target = np.eye(n) - Z[0] - Phi3[0] / mu
+        # the step minimizes over symmetric L, which is the prox at sym(target)
+        cases.append((state, 0.5 * (target + target.T), config.lambda2 / mu))
     # the 20 descents run as one stack; each slice is its own descent
     wants = nuclear_prox_oracle(np.stack([target for _, target, _ in cases]),
                                 [tau for _, _, tau in cases], iters=60_000)
