@@ -4,13 +4,15 @@ Minimizes
 
     sum_m alpha_m ||Z - A_m||_F^2 + lambda1 ||Z||_F^2 + lambda2 ||L||_*
 
-subject to L = I - Z, Z 1 = 1, Z = Z^T, Z >= 0, by alternating closed-form
-updates of Z, an auxiliary transpose copy Zhat, and the Laplacian iterate L
-(via eigenvalue thresholding of a symmetric target), with multiplier
-estimates and a geometrically growing penalty mu.
+subject to L = I - Z, Z 1 = 1, Z = Z^T, Z >= 0, by alternating exact
+minimizations of the augmented Lagrangian in Z (over Z >= 0, by a
+thresholded closed form), in an auxiliary transpose copy Zhat, and in the
+Laplacian iterate L (via eigenvalue thresholding of a symmetric target),
+with multiplier estimates and a geometrically growing penalty mu. The last
+Z is finished by symmetric balancing.
 
 Entries of the result are pairwise same-team affinities: row-stochastic,
-symmetric, non-negative.
+exactly symmetric, non-negative.
 
 The solver has one shape, the stack: prepare_problem puts problems along a
 leading axis and every step advances them all, a single problem being a
@@ -193,6 +195,11 @@ class StackResult:
         return all(result.converged for result in self.results)
 
 
+# the most Newton steps the finish takes; the iterates of seeded 20-robot
+# fleets need at most 6 from the first iteration on
+FINISH_STEPS = 8
+
+
 def _adjacency(graph) -> np.ndarray:
     a = getattr(graph, "adjacency", graph)
     return np.asarray(a, dtype=float)
@@ -276,20 +283,29 @@ def initial_state(problem: Problem) -> SolverState:
     )
 
 
-def update_z_unclamped(state: SolverState, problem: Problem) -> np.ndarray:
-    """Closed-form minimizer of the smooth penalized objective in Z.
+def update_z(state: SolverState, problem: Problem) -> np.ndarray:
+    """The Z step: the exact minimizer of the smooth penalized objective over Z >= 0.
 
-    Setting the Z-gradient of the augmented objective to zero gives
-    Z B = RHS with B = (2 sum alpha + 2 lambda1 + 3 mu) I + mu 1 1^T. In
-    units of mu, B / mu = c I + 1 1^T with c = z_weight / mu + 3, whose
-    Sherman-Morrison inverse is (I - 1 1^T / (c + n)) / c. So with
-    R = RHS / mu,
+    The Z-gradient of the augmented objective is Z B - RHS with
+    B = (2 sum alpha + 2 lambda1 + 3 mu) I + mu 1 1^T. In units of mu,
+    B / mu = c I + 1 1^T with c = z_weight / mu + 3, and with R = RHS / mu
+    each row z of Z is its own problem,
 
-        Z = (R - (R 1) 1^T / (c + n)) / c.
+        min over z >= 0 of  c |z|^2 / 2 + (1^T z)^2 / 2 - R_i z.
+
+    Its KKT conditions give z = max(R_i - theta, 0) / c with theta = 1^T z,
+    that is c theta = sum_j max(R_ij - theta, 0). The left side rises and
+    the right side falls in theta, so theta is the one root, found by
+    sorting as in the Euclidean projection onto the simplex (Duchi et al.,
+    ICML 2008): with u = R_i in descending order,
+    theta_k = (u_1 + ... + u_k) / (c + k) and K = #{k : u_k > theta_k},
+    theta = theta_K, or theta_1 when K = 0, which gives a zero row. Where no
+    entry clamps, this is the Sherman-Morrison solve
+    Z = (R - (R 1) 1^T / (c + n)) / c of Z B = RHS.
 
     Working in units of mu keeps R finite for any penalty SolverConfig
-    admits, where RHS 1 or mu / (c + n mu) would overflow. The row sums are
-    taken of R / s with s = 2**ceil(log2 n), divided by c + n and scaled
+    admits, where sums of RHS or mu / (c + n mu) would overflow. The partial sums
+    are taken of u / s with s = 2**ceil(log2 n), divided by c + k and scaled
     back by s, so they stay finite wherever R is; scaling by a power of two
     is exact for normal floats, so Z does not move.
     """
@@ -301,18 +317,22 @@ def update_z_unclamped(state: SolverState, problem: Problem) -> np.ndarray:
     c = problem.z_weight / mu + 3.0
     n = R.shape[-1]
     s = 2.0 ** (n - 1).bit_length()
-    return (R - (R / s).sum(axis=-1, keepdims=True) / (c + n) * s) / c
-
-
-def update_z(state: SolverState, problem: Problem) -> np.ndarray:
-    """The Z step: closed-form solve followed by the elementwise max{Z, 0} clamp."""
-    return np.maximum(update_z_unclamped(state, problem), 0.0)
+    u = np.sort(R, axis=-1)[..., ::-1]
+    thetas = np.cumsum(u / s, axis=-1) / (c + np.arange(1, n + 1)) * s
+    K = (u > thetas).sum(axis=-1, keepdims=True)
+    theta = np.take_along_axis(thetas, np.maximum(K - 1, 0), axis=-1)
+    return np.maximum(R - theta, 0.0) / c
 
 
 def update_zhat(state: SolverState) -> np.ndarray:
-    """The transpose-copy step: Zhat = (mu Z^T + mu Z + Phi2 + Phi4) / (2 mu)."""
+    """The transpose-copy step: Zhat = (mu Z^T + mu Z + Phi2 - Phi4) / (2 mu).
+
+    The exact minimizer over Zhat of the penalties
+    |Z^T - Zhat + Phi2/mu|^2 + |Zhat - Z + Phi4/mu|^2 that the Z step and
+    the multiplier updates use.
+    """
     mu = state.mu
-    return (mu * (state.Z.mT + state.Z) + state.Phi2 + state.Phi4) / (2.0 * mu)
+    return (mu * (state.Z.mT + state.Z) + state.Phi2 - state.Phi4) / (2.0 * mu)
 
 
 def update_laplacian(state: SolverState, problem: Problem):
@@ -366,11 +386,32 @@ def update_multipliers(state: SolverState, gaps, config: SolverConfig) -> None:
 
 
 def _result(state: SolverState, i: int, converged: bool, trace) -> SolveResult:
-    """The result of the problem at slice i: its last Z symmetrized, then row-normalized."""
-    Z = 0.5 * (state.Z[i] + state.Z[i].T)
-    sums = Z.sum(axis=1, keepdims=True)
-    sums[sums <= 0] = 1.0  # only possible on wildly non-converged runs
-    return SolveResult(Z=Z / sums, converged=converged, iterations=state.k,
+    """The result of the problem at slice i: its last Z finished by symmetric balancing.
+
+    Newton's method on d * (S d) = 1 for S = sym Z, from d = 1 (Knight and
+    Ruiz, IMA J. Numer. Anal. 33, 2013), finds the positive d for which
+    D S D, with D = diag(d), has unit row sums. Each step solves
+    (diag(S d / d) + S) delta = 1 / d and sets d = d / 2 + delta; the solve
+    is a least-squares one, since that matrix is singular at the balance of
+    a bipartite S, such as [[0, 1], [1, 0]], which is still balanced. The
+    result Z = sym(D S D) equals its transpose exactly. A Z that
+    FINISH_STEPS steps cannot balance to rounding, such as one with a zero
+    row, is returned as sym Z and reported unconverged; balanced means within
+    n eps, the rounding bound of a row sum.
+    """
+    S = 0.5 * (state.Z[i] + state.Z[i].T)
+    n = S.shape[0]
+    Z, d, balanced = S, np.ones(n), False
+    for _ in range(FINISH_STEPS + 1):
+        Sd = S @ d
+        if np.abs(d * Sd - 1.0).max() <= n * np.finfo(float).eps:
+            DSD = d[:, None] * S * d
+            Z, balanced = 0.5 * (DSD + DSD.T), True
+            break
+        d = 0.5 * d + np.linalg.lstsq(np.diag(Sd / d) + S, 1.0 / d)[0]
+        if not (d > 0).all():
+            break
+    return SolveResult(Z=Z, converged=converged and balanced, iterations=state.k,
                        residual_trace=tuple(trace))
 
 
@@ -397,10 +438,11 @@ def solve(graphs, config=None, *, trace: bool = True):
     Returns
     -------
     SolveResult, or a StackResult for a stack
-        Final Z (symmetrized and row-renormalized), a converged flag,
-        the iteration count, and the per-iteration residual/objective
-        trace (empty without trace). Non-convergence is reported through
-        the flag, not raised.
+        Final Z (symmetric and row-stochastic, by the balancing finish),
+        a converged flag, the iteration count, and the per-iteration
+        residual/objective trace (empty without trace). Non-convergence,
+        of the loop or of the finish, is reported through the flag, not
+        raised.
     """
     single = config is None or isinstance(config, SolverConfig)
     if single:

@@ -1,15 +1,17 @@
 """Independent numerical oracles used by the test suites.
 
 Each oracle reaches a reference answer by a different route than the library
-code under test: proximal results via plain subgradient descent, gradients
-via central finite differences, eigenpairs via characteristic-polynomial
-roots plus a nullspace extraction, partitions via exhaustive enumeration,
-greedy teams via the plain pairwise merge loop, the communication and
-capability graphs via their pair loops (set intersection for the
-capability overlap), and the solver's loop via
-its original form (a linear solve for the Z step, an SVD thresholding of the
-symmetrized target for the L step, a second SVD for the objective, per-step
-set-up, and a frozen state rebuilt after every step).
+code under test: proximal results via plain subgradient descent, the
+non-negative Z step via projected gradient descent, gradients via central
+finite differences, eigenpairs via characteristic-polynomial roots plus a
+nullspace extraction, partitions via exhaustive enumeration, greedy teams
+via the plain pairwise merge loop, the communication and capability graphs
+via their pair loops (set intersection for the capability overlap), and
+the solver's loop via a reference form (linear solves on a shrinking
+support for the Z step, an SVD thresholding of the symmetrized target for
+the L step, a second SVD for the objective, damped symmetric Sinkhorn
+scaling for the finish, per-step set-up, and a frozen state rebuilt after
+every step).
 """
 
 import math
@@ -43,6 +45,27 @@ def nuclear_prox_oracle(G, tau, iters=100_000, step0=0.5, step_final=1e-5):
         L = L - step * subgrad
         step *= decay
     return L
+
+
+def nonnegative_qp_oracle(B, rhs, max_steps=100_000):
+    """Rows z minimizing z B z^T / 2 - rhs z over z >= 0, by projected gradient descent.
+
+    B is symmetric positive definite, or a stack of such matrices matching
+    rhs's leading axes. The step is one over B's largest absolute row sum,
+    which bounds its largest eigenvalue, and the descent runs until no entry
+    moves by more than 1e-15 of the largest, or max_steps.
+    """
+    B = np.asarray(B, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    step = 1.0 / np.abs(B).sum(axis=-1).max(axis=-1)[..., None, None]
+    Z = np.zeros_like(rhs)
+    for _ in range(max_steps):
+        new = np.maximum(Z - step * (Z @ B - rhs), 0.0)
+        done = np.abs(new - Z).max() <= 1e-15 * np.abs(new).max()
+        Z = new
+        if done:
+            break
+    return Z
 
 
 def numeric_gradient(f, X, h=1e-6):
@@ -179,7 +202,7 @@ def capability_graph_oracle(system):
 
 
 # ---------------------------------------------------------------------------
-# the solver loop as first written: solve() must follow it to 1e-12
+# the solver loop in its reference form: solve() must follow it to 1e-12
 
 
 @dataclass(frozen=True)
@@ -242,6 +265,11 @@ def _initial_state(graphs, config):
 
 
 def _update_z(state, graphs, config):
+    # the exact step over Z >= 0, row by row: solve row i's system B z = rhs_i
+    # on a support, drop the entries that come out negative, and solve again
+    # until none does. Each drop raises the row's sum, which lowers every
+    # entry, so a dropped entry would stay negative. Off the support, row j
+    # of B is c e_j and the right-hand side 0, so the entry solves to 0.
     adjs = [_adjacency(g) for g in graphs]
     config = config.resolved(len(adjs))
     n = state.Z.shape[0]
@@ -252,13 +280,19 @@ def _update_z(state, graphs, config):
     rhs = rhs + mu * (ones + state.Zhat.T + state.Zhat + eye - state.L)
     rhs = rhs - np.outer(state.phi1, np.ones(n)) - state.Phi2.T - state.Phi3 + state.Phi4
     c = 2.0 * sum(config.alphas) + 2.0 * config.lambda1 + 3.0 * mu
-    B = c * eye + mu * ones
-    return np.maximum(np.linalg.solve(B, rhs.T).T, 0.0)
+    support = np.ones((n, n), dtype=bool)
+    while True:
+        B = c * eye + mu * (support[:, :, None] & support[:, None, :])
+        Z = np.linalg.solve(B, (rhs * support)[..., None])[..., 0]
+        negative = support & (Z < 0)
+        if not negative.any():
+            return Z
+        support &= ~negative
 
 
 def _update_zhat(state, config):
     mu = state.mu
-    return (mu * (state.Z.T + state.Z) + state.Phi2 + state.Phi4) / (2.0 * mu)
+    return (mu * (state.Z.T + state.Z) + state.Phi2 - state.Phi4) / (2.0 * mu)
 
 
 def _update_laplacian(state, config):
@@ -299,7 +333,7 @@ def _constraint_residuals(state):
 
 
 def reference_solve(graphs, config=None):
-    """The original solver loop, kept as the reference for solve()."""
+    """The reference solver loop, which solve() follows to 1e-12."""
     if config is None:
         config = SolverConfig()
     adjs = [_adjacency(g) for g in graphs]
@@ -319,9 +353,22 @@ def reference_solve(graphs, config=None):
             converged = True
             break
 
-    Z = 0.5 * (state.Z + state.Z.T)
-    sums = Z.sum(axis=1, keepdims=True)
-    sums[sums <= 0] = 1.0
-    Z = Z / sums
-    return SolveResult(Z=Z, converged=converged, iterations=state.k,
+    return SolveResult(Z=sinkhorn_finish(state.Z), converged=converged, iterations=state.k,
                        residual_trace=tuple(trace))
+
+
+def sinkhorn_finish(Z, steps=100_000):
+    """sym(D S D) for S = sym Z, balanced by damped symmetric Sinkhorn, d <- sqrt(d / (S d)).
+
+    Runs until no entry of d moves by more than 1e-15, relative.
+    """
+    S = 0.5 * (Z + Z.T)
+    d = np.ones(S.shape[0])
+    for _ in range(steps):
+        new = np.sqrt(d / (S @ d))
+        done = np.abs(new / d - 1.0).max() <= 1e-15
+        d = new
+        if done:
+            break
+    Z = d[:, None] * S * d[None, :]
+    return 0.5 * (Z + Z.T)

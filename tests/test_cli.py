@@ -170,7 +170,7 @@ class TestSolve:
 
     def test_outputs_match_the_reference_loop(self, tmp_path):
         # the CLI asks for the trace that fleets skip; it keeps every record. The
-        # reference loop's Z step is a linear solve, so Z and the residuals
+        # reference loop's Z step and finish are its own, so Z and the residuals
         # agree to 1e-12 and the counts exactly
         system_path = tmp_path / "system.json"
         system, _ = write_planted_system(system_path)
@@ -275,6 +275,16 @@ class TestSolve:
         trace = json.loads((tmp_path / "trace.json").read_text())
         assert trace["converged"] is False
         assert trace["iterations"] == 2
+
+    def test_non_converged_z_is_symmetric_and_row_stochastic(self, tmp_path):
+        system_path = tmp_path / "system.json"
+        write_planted_system(system_path)
+        code = run_cli("solve", "--system", str(system_path),
+                       "--max-iters", "3", "--out", str(tmp_path))
+        assert code == 3
+        Z = load_matrix_csv(tmp_path / "Z.csv")
+        assert np.array_equal(Z, Z.T)
+        assert np.abs(Z.sum(axis=1) - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
     def test_bad_epsilon_named_with_its_value(self, small_run, tmp_path, capsys, epsilon):

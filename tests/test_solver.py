@@ -18,7 +18,6 @@ from hetcover.solver import (
     update_laplacian,
     update_multipliers,
     update_z,
-    update_z_unclamped,
     update_zhat,
 )
 from hetcover.simulation import (
@@ -30,7 +29,7 @@ from hetcover.simulation import (
 )
 from hetcover.system import Environment, Position, RobotSpec, RobotSystem, Wall
 
-from _oracles import nuclear_prox_oracle, reference_solve
+from _oracles import nonnegative_qp_oracle, nuclear_prox_oracle, numeric_gradient, reference_solve
 
 
 def make_state(Z, Zhat=None, L=None, phi1=None, Phi2=None, Phi3=None, Phi4=None,
@@ -316,14 +315,41 @@ def assert_close_relative(got, want, rel):
     assert np.all(err <= rel * scale)
 
 
+def positive_step_state(rng, problem, mu):
+    """A random state whose Z step's linear solve is a random positive Z: Phi4,
+    which enters RHS alone, is set to give RHS = Z B, so that no entry clamps."""
+    shape = problem.weighted_sum.shape
+    state = replace(random_state(rng, shape, mu), Phi4=np.zeros(shape))
+    B, rhs = z_step_system(state, problem)
+    return replace(state, Phi4=(0.1 + rng.random(shape)) @ B - rhs)
+
+
+def assert_kkt(Z, gradient, tol):
+    """Z >= 0 with the gradient zero on Z's support and non-negative off it, within tol."""
+    assert Z.min() >= 0.0
+    assert np.abs(gradient[Z > 0]).max(initial=0.0) <= tol
+    assert gradient[Z == 0].min(initial=0.0) >= -tol
+
+
+def assert_minimizes_over_nonnegative(Z, state, problem):
+    """Z is the Z step's minimizer over Z >= 0: in units of mu, it meets the KKT
+    conditions of the gradient Z B - RHS to 1e-12 of RHS, and equals the
+    projected-gradient oracle's to 1e-12 relative."""
+    B, rhs = z_step_system(state, problem)
+    B, R = B / state.mu, rhs / state.mu
+    assert_kkt(Z, Z @ B - R, 1e-12 * np.abs(R).max())
+    assert_close_relative(Z, nonnegative_qp_oracle(B, R), 1e-12)
+
+
 class TestUpdateZ:
     def test_output_never_negative(self):
-        # a large Phi3 pushes the unclamped solution far below zero
+        # a large Phi3 pushes the linear solve far below zero
         A = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.2], [0.5, 0.2, 0.0]])
         cfg = SolverConfig(alphas=(1.0,))
         problem = prepare_problem([[A]], [cfg])
         state = replace(initial_state(problem), Phi3=100.0 * np.ones((1, 3, 3)))
-        assert update_z_unclamped(state, problem).min() < 0
+        B, rhs = z_step_system(state, problem)
+        assert np.linalg.solve(B, rhs.mT).mT.min() < 0
         assert update_z(state, problem).min() >= 0.0
 
     def test_single_robot_forced_to_one(self):
@@ -341,64 +367,74 @@ class TestUpdateZ:
     @pytest.mark.parametrize("mu", [0.1, 0.1 * 1.1**50, 0.1 * 1.1**100, 0.1 * 1.1**170])
     @pytest.mark.parametrize("n", [1, 2, 5, 20, 100])
     def test_closed_form_matches_a_linear_solve(self, n, mu):
+        # where no entry clamps, the step is the solve of its gradient equation
         rng = np.random.default_rng(n)
         problem = prepare_problem([[rng.random((n, n)), rng.random((n, n))]],
                                   [SolverConfig(alphas=(0.4, 0.6))])
-        state = random_state(rng, (1, n, n), mu)
+        state = positive_step_state(rng, problem, mu)
         B, rhs = z_step_system(state, problem)
-        assert_close_relative(update_z_unclamped(state, problem),
-                              np.linalg.solve(B, rhs.mT).mT, 1e-12)
+        want = np.linalg.solve(B, rhs.mT).mT
+        assert want.min() > 0
+        assert_close_relative(update_z(state, problem), want, 1e-12)
         # a stack whose slices differ in z_weight, each solved against its own B
         stack = Problem(config=problem.config, weighted_sum=rng.random((3, n, n)),
                         z_weight=np.array([0.2, 2.2, 7.0])[:, None, None], eye=problem.eye)
-        state = random_state(rng, (3, n, n), mu)
+        state = positive_step_state(rng, stack, mu)
         B, rhs = z_step_system(state, stack)
-        assert_close_relative(update_z_unclamped(state, stack),
-                              np.linalg.solve(B, rhs.mT).mT, 1e-12)
+        assert_close_relative(update_z(state, stack), np.linalg.solve(B, rhs.mT).mT, 1e-12)
+
+    @pytest.mark.parametrize("mu", [0.1, 0.1 * 1.1**50, 0.1 * 1.1**100, 0.1 * 1.1**170])
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_step_matches_the_qp_oracle(self, n, mu):
+        # random multipliers clamp about half the entries; the step is the
+        # minimizer over Z >= 0, which projected gradient descent reaches
+        rng = np.random.default_rng(100 + n)
+        problem = prepare_problem([[rng.random((n, n)), rng.random((n, n))]],
+                                  [SolverConfig(alphas=(0.4, 0.6))])
+        state = random_state(rng, (4, n, n), mu)
+        problem = replace(problem, weighted_sum=np.repeat(problem.weighted_sum, 4, axis=0),
+                          z_weight=np.repeat(problem.z_weight, 4, axis=0))
+        Z = update_z(state, problem)
+        assert (Z == 0).any() and (Z > 0).any()
+        assert_minimizes_over_nonnegative(Z, state, problem)
 
     def test_huge_penalty_stays_finite(self):
         # SolverConfig admits mu0 = 1e307: B and RHS are finite there, but the
-        # row sums RHS 1 and the factor mu / (c + n mu) overflow
+        # partial sums of RHS and the factor mu / (c + n mu) overflow
         graphs = fleet_graphs(20, 0)[1:2]
         config = SolverConfig(alphas=(1.0,), mu0=1e307, max_iterations=1)
         problem = prepare_problem([graphs], [config])
         state = initial_state(problem)
-        B, rhs = z_step_system(state, problem)
-        want = np.linalg.solve(B / state.mu, (rhs / state.mu).mT).mT
-        assert_close_relative(update_z_unclamped(state, problem), want, 1e-12)
+        assert_minimizes_over_nonnegative(update_z(state, problem), state, problem)
         assert np.isfinite(solve(graphs, config).Z).all()
 
     def test_tiny_penalty_stays_finite(self):
         # the smallest mu0 SolverConfig admits at lambda1 = 0.1 is about
         # 2.45e-308; there c and R = RHS / mu are finite, but the first step's
-        # row sums R 1 overflow unless they are taken of R scaled down
+        # partial sums of R overflow unless they are taken of R scaled down
         config = SolverConfig(mu0=2.5e-308, max_iterations=5)
         for n in (20, 100):
             graphs = fleet_graphs(n, 0)
             problem = prepare_problem([graphs], [config])
             assert np.isfinite(problem.z_weight / config.mu0 + 3.0).all()
-            assert np.isfinite(update_z_unclamped(initial_state(problem), problem)).all()
+            state = initial_state(problem)
+            assert_minimizes_over_nonnegative(update_z(state, problem), state, problem)
             assert np.isfinite(solve(graphs, config).Z).all()
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_unclamped_point_is_stationary(self, seed):
+        # on the entries the step leaves positive, smooth_part is stationary;
+        # raising a clamped entry off zero does not lower it (the KKT
+        # conditions over Z >= 0, by central differences)
         rng = np.random.default_rng(seed)
         n = 5
         adjs = [rng.random((n, n)) for _ in range(2)]
         cfg = SolverConfig(alphas=(0.4, 0.6))
         state = random_state(rng, (1, n, n), 0.1 * 1.1**3)
-        Zs = update_z_unclamped(state, prepare_problem([adjs], [cfg]))[0]
-        f0 = smooth_part(Zs, state, adjs, cfg)
-        h = 1e-6
-        scale = max(1.0, abs(f0))
-        for _ in range(8):
-            D = rng.standard_normal((n, n))
-            D /= np.linalg.norm(D)
-            deriv = (
-                smooth_part(Zs + h * D, state, adjs, cfg)
-                - smooth_part(Zs - h * D, state, adjs, cfg)
-            ) / (2 * h)
-            assert abs(deriv) / scale <= 1e-5
+        Zs = update_z(state, prepare_problem([adjs], [cfg]))[0]
+        assert (Zs == 0).any() and (Zs > 0).any()
+        gradient = numeric_gradient(lambda X: smooth_part(X, state, adjs, cfg), Zs)
+        assert_kkt(Zs, gradient, 1e-5 * max(1.0, abs(smooth_part(Zs, state, adjs, cfg))))
 
 
 class TestUpdateZhat:
@@ -417,11 +453,27 @@ class TestUpdateZhat:
         assert np.abs(got - got.mT).max() < 1e-14
 
     def test_multipliers_shift_result(self):
-        state = make_state(
-            np.zeros((3, 3)), Zhat=np.zeros((3, 3)),
-            Phi2=np.eye(3), Phi4=np.eye(3), mu=1.0,
-        )
-        assert np.abs(update_zhat(state) - np.eye(3)).max() < 1e-14
+        # Phi2 pulls Zhat up and Phi4 pulls it down, each by Phi / (2 mu)
+        eye = np.eye(3)
+        for Phi2, Phi4, want in ((3 * eye, eye, eye), (eye, np.zeros((3, 3)), 0.5 * eye),
+                                 (np.zeros((3, 3)), eye, -0.5 * eye)):
+            state = make_state(np.zeros((3, 3)), Phi2=Phi2, Phi4=Phi4, mu=1.0)
+            assert np.abs(update_zhat(state)[0] - want).max() < 1e-14
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_step_is_stationary(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 5
+        adjs = [rng.random((n, n)) for _ in range(2)]
+        cfg = SolverConfig(alphas=(0.4, 0.6))
+        state = random_state(rng, (1, n, n), 0.1 * 1.1**3)
+        Zhat = update_zhat(state)
+
+        def in_zhat(X):
+            return smooth_part(state.Z[0], replace(state, Zhat=X), adjs, cfg)
+
+        gradient = numeric_gradient(in_zhat, Zhat[0])
+        assert np.abs(gradient).max() / max(1.0, abs(in_zhat(Zhat[0]))) <= 1e-5
 
 
 class TestUpdateLaplacian:
@@ -584,6 +636,21 @@ class TestSolve:
         assert result.Z.min() >= 0.0
         assert np.abs(result.Z.sum(axis=1) - 1.0).max() < 1e-12
 
+    def test_transpose_multipliers_agree(self, monkeypatch):
+        # with the exact Zhat step, Phi2 and Phi4 take equal steps from zero
+        import hetcover.solver as solver
+
+        gaps_seen = []
+
+        def check(state, gaps, config):
+            update_multipliers(state, gaps, config)
+            gaps_seen.append(np.abs(state.Phi2 - state.Phi4).max() / np.abs(state.Phi2).max())
+
+        monkeypatch.setattr(solver, "update_multipliers", check)
+        result = solve(fleet_graphs(20, 0), DEFAULT_WEIGHTS, trace=False)
+        assert len(gaps_seen) == result.iterations
+        assert max(gaps_seen) <= 1e-12
+
     def test_trace_length_matches_iterations(self):
         graphs = two_pair_system()
         result = solve(graphs, SolverConfig(alphas=(1 / 3, 1 / 3, 1 / 3)))
@@ -658,6 +725,48 @@ class TestSolve:
             solve([np.zeros((2, 2))], SolverConfig(alphas=(0.5, 0.5)))
 
 
+class TestFinish:
+    """solve's result is sym Z balanced by Newton's method on d * (S d) = 1."""
+
+    @pytest.mark.parametrize("max_iterations", [1, 3, 10, 1000])
+    def test_result_is_symmetric_with_unit_row_sums(self, max_iterations):
+        # from the first iterate on, the finish balances Z; only a run that
+        # reached the tolerance is reported converged
+        for seed in range(3):
+            config = replace(DEFAULT_WEIGHTS, max_iterations=max_iterations)
+            result = solve(fleet_graphs(20, seed), config, trace=False)
+            assert result.converged == (max_iterations == 1000)
+            assert np.array_equal(result.Z, result.Z.T)
+            assert np.abs(result.Z.sum(axis=1) - 1.0).max() <= 1e-14
+            assert result.Z.min() >= 0.0
+
+    def test_bipartite_block_is_balanced(self):
+        # capability-only Baseline of a six-robot, two-sensor fleet pairs its
+        # two rgb robots in a [[0, 1], [1, 0]] block, at whose balance the
+        # Newton matrix diag(S d / d) + S is singular; the last check keeps
+        # the case singular should the fleet ever change
+        config = SimConfig(n_robots=6, n_capabilities=2, seed=0)
+        system = generate_system(config, trial_rngs(0)[0])
+        graphs = build_relation_graphs(system, config.comm_radius)
+        result = solve(graphs, baseline_solver_config(SolverConfig(alphas=(0.0, 0.0, 1.0))))
+        assert result.converged
+        assert np.array_equal(result.Z, result.Z.T)
+        assert np.abs(result.Z.sum(axis=1) - 1.0).max() <= 1e-14
+        assert np.abs(result.Z[np.ix_([2, 4], [2, 4])] - [[0.0, 1.0], [1.0, 0.0]]).max() <= 1e-12
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            np.linalg.solve(np.diag(result.Z.sum(axis=1)) + result.Z, np.ones(6))
+
+    def test_zero_row_is_reported_unconverged(self):
+        import hetcover.solver as solver
+
+        Z = np.full((4, 4), 1 / 3)
+        np.fill_diagonal(Z, 0.0)
+        Z[3] = Z[:, 3] = 0.0
+        result = solver._result(make_state(Z), 0, True, [])
+        assert not result.converged
+        assert np.array_equal(result.Z, Z)
+
+
 def fleet_graphs(n_robots, seed, walls=()):
     """Relation graphs of the seeded n-robot, three-capability fleet the simulator generates."""
     config = SimConfig(n_robots=n_robots, n_capabilities=3, seed=seed,
@@ -684,9 +793,10 @@ def assert_follows_reference(got, want, trace=True):
 
 
 class TestMatchesReferenceLoop:
-    """solve() follows the reference loop, whose Z step is a linear solve where
-    solve's is the Sherman-Morrison closed form; a stack's problems are byte
-    for byte their own solves."""
+    """solve() follows the reference loop, whose Z step solves on a shrinking
+    support where solve's thresholds sorted rows, and whose finish is Sinkhorn
+    scaling where solve's takes Newton steps; a stack's problems are byte for
+    byte their own solves."""
 
     def assert_same_run(self, graphs, config):
         got = solve(graphs, config)
@@ -736,13 +846,13 @@ class TestMatchesReferenceLoop:
         assert len({result.iterations for result in stack.results}) > 1  # they leave apart
 
     def test_stack_with_one_problem_stopped_by_the_iteration_cap(self):
-        # alone, these converge after 95, 148 and 155 iterations
-        configs = [SolverConfig(alphas=alphas, max_iterations=151)
+        # alone, these converge after 27, 66 and 86 iterations
+        configs = [SolverConfig(alphas=alphas, max_iterations=67)
                    for alphas in ((0.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3), (0.0, 0.5, 0.5))]
         stack = self.assert_same_stack([fleet_graphs(20, 0)] * 3, configs, trace=True)
         assert [(r.iterations, r.converged) for r in stack.results] == [
-            (95, True), (148, True), (151, False)]
-        assert (stack.iterations, stack.converged) == (151, False)
+            (27, True), (66, True), (67, False)]
+        assert (stack.iterations, stack.converged) == (67, False)
 
     def test_stack_of_one_with_fifty_robots_behind_a_wall(self):
         self.assert_same_stack([fleet_graphs(50, 3, walls=(WALL,))], [DEFAULT_WEIGHTS],
@@ -757,12 +867,12 @@ class TestMatchesReferenceLoop:
         assert stack.converged
 
     def test_stack_of_fleets_with_one_stopped_by_the_iteration_cap(self):
-        # alone, seeds 0-4 converge after 148, 153, 149, 148 and 152 iterations
-        configs = [replace(DEFAULT_WEIGHTS, max_iterations=152)] * 5
+        # alone, seeds 0-4 converge after 66, 62, 64, 58 and 68 iterations
+        configs = [replace(DEFAULT_WEIGHTS, max_iterations=66)] * 5
         stack = self.assert_same_stack([fleet_graphs(20, seed) for seed in range(5)],
                                        configs, trace=True)
         assert [(r.iterations, r.converged) for r in stack.results] == [
-            (148, True), (152, False), (149, True), (148, True), (152, True)]
+            (66, True), (62, True), (64, True), (58, True), (66, False)]
 
     def test_stack_of_fleets_and_weightings(self):
         graph_lists = [fleet_graphs(20, seed) for seed in (0, 0, 1, 1)]
