@@ -53,13 +53,11 @@ class TeamAssignment:
 
 
 def minor_laplacian(Z, indices) -> np.ndarray:
-    """Graph Laplacian D - W of the principal submatrix of (symmetrized) Z."""
+    """Graph Laplacian D - W of the principal submatrix W of a symmetric Z."""
     idx = sorted(indices)
     if not idx:
         raise ValueError("index set must be non-empty")
-    Z = np.asarray(Z, dtype=float)
-    W = 0.5 * (Z + Z.T)
-    W = W[np.ix_(idx, idx)]
+    W = np.asarray(Z, dtype=float)[np.ix_(idx, idx)]
     return np.diag(W.sum(axis=1)) - W
 
 
@@ -88,7 +86,7 @@ def fiedler_vector(laplacian) -> np.ndarray:
 
 
 def fiedler_cut(Z, indices):
-    """Split an index set in two without cutting a connected component of its minor.
+    """Split an index set of a symmetric Z in two without cutting a connected component.
 
     A disconnected minor's zero eigenvectors mix its component indicators
     arbitrarily (von Luxburg, "A Tutorial on Spectral Clustering", 2007,
@@ -132,8 +130,9 @@ def partition(Z, *regions) -> list:
     Each round splits the largest group (ties go to the group holding the
     smallest index), up to the largest r of regions, and gives the groups
     live at each r: one TeamAssignment per r, in the order given. Team
-    numbering follows ascending smallest member. Z must be square, finite
-    and non-negative, and every r is checked before any cut.
+    numbering follows ascending smallest member. Z must be square, finite,
+    non-negative and symmetric up to 1e-12 of its largest entry, and every r
+    is checked before any cut.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
@@ -142,6 +141,10 @@ def partition(Z, *regions) -> list:
         raise ValueError("Z must be finite, but it holds NaN or infinite entries")
     if (Z < 0).any():
         raise ValueError("Z must be non-negative, but its smallest entry is %r" % float(Z.min()))
+    asymmetry = float(np.abs(Z - Z.T).max(initial=0.0))
+    if asymmetry > 1e-12 * Z.max(initial=0.0):
+        raise ValueError("Z must be symmetric, but max |Z - Z^T| is %r, above 1e-12 of its "
+                         "largest entry %r" % (asymmetry, float(Z.max())))
     n = Z.shape[0]
     for r in regions:
         check_team_count(r, n)

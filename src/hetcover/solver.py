@@ -7,9 +7,14 @@ Minimizes
 subject to L = I - Z, Z 1 = 1, Z = Z^T, Z >= 0, by alternating exact
 minimizations of the augmented Lagrangian in Z (over Z >= 0, by a
 thresholded closed form), in an auxiliary transpose copy Zhat, and in the
-Laplacian iterate L (via eigenvalue thresholding of a symmetric target),
-with multiplier estimates and a geometrically growing penalty mu. The last
-Z is finished by symmetric balancing.
+Laplacian iterate L (an affine step), with multiplier estimates and a
+geometrically growing penalty mu. The last Z is finished by symmetric
+balancing.
+
+The L step minimizes lambda2 tr L for lambda2 ||L||_*, which keeps the
+optimum: a feasible Z is symmetric with unit row sums and no negative entry,
+so its eigenvalues lie in [-1, 1] (its spectral radius is its largest row
+sum), L = I - Z is positive semidefinite and ||L||_* = tr L = n - tr Z.
 
 Entries of the result are pairwise same-team affinities: row-stochastic,
 exactly symmetric, non-negative.
@@ -211,7 +216,7 @@ def prepare_problem(graph_lists, configs) -> Problem:
     Each list's graphs are checked against each other and its config. The
     lists may differ but must share the size n, and the configs must share
     every setting but alphas, since one loop advances them with one penalty
-    mu and one shrinkage threshold.
+    mu and one L-step shift lambda2 / mu.
     """
     if len(graph_lists) != len(configs):
         raise ValueError("a stack needs one graph list per config, got %d for %d"
@@ -245,12 +250,12 @@ def prepare_problem(graph_lists, configs) -> Problem:
     )
 
 
-def objective(Z, L, graphs, config: SolverConfig, singular_values=None) -> float:
-    """sum_m alpha_m ||Z - A_m||_F^2 + lambda1 ||Z||_F^2 + lambda2 ||L||_*.
+def objective(Z, L, graphs, config: SolverConfig) -> float:
+    """sum_m alpha_m ||Z - A_m||_F^2 + lambda1 ||Z||_F^2 + lambda2 tr L.
 
-    singular_values, when given, are L's and spare an SVD of L; solve passes
-    the ones the L step has just shrunk. With lambda2 = 0 the nuclear term
-    is skipped.
+    The L step's term, equal to lambda2 ||L||_* wherever L = I - Z for a
+    feasible Z (see the module docstring); scaling L's diagonal by lambda2
+    before the sum keeps it finite at tiny penalties, where tr L overflows.
     """
     Z = np.asarray(Z, dtype=float)
     adjs = [_adjacency(g) for g in graphs]
@@ -259,12 +264,8 @@ def objective(Z, L, graphs, config: SolverConfig, singular_values=None) -> float
         if a.shape != Z.shape:
             raise ValueError("graph shape %r does not match Z shape %r" % (a.shape, Z.shape))
     fit = sum(alpha * np.sum((Z - a) ** 2) for alpha, a in zip(config.alphas, adjs))
-    value = fit + config.lambda1 * np.sum(Z**2)
-    if config.lambda2:
-        if singular_values is None:
-            singular_values = np.linalg.svd(np.asarray(L, dtype=float), compute_uv=False)
-        value = value + config.lambda2 * float(singular_values.sum())
-    return float(value)
+    nuclear = np.sum(config.lambda2 * np.diagonal(np.asarray(L, dtype=float)))
+    return float(fit + config.lambda1 * np.sum(Z**2) + nuclear)
 
 
 def initial_state(problem: Problem) -> SolverState:
@@ -335,22 +336,21 @@ def update_zhat(state: SolverState) -> np.ndarray:
     return (mu * (state.Z.mT + state.Z) + state.Phi2 - state.Phi4) / (2.0 * mu)
 
 
-def update_laplacian(state: SolverState, problem: Problem):
-    """The L step: eigenvalue thresholding of sym T, for T = I - Z - Phi3/mu.
+def update_laplacian(state: SolverState, problem: Problem) -> np.ndarray:
+    """The L step: L = sym T - tau I, for T = I - Z - Phi3/mu and tau = lambda2/mu.
 
-    Minimizes lambda2 ||L||_* + (mu/2) ||L - T||_F^2 over symmetric L. That keeps the
-    problem's optimum, as every feasible L = I - Z is symmetric, and there
-    ||L - T||^2 = ||L - sym T||^2 + ||skew T||^2: with sym T = V diag(w) V^T and tau =
-    lambda2/mu, L = V diag(sign(w) max(|w| - tau, 0)) V^T (Cai, Candes and Shen 2010).
-    Returns L and its singular values, the shrunk |w|, or T and None at tau = 0.
+    The exact minimizer of lambda2 tr L + (mu/2) ||L - T||_F^2 over symmetric L,
+    where ||L - T||^2 = ||L - sym T||^2 + ||skew T||^2 and the stationarity
+    condition lambda2 I + mu (L - sym T) = 0 gives L. Both restrictions keep
+    the problem's optimum: every feasible L = I - Z is symmetric, and
+    positive semidefinite, as Z's eigenvalues lie in [-1, 1], so there
+    ||L||_* = tr L. Returns T itself at tau = 0.
     """
     target = problem.eye - state.Z - state.Phi3 / state.mu
     tau = problem.config.lambda2 / state.mu
     if tau == 0:
-        return target, None
-    w, V = np.linalg.eigh(0.5 * (target + target.mT))
-    shrunk = np.sign(w) * np.maximum(np.abs(w) - tau, 0.0)
-    return (V * shrunk[..., None, :]) @ V.mT, np.abs(shrunk)
+        return target
+    return 0.5 * (target + target.mT) - tau * problem.eye
 
 
 def constraint_residuals(state: SolverState, problem: Problem):
@@ -461,14 +461,13 @@ def solve(graphs, config=None, *, trace: bool = True):
     for _ in range(config.max_iterations):
         state.Z = update_z(state, problem)
         state.Zhat = update_zhat(state)
-        state.L, singular_values = update_laplacian(state, problem)
+        state.L = update_laplacian(state, problem)
         res, gaps = constraint_residuals(state, problem)
         if trace:
             for i, p in enumerate(active):
                 traces[p].append(IterationRecord(
                     Residuals(*(float(r[i]) for r in (res.r1, res.r2, res.r3, res.r4))),
-                    objective(state.Z[i], state.L[i], graph_lists[p], configs[p],
-                              None if singular_values is None else singular_values[i])))
+                    objective(state.Z[i], state.L[i], graph_lists[p], configs[p])))
         update_multipliers(state, gaps, config)
         done = res.max_residual <= config.tolerance
         if done.any():

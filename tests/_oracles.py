@@ -1,17 +1,17 @@
 """Independent numerical oracles used by the test suites.
 
 Each oracle reaches a reference answer by a different route than the library
-code under test: proximal results via plain subgradient descent, the
-non-negative Z step via projected gradient descent, gradients via central
-finite differences, eigenpairs via characteristic-polynomial roots plus a
-nullspace extraction, partitions via exhaustive enumeration, greedy teams
-via the plain pairwise merge loop, the communication and capability graphs
-via their pair loops (set intersection for the capability overlap), and
-the solver's loop via a reference form (linear solves on a shrinking
-support for the Z step, an SVD thresholding of the symmetrized target for
-the L step, a second SVD for the objective, damped symmetric Sinkhorn
-scaling for the finish, per-step set-up, and a frozen state rebuilt after
-every step).
+code under test: the nuclear-norm prox via an SVD, the non-negative Z step
+via projected gradient descent, the fusion problem's exact optimum via
+semismooth Newton on its dual (itself checked against Dykstra's alternating
+projections), gradients via central finite differences, eigenpairs via
+characteristic-polynomial roots plus a nullspace extraction, partitions via
+exhaustive enumeration, greedy teams via the plain pairwise merge loop, the
+communication and capability graphs via their pair loops (set intersection
+for the capability overlap), and the solver's loop via a reference form
+(linear solves on a shrinking support for the Z step, damped symmetric
+Sinkhorn scaling for the finish, per-step set-up, and a frozen state
+rebuilt after every step).
 """
 
 import math
@@ -22,29 +22,14 @@ import numpy as np
 from hetcover.solver import IterationRecord, Residuals, SolveResult, SolverConfig
 
 
-def nuclear_prox_oracle(G, tau, iters=100_000, step0=0.5, step_final=1e-5):
-    """Minimize tau*||L||_* + 0.5*||L - G||_F^2 by subgradient descent.
+def singular_value_thresholding(G, tau):
+    """The nuclear-norm prox argmin tau ||L||_* + ||L - G||_F^2 / 2, in closed form by an SVD.
 
-    Uses a geometrically diminishing step. The subgradient of the nuclear
-    norm at L is U V^T restricted to the non-zero singular values (the zero
-    block contributes nothing). The objective is 1-strongly convex, so the
-    final iterate sits within roughly step * tau of the true minimizer.
-
-    G may be a stack of matrices (leading axes) with tau a scalar or one
-    value per matrix; every matrix then descends on its own, in one loop.
+    Cai, Candes and Shen (SIAM J. Optim. 20, 2010): G's singular values,
+    each lowered by tau and clamped at zero.
     """
-    G = np.asarray(G, dtype=float)
-    tau = np.asarray(tau, dtype=float)[..., None, None]
-    L = G.copy()
-    decay = (step_final / step0) ** (1.0 / max(iters - 1, 1))
-    step = step0
-    for _ in range(iters):
-        U, s, Vt = np.linalg.svd(L, full_matrices=False)
-        support = (s > 1e-12)[..., None, :]  # drops the columns of U outside the support
-        subgrad = tau * ((U * support) @ Vt) + (L - G)
-        L = L - step * subgrad
-        step *= decay
-    return L
+    U, s, Vt = np.linalg.svd(np.asarray(G, dtype=float), full_matrices=False)
+    return (U * np.maximum(s - tau, 0.0)) @ Vt
 
 
 def nonnegative_qp_oracle(B, rhs, max_steps=100_000):
@@ -202,6 +187,91 @@ def capability_graph_oracle(system):
 
 
 # ---------------------------------------------------------------------------
+# the fusion problem's exact optimum
+
+
+def doubly_stochastic_projection(M, max_steps=100):
+    """The Frobenius projection of a symmetric M onto the symmetric, non-negative,
+    row-stochastic matrices, by damped semismooth Newton on the dual.
+
+    The projection is Z(y)_ij = max(M_ij - y_i - y_j, 0) for the y solving
+    F(y) = Z(y) 1 - 1 = 0, the stationary point of the convex dual
+    phi(y) = ||Z(y)||^2 / 2 + 2 sum y, whose gradient is -2 F. Each Newton
+    step solves (diag(P 1) + P) d = F, with P the support of Z(y), by least
+    squares (the matrix is singular on a bipartite support), and halves d
+    until phi falls (Qi and Sun, SIAM J. Matrix Anal. Appl. 28, 2006; Li,
+    Sun and Toh, Math. Program. 179, 2020). Runs until every row sum is
+    within n eps of 1, then checks the KKT conditions; returns (Z, y).
+    """
+    M = np.asarray(M, dtype=float)
+    n = M.shape[0]
+    tol = n * np.finfo(float).eps
+
+    def at(y):
+        Z = np.maximum(M - (y[:, None] + y[None, :]), 0.0)
+        return Z, 0.5 * np.sum(Z**2) + 2.0 * y.sum()
+
+    # where nothing clamps, Z(y) 1 = 1 is linear in y and this solves it
+    y = (M.sum(axis=1) - 1.0 - (M.sum() - n) / (2.0 * n)) / n
+    Z, phi = at(y)
+    for _ in range(max_steps):
+        F = Z.sum(axis=1) - 1.0
+        if np.abs(F).max() <= tol:
+            break
+        P = (Z > 0).astype(float)
+        d = np.linalg.lstsq(np.diag(P.sum(axis=1)) + P, F)[0]
+        step = 1.0
+        while True:
+            Z_new, phi_new = at(y + step * d)
+            if phi_new <= phi or step < 1e-12:
+                break
+            step *= 0.5
+        y, Z, phi = y + step * d, Z_new, phi_new
+    # KKT: primal feasibility, and Z - M + y 1^T + 1 y^T is the non-negative
+    # multiplier of Z >= 0, zero wherever Z is positive
+    slack = Z - (M - (y[:, None] + y[None, :]))
+    assert np.abs(Z.sum(axis=1) - 1.0).max() <= tol, "the projection did not converge"
+    assert Z.min() >= 0.0 and np.array_equal(Z, Z.T)
+    assert slack.min() >= 0.0 and np.abs(slack[Z > 0]).max(initial=0.0) == 0.0
+    return Z, y
+
+
+def dykstra_projection(M, steps=2000):
+    """The same projection by Dykstra's alternating projections onto
+    {Z = Z^T, Z 1 = 1} (an affine set) and {Z >= 0}, for small M."""
+    n = M.shape[0]
+    X = np.asarray(M, dtype=float)
+    P = Q = np.zeros_like(X)
+    for _ in range(steps):
+        A = X + P
+        A = 0.5 * (A + A.T)
+        r = A.sum(axis=1) - 1.0
+        u = (r - r.sum() / (2.0 * n)) / n
+        Y = A - u[:, None] - u[None, :]
+        P = X + P - Y
+        X = np.maximum(Y + Q, 0.0)
+        Q = Y + Q - X
+    return X
+
+
+def projection_oracle(graphs, config):
+    """The exact optimum Z of the fusion problem of graphs under config.
+
+    Over symmetric Z, the objective sum_m alpha_m ||Z - A_m||^2 +
+    lambda1 ||Z||^2 + lambda2 tr(I - Z) is (sum alpha + lambda1) ||Z - M||^2
+    plus a constant, for M = (sum_m alpha_m A_m + (lambda2 / 2) I) /
+    (sum alpha + lambda1), and tr(I - Z) = ||I - Z||_* wherever Z is
+    feasible: the optimum is the projection of sym M.
+    """
+    adjs = [_adjacency(g) for g in graphs]
+    config = config.resolved(len(adjs))
+    weighted = sum(alpha * a for alpha, a in zip(config.alphas, adjs))
+    M = weighted + 0.5 * config.lambda2 * np.eye(weighted.shape[0])
+    M = M / (sum(config.alphas) + config.lambda1)
+    return doubly_stochastic_projection(0.5 * (M + M.T))[0]
+
+
+# ---------------------------------------------------------------------------
 # the solver loop in its reference form: solve() must follow it to 1e-12
 
 
@@ -232,18 +302,7 @@ def _objective(Z, L, graphs, config):
         if a.shape != Z.shape:
             raise ValueError("graph shape %r does not match Z shape %r" % (a.shape, Z.shape))
     fit = sum(alpha * np.sum((Z - a) ** 2) for alpha, a in zip(config.alphas, adjs))
-    nuclear = float(np.linalg.svd(L, compute_uv=False).sum())
-    return float(fit + config.lambda1 * np.sum(Z**2) + config.lambda2 * nuclear)
-
-
-def _svt(G, tau):
-    G = np.asarray(G, dtype=float)
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
-    if tau == 0:
-        return G.copy()
-    U, s, Vt = np.linalg.svd(G, full_matrices=False)
-    return (U * np.maximum(s - tau, 0.0)) @ Vt
+    return float(fit + config.lambda1 * np.sum(Z**2) + config.lambda2 * np.trace(L))
 
 
 def _initial_state(graphs, config):
@@ -296,13 +355,13 @@ def _update_zhat(state, config):
 
 
 def _update_laplacian(state, config):
-    # the L step over symmetric L: at tau > 0, the SVD thresholding of the
-    # target's symmetric part (the skew part only adds a constant to the
-    # step's objective); at tau = 0, the target itself
+    # the prox of tau tr L over symmetric L: at tau > 0, the target's
+    # symmetric part (the skew part only adds a constant to the step's
+    # objective) with every eigenvalue lowered by tau; at tau = 0, the target
     n = state.Z.shape[0]
     target = np.eye(n) - state.Z - state.Phi3 / state.mu
     tau = config.lambda2 / state.mu
-    return _svt(0.5 * (target + target.T), tau) if tau > 0 else target
+    return (target + target.T) / 2.0 - np.diag(np.full(n, tau)) if tau > 0 else target
 
 
 def _update_multipliers(state, config):

@@ -407,6 +407,26 @@ class TestPartition:
         assert "Z must be %s" % defect in capsys.readouterr().err
         assert not (tmp_path / "assignment.json").exists()
 
+    def test_asymmetric_matrix_rejected(self, tmp_path, capsys):
+        # each cut once read (Z + Z^T) / 2, so this Z was cut as if Z[0, 1] were 0.3
+        z_path = tmp_path / "Z.csv"
+        z_path.write_text("0.5,0.5,0.0\n0.1,0.5,0.4\n0.0,0.4,0.6\n")
+        code = run_cli("partition", "--z", str(z_path), "--regions", "2",
+                       "--out", str(tmp_path))
+        assert code == 2
+        assert "Z must be symmetric, but max |Z - Z^T| is 0.4" in capsys.readouterr().err
+        assert not (tmp_path / "assignment.json").exists()
+
+    def test_unconverged_solve_output_partitions(self, tmp_path):
+        # solve's finish makes Z equal its transpose at exit 3 too
+        system_path = tmp_path / "system.json"
+        write_planted_system(system_path)
+        assert run_cli("solve", "--system", str(system_path), "--max-iters", "3",
+                       "--out", str(tmp_path)) == 3
+        assert run_cli("partition", "--z", str(tmp_path / "Z.csv"), "--regions", "2",
+                       "--out", str(tmp_path)) == 0
+        assert json.loads((tmp_path / "assignment.json").read_text())["r"] == 2
+
 
 class TestSimulate:
     def test_batch_row_count_and_ranges(self, tmp_path):

@@ -56,6 +56,7 @@ class TestMinorLaplacian:
     def test_rows_sum_to_zero(self):
         rng = np.random.default_rng(0)
         Z = rng.random((6, 6))
+        Z = Z + Z.T  # partition admits only a symmetric Z
         for idx in (range(6), [0, 2, 5], [1, 3]):
             L = minor_laplacian(Z, idx)
             assert np.abs(L.sum(axis=1)).max() < 1e-12
@@ -195,6 +196,7 @@ class TestFiedlerCut:
                 Z[:k, :k] = rng.random((k, k))
             else:
                 Z = np.zeros((n, n)) if kind == "all-zero" else np.eye(n)
+            Z = Z + Z.T  # partition admits only a symmetric Z
             idx = sorted(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False).tolist())
             a, b = fiedler_cut(Z, idx)
             assert a and b and not a & b and a | b == set(idx)
@@ -286,6 +288,17 @@ class TestPartition:
         members = sorted(i for t in asgn.teams for i in t)
         assert members == list(range(8))
         assert all(t for t in asgn.teams)
+
+    def test_asymmetric_z_rejected_within_rounding_of_its_largest_entry(self):
+        Z = np.array([[0.5, 0.5, 0.0], [0.1, 0.5, 0.4], [0.0, 0.4, 0.6]])
+        with pytest.raises(ValueError, match=r"^Z must be symmetric, but max \|Z - Z\^T\| is 0.4"):
+            partition(Z, 2)
+        # the bound is 1e-12 of the largest entry 0.6: 4e-13 passes, 7e-13 does not
+        Z[1, 0] = 0.5 + 4e-13
+        partition(Z, 2)
+        Z[1, 0] = 0.5 + 7e-13
+        with pytest.raises(ValueError, match="symmetric"):
+            partition(Z, 2)
 
     def test_permutation_equivariance_up_to_numbering(self):
         Z = two_block_matrix()
