@@ -36,6 +36,8 @@ import sys
 from dataclasses import fields, replace
 from typing import NamedTuple
 
+import numpy as np
+
 from .graphs import (
     COMM_RADIUS_PER_DIAGONAL,
     SPATIAL_EPSILON_PER_DIAGONAL,
@@ -57,7 +59,7 @@ from .simulation import (
     sweep_grid,
     trial_rngs,
 )
-from .solver import SolverConfig, save_solve_trace, solve
+from .solver import SolverConfig, objective, save_solve_trace, solve
 from .system import Environment, Position, Wall, load_system, save_system
 
 ALPHA_STEP = 0.1  # sweep's default simplex grid step
@@ -296,9 +298,10 @@ def cmd_solve(args, parser):
     except ValueError as exc:  # an AllZeroGraphError among them
         parser.error("cannot build graphs: %s" % exc)
     result = solve(graphs, solver_config, trace=True)
+    final = objective(result.Z, np.eye(len(result.Z)) - result.Z, graphs, solver_config)
     code = _write_outputs(args.out, [
         ("Z.csv", lambda path: save_matrix_csv(result.Z, path)),
-        ("trace.json", lambda path: save_solve_trace(result, path)),
+        ("trace.json", lambda path: save_solve_trace(result, final, path)),
     ])
     if code == 0 and not result.converged:
         print("solver did not converge within %d iterations"

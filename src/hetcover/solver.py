@@ -6,9 +6,9 @@ Minimizes
 
 subject to L = I - Z, Z 1 = 1, Z = Z^T, Z >= 0, by alternating exact
 minimizations of the augmented Lagrangian in Z (over Z >= 0, by a
-thresholded closed form), in an auxiliary transpose copy Zhat, and in the
-Laplacian iterate L (an affine step), with multiplier estimates and a
-geometrically growing penalty mu. The last Z is finished by symmetric
+thresholded closed form), in an auxiliary transpose copy Zhat (sym Z), and
+in the Laplacian iterate L (an affine step), with multiplier estimates and
+a geometrically growing penalty mu. The last Z is finished by symmetric
 balancing.
 
 The L step minimizes lambda2 tr L for lambda2 ||L||_*, which keeps the
@@ -125,7 +125,6 @@ class SolverState:
     phi1: np.ndarray
     Phi2: np.ndarray
     Phi3: np.ndarray
-    Phi4: np.ndarray
     mu: float
     k: int
 
@@ -158,7 +157,7 @@ class Residuals:
     r1: float  # |Z 1 - 1|_inf       (row sums)
     r2: float  # max |Z^T - Zhat|    (transpose copy)
     r3: float  # max |L - I + Z|     (Laplacian link)
-    r4: float  # max |Zhat - Z|      (symmetry via the copy)
+    r4: float  # max |Zhat - Z| = r2 (symmetry via the copy)
 
     @property
     def max_residual(self):
@@ -278,7 +277,6 @@ def initial_state(problem: Problem) -> SolverState:
         phi1=np.zeros(Z0.shape[:-1]),
         Phi2=np.zeros(Z0.shape),
         Phi3=np.zeros(Z0.shape),
-        Phi4=np.zeros(Z0.shape),
         mu=problem.config.mu0,
         k=0,
     )
@@ -313,7 +311,7 @@ def update_z(state: SolverState, problem: Problem) -> np.ndarray:
     mu = state.mu
     rhs = problem.weighted_sum + mu * (
         1.0 + state.Zhat.mT + state.Zhat + problem.eye - state.L)
-    rhs = rhs - state.phi1[..., None] - state.Phi2.mT - state.Phi3 + state.Phi4
+    rhs = rhs - state.phi1[..., None] - state.Phi2.mT - state.Phi3 + state.Phi2
     R = rhs / mu
     c = problem.z_weight / mu + 3.0
     n = R.shape[-1]
@@ -326,14 +324,13 @@ def update_z(state: SolverState, problem: Problem) -> np.ndarray:
 
 
 def update_zhat(state: SolverState) -> np.ndarray:
-    """The transpose-copy step: Zhat = (mu Z^T + mu Z + Phi2 - Phi4) / (2 mu).
+    """The transpose-copy step: Zhat = sym Z = (Z + Z^T) / 2.
 
-    The exact minimizer over Zhat of the penalties
-    |Z^T - Zhat + Phi2/mu|^2 + |Zhat - Z + Phi4/mu|^2 that the Z step and
-    the multiplier updates use.
+    A multiplier Phi4 of its own for Zhat = Z would give (Z^T + Z + (Phi2 - Phi4) / mu) / 2,
+    but from zero multipliers Phi4 stays Phi2, by induction: the step is then sym Z, both
+    gaps are (Z^T - Z) / 2, and both updates add the same. So Phi2 serves both penalties.
     """
-    mu = state.mu
-    return (mu * (state.Z.mT + state.Z) + state.Phi2 - state.Phi4) / (2.0 * mu)
+    return 0.5 * (state.Z + state.Z.mT)
 
 
 def update_laplacian(state: SolverState, problem: Problem) -> np.ndarray:
@@ -354,20 +351,20 @@ def update_laplacian(state: SolverState, problem: Problem) -> np.ndarray:
 
 
 def constraint_residuals(state: SolverState, problem: Problem):
-    """The four constraint gaps and their infinity norms, per problem of a stack.
+    """The three constraint gaps and their infinity norms, per problem of a stack.
 
-    Returns (Residuals, gaps) with gaps = (Z 1 - 1, Z^T - Zhat, L - I + Z,
-    Zhat - Z); the multiplier update ascends along the same gaps.
+    Returns (Residuals, gaps) with gaps = (Z 1 - 1, Z^T - Zhat, L - I + Z);
+    the multiplier update ascends along them. r4 repeats r2 (see update_zhat).
     """
     ones = np.ones(state.Z.shape[-1])
     gaps = (
         state.Z @ ones - ones,
         state.Z.mT - state.Zhat,
         state.L - problem.eye + state.Z,
-        state.Zhat - state.Z,
     )
     stack = state.Z.shape[:-2]
-    return Residuals(*(np.abs(g).reshape(stack + (-1,)).max(axis=-1) for g in gaps)), gaps
+    r1, r2, r3 = (np.abs(g).reshape(stack + (-1,)).max(axis=-1) for g in gaps)
+    return Residuals(r1, r2, r3, r2), gaps
 
 
 def update_multipliers(state: SolverState, gaps, config: SolverConfig) -> None:
@@ -376,20 +373,19 @@ def update_multipliers(state: SolverState, gaps, config: SolverConfig) -> None:
     Advances state in place; mu is mu0 * rho**k in Python floats.
     """
     mu = state.mu
-    g1, g2, g3, g4 = gaps
+    g1, g2, g3 = gaps
     state.phi1 = state.phi1 + mu * g1
     state.Phi2 = state.Phi2 + mu * g2
     state.Phi3 = state.Phi3 + mu * g3
-    state.Phi4 = state.Phi4 + mu * g4
     state.k += 1
     state.mu = config.mu0 * config.rho**state.k
 
 
 def _result(state: SolverState, i: int, converged: bool, trace) -> SolveResult:
-    """The result of the problem at slice i: its last Z finished by symmetric balancing.
+    """The result of the problem at slice i: its last Zhat finished by symmetric balancing.
 
-    Newton's method on d * (S d) = 1 for S = sym Z, from d = 1 (Knight and
-    Ruiz, IMA J. Numer. Anal. 33, 2013), finds the positive d for which
+    Newton's method on d * (S d) = 1 for S = Zhat = sym Z, from d = 1 (Knight
+    and Ruiz, IMA J. Numer. Anal. 33, 2013), finds the positive d for which
     D S D, with D = diag(d), has unit row sums. Each step solves
     (diag(S d / d) + S) delta = 1 / d and sets d = d / 2 + delta; the solve
     is a least-squares one, since that matrix is singular at the balance of
@@ -399,7 +395,7 @@ def _result(state: SolverState, i: int, converged: bool, trace) -> SolveResult:
     row, is returned as sym Z and reported unconverged; balanced means within
     n eps, the rounding bound of a row sum.
     """
-    S = 0.5 * (state.Z[i] + state.Z[i].T)
+    S = state.Zhat[i]
     n = S.shape[0]
     Z, d, balanced = S, np.ones(n), False
     for _ in range(FINISH_STEPS + 1):
@@ -486,11 +482,12 @@ def solve(graphs, config=None, *, trace: bool = True):
     return results[0] if single else StackResult(tuple(results))
 
 
-def save_solve_trace(result: SolveResult, path) -> None:
-    """Emit the convergence record: converged flag, iterations, residuals."""
+def save_solve_trace(result: SolveResult, final_objective: float, path) -> None:
+    """Emit the convergence record: converged, iterations, Z's objective, per-iteration records."""
     doc = {
         "converged": result.converged,
         "iterations": result.iterations,
+        "objective": final_objective,
         "residuals": [
             dict(asdict(record.residuals), objective=record.objective)
             for record in result.residual_trace

@@ -221,7 +221,7 @@ def smooth_augmented(Z, state, adjs, config):
         np.sum((Z @ ones - ones + state.phi1 / state.mu) ** 2)
         + np.sum((Z.T - state.Zhat + state.Phi2 / state.mu) ** 2)
         + np.sum((state.L - np.eye(n) + Z + state.Phi3 / state.mu) ** 2)
-        + np.sum((state.Zhat - Z + state.Phi4 / state.mu) ** 2)
+        + np.sum((state.Zhat - Z + state.Phi2 / state.mu) ** 2)
     )
     return fit + config.lambda1 * np.sum(Z**2) + 0.5 * state.mu * pen
 
@@ -236,8 +236,7 @@ def test_z_step_zeroes_the_smooth_gradient():
         state = SolverState(
             Z=rng.random((1, n, n)), Zhat=rng.random((1, n, n)), L=rng.random((1, n, n)),
             phi1=rng.standard_normal((1, n)), Phi2=rng.standard_normal((1, n, n)),
-            Phi3=rng.standard_normal((1, n, n)), Phi4=rng.standard_normal((1, n, n)),
-            mu=0.1 * 1.1 ** (seed % 10), k=seed % 10,
+            Phi3=rng.standard_normal((1, n, n)), mu=0.1 * 1.1 ** (seed % 10), k=seed % 10,
         )
         Zs = update_z(state, prepare_problem([adjs], [config]))[0]
         gradient = numeric_gradient(

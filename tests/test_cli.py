@@ -18,7 +18,7 @@ from hetcover.simulation import (
     stack_size,
     sweep_grid,
 )
-from hetcover.solver import SolverConfig
+from hetcover.solver import SolverConfig, objective
 from hetcover.system import load_system, save_system
 
 from _oracles import reference_solve
@@ -137,7 +137,22 @@ class TestSolve:
         assert trace["converged"] is True
         assert trace["iterations"] <= 1000
         assert len(trace["residuals"]) == trace["iterations"]
+        assert set(trace) == {"converged", "iterations", "objective", "residuals"}
         assert set(trace["residuals"][0]) == {"r1", "r2", "r3", "r4", "objective"}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_trace_objective_is_that_of_the_written_z(self, tmp_path, seed):
+        # each record's objective is that of the loop's unfinished iterate
+        # (Z, L); the top-level one is the finished Z's, with L = I - Z, and
+        # Z.csv holds Z at full precision, so a fresh call reproduces it exactly
+        assert run_cli("generate", "--robots", "20", "--capabilities", "3",
+                       "--seed", str(seed), "--out", str(tmp_path)) == 0
+        system_path = tmp_path / "system.json"
+        assert run_cli("solve", "--system", str(system_path), "--out", str(tmp_path)) == 0
+        Z = load_matrix_csv(tmp_path / "Z.csv")
+        graphs = build_relation_graphs(load_system(system_path))
+        want = objective(Z, np.eye(len(Z)) - Z, graphs, SolverConfig())
+        assert json.loads((tmp_path / "trace.json").read_text())["objective"] == want
 
     def test_paper_weight_combination_accepted(self, tmp_path):
         system_path = tmp_path / "system.json"

@@ -155,6 +155,23 @@ def test_package_definitions_are_read_outside_tests():
     assert unread_definitions(defining, reading) == sorted(UNREAD_BY_DESIGN)
 
 
+# the reference loop in tests/_oracles.py is an independent check of solve's
+# steps: it may share the solver's data types, but none of its code
+ORACLE_IMPORTS = {"IterationRecord", "Residuals", "SolveResult", "SolverConfig"}
+
+
+def test_reference_loop_imports_only_solver_data_types():
+    tree = ast.parse((ROOT / "tests" / "_oracles.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "hetcover" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hetcover":
+            assert node.module == "hetcover.solver"
+            imported.update(alias.name for alias in node.names)
+    assert imported and imported <= ORACLE_IMPORTS
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo, tmp_path):
     # the unused-import check reads a demo's source only; running it also

@@ -37,8 +37,7 @@ from _oracles import (
 )
 
 
-def make_state(Z, Zhat=None, L=None, phi1=None, Phi2=None, Phi3=None, Phi4=None,
-               mu=0.1, k=0):
+def make_state(Z, Zhat=None, L=None, phi1=None, Phi2=None, Phi3=None, mu=0.1, k=0):
     """A stack of one SolverState from n x n iterates, defaulting to the feasible companions."""
     Z = np.asarray(Z, dtype=float)
     n = Z.shape[0]
@@ -49,7 +48,6 @@ def make_state(Z, Zhat=None, L=None, phi1=None, Phi2=None, Phi3=None, Phi4=None,
         phi1=np.zeros(n) if phi1 is None else phi1,
         Phi2=np.zeros((n, n)) if Phi2 is None else Phi2,
         Phi3=np.zeros((n, n)) if Phi3 is None else Phi3,
-        Phi4=np.zeros((n, n)) if Phi4 is None else Phi4,
         mu=mu,
         k=k,
     )
@@ -301,7 +299,7 @@ def smooth_part(Z, state, adjs, config):
         np.sum((Z @ ones - ones + state.phi1 / state.mu) ** 2)
         + np.sum((Z.T - state.Zhat + state.Phi2 / state.mu) ** 2)
         + np.sum((state.L - np.eye(n) + Z + state.Phi3 / state.mu) ** 2)
-        + np.sum((state.Zhat - Z + state.Phi4 / state.mu) ** 2)
+        + np.sum((state.Zhat - Z + state.Phi2 / state.mu) ** 2)
     )
     return fit + config.lambda1 * np.sum(Z**2) + 0.5 * state.mu * pen
 
@@ -310,7 +308,7 @@ def z_step_system(state, problem):
     """B and RHS of the Z step's gradient equation Z B = RHS, formed as written."""
     mu = state.mu
     rhs = (problem.weighted_sum + mu * (1.0 + state.Zhat.mT + state.Zhat + problem.eye - state.L)
-           - state.phi1[..., None] - state.Phi2.mT - state.Phi3 + state.Phi4)
+           - state.phi1[..., None] - state.Phi2.mT - state.Phi3 + state.Phi2)
     B = (problem.z_weight + 3.0 * mu) * problem.eye + mu
     return B, rhs
 
@@ -320,7 +318,7 @@ def random_state(rng, shape, mu):
     return SolverState(
         Z=rng.random(shape), Zhat=rng.random(shape), L=rng.random(shape),
         phi1=rng.standard_normal(shape[:-1]), Phi2=rng.standard_normal(shape),
-        Phi3=rng.standard_normal(shape), Phi4=rng.standard_normal(shape), mu=mu, k=0)
+        Phi3=rng.standard_normal(shape), mu=mu, k=0)
 
 
 def assert_close_relative(got, want, rel):
@@ -331,12 +329,12 @@ def assert_close_relative(got, want, rel):
 
 
 def positive_step_state(rng, problem, mu):
-    """A random state whose Z step's linear solve is a random positive Z: Phi4,
+    """A random state whose Z step's linear solve is a random positive Z: Phi3,
     which enters RHS alone, is set to give RHS = Z B, so that no entry clamps."""
     shape = problem.weighted_sum.shape
-    state = replace(random_state(rng, shape, mu), Phi4=np.zeros(shape))
+    state = replace(random_state(rng, shape, mu), Phi3=np.zeros(shape))
     B, rhs = z_step_system(state, problem)
-    return replace(state, Phi4=(0.1 + rng.random(shape)) @ B - rhs)
+    return replace(state, Phi3=rhs - (0.1 + rng.random(shape)) @ B)
 
 
 def assert_kkt(Z, gradient, tol):
@@ -467,14 +465,6 @@ class TestUpdateZhat:
         assert np.abs(got - want).max() < 1e-14
         assert np.abs(got - got.mT).max() < 1e-14
 
-    def test_multipliers_shift_result(self):
-        # Phi2 pulls Zhat up and Phi4 pulls it down, each by Phi / (2 mu)
-        eye = np.eye(3)
-        for Phi2, Phi4, want in ((3 * eye, eye, eye), (eye, np.zeros((3, 3)), 0.5 * eye),
-                                 (np.zeros((3, 3)), eye, -0.5 * eye)):
-            state = make_state(np.zeros((3, 3)), Phi2=Phi2, Phi4=Phi4, mu=1.0)
-            assert np.abs(update_zhat(state)[0] - want).max() < 1e-14
-
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_step_is_stationary(self, seed):
         rng = np.random.default_rng(seed)
@@ -559,7 +549,6 @@ class TestUpdateMultipliers:
         assert np.all(out.phi1 == 0.0)
         assert np.all(out.Phi2 == 0.0)
         assert np.all(out.Phi3 == 0.0)
-        assert np.all(out.Phi4 == 0.0)
         assert out.mu == pytest.approx(cfg.rho * cfg.mu0, rel=1e-15)
         assert out.k == 1
 
@@ -666,20 +655,25 @@ class TestSolve:
         assert result.Z.min() >= 0.0
         assert np.abs(result.Z.sum(axis=1) - 1.0).max() < 1e-12
 
-    def test_transpose_multipliers_agree(self, monkeypatch):
-        # with the exact Zhat step, Phi2 and Phi4 take equal steps from zero
+    def test_copy_is_sym_z_and_its_multiplier_antisymmetric(self, monkeypatch):
+        # the loop invariant that lets one multiplier serve both copy penalties:
+        # after every iteration Zhat is sym Z and Phi2 antisymmetric, so the
+        # two copy gaps agree and the trace's r4 is its r2
         import hetcover.solver as solver
 
-        gaps_seen = []
+        skew = []
 
         def check(state, gaps, config):
             update_multipliers(state, gaps, config)
-            gaps_seen.append(np.abs(state.Phi2 - state.Phi4).max() / np.abs(state.Phi2).max())
+            assert np.array_equal(state.Zhat, 0.5 * (state.Z + state.Z.mT))
+            skew.append(np.abs(state.Phi2 + state.Phi2.mT).max() / np.abs(state.Phi2).max())
 
         monkeypatch.setattr(solver, "update_multipliers", check)
-        result = solve(fleet_graphs(20, 0), DEFAULT_WEIGHTS, trace=False)
-        assert len(gaps_seen) == result.iterations
-        assert max(gaps_seen) <= 1e-12
+        result = solve(fleet_graphs(20, 0), DEFAULT_WEIGHTS)
+        assert len(skew) == len(result.residual_trace) == result.iterations
+        assert max(skew) <= 1e-12
+        assert all(record.residuals.r2 == record.residuals.r4
+                   for record in result.residual_trace)
 
     def test_trace_length_matches_iterations(self):
         graphs = two_pair_system()
