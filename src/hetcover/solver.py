@@ -8,8 +8,8 @@ subject to L = I - Z, Z 1 = 1, Z = Z^T, Z >= 0, by alternating exact
 minimizations of the augmented Lagrangian in Z (over Z >= 0, by a
 thresholded closed form), in an auxiliary transpose copy Zhat (sym Z), and
 in the Laplacian iterate L (an affine step), with multiplier estimates and
-a geometrically growing penalty mu. The last Z is finished by symmetric
-balancing.
+a geometrically growing penalty mu. Each problem's last Zhat is finished by
+symmetric balancing, after the loop, for the whole stack at once.
 
 The L step minimizes lambda2 tr L for lambda2 ||L||_*, which keeps the
 optimum: a feasible Z is symmetric with unit row sums and no negative entry,
@@ -115,8 +115,9 @@ class SolverState:
     """All iterates of a stack of solver runs at some iteration k.
 
     solve advances one state in place: each step's result is assigned to
-    its field, and update_multipliers moves the multipliers, mu and k. Every
-    array carries the leading stack axis; mu and k are shared.
+    its field, and update_multipliers adds to the multipliers in place and
+    moves mu and k. Every array carries the leading stack axis; mu and k
+    are shared.
     """
 
     Z: np.ndarray
@@ -200,7 +201,8 @@ class StackResult:
 
 
 # the most Newton steps the finish takes; the iterates of seeded 20-robot
-# fleets need at most 6 from the first iteration on
+# fleets (seeds 0-9, Full and Baseline, loops capped at 1 to 29 iterations)
+# need at most 6, and converged ones 2
 FINISH_STEPS = 8
 
 
@@ -294,33 +296,58 @@ def update_z(state: SolverState, problem: Problem) -> np.ndarray:
 
     Its KKT conditions give z = max(R_i - theta, 0) / c with theta = 1^T z,
     that is c theta = sum_j max(R_ij - theta, 0). The left side rises and
-    the right side falls in theta, so theta is the one root, found by
-    sorting as in the Euclidean projection onto the simplex (Duchi et al.,
-    ICML 2008): with u = R_i in descending order,
-    theta_k = (u_1 + ... + u_k) / (c + k) and K = #{k : u_k > theta_k},
-    theta = theta_K, or theta_1 when K = 0, which gives a zero row. Where no
-    entry clamps, this is the Sherman-Morrison solve
+    the right side falls in theta, so theta is the one root. For any index
+    set A, theta_A = sum_{j in A} R_ij / (c + |A|) lies at or below it, as
+    c theta - sum_j max(R_ij - theta, 0) is at most 0 at theta_A, and
+    A = {j : R_ij > theta_A} holds at the root alone (Michelot's fixed
+    point; Condat, Math. Program. 158, 2016). So the step starts from the
+    previous iterate's support, takes A = {j : R_ij > theta_A} once, which
+    holds the root's set, then shrinks A to A & {j : R_ij > theta_A}, which
+    raises theta_A, until A holds still, and thresholds at theta_A of that
+    last set. No sort is needed, and the start set does not reach Z's bits.
+    A row with no positive R_ij ends with A empty and theta = 0: a zero row.
+    Where no entry clamps, this is the Sherman-Morrison solve
     Z = (R - (R 1) 1^T / (c + n)) / c of Z B = RHS.
 
     Working in units of mu keeps R finite for any penalty SolverConfig
-    admits, where sums of RHS or mu / (c + n mu) would overflow. The partial sums
-    are taken of u / s with s = 2**ceil(log2 n), divided by c + k and scaled
-    back by s, so they stay finite wherever R is; scaling by a power of two
-    is exact for normal floats, so Z does not move.
+    admits, where sums of RHS or mu / (c + n mu) would overflow. The sums
+    are taken of R / s with s = 2**ceil(log2 n), divided by c + |A| and
+    scaled back by s, so they stay finite wherever R is; scaling by a power
+    of two is exact for normal floats, so Z does not move.
     """
     mu = state.mu
-    rhs = problem.weighted_sum + mu * (
-        1.0 + state.Zhat.mT + state.Zhat + problem.eye - state.L)
-    rhs = rhs - state.phi1[..., None] - state.Phi2.mT - state.Phi3 + state.Phi2
-    R = rhs / mu
+    # R = (weighted_sum + mu (1 + Zhat^T + Zhat + I - L) - phi1 1^T - Phi2^T - Phi3 + Phi2) / mu,
+    # formed in place in that order, in one C-ordered array, so that the row
+    # sums below take each row in the same order whatever the inputs' layout
+    R = np.add(1.0, state.Zhat.mT, out=np.empty(state.Zhat.shape))
+    R += state.Zhat
+    R += problem.eye
+    R -= state.L
+    R *= mu
+    R += problem.weighted_sum
+    R -= state.phi1[..., None]
+    R -= state.Phi2.mT
+    R -= state.Phi3
+    R += state.Phi2
+    R /= mu
     c = problem.z_weight / mu + 3.0
-    n = R.shape[-1]
-    s = 2.0 ** (n - 1).bit_length()
-    u = np.sort(R, axis=-1)[..., ::-1]
-    thetas = np.cumsum(u / s, axis=-1) / (c + np.arange(1, n + 1)) * s
-    K = (u > thetas).sum(axis=-1, keepdims=True)
-    theta = np.take_along_axis(thetas, np.maximum(K - 1, 0), axis=-1)
-    return np.maximum(R - theta, 0.0) / c
+    s = 2.0 ** (R.shape[-1] - 1).bit_length()
+    scaled = R / s
+
+    def theta_of(support):
+        total = np.where(support, scaled, 0.0).sum(axis=-1, keepdims=True)
+        return total / (c + support.sum(axis=-1, keepdims=True)) * s
+
+    support = R > theta_of(state.Z > 0)
+    while True:
+        theta = theta_of(support)
+        kept = support & (R > theta)
+        if np.array_equal(kept, support):
+            R -= theta
+            np.maximum(R, 0.0, out=R)
+            R /= c
+            return R
+        support = kept
 
 
 def update_zhat(state: SolverState) -> np.ndarray:
@@ -343,11 +370,15 @@ def update_laplacian(state: SolverState, problem: Problem) -> np.ndarray:
     positive semidefinite, as Z's eigenvalues lie in [-1, 1], so there
     ||L||_* = tr L. Returns T itself at tau = 0.
     """
-    target = problem.eye - state.Z - state.Phi3 / state.mu
+    target = problem.eye - state.Z
+    target -= state.Phi3 / state.mu
     tau = problem.config.lambda2 / state.mu
     if tau == 0:
         return target
-    return 0.5 * (target + target.mT) - tau * problem.eye
+    L = np.add(target, target.mT, out=np.empty(target.shape))
+    L *= 0.5
+    L -= tau * problem.eye
+    return L
 
 
 def constraint_residuals(state: SolverState, problem: Problem):
@@ -374,41 +405,65 @@ def update_multipliers(state: SolverState, gaps, config: SolverConfig) -> None:
     """
     mu = state.mu
     g1, g2, g3 = gaps
-    state.phi1 = state.phi1 + mu * g1
-    state.Phi2 = state.Phi2 + mu * g2
-    state.Phi3 = state.Phi3 + mu * g3
+    state.phi1 += mu * g1
+    state.Phi2 += mu * g2
+    state.Phi3 += mu * g3
     state.k += 1
     state.mu = config.mu0 * config.rho**state.k
 
 
-def _result(state: SolverState, i: int, converged: bool, trace) -> SolveResult:
-    """The result of the problem at slice i: its last Zhat finished by symmetric balancing.
+def _balance(S: np.ndarray):
+    """Each slice of a stack S of symmetric non-negative matrices, balanced.
 
-    Newton's method on d * (S d) = 1 for S = Zhat = sym Z, from d = 1 (Knight
-    and Ruiz, IMA J. Numer. Anal. 33, 2013), finds the positive d for which
-    D S D, with D = diag(d), has unit row sums. Each step solves
-    (diag(S d / d) + S) delta = 1 / d and sets d = d / 2 + delta; the solve
-    is a least-squares one, since that matrix is singular at the balance of
-    a bipartite S, such as [[0, 1], [1, 0]], which is still balanced. The
-    result Z = sym(D S D) equals its transpose exactly. A Z that
-    FINISH_STEPS steps cannot balance to rounding, such as one with a zero
-    row, is returned as sym Z and reported unconverged; balanced means within
-    n eps, the rounding bound of a row sum.
+    Newton's method on d * (S d) = 1, from d = 1 (Knight and Ruiz, IMA J.
+    Numer. Anal. 33, 2013), finds the positive d for which D S D, with
+    D = diag(d), has unit row sums. Each step solves
+    (diag(S d / d) + S) delta = 1 / d by LU, as one batched solve over the
+    slices still live, and sets d = d / 2 + delta. That matrix is singular
+    at the balance of a bipartite S, such as [[0, 1], [1, 0]], which is
+    still balanced; where LU finds a slice exactly singular, the step is
+    solved slice by slice, by least squares for the singular ones, so a
+    slice's bits do not depend on the stack. Balanced means within n eps of
+    unit row sums, the rounding bound of a row sum; a balanced slice
+    becomes sym(D S D), which equals its transpose exactly. A slice that
+    FINISH_STEPS steps cannot balance, such as one with a zero row, or
+    whose d turns non-positive, stays S.
+
+    Returns (Z, balanced): the stack of results and which slices balanced.
     """
-    S = state.Zhat[i]
-    n = S.shape[0]
-    Z, d, balanced = S, np.ones(n), False
-    for _ in range(FINISH_STEPS + 1):
-        Sd = S @ d
-        if np.abs(d * Sd - 1.0).max() <= n * np.finfo(float).eps:
-            DSD = d[:, None] * S * d
-            Z, balanced = 0.5 * (DSD + DSD.T), True
+    n = S.shape[-1]
+    Z, balanced = S.copy(), np.zeros(len(S), dtype=bool)
+    live, d = np.arange(len(S)), np.ones(S.shape[:-1])
+    diagonal = np.arange(n)
+    for step in range(FINISH_STEPS + 1):
+        S_live = S[live]
+        Sd = (S_live @ d[..., None])[..., 0]
+        done = np.abs(d * Sd - 1.0).max(axis=-1) <= n * np.finfo(float).eps
+        DSD = d[done, :, None] * S_live[done] * d[done, None, :]
+        Z[live[done]] = 0.5 * (DSD + DSD.mT)
+        balanced[live[done]] = True
+        live, d, S_live, Sd = live[~done], d[~done], S_live[~done], Sd[~done]
+        if step == FINISH_STEPS or not live.size:
             break
-        d = 0.5 * d + np.linalg.lstsq(np.diag(Sd / d) + S, 1.0 / d)[0]
-        if not (d > 0).all():
-            break
-    return SolveResult(Z=Z, converged=converged and balanced, iterations=state.k,
-                       residual_trace=tuple(trace))
+        M = S_live.copy()
+        M[:, diagonal, diagonal] += Sd / d
+        b = (1.0 / d)[..., None]
+        try:
+            delta = np.linalg.solve(M, b)
+        except np.linalg.LinAlgError:
+            delta = np.stack([_solve_or_lstsq(m, v) for m, v in zip(M, b)])
+        d = 0.5 * d + delta[..., 0]
+        positive = (d > 0).all(axis=-1)
+        live, d = live[positive], d[positive]
+    return Z, balanced
+
+
+def _solve_or_lstsq(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """M x = b by LU, or by least squares where M is exactly singular."""
+    try:
+        return np.linalg.solve(M, b)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(M, b)[0]
 
 
 def solve(graphs, config=None, *, trace: bool = True):
@@ -451,9 +506,11 @@ def solve(graphs, config=None, *, trace: bool = True):
     config = problem.config
 
     state = initial_state(problem)
-    active = list(range(len(configs)))  # the problem at each slice of the stack
+    active = np.arange(len(configs))  # the problem at each slice of the stack
     traces = [[] for _ in configs]
-    results = [None] * len(configs)
+    last_zhat = np.empty_like(state.Zhat)  # each problem's Zhat as it leaves
+    iterations = np.zeros(len(configs), dtype=int)
+    converged = np.zeros(len(configs), dtype=bool)
     for _ in range(config.max_iterations):
         state.Z = update_z(state, problem)
         state.Zhat = update_zhat(state)
@@ -467,18 +524,24 @@ def solve(graphs, config=None, *, trace: bool = True):
         update_multipliers(state, gaps, config)
         done = res.max_residual <= config.tolerance
         if done.any():
-            for i in np.flatnonzero(done):
-                results[active[i]] = _result(state, i, True, traces[active[i]])
-            active = [p for p, finished in zip(active, done) if not finished]
-            if not active:
-                break
+            last_zhat[active[done]] = state.Zhat[done]
+            iterations[active[done]] = state.k
+            converged[active[done]] = True
             keep = ~done
+            active = active[keep]
+            if not active.size:
+                break
             problem = replace(problem, weighted_sum=problem.weighted_sum[keep],
                               z_weight=problem.z_weight[keep])
             state = replace(state, **{name: value[keep] for name, value in vars(state).items()
                                       if isinstance(value, np.ndarray)})
-    for i, p in enumerate(active):
-        results[p] = _result(state, i, False, traces[p])
+    if active.size:  # the problems the iteration cap stopped
+        last_zhat[active] = state.Zhat
+        iterations[active] = state.k
+    Z, balanced = _balance(last_zhat)
+    results = [SolveResult(Z=Z[p], converged=bool(converged[p] and balanced[p]),
+                           iterations=int(iterations[p]), residual_trace=tuple(traces[p]))
+               for p in range(len(configs))]
     return results[0] if single else StackResult(tuple(results))
 
 

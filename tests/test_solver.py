@@ -7,6 +7,7 @@ import pytest
 from hetcover.cli import ALPHA_STEP
 from hetcover.graphs import build_relation_graphs
 from hetcover.solver import (
+    FINISH_STEPS,
     Problem,
     SolverConfig,
     SolverState,
@@ -449,6 +450,46 @@ class TestUpdateZ:
         gradient = numeric_gradient(lambda X: smooth_part(X, state, adjs, cfg), Zs)
         assert_kkt(Zs, gradient, 1e-5 * max(1.0, abs(smooth_part(Zs, state, adjs, cfg))))
 
+    def test_start_support_does_not_reach_the_bits(self):
+        # the threshold starts from the previous iterate's support; an empty,
+        # a full or a random start gives the same Z, on random clamping
+        # states and on every state of a fleet's solve
+        rng = np.random.default_rng(5)
+        problem = prepare_problem([[rng.random((20, 20)), rng.random((20, 20))]] * 4,
+                                  [SolverConfig(alphas=(0.4, 0.6))] * 4)
+        states = [random_state(rng, (4, 20, 20), mu) for mu in (0.1, 0.1 * 1.1**50)]
+        cases = [(state, problem) for state in states]
+
+        def capture(state, problem):
+            cases.append((state, problem))
+            return update_z(state, problem)
+
+        import hetcover.solver as solver
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "update_z", capture)
+            solve(fleet_graphs(20, 0), DEFAULT_WEIGHTS, trace=False)
+        assert len(cases) > 50
+        for state, problem in cases:
+            want = update_z(state, problem)
+            assert (want == 0).any() and (want > 0).any()
+            for start in (np.zeros_like(state.Z), np.ones_like(state.Z),
+                          rng.random(state.Z.shape) - 0.5):
+                assert update_z(replace(state, Z=start), problem).tobytes() == want.tobytes()
+
+    def test_runs_no_sort(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Z step sorted")
+
+        rng = np.random.default_rng(6)
+        problem = prepare_problem([[rng.random((5, 5))]], [SolverConfig(alphas=(1.0,))])
+        state = random_state(rng, (1, 5, 5), 0.3)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "sort", refuse)
+            Z = update_z(state, problem)
+        assert (Z == 0).any() and (Z > 0).any()
+        assert_minimizes_over_nonnegative(Z, state, problem)
+
 
 class TestUpdateZhat:
     def test_symmetric_z_is_fixed(self):
@@ -781,14 +822,92 @@ class TestFinish:
             np.linalg.solve(np.diag(result.Z.sum(axis=1)) + result.Z, np.ones(6))
 
     def test_zero_row_is_reported_unconverged(self):
+        # a zero row cannot be balanced: that slice comes back as it went in,
+        # not balanced, so solve reports it unconverged, while its neighbour
+        # in the stack is balanced
         import hetcover.solver as solver
 
         Z = np.full((4, 4), 1 / 3)
         np.fill_diagonal(Z, 0.0)
         Z[3] = Z[:, 3] = 0.0
-        result = solver._result(make_state(Z), 0, True, [])
-        assert not result.converged
-        assert np.array_equal(result.Z, Z)
+        regular = np.full((4, 4), 0.2)
+        finished, balanced = solver._balance(np.stack([Z, regular]))
+        assert balanced.tolist() == [False, True]
+        assert np.array_equal(finished[0], Z)
+        assert np.abs(finished[1] - 0.25).max() <= 1e-15
+
+    def test_singular_slice_leaves_its_neighbour_on_lu(self, monkeypatch):
+        # the bipartite Baseline's Newton matrix is exactly singular, so its
+        # steps fall back slice by slice to least squares; stacked with a
+        # regular Baseline, both still balance and give their solo bytes
+        config = SimConfig(n_robots=6, n_capabilities=2, seed=0)
+        system = generate_system(config, trial_rngs(0)[0])
+        graphs = build_relation_graphs(system, config.comm_radius)
+        configs = [baseline_solver_config(SolverConfig(alphas=alphas))
+                   for alphas in ((0.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))]
+        alone = [solve(graphs, config) for config in configs]
+        lstsq_calls = []
+        lstsq = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            lstsq_calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        stack = solve([graphs, graphs], configs)
+        assert lstsq_calls
+        for got, want in zip(stack.results, alone):
+            assert got.converged and want.converged
+            assert got.Z.tobytes() == want.Z.tobytes()
+            assert got.iterations == want.iterations
+
+    def test_regular_stack_takes_one_lu_solve_per_step(self, monkeypatch):
+        # the finish of a stack of regular problems is at most one batched
+        # LU solve per Newton step, and no least squares
+        calls = []
+        linalg_solve = np.linalg.solve
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return linalg_solve(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the finish took a least-squares step")
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        stack = solve([fleet_graphs(20, seed) for seed in range(5)], [DEFAULT_WEIGHTS] * 5,
+                      trace=False)
+        assert stack.converged
+        assert 1 <= len(calls) <= FINISH_STEPS + 1
+        assert calls[0] == (5, 20, 20)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rounding_of_the_last_copy_still_balances(self, seed):
+        # every last Zhat of a sweep stack balances to 1e-14, as it is and
+        # moved by 4 ulp up or down on each positive entry (symmetrically, seeded)
+        import hetcover.solver as solver
+
+        finals = []
+
+        def capture(S):
+            finals.append(S.copy())
+            return balance(S)
+
+        balance = solver._balance
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_balance", capture)
+            solve([fleet_graphs(20, seed)] * len(SWEEP_WEIGHTS), SWEEP_WEIGHTS, trace=False)
+        (S,) = finals
+        assert S.shape == (len(SWEEP_WEIGHTS), 20, 20)
+        sign = np.random.default_rng(seed).choice([-4.0, 4.0], size=S.shape)
+        sign = np.triu(sign) + np.triu(sign, 1).mT
+        moved = np.where(S > 0, S + sign * np.spacing(S), 0.0)
+        assert np.array_equal(moved, moved.mT) and not np.array_equal(moved, S)
+        Z, balanced = balance(np.concatenate([S, moved]))
+        assert balanced.all()
+        assert np.array_equal(Z, Z.mT)
+        assert np.abs(Z.sum(axis=-1) - 1.0).max() <= 1e-14
 
 
 def fleet_graphs(n_robots, seed, walls=()):
