@@ -41,9 +41,11 @@ print("row sums:", result.Z.sum(axis=1))
 print("max asymmetry:", np.abs(result.Z - result.Z.T).max())
 print("min entry:", result.Z.min())
 
+# the loop hands over at its tolerance; the finish returns the exact optimum
 last = result.residual_trace[-1].residuals
-print("final residuals: %.2e %.2e %.2e %.2e"
+print("loop's last residuals: %.2e %.2e %.2e %.2e"
       % (last.r1, last.r2, last.r3, last.r4))
+print("returned Z's largest row-sum error: %.2e" % np.abs(result.Z.sum(axis=1) - 1.0).max())
 
 # entries inside a spatial clump end up far above the cross-clump ones
 same = result.Z[:4, :4][~np.eye(4, dtype=bool)].mean()

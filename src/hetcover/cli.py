@@ -167,7 +167,7 @@ SOLVER_OPTIONS = _field_options(
     ("lambda2", "lambda2", _real, "nuclear-norm regularizer weight"),
     ("mu0", "mu0", _real, "initial penalty"),
     ("rho", "rho", _real, "penalty growth factor in (1,2)"),
-    ("tol", "tolerance", _real, "residual tolerance"),
+    ("tol", "tolerance", _real, "loop residual at which the exact finish takes over"),
     ("max_iters", "max_iterations", _integer, "iteration cap"),
 )
 TRIAL_OPTIONS = _field_options(SimConfig, ("events", "n_events", _integer, "events per trial"))

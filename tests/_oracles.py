@@ -9,9 +9,9 @@ characteristic-polynomial roots plus a nullspace extraction, partitions via
 exhaustive enumeration, greedy teams via the plain pairwise merge loop, the
 communication and capability graphs via their pair loops (set intersection
 for the capability overlap), and the solver's loop via a reference form
-(linear solves on a shrinking support for the Z step, damped symmetric
-Sinkhorn scaling for the finish, per-step set-up, and a frozen state
-rebuilt after every step).
+(linear solves on a shrinking support for the Z step, the exact optimum
+from scratch for the finish, per-step set-up, and a frozen state rebuilt
+after every step).
 """
 
 import math
@@ -392,7 +392,8 @@ def _constraint_residuals(state):
 
 
 def reference_solve(graphs, config=None):
-    """The reference solver loop, which solve() follows to 1e-12."""
+    """The reference solver loop, which solve() follows to 1e-12; its Z is the
+    projection of its own sym M, whatever the loop's last iterate."""
     if config is None:
         config = SolverConfig()
     adjs = [_adjacency(g) for g in graphs]
@@ -412,22 +413,6 @@ def reference_solve(graphs, config=None):
             converged = True
             break
 
-    return SolveResult(Z=sinkhorn_finish(state.Z), converged=converged, iterations=state.k,
-                       residual_trace=tuple(trace))
+    return SolveResult(Z=projection_oracle(adjs, config), converged=converged,
+                       iterations=state.k, residual_trace=tuple(trace))
 
-
-def sinkhorn_finish(Z, steps=100_000):
-    """sym(D S D) for S = sym Z, balanced by damped symmetric Sinkhorn, d <- sqrt(d / (S d)).
-
-    Runs until no entry of d moves by more than 1e-15, relative.
-    """
-    S = 0.5 * (Z + Z.T)
-    d = np.ones(S.shape[0])
-    for _ in range(steps):
-        new = np.sqrt(d / (S @ d))
-        done = np.abs(new / d - 1.0).max() <= 1e-15
-        d = new
-        if done:
-            break
-    Z = d[:, None] * S * d[None, :]
-    return 0.5 * (Z + Z.T)

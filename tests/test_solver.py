@@ -33,6 +33,7 @@ from hetcover.system import Environment, Position, RobotSpec, RobotSystem, Wall
 from _oracles import (
     nonnegative_qp_oracle,
     numeric_gradient,
+    projection_oracle,
     reference_solve,
     singular_value_thresholding,
 )
@@ -101,7 +102,7 @@ class TestSolverConfig:
         assert cfg.alphas is None
         assert cfg.lambda1 == 0.1 and cfg.lambda2 == 0.1
         assert cfg.mu0 == 0.1 and cfg.rho == 1.1
-        assert cfg.tolerance == 1e-6 and cfg.max_iterations == 1000
+        assert cfg.tolerance == 1e-2 and cfg.max_iterations == 1000
 
     def test_alphas_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -453,7 +454,8 @@ class TestUpdateZ:
     def test_start_support_does_not_reach_the_bits(self):
         # the threshold starts from the previous iterate's support; an empty,
         # a full or a random start gives the same Z, on random clamping
-        # states and on every state of a fleet's solve
+        # states and on every state of a fleet's solve, run to 1e-6 for
+        # enough states
         rng = np.random.default_rng(5)
         problem = prepare_problem([[rng.random((20, 20)), rng.random((20, 20))]] * 4,
                                   [SolverConfig(alphas=(0.4, 0.6))] * 4)
@@ -468,7 +470,7 @@ class TestUpdateZ:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "update_z", capture)
-            solve(fleet_graphs(20, 0), DEFAULT_WEIGHTS, trace=False)
+            solve(fleet_graphs(20, 0), replace(DEFAULT_WEIGHTS, tolerance=1e-6), trace=False)
         assert len(cases) > 50
         for state, problem in cases:
             want = update_z(state, problem)
@@ -723,7 +725,7 @@ class TestSolve:
 
     def test_non_convergence_is_flagged_not_raised(self):
         graphs = two_pair_system()
-        cfg = SolverConfig(alphas=(1 / 3, 1 / 3, 1 / 3), max_iterations=3)
+        cfg = SolverConfig(alphas=(1 / 3, 1 / 3, 1 / 3), tolerance=1e-6, max_iterations=3)
         result = solve(graphs, cfg)
         assert not result.converged
         assert result.iterations == 3
@@ -791,79 +793,108 @@ class TestSolve:
 
 
 class TestFinish:
-    """solve's result is sym Z balanced by Newton's method on d * (S d) = 1."""
+    """solve's result is the exact optimum: the projection of sym M onto the
+    symmetric doubly stochastic matrices, by Newton's method on its dual,
+    started from the last copy Zhat."""
 
     @pytest.mark.parametrize("max_iterations", [1, 3, 10, 1000])
     def test_result_is_symmetric_with_unit_row_sums(self, max_iterations):
-        # from the first iterate on, the finish balances Z; only a run that
-        # reached the tolerance is reported converged
+        # from the first iterate on, the finish returns the optimum; only a
+        # run that reached the tolerance is reported converged
         for seed in range(3):
+            graphs = fleet_graphs(20, seed)
             config = replace(DEFAULT_WEIGHTS, max_iterations=max_iterations)
-            result = solve(fleet_graphs(20, seed), config, trace=False)
+            result = solve(graphs, config, trace=False)
             assert result.converged == (max_iterations == 1000)
             assert np.array_equal(result.Z, result.Z.T)
-            assert np.abs(result.Z.sum(axis=1) - 1.0).max() <= 1e-14
+            assert np.abs(result.Z.sum(axis=1) - 1.0).max() <= 20 * np.finfo(float).eps
             assert result.Z.min() >= 0.0
+            assert np.abs(result.Z - projection_oracle(graphs, config)).max() <= 1e-12
 
     def test_bipartite_block_is_balanced(self):
         # capability-only Baseline of a six-robot, two-sensor fleet pairs its
-        # two rgb robots in a [[0, 1], [1, 0]] block, at whose balance the
-        # Newton matrix diag(S d / d) + S is singular; the last check keeps
-        # the case singular should the fleet ever change
+        # two rgb robots in a [[0, 1], [1, 0]] block, on whose support the
+        # Newton matrix diag(P 1) + P is singular, as the block's duals are
+        # free but for their sum; the last check keeps the optimum's
+        # support singular should the fleet ever change
         config = SimConfig(n_robots=6, n_capabilities=2, seed=0)
         system = generate_system(config, trial_rngs(0)[0])
         graphs = build_relation_graphs(system, config.comm_radius)
-        result = solve(graphs, baseline_solver_config(SolverConfig(alphas=(0.0, 0.0, 1.0))))
+        solver_config = baseline_solver_config(SolverConfig(alphas=(0.0, 0.0, 1.0)))
+        result = solve(graphs, solver_config)
         assert result.converged
         assert np.array_equal(result.Z, result.Z.T)
         assert np.abs(result.Z.sum(axis=1) - 1.0).max() <= 1e-14
         assert np.abs(result.Z[np.ix_([2, 4], [2, 4])] - [[0.0, 1.0], [1.0, 0.0]]).max() <= 1e-12
+        best = projection_oracle(graphs, solver_config)
+        assert np.abs(result.Z - best).max() <= 1e-15
+        P = (best > 0).astype(float)
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            np.linalg.solve(np.diag(result.Z.sum(axis=1)) + result.Z, np.ones(6))
+            np.linalg.solve(np.diag(P.sum(axis=1)) + P, np.ones(6))
 
-    def test_zero_row_is_reported_unconverged(self):
-        # a zero row cannot be balanced: that slice comes back as it went in,
-        # not balanced, so solve reports it unconverged, while its neighbour
-        # in the stack is balanced
+    def test_uncertified_slice_is_reported_unconverged(self, monkeypatch):
+        # with no Newton step, the start from the last copy, handed over at a
+        # 1e-2 residual, leaves the row sums short: the loop converged, but the
+        # finish cannot certify the KKT conditions, so the run is unconverged
         import hetcover.solver as solver
 
-        Z = np.full((4, 4), 1 / 3)
-        np.fill_diagonal(Z, 0.0)
-        Z[3] = Z[:, 3] = 0.0
-        regular = np.full((4, 4), 0.2)
-        finished, balanced = solver._balance(np.stack([Z, regular]))
-        assert balanced.tolist() == [False, True]
-        assert np.array_equal(finished[0], Z)
-        assert np.abs(finished[1] - 0.25).max() <= 1e-15
+        graph_lists = [fleet_graphs(20, seed) for seed in range(2)]
+        want = solve(graph_lists, [DEFAULT_WEIGHTS] * 2, trace=False)
+        monkeypatch.setattr(solver, "FINISH_STEPS", 0)
+        got = solve(graph_lists, [DEFAULT_WEIGHTS] * 2, trace=False)
+        assert want.converged and not any(result.converged for result in got.results)
+        for mine, ref in zip(got.results, want.results):
+            assert mine.iterations == ref.iterations
+            assert np.array_equal(mine.Z, mine.Z.T) and mine.Z.min() >= 0.0
+            assert np.abs(mine.Z.sum(axis=1) - 1.0).max() > 1e-14
 
     def test_singular_slice_leaves_its_neighbour_on_lu(self, monkeypatch):
-        # the bipartite Baseline's Newton matrix is exactly singular, so its
-        # steps fall back slice by slice to least squares; stacked with a
-        # regular Baseline, both still balance and give their solo bytes
+        # started from the bipartite Baseline's exact optimum, whose support
+        # makes the Newton matrix exactly singular, the finish falls back to
+        # least squares for that slice alone; stacked with a regular Baseline,
+        # both give their solo bytes. (The loop's last copy holds rounding-level
+        # entries, about 4e-17, off the block, which keep its start regular.)
+        import hetcover.solver as solver
+
         config = SimConfig(n_robots=6, n_capabilities=2, seed=0)
         system = generate_system(config, trial_rngs(0)[0])
         graphs = build_relation_graphs(system, config.comm_radius)
         configs = [baseline_solver_config(SolverConfig(alphas=alphas))
                    for alphas in ((0.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))]
-        alone = [solve(graphs, config) for config in configs]
+        finals = []
+
+        def capture(M, Zhat):
+            finals.append(M.copy())
+            return project(M, Zhat)
+
+        project = solver._project
+        monkeypatch.setattr(solver, "_project", capture)
+        solve([graphs, graphs], configs, trace=False)
+        (M,) = finals
+        start = np.stack([projection_oracle(graphs, config) for config in configs])
         lstsq_calls = []
         lstsq = np.linalg.lstsq
 
         def counted(*args, **kwargs):
-            lstsq_calls.append(args)
+            lstsq_calls.append(tuple(np.asarray(a).tobytes() for a in args))
             return lstsq(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", counted)
-        stack = solve([graphs, graphs], configs)
-        assert lstsq_calls
-        for got, want in zip(stack.results, alone):
-            assert got.converged and want.converged
-            assert got.Z.tobytes() == want.Z.tobytes()
-            assert got.iterations == want.iterations
+        alone = [project(M[:1], start[:1])]
+        singular_calls = list(lstsq_calls)
+        alone.append(project(M[1:], start[1:]))
+        assert singular_calls and lstsq_calls == singular_calls  # none for the regular one
+        del lstsq_calls[:]
+        Z, certified = project(M, start)
+        assert lstsq_calls == singular_calls
+        assert certified.all()
+        for i, (Z_alone, certified_alone) in enumerate(alone):
+            assert certified_alone.all()
+            assert Z[i].tobytes() == Z_alone[0].tobytes()
 
     def test_regular_stack_takes_one_lu_solve_per_step(self, monkeypatch):
-        # the finish of a stack of regular problems is at most one batched
-        # LU solve per Newton step, and no least squares
+        # the finish of a stack of regular problems is one batched LU solve
+        # for the start and one per Newton step, and no least squares
         calls = []
         linalg_solve = np.linalg.solve
 
@@ -879,35 +910,39 @@ class TestFinish:
         stack = solve([fleet_graphs(20, seed) for seed in range(5)], [DEFAULT_WEIGHTS] * 5,
                       trace=False)
         assert stack.converged
-        assert 1 <= len(calls) <= FINISH_STEPS + 1
-        assert calls[0] == (5, 20, 20)
+        assert 2 <= len(calls) <= FINISH_STEPS + 1
+        assert calls[0] == calls[1] == (5, 20, 20)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rounding_of_the_last_copy_still_balances(self, seed):
-        # every last Zhat of a sweep stack balances to 1e-14, as it is and
-        # moved by 4 ulp up or down on each positive entry (symmetrically, seeded)
+        # the last copy only starts the finish: every last Zhat of a sweep
+        # stack, as it is and moved by 4 ulp up or down on each positive entry
+        # (symmetrically, seeded), finishes at the same optimum with row sums
+        # within n eps
         import hetcover.solver as solver
 
         finals = []
 
-        def capture(S):
-            finals.append(S.copy())
-            return balance(S)
+        def capture(M, Zhat):
+            finals.append((M.copy(), Zhat.copy()))
+            return project(M, Zhat)
 
-        balance = solver._balance
+        project = solver._project
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(solver, "_balance", capture)
-            solve([fleet_graphs(20, seed)] * len(SWEEP_WEIGHTS), SWEEP_WEIGHTS, trace=False)
-        (S,) = finals
+            patch.setattr(solver, "_project", capture)
+            stack = solve([fleet_graphs(20, seed)] * len(SWEEP_WEIGHTS), SWEEP_WEIGHTS,
+                          trace=False)
+        ((M, S),) = finals
         assert S.shape == (len(SWEEP_WEIGHTS), 20, 20)
         sign = np.random.default_rng(seed).choice([-4.0, 4.0], size=S.shape)
         sign = np.triu(sign) + np.triu(sign, 1).mT
         moved = np.where(S > 0, S + sign * np.spacing(S), 0.0)
         assert np.array_equal(moved, moved.mT) and not np.array_equal(moved, S)
-        Z, balanced = balance(np.concatenate([S, moved]))
-        assert balanced.all()
+        Z, certified = project(M, moved)
+        assert certified.all()
         assert np.array_equal(Z, Z.mT)
-        assert np.abs(Z.sum(axis=-1) - 1.0).max() <= 1e-14
+        assert np.abs(Z.sum(axis=-1) - 1.0).max() <= 20 * np.finfo(float).eps
+        assert np.abs(Z - np.stack([r.Z for r in stack.results])).max() <= 1e-14
 
 
 def fleet_graphs(n_robots, seed, walls=()):
@@ -937,9 +972,9 @@ def assert_follows_reference(got, want, trace=True):
 
 class TestMatchesReferenceLoop:
     """solve() follows the reference loop, whose Z step solves on a shrinking
-    support where solve's thresholds sorted rows, and whose finish is Sinkhorn
-    scaling where solve's takes Newton steps; a stack's problems are byte for
-    byte their own solves."""
+    support where solve's thresholds rows, and whose finish projects from
+    scratch where solve's starts from the last copy; a stack's problems are
+    byte for byte their own solves."""
 
     def assert_same_run(self, graphs, config):
         got = solve(graphs, config)
@@ -961,7 +996,8 @@ class TestMatchesReferenceLoop:
 
     def test_run_stopped_by_the_iteration_cap(self):
         result = self.assert_same_run(fleet_graphs(20, 4),
-                                      replace(DEFAULT_WEIGHTS, max_iterations=25))
+                                      replace(DEFAULT_WEIGHTS, tolerance=1e-6,
+                                              max_iterations=25))
         assert not result.converged and result.iterations == 25
 
     def assert_same_stack(self, graph_lists, configs, trace):
@@ -990,7 +1026,7 @@ class TestMatchesReferenceLoop:
 
     def test_stack_with_one_problem_stopped_by_the_iteration_cap(self):
         # alone, these converge after 29, 66 and 86 iterations
-        configs = [SolverConfig(alphas=alphas, max_iterations=67)
+        configs = [SolverConfig(alphas=alphas, tolerance=1e-6, max_iterations=67)
                    for alphas in ((0.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3), (0.0, 0.5, 0.5))]
         stack = self.assert_same_stack([fleet_graphs(20, 0)] * 3, configs, trace=True)
         assert [(r.iterations, r.converged) for r in stack.results] == [
@@ -1011,7 +1047,7 @@ class TestMatchesReferenceLoop:
 
     def test_stack_of_fleets_with_one_stopped_by_the_iteration_cap(self):
         # alone, seeds 0-4 converge after 66, 62, 63, 58 and 68 iterations
-        configs = [replace(DEFAULT_WEIGHTS, max_iterations=66)] * 5
+        configs = [replace(DEFAULT_WEIGHTS, tolerance=1e-6, max_iterations=66)] * 5
         stack = self.assert_same_stack([fleet_graphs(20, seed) for seed in range(5)],
                                        configs, trace=True)
         assert [(r.iterations, r.converged) for r in stack.results] == [
