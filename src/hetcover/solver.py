@@ -7,8 +7,8 @@ Minimizes
 subject to L = I - Z, Z 1 = 1, Z = Z^T, Z >= 0, by alternating exact
 minimizations of the augmented Lagrangian in Z (over Z >= 0, by a
 thresholded closed form), in an auxiliary transpose copy Zhat (sym Z), and
-in the Laplacian iterate L (an affine step), with multiplier estimates and
-a geometrically growing penalty mu, until the residuals reach the tolerance.
+in the Laplacian iterate L (I - Zhat), with multiplier estimates and a
+geometrically growing penalty mu, until the residuals reach the tolerance.
 Over symmetric Z the objective is (sum alpha + lambda1) ||Z - M||_F^2 plus a
 constant, M = (sum_m alpha_m A_m + (lambda2 / 2) I) / (sum alpha + lambda1),
 so the optimum projects sym M onto the feasible set: a Newton finish from
@@ -95,12 +95,12 @@ class SolverConfig:
         if not math.isfinite(peak):
             raise ValueError("the penalty overflows before max_iterations: mu0=%r, rho=%r, "
                              "max_iterations=%r" % (self.mu0, self.rho, self.max_iterations))
-        # the Z step's c = z_weight / mu + 3 must be finite at the first mu,
-        # where z_weight = 2 sum(alphas) + 2 lambda1 and the alphas sum to 1 up
-        # to rounding; twice that weight leaves room for the rounding
-        if not math.isfinite(4.0 * (1.0 + self.lambda1) / self.mu0):
-            raise ValueError("mu0 is too small: the Z step's weight over mu0 overflows: "
-                             "mu0=%r, lambda1=%r" % (self.mu0, self.lambda1))
+        # the Z step's c = z_weight / mu + 3 and the lambda2 / mu on the diagonal
+        # of its R must be finite at the first mu, where z_weight = 2 sum(alphas)
+        # + 2 lambda1 and the alphas sum to 1 up to rounding; twice the sum leaves room
+        if not math.isfinite((4.0 * (1.0 + self.lambda1) + 2.0 * self.lambda2) / self.mu0):
+            raise ValueError("mu0 is too small: the Z step's weight over mu0 overflows: mu0=%r, "
+                             "lambda1=%r, lambda2=%r" % (self.mu0, self.lambda1, self.lambda2))
 
     def resolved(self, m: int) -> "SolverConfig":
         """Fill in equal alphas for m graphs; check the count otherwise."""
@@ -120,7 +120,7 @@ class SolverState:
     solve advances one state in place: each step's result is assigned to
     its field, and update_multipliers adds to the multipliers in place and
     moves mu and k. Every array carries the leading stack axis; mu and k
-    are shared.
+    are shared. The L link's multiplier, -Phi2 - lambda2 I, is not stored.
     """
 
     Z: np.ndarray
@@ -128,7 +128,6 @@ class SolverState:
     L: np.ndarray
     phi1: np.ndarray
     Phi2: np.ndarray
-    Phi3: np.ndarray
     mu: float
     k: int
 
@@ -152,7 +151,8 @@ class Problem:
 
 @dataclass(frozen=True)
 class Residuals:
-    """Infinity-norm violations of the four equality constraints.
+    """Infinity-norm violations of the four equality constraints, of which two
+    are independent: r3 and r4 repeat r2 (see constraint_residuals).
 
     constraint_residuals gives each as an array over a stack's problems; an
     IterationRecord holds one problem's, as floats.
@@ -160,7 +160,7 @@ class Residuals:
 
     r1: float  # |Z 1 - 1|_inf       (row sums)
     r2: float  # max |Z^T - Zhat|    (transpose copy)
-    r3: float  # max |L - I + Z|     (Laplacian link)
+    r3: float  # max |L - I + Z| = r2 (Laplacian link)
     r4: float  # max |Zhat - Z| = r2 (symmetry via the copy)
 
     @property
@@ -220,7 +220,7 @@ def prepare_problem(graph_lists, configs) -> Problem:
     Each list's graphs are checked against each other and its config. The
     lists may differ but must share the size n, and the configs must share
     every setting but alphas, since one loop advances them with one penalty
-    mu and one L-step shift lambda2 / mu.
+    mu and one lambda2 on the Z step's diagonal.
     """
     if len(graph_lists) != len(configs):
         raise ValueError("a stack needs one graph list per config, got %d for %d"
@@ -273,7 +273,7 @@ def objective(Z, L, graphs, config: SolverConfig) -> float:
 
 
 def initial_state(problem: Problem) -> SolverState:
-    """Warm start at the weighted graph average with zero multipliers."""
+    """Warm start at the weighted graph average; phi1 = Phi2 = 0, so Phi3 = -lambda2 I."""
     Z0 = 0.5 * problem.weighted_sum
     return SolverState(
         Z=Z0,
@@ -281,7 +281,6 @@ def initial_state(problem: Problem) -> SolverState:
         L=problem.eye - Z0,
         phi1=np.zeros(Z0.shape[:-1]),
         Phi2=np.zeros(Z0.shape),
-        Phi3=np.zeros(Z0.shape),
         mu=problem.config.mu0,
         k=0,
     )
@@ -291,7 +290,9 @@ def update_z(state: SolverState, problem: Problem) -> np.ndarray:
     """The Z step: the exact minimizer of the smooth penalized objective over Z >= 0.
 
     The Z-gradient of the augmented objective is Z B - RHS with
-    B = (2 sum alpha + 2 lambda1 + 3 mu) I + mu 1 1^T. In units of mu,
+    B = (2 sum alpha + 2 lambda1 + 3 mu) I + mu 1 1^T and RHS = weighted_sum
+    + mu (1 1^T + Zhat^T + Zhat + I - L) - phi1 1^T - Phi2^T + Phi2 - Phi3,
+    where -Phi3 = Phi2 + lambda2 I (see update_laplacian). In units of mu,
     B / mu = c I + 1 1^T with c = z_weight / mu + 3, and with R = RHS / mu
     each row z of Z is its own problem,
 
@@ -319,9 +320,9 @@ def update_z(state: SolverState, problem: Problem) -> np.ndarray:
     of two is exact for normal floats, so Z does not move.
     """
     mu = state.mu
-    # R = (weighted_sum + mu (1 + Zhat^T + Zhat + I - L) - phi1 1^T - Phi2^T - Phi3 + Phi2) / mu,
-    # formed in place in that order, in one C-ordered array, so that the row
-    # sums below take each row in the same order whatever the inputs' layout
+    # R = RHS / mu, formed in place, the mu term first and the rest in the
+    # order written above, in one C-ordered array, so that the row sums below
+    # take each row in the same order whatever the inputs' layout
     R = np.add(1.0, state.Zhat.mT, out=np.empty(state.Zhat.shape))
     R += state.Zhat
     R += problem.eye
@@ -330,8 +331,9 @@ def update_z(state: SolverState, problem: Problem) -> np.ndarray:
     R += problem.weighted_sum
     R -= state.phi1[..., None]
     R -= state.Phi2.mT
-    R -= state.Phi3
     R += state.Phi2
+    R += state.Phi2
+    R += problem.config.lambda2 * problem.eye
     R /= mu
     c = problem.z_weight / mu + 3.0
     s = 2.0 ** (R.shape[-1] - 1).bit_length()
@@ -364,41 +366,33 @@ def update_zhat(state: SolverState) -> np.ndarray:
 
 
 def update_laplacian(state: SolverState, problem: Problem) -> np.ndarray:
-    """The L step: L = sym T - tau I, for T = I - Z - Phi3/mu and tau = lambda2/mu.
+    """The L step: L = I - Zhat.
 
-    The exact minimizer of lambda2 tr L + (mu/2) ||L - T||_F^2 over symmetric L,
-    where ||L - T||^2 = ||L - sym T||^2 + ||skew T||^2 and the stationarity
-    condition lambda2 I + mu (L - sym T) = 0 gives L. Both restrictions keep
-    the problem's optimum: every feasible L = I - Z is symmetric, and
-    positive semidefinite, as Z's eigenvalues lie in [-1, 1], so there
-    ||L||_* = tr L. Returns T itself at tau = 0.
+    For T = I - Z - Phi3/mu, Phi3 the L link's multiplier, the minimizer of
+    lambda2 tr L + (mu/2) ||L - T||_F^2 over symmetric L is sym T - (lambda2/mu) I.
+    Both restrictions keep the problem's optimum: every feasible L = I - Z is
+    symmetric, and positive semidefinite, as Z's eigenvalues lie in [-1, 1],
+    so there ||L||_* = tr L. Phi3 starts at -lambda2 I, where stationarity
+    lambda2 I + sym Phi3 = 0 puts it at every KKT point, and stays
+    -Phi2 - lambda2 I by induction: with Phi2 antisymmetric (see update_zhat),
+    sym T - (lambda2/mu) I is I - Zhat for every lambda2, and the link's gap
+    L - I + Z = Z - Zhat is the copy's gap negated. So Phi3 is not stored.
     """
-    target = problem.eye - state.Z
-    target -= state.Phi3 / state.mu
-    tau = problem.config.lambda2 / state.mu
-    if tau == 0:
-        return target
-    L = np.add(target, target.mT, out=np.empty(target.shape))
-    L *= 0.5
-    L -= tau * problem.eye
-    return L
+    return problem.eye - state.Zhat
 
 
-def constraint_residuals(state: SolverState, problem: Problem):
-    """The three constraint gaps and their infinity norms, per problem of a stack.
+def constraint_residuals(state: SolverState):
+    """The two independent constraint gaps and their infinity norms, per problem of a stack.
 
-    Returns (Residuals, gaps) with gaps = (Z 1 - 1, Z^T - Zhat, L - I + Z);
-    the multiplier update ascends along them. r4 repeats r2 (see update_zhat).
+    Returns (Residuals, gaps) with gaps = (Z 1 - 1, Z^T - Zhat); the multiplier
+    update ascends along them. r3 and r4 repeat r2, as L - I + Z and Zhat - Z
+    are Z - Zhat (see update_zhat and update_laplacian).
     """
     ones = np.ones(state.Z.shape[-1])
-    gaps = (
-        state.Z @ ones - ones,
-        state.Z.mT - state.Zhat,
-        state.L - problem.eye + state.Z,
-    )
+    gaps = (state.Z @ ones - ones, state.Z.mT - state.Zhat)
     stack = state.Z.shape[:-2]
-    r1, r2, r3 = (np.abs(g).reshape(stack + (-1,)).max(axis=-1) for g in gaps)
-    return Residuals(r1, r2, r3, r2), gaps
+    r1, r2 = (np.abs(g).reshape(stack + (-1,)).max(axis=-1) for g in gaps)
+    return Residuals(r1, r2, r2, r2), gaps
 
 
 def update_multipliers(state: SolverState, gaps, config: SolverConfig) -> None:
@@ -407,10 +401,9 @@ def update_multipliers(state: SolverState, gaps, config: SolverConfig) -> None:
     Advances state in place; mu is mu0 * rho**k in Python floats.
     """
     mu = state.mu
-    g1, g2, g3 = gaps
+    g1, g2 = gaps
     state.phi1 += mu * g1
     state.Phi2 += mu * g2
-    state.Phi3 += mu * g3
     state.k += 1
     state.mu = config.mu0 * config.rho**state.k
 
@@ -528,7 +521,7 @@ def solve(graphs, config=None, *, trace: bool = True):
         state.Z = update_z(state, problem)
         state.Zhat = update_zhat(state)
         state.L = update_laplacian(state, problem)
-        res, gaps = constraint_residuals(state, problem)
+        res, gaps = constraint_residuals(state)
         if trace:
             for i, p in enumerate(active):
                 traces[p].append(IterationRecord(

@@ -316,7 +316,7 @@ def _initial_state(graphs, config):
         L=np.eye(n) - Z0,
         phi1=np.zeros(n),
         Phi2=np.zeros((n, n)),
-        Phi3=np.zeros((n, n)),
+        Phi3=-config.lambda2 * np.eye(n),  # its value at every KKT point
         Phi4=np.zeros((n, n)),
         mu=config.mu0,
         k=0,
@@ -355,13 +355,13 @@ def _update_zhat(state, config):
 
 
 def _update_laplacian(state, config):
-    # the prox of tau tr L over symmetric L: at tau > 0, the target's
-    # symmetric part (the skew part only adds a constant to the step's
-    # objective) with every eigenvalue lowered by tau; at tau = 0, the target
+    # the prox of tau tr L over symmetric L: the target's symmetric part (the
+    # skew part only adds a constant to the step's objective) with every
+    # eigenvalue lowered by tau
     n = state.Z.shape[0]
     target = np.eye(n) - state.Z - state.Phi3 / state.mu
     tau = config.lambda2 / state.mu
-    return (target + target.T) / 2.0 - np.diag(np.full(n, tau)) if tau > 0 else target
+    return (target + target.T) / 2.0 - np.diag(np.full(n, tau))
 
 
 def _update_multipliers(state, config):

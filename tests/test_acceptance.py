@@ -22,6 +22,7 @@ from hetcover.simulation import (
     Method,
     SimConfig,
     append_metrics_csv,
+    baseline_solver_config,
     generate_system,
     metrics_rows,
     prepare_fleet,
@@ -182,6 +183,18 @@ def test_feasibility_batch_takes_few_iterations(feasibility_runs):
     assert np.median(iterations) <= 25 and max(iterations) <= 30, iterations
 
 
+def test_baseline_batch_takes_few_iterations():
+    # Baseline (lambda1 = lambda2 = 0) takes the symmetric L step I - Zhat: a
+    # median of 23 iterations to the 1e-2 hand-off (20 to 27); 25 (21 to 29)
+    # when its L step kept the skew part of its target
+    config = baseline_solver_config(SolverConfig())
+    graph_lists = [random_fleet_graphs(20, seed) for seed in range(30)]
+    stack = solve(graph_lists, [config] * len(graph_lists), trace=False)
+    assert stack.converged
+    iterations = [result.iterations for result in stack.results]
+    assert np.median(iterations) <= 24 and max(iterations) <= 28, iterations
+
+
 def test_hundred_robot_fleets_take_few_iterations(hundred_robot_runs):
     # 17 to 20 iterations to the 1e-2 hand-off (41 to 44 to reach 1e-6)
     iterations = [result.iterations for _, _, result in hundred_robot_runs]
@@ -244,7 +257,9 @@ def smooth_augmented(Z, state, adjs, config):
     pen = (
         np.sum((Z @ ones - ones + state.phi1 / state.mu) ** 2)
         + np.sum((Z.T - state.Zhat + state.Phi2 / state.mu) ** 2)
-        + np.sum((state.L - np.eye(n) + Z + state.Phi3 / state.mu) ** 2)
+        # the L link, whose multiplier -Phi2 - lambda2 I the solver does not store
+        + np.sum((state.L - np.eye(n) + Z - (state.Phi2 + config.lambda2 * np.eye(n))
+                  / state.mu) ** 2)
         + np.sum((state.Zhat - Z + state.Phi2 / state.mu) ** 2)
     )
     return fit + config.lambda1 * np.sum(Z**2) + 0.5 * state.mu * pen
@@ -260,7 +275,7 @@ def test_z_step_zeroes_the_smooth_gradient():
         state = SolverState(
             Z=rng.random((1, n, n)), Zhat=rng.random((1, n, n)), L=rng.random((1, n, n)),
             phi1=rng.standard_normal((1, n)), Phi2=rng.standard_normal((1, n, n)),
-            Phi3=rng.standard_normal((1, n, n)), mu=0.1 * 1.1 ** (seed % 10), k=seed % 10,
+            mu=0.1 * 1.1 ** (seed % 10), k=seed % 10,
         )
         Zs = update_z(state, prepare_problem([adjs], [config]))[0]
         gradient = numeric_gradient(

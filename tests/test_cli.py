@@ -851,6 +851,23 @@ def test_penalty_too_small_for_the_z_step_rejected_before_any_work(small_run, tm
     assert not out.exists()
 
 
+# lambda2 / mu0 enters the Z step's diagonal from the first iteration; these
+# once ran to the iteration cap and exited 3 after numpy overflow warnings
+@pytest.mark.parametrize("settings", [
+    ("--mu0", "1e-300", "--lambda2", "1e10"),
+    ("--mu0", "1e-307", "--lambda2", "1000"),
+    ("--mu0", "2.5e-308", "--lambda2", "1"),
+], ids=["lambda2-1e10", "lambda2-1000", "lambda2-1"])
+def test_penalty_too_small_for_lambda2_rejected_before_any_work(small_run, tmp_path, capsys,
+                                                                settings):
+    out = tmp_path / "out"
+    assert small_run("solve", out, *settings) == 2
+    err = capsys.readouterr().err
+    assert "invalid solver settings: mu0 is too small" in err
+    assert "mu0=%r" % float(settings[1]) in err
+    assert not out.exists()
+
+
 # a NaN weight passes the sum check (abs(nan - 1) > 1e-12 is False), and an
 # infinite tolerance would stop after one iteration
 @pytest.mark.parametrize("command, settings", [

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from hetcover.simulation import (
 )
 from hetcover.system import Environment, Position, RobotSpec, RobotSystem, Wall
 
+import _oracles
 from _oracles import (
     nonnegative_qp_oracle,
     numeric_gradient,
@@ -39,7 +41,7 @@ from _oracles import (
 )
 
 
-def make_state(Z, Zhat=None, L=None, phi1=None, Phi2=None, Phi3=None, mu=0.1, k=0):
+def make_state(Z, Zhat=None, L=None, phi1=None, Phi2=None, mu=0.1, k=0):
     """A stack of one SolverState from n x n iterates, defaulting to the feasible companions."""
     Z = np.asarray(Z, dtype=float)
     n = Z.shape[0]
@@ -49,7 +51,6 @@ def make_state(Z, Zhat=None, L=None, phi1=None, Phi2=None, Phi3=None, mu=0.1, k=
         L=np.eye(n) - Z if L is None else L,
         phi1=np.zeros(n) if phi1 is None else phi1,
         Phi2=np.zeros((n, n)) if Phi2 is None else Phi2,
-        Phi3=np.zeros((n, n)) if Phi3 is None else Phi3,
         mu=mu,
         k=k,
     )
@@ -57,18 +58,33 @@ def make_state(Z, Zhat=None, L=None, phi1=None, Phi2=None, Phi3=None, mu=0.1, k=
                              for name, value in vars(state).items() if name not in ("mu", "k")})
 
 
+# Full, Baseline and a larger lambda2: the settings on which the loop's
+# induction (see update_zhat and update_laplacian) is checked
+INDUCTION_SETTINGS = ["full", "baseline", "lambda2-1"]
+
+
+def induction_config(setting):
+    return {"full": DEFAULT_WEIGHTS, "baseline": baseline_solver_config(DEFAULT_WEIGHTS),
+            "lambda2-1": replace(DEFAULT_WEIGHTS, lambda2=1.0)}[setting]
+
+
+def smallest_mu0(**settings):
+    """The smallest mu0 SolverConfig admits beside settings, by bisection on
+    the bit patterns of the positive floats, which order as the floats do."""
+    refused, admitted = 0, int(np.float64(1.0).view(np.int64))
+    while admitted - refused > 1:
+        middle = (refused + admitted) // 2
+        try:
+            SolverConfig(mu0=float(np.int64(middle).view(np.float64)), **settings)
+            admitted = middle
+        except ValueError:
+            refused = middle
+    return float(np.int64(admitted).view(np.float64))
+
+
 def problem_for(config, n):
     """The Problem of an n x n zero graph under config, for steps that read only its constants."""
     return prepare_problem([[np.zeros((n, n))]], [config])
-
-
-def threshold(G, tau):
-    """update_laplacian at tau = lambda2 / mu on a state whose L-step target
-    I - Z - Phi3/mu is G up to rounding (Z = 0, Phi3 = I - G, mu = 1):
-    sym G - tau I."""
-    n = G.shape[0]
-    state = make_state(np.zeros((n, n)), Phi3=np.eye(n) - G, mu=1.0)
-    return update_laplacian(state, problem_for(SolverConfig(lambda2=tau), n))[0]
 
 
 def sym(G):
@@ -76,12 +92,23 @@ def sym(G):
     return 0.5 * (G + G.T)
 
 
-def above(rng, n, tau):
-    """A random n x n target whose symmetric part has every eigenvalue above
-    tau, plus a random skew part."""
-    X = rng.standard_normal((n, n))
+def laplacian_case(Z, Phi2, lambda2, mu):
+    """The L step on an n x n state shaped as the loop leaves it: Zhat = sym Z
+    and Phi2 antisymmetric (the antisymmetric part of the Phi2 given), so that
+    the L link's multiplier is Phi3 = -Phi2 - lambda2 I. Returns (L, T) with
+    T = I - Z - Phi3 / mu the step's target."""
+    n = Z.shape[0]
+    state = make_state(Z, Zhat=sym(Z), Phi2=0.5 * (Phi2 - Phi2.T), mu=mu)
+    L = update_laplacian(state, problem_for(SolverConfig(lambda2=lambda2), n))[0]
+    return L, np.eye(n) - Z - link_multiplier(state, lambda2)[0] / mu
+
+
+def near_feasible(rng, n):
+    """A random n x n Z whose symmetric part is non-negative with row sums at
+    most 1, so that I - sym Z is positive semidefinite, plus a random skew part."""
+    S = sym(rng.random((n, n)))
     K = rng.standard_normal((n, n))
-    return X @ X.T + (tau + 0.1) * np.eye(n) + (K - K.T)
+    return S / S.sum(axis=1).max() + 0.1 * (K - K.T)
 
 
 def two_pair_system():
@@ -156,13 +183,26 @@ class TestSolverConfig:
             SolverConfig(**settings)
 
     # the Z step's c = z_weight / mu0 + 3 overflows below about 1.22e-308 at
-    # lambda1 = 0.1, and solve then runs to the iteration cap with an all-NaN Z
+    # lambda1 = 0.1, and solve then runs to the iteration cap with an all-NaN Z;
+    # the lambda2 / mu0 on the Z step's diagonal overflows in the last three,
+    # which once ran to the cap with numpy overflow warnings
     @pytest.mark.parametrize("settings", [
         dict(mu0=1e-308), dict(mu0=1.2e-308), dict(mu0=1e-300, lambda1=1e10),
-    ], ids=["mu0-1e-308", "mu0-1.2e-308", "lambda1-1e10"])
+        dict(mu0=1e-300, lambda2=1e10), dict(mu0=1e-307, lambda2=1000.0),
+        dict(mu0=2.5e-308, lambda2=1.0),
+    ], ids=["mu0-1e-308", "mu0-1.2e-308", "lambda1-1e10", "lambda2-1e10", "lambda2-1000",
+            "lambda2-1"])
     def test_penalty_too_small_for_the_z_step_rejected(self, settings):
-        with pytest.raises(ValueError, match="^mu0 is too small.*mu0=.*lambda1="):
+        with pytest.raises(ValueError, match="^mu0 is too small.*mu0=.*lambda1=.*lambda2="):
             SolverConfig(**settings)
+
+    @pytest.mark.parametrize("lambda2", [0.0, 0.1, 1e10])
+    def test_smallest_admitted_penalty_solves_without_warnings(self, lambda2):
+        config = SolverConfig(mu0=smallest_mu0(lambda2=lambda2), lambda2=lambda2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = solve(fleet_graphs(20, 0), config)
+        assert np.isfinite(result.Z).all()
 
     def test_default_penalty_allows_7447_iterations(self):
         assert SolverConfig(max_iterations=7447).max_iterations == 7447
@@ -239,56 +279,68 @@ class TestPrepareProblem:
             assert np.array_equal(stack.eye, alone.eye)
 
 
+def link_multiplier(state, lambda2):
+    """The L link's multiplier, -Phi2 - lambda2 I, which the solver does not store."""
+    return -state.Phi2 - lambda2 * np.eye(state.Phi2.shape[-1])
+
+
 class TestSvt:
     """The L step against singular value thresholding, the nuclear-norm prox of
-    the step's symmetric target sym G: the two agree wherever every
-    eigenvalue of sym G is at least tau, as it is near the feasible set,
-    where L = I - Z is positive semidefinite. Below tau the thresholding
-    clamps an eigenvalue at zero, and the affine step lowers it past zero."""
+    the step's symmetric target sym T = I - Zhat + tau I, tau = lambda2 / mu
+    (see laplacian_case): the two agree wherever every eigenvalue of sym T
+    is at least tau, that is wherever I - Zhat is positive semidefinite, as
+    it is near the feasible set. Below tau the thresholding clamps an
+    eigenvalue at zero, and the affine step lowers it past zero."""
 
     def test_diagonal_matrix_shrinks_exactly(self):
-        G = np.diag([3.0, 1.0, 0.75])
-        L = threshold(G, 0.5)
+        # sym T = diag(3, 1, 0.75) at tau = 0.5
+        L, target = laplacian_case(np.diag([-1.5, 0.5, 0.75]), np.zeros((3, 3)), 0.5, 1.0)
+        assert np.array_equal(sym(target), np.diag([3.0, 1.0, 0.75]))
         assert np.array_equal(L, np.diag([2.5, 0.5, 0.25]))
-        assert np.abs(L - singular_value_thresholding(G, 0.5)).max() <= 1e-12
+        assert np.abs(L - singular_value_thresholding(sym(target), 0.5)).max() <= 1e-12
 
     def test_zero_target_shifts_to_minus_tau(self):
-        # the thresholding keeps the zero matrix; the affine step does not
-        assert np.array_equal(threshold(np.zeros((3, 3)), 0.7), -0.7 * np.eye(3))
-        assert np.all(singular_value_thresholding(np.zeros((3, 3)), 0.7) == 0.0)
+        # sym T = 0 at Zhat = (1 + tau) I: the thresholding keeps the zero
+        # matrix; the affine step does not
+        L, target = laplacian_case(1.5 * np.eye(3), np.zeros((3, 3)), 0.5, 1.0)
+        assert np.all(sym(target) == 0.0)
+        assert np.array_equal(L, -0.5 * np.eye(3))
+        assert np.all(singular_value_thresholding(sym(target), 0.5) == 0.0)
 
     def test_zero_threshold_is_identity(self):
-        # with lambda2 = 0, L is the target itself, byte for byte, skew part and all
+        # with lambda2 = 0 the prox keeps a positive semidefinite sym T, skew
+        # part and all
         rng = np.random.default_rng(0)
-        state = make_state(rng.random((4, 4)), Phi3=rng.standard_normal((4, 4)), mu=0.5)
-        L = update_laplacian(state, problem_for(SolverConfig(lambda2=0.0), 4))
-        assert L.tobytes() == (np.eye(4) - state.Z - state.Phi3 / state.mu).tobytes()
+        L, target = laplacian_case(near_feasible(rng, 4), rng.standard_normal((4, 4)), 0.0, 0.5)
+        assert np.abs(L - singular_value_thresholding(sym(target), 0.0)).max() <= 1e-12
 
     def test_output_singular_values_never_exceed_input(self):
         # above tau, each eigenvalue, and so each singular value, falls by tau
         rng = np.random.default_rng(5)
         for _ in range(5):
-            G = above(rng, 5, 0.4)
-            s_in = np.linalg.svd(sym(G), compute_uv=False)
-            s_out = np.linalg.svd(threshold(G, 0.4), compute_uv=False)
+            L, target = laplacian_case(near_feasible(rng, 5), rng.standard_normal((5, 5)),
+                                       0.4, 1.0)
+            s_in = np.linalg.svd(sym(target), compute_uv=False)
+            s_out = np.linalg.svd(L, compute_uv=False)
             assert np.abs(s_out - (s_in - 0.4)).max() <= 1e-12
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_prox_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        G = above(rng, 6, 0.3)
-        want = singular_value_thresholding(sym(G), 0.3)
-        assert np.abs(threshold(G, 0.3) - want).max() <= 1e-12
+        L, target = laplacian_case(near_feasible(rng, 6), rng.standard_normal((6, 6)), 0.3, 1.0)
+        want = singular_value_thresholding(sym(target), 0.3)
+        assert np.abs(L - want).max() <= 1e-12
 
     def test_skew_part_of_the_target_is_ignored(self):
+        # Phi2, antisymmetric, only moves T's skew part
         rng = np.random.default_rng(7)
-        G = rng.standard_normal((6, 6))
-        K = rng.standard_normal((6, 6))
-        assert np.abs(threshold(G + (K - K.T), 0.3) - threshold(G, 0.3)).max() <= 1e-12
+        Z = rng.standard_normal((6, 6))
+        L, _ = laplacian_case(Z, rng.standard_normal((6, 6)), 0.3, 1.0)
+        assert L.tobytes() == laplacian_case(Z, rng.standard_normal((6, 6)), 0.3, 1.0)[0].tobytes()
 
     def test_output_is_symmetric(self):
         rng = np.random.default_rng(8)
-        L = threshold(rng.standard_normal((6, 6)), 0.3)
+        L, _ = laplacian_case(rng.standard_normal((6, 6)), rng.standard_normal((6, 6)), 0.3, 1.0)
         assert np.array_equal(L, L.T)
 
 
@@ -300,7 +352,7 @@ def smooth_part(Z, state, adjs, config):
     pen = (
         np.sum((Z @ ones - ones + state.phi1 / state.mu) ** 2)
         + np.sum((Z.T - state.Zhat + state.Phi2 / state.mu) ** 2)
-        + np.sum((state.L - np.eye(n) + Z + state.Phi3 / state.mu) ** 2)
+        + np.sum((state.L - np.eye(n) + Z + link_multiplier(state, config.lambda2) / state.mu) ** 2)
         + np.sum((state.Zhat - Z + state.Phi2 / state.mu) ** 2)
     )
     return fit + config.lambda1 * np.sum(Z**2) + 0.5 * state.mu * pen
@@ -310,7 +362,8 @@ def z_step_system(state, problem):
     """B and RHS of the Z step's gradient equation Z B = RHS, formed as written."""
     mu = state.mu
     rhs = (problem.weighted_sum + mu * (1.0 + state.Zhat.mT + state.Zhat + problem.eye - state.L)
-           - state.phi1[..., None] - state.Phi2.mT - state.Phi3 + state.Phi2)
+           - state.phi1[..., None] - state.Phi2.mT + state.Phi2
+           - link_multiplier(state, problem.config.lambda2))
     B = (problem.z_weight + 3.0 * mu) * problem.eye + mu
     return B, rhs
 
@@ -319,8 +372,7 @@ def random_state(rng, shape, mu):
     """Random iterates and multipliers of the given (stack) shape, at penalty mu."""
     return SolverState(
         Z=rng.random(shape), Zhat=rng.random(shape), L=rng.random(shape),
-        phi1=rng.standard_normal(shape[:-1]), Phi2=rng.standard_normal(shape),
-        Phi3=rng.standard_normal(shape), mu=mu, k=0)
+        phi1=rng.standard_normal(shape[:-1]), Phi2=rng.standard_normal(shape), mu=mu, k=0)
 
 
 def assert_close_relative(got, want, rel):
@@ -331,12 +383,13 @@ def assert_close_relative(got, want, rel):
 
 
 def positive_step_state(rng, problem, mu):
-    """A random state whose Z step's linear solve is a random positive Z: Phi3,
-    which enters RHS alone, is set to give RHS = Z B, so that no entry clamps."""
+    """A random state whose Z step's linear solve is a random positive Z: L,
+    which enters RHS alone, as -mu L, is set to give RHS = Z B, so that no
+    entry clamps."""
     shape = problem.weighted_sum.shape
-    state = replace(random_state(rng, shape, mu), Phi3=np.zeros(shape))
+    state = replace(random_state(rng, shape, mu), L=np.zeros(shape))
     B, rhs = z_step_system(state, problem)
-    return replace(state, Phi3=rhs - (0.1 + rng.random(shape)) @ B)
+    return replace(state, L=(rhs - (0.1 + rng.random(shape)) @ B) / mu)
 
 
 def assert_kkt(Z, gradient, tol):
@@ -358,11 +411,12 @@ def assert_minimizes_over_nonnegative(Z, state, problem):
 
 class TestUpdateZ:
     def test_output_never_negative(self):
-        # a large Phi3 pushes the linear solve far below zero
+        # a large L pushes the linear solve far below zero
         A = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.2], [0.5, 0.2, 0.0]])
         cfg = SolverConfig(alphas=(1.0,))
         problem = prepare_problem([[A]], [cfg])
-        state = replace(initial_state(problem), Phi3=100.0 * np.ones((1, 3, 3)))
+        state = initial_state(problem)
+        state = replace(state, L=100.0 / state.mu * np.ones((1, 3, 3)))
         B, rhs = z_step_system(state, problem)
         assert np.linalg.solve(B, rhs.mT).mT.min() < 0
         assert update_z(state, problem).min() >= 0.0
@@ -424,10 +478,11 @@ class TestUpdateZ:
         assert np.isfinite(solve(graphs, config).Z).all()
 
     def test_tiny_penalty_stays_finite(self):
-        # the smallest mu0 SolverConfig admits at lambda1 = 0.1 is about
-        # 2.45e-308; there c and R = RHS / mu are finite, but the first step's
-        # partial sums of R overflow unless they are taken of R scaled down
-        config = SolverConfig(mu0=2.5e-308, max_iterations=5)
+        # the smallest mu0 SolverConfig admits at lambda1 = lambda2 = 0.1 is
+        # about 2.56e-308; there c and R = RHS / mu are finite, but the first
+        # step's partial sums of R overflow unless they are taken of R scaled down
+        config = SolverConfig(mu0=smallest_mu0(), max_iterations=5)
+        assert 2.55e-308 < config.mu0 < 2.57e-308
         for n in (20, 100):
             graphs = fleet_graphs(n, 0)
             problem = prepare_problem([graphs], [config])
@@ -526,20 +581,27 @@ class TestUpdateZhat:
 
 class TestUpdateLaplacian:
     def test_zero_shrinkage_hits_target_exactly(self):
+        # at lambda2 = 0 the step is the target's symmetric part, I - Zhat byte
+        # for byte
         rng = np.random.default_rng(2)
         Z = rng.random((4, 4))
-        Phi3 = rng.standard_normal((4, 4))
-        state = make_state(Z, Phi3=Phi3, mu=0.5)
-        cfg = SolverConfig(lambda2=0.0)
-        want = np.eye(4) - Z - Phi3 / 0.5
-        assert update_laplacian(state, problem_for(cfg, 4))[0].tobytes() == want.tobytes()
+        L, target = laplacian_case(Z, rng.standard_normal((4, 4)), 0.0, 0.5)
+        assert L.tobytes() == (np.eye(4) - sym(Z)).tobytes()
+        assert np.abs(L - sym(target)).max() <= 1e-12 * np.abs(target).max()
+
+    def test_is_identity_minus_the_copy_bit_for_bit(self):
+        # on any state, loop-shaped or not, and for every lambda2
+        rng = np.random.default_rng(12)
+        state = random_state(rng, (3, 5, 5), 0.4)
+        for lambda2 in (0.1, 1.0, 1e10):
+            L = update_laplacian(state, problem_for(SolverConfig(lambda2=lambda2), 5))
+            assert L.tobytes() == (np.eye(5) - state.Zhat).tobytes()
 
     def test_identity_z_gives_zero(self):
-        # Z = I is feasible, and L = I - Z = 0 is the step's fixed point under
-        # the multiplier Phi3 = -lambda2 I that stationarity asks at an optimum
-        cfg = SolverConfig()
-        state = make_state(np.eye(4), Phi3=-cfg.lambda2 * np.eye(4), mu=0.5)
-        assert np.all(update_laplacian(state, problem_for(cfg, 4))[0] == 0.0)
+        # Z = I is feasible, and L = I - Z = 0; the L link's multiplier is then
+        # -lambda2 I, the value stationarity asks at an optimum
+        state = make_state(np.eye(4), mu=0.5)
+        assert np.all(update_laplacian(state, problem_for(SolverConfig(), 4))[0] == 0.0)
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_step_is_stationary(self, seed):
@@ -547,28 +609,38 @@ class TestUpdateLaplacian:
         # lambda2 tr L + (mu/2) ||L - T||^2 along symmetric L
         rng = np.random.default_rng(seed)
         mu = 0.1 * 1.1 ** rng.integers(0, 60)
-        state = make_state(rng.random((5, 5)), Phi3=rng.standard_normal((5, 5)), mu=mu)
-        cfg = SolverConfig(lambda2=rng.uniform(0.01, 2.0))
-        L = update_laplacian(state, problem_for(cfg, 5))[0]
-        target = np.eye(5) - state.Z[0] - state.Phi3[0] / mu
-        gradient = cfg.lambda2 * np.eye(5) + mu * (L - sym(target))
+        lambda2 = rng.uniform(0.01, 2.0)
+        L, target = laplacian_case(rng.random((5, 5)), rng.standard_normal((5, 5)), lambda2, mu)
+        gradient = lambda2 * np.eye(5) + mu * (L - sym(target))
         assert np.abs(gradient).max() <= 1e-12 * max(1.0, mu * np.abs(target).max())
 
     def test_matches_prox_oracle(self):
-        # near the feasible set, I - Z - Phi3/mu has no eigenvalue below tau,
-        # and the step is the nuclear-norm prox
+        # near the feasible set, sym T = I - Zhat + tau I has no eigenvalue
+        # below tau, and the step is the nuclear-norm prox
         rng = np.random.default_rng(11)
-        X = rng.random((4, 4))
-        S = sym(X / X.sum(axis=1, keepdims=True))
-        Z = 0.3 * S / S.sum(axis=1, keepdims=True).max()
-        Phi3 = 0.01 * rng.standard_normal((4, 4))
-        mu = 0.4
-        state = make_state(Z, Phi3=Phi3, mu=mu)
-        cfg = SolverConfig(lambda2=0.1)
-        target = sym(np.eye(4) - Z - Phi3 / mu)
-        assert np.linalg.eigvalsh(target).min() >= cfg.lambda2 / mu
-        want = singular_value_thresholding(target, cfg.lambda2 / mu)
-        assert np.abs(update_laplacian(state, problem_for(cfg, 4))[0] - want).max() <= 1e-12
+        mu, lambda2 = 0.4, 0.1
+        L, target = laplacian_case(near_feasible(rng, 4), 0.01 * rng.standard_normal((4, 4)),
+                                   lambda2, mu)
+        assert np.linalg.eigvalsh(sym(target)).min() >= lambda2 / mu
+        want = singular_value_thresholding(sym(target), lambda2 / mu)
+        assert np.abs(L - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("setting", INDUCTION_SETTINGS)
+    def test_reference_prox_is_identity_minus_the_copy(self, monkeypatch, setting):
+        # the reference loop keeps Phi3 and the full prox of lambda2 tr L over
+        # symmetric L, sym(I - Z - Phi3/mu) - (lambda2/mu) I; on every state
+        # it steps, that prox is I - Zhat to rounding of its target
+        prox = _oracles._update_laplacian
+        errors = []
+
+        def check(state, config):
+            L = prox(state, config)
+            errors.append(laplacian_error(state, L))
+            return L
+
+        monkeypatch.setattr(_oracles, "_update_laplacian", check)
+        result = reference_solve(fleet_graphs(20, 0), induction_config(setting))
+        assert len(errors) == result.iterations and max(errors) <= 1e-15
 
     def test_runs_no_eigensolve_and_no_svd(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -581,17 +653,25 @@ class TestUpdateLaplacian:
         assert L.shape == (1, 5, 5)
 
 
+def laplacian_error(state, L):
+    """How far a reference state's L lies from I - Zhat, relative to the
+    largest entry of the L step's target I - Z - Phi3 / mu, which it rounds."""
+    eye = np.eye(len(L))
+    target = eye - state.Z - state.Phi3 / state.mu
+    return np.abs(L - (eye - state.Zhat)).max() / np.abs(target).max()
+
+
 class TestUpdateMultipliers:
     def test_feasible_state_leaves_multipliers_unchanged(self):
         Z = np.array([[0.5, 0.5], [0.5, 0.5]])
         cfg = SolverConfig()
         state = make_state(Z, mu=cfg.mu0, k=0)
-        _, gaps = constraint_residuals(state, problem_for(cfg, 2))
+        _, gaps = constraint_residuals(state)
+        assert len(gaps) == 2
         update_multipliers(state, gaps, cfg)
         out = state
         assert np.all(out.phi1 == 0.0)
         assert np.all(out.Phi2 == 0.0)
-        assert np.all(out.Phi3 == 0.0)
         assert out.mu == pytest.approx(cfg.rho * cfg.mu0, rel=1e-15)
         assert out.k == 1
 
@@ -600,8 +680,8 @@ class TestUpdateMultipliers:
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
         problem = prepare_problem([[A]], [cfg])
         state = initial_state(problem)
-        update_multipliers(state, constraint_residuals(state, problem)[1], cfg)
-        update_multipliers(state, constraint_residuals(state, problem)[1], cfg)
+        update_multipliers(state, constraint_residuals(state)[1], cfg)
+        update_multipliers(state, constraint_residuals(state)[1], cfg)
         assert state.mu == cfg.mu0 * cfg.rho**2
         assert state.mu == pytest.approx(0.121, rel=1e-12)
 
@@ -609,7 +689,7 @@ class TestUpdateMultipliers:
         Z = np.array([[0.2, 0.1], [0.0, 0.3]])
         cfg = SolverConfig(mu0=1.0, rho=1.5)
         state = make_state(Z, mu=1.0, k=0)
-        _, gaps = constraint_residuals(state, problem_for(cfg, 2))
+        _, gaps = constraint_residuals(state)
         update_multipliers(state, gaps, cfg)
         out = state
         v = Z @ np.ones(2) - np.ones(2)
@@ -620,19 +700,22 @@ class TestUpdateMultipliers:
 class TestConstraintResiduals:
     def test_feasible_state_has_zero_residuals(self):
         Z = np.array([[0.5, 0.5], [0.5, 0.5]])
-        res, _ = constraint_residuals(make_state(Z), problem_for(SolverConfig(), 2))
+        res, gaps = constraint_residuals(make_state(Z))
+        assert len(gaps) == 2
         assert res.r1 == res.r2 == res.r3 == res.r4 == 0.0
         assert res.max_residual == 0.0
 
     def test_zero_matrix_breaks_row_sums(self):
-        res, _ = constraint_residuals(make_state(np.zeros((2, 2))), problem_for(SolverConfig(), 2))
+        res, _ = constraint_residuals(make_state(np.zeros((2, 2))))
         assert res.r1 == 1.0
 
     def test_transpose_copy_mismatch(self):
+        # the gaps are Z 1 - 1 and Z^T - Zhat; r3 and r4 repeat r2
         state = make_state(np.eye(2), Zhat=np.zeros((2, 2)))
-        res, _ = constraint_residuals(state, problem_for(SolverConfig(), 2))
-        assert res.r2 == 1.0
-        assert res.r4 == 1.0
+        res, gaps = constraint_residuals(state)
+        assert [g.shape for g in gaps] == [(1, 2), (1, 2, 2)]
+        assert np.array_equal(gaps[1], np.eye(2)[None])
+        assert res.r2 == res.r3 == res.r4 == 1.0
 
 
 class TestSolve:
@@ -716,6 +799,26 @@ class TestSolve:
         assert len(skew) == len(result.residual_trace) == result.iterations
         assert max(skew) <= 1e-12
         assert all(record.residuals.r2 == record.residuals.r4
+                   for record in result.residual_trace)
+
+    @pytest.mark.parametrize("setting", INDUCTION_SETTINGS)
+    def test_laplacian_is_i_minus_zhat_and_r3_r4_repeat_r2(self, monkeypatch, setting):
+        # after every iteration L is I - Zhat bit for bit, so the trace's r3
+        # and r4 are its r2 (see update_laplacian)
+        import hetcover.solver as solver
+
+        passes = []
+
+        def check(state, gaps, config):
+            update_multipliers(state, gaps, config)
+            assert np.array_equal(state.L, np.eye(state.L.shape[-1]) - state.Zhat)
+            passes.append(state.k)
+
+        monkeypatch.setattr(solver, "update_multipliers", check)
+        result = solve(fleet_graphs(20, 0), induction_config(setting))
+        assert result.converged
+        assert len(passes) == len(result.residual_trace) == result.iterations
+        assert all(record.residuals.r2 == record.residuals.r3 == record.residuals.r4
                    for record in result.residual_trace)
 
     def test_trace_length_matches_iterations(self):
@@ -1057,6 +1160,32 @@ class TestMatchesReferenceLoop:
         graph_lists = [fleet_graphs(20, seed) for seed in (0, 0, 1, 1)]
         configs = [SolverConfig(alphas=alphas) for alphas in ((0.1, 0.2, 0.7), (1.0, 0.0, 0.0))] * 2
         self.assert_same_stack(graph_lists, configs, trace=False)
+
+    @pytest.mark.parametrize("setting", INDUCTION_SETTINGS)
+    def test_reference_multipliers_follow_the_induction(self, monkeypatch, setting):
+        # the reference carries Phi3 from -lambda2 I and Phi4 from 0; after
+        # every pass Phi3 = -Phi2 - lambda2 I and Phi4 = Phi2, each relative to
+        # the larger of the multiplier and mu max |Z|, the terms its update
+        # sums, and L = I - Zhat (see laplacian_error), each to 1e-15: the
+        # induction that lets solve carry Phi2 alone
+        step = _oracles._update_multipliers
+        errors = []
+
+        def check(state, config):
+            new = step(state, config)
+            added = state.mu * np.abs(state.Z).max()
+            eye = np.eye(len(new.Z))
+            errors.append((
+                np.abs(new.Phi3 + new.Phi2 + config.lambda2 * eye).max()
+                / max(np.abs(new.Phi3).max(), added),
+                np.abs(new.Phi4 - new.Phi2).max() / max(np.abs(new.Phi2).max(), added),
+                laplacian_error(state, state.L)))
+            return new
+
+        monkeypatch.setattr(_oracles, "_update_multipliers", check)
+        result = reference_solve(fleet_graphs(20, 0), induction_config(setting))
+        assert len(errors) == result.iterations
+        assert np.max(errors) <= 1e-15, np.max(errors, axis=0)
 
     def test_stack_must_share_n(self):
         with pytest.raises(ValueError, match="must share n, got n = 20, 21"):
