@@ -59,7 +59,7 @@ from .simulation import (
     sweep_grid,
     trial_rngs,
 )
-from .solver import SolverConfig, objective, save_solve_trace, solve
+from .solver import FINISH_STEPS, SolverConfig, objective, save_solve_trace, solve
 from .system import Environment, Position, Wall, load_system, save_system
 
 ALPHA_STEP = 0.1  # sweep's default simplex grid step
@@ -304,8 +304,17 @@ def cmd_solve(args, parser):
         ("trace.json", lambda path: save_solve_trace(result, final, path)),
     ])
     if code == 0 and not result.converged:
-        print("solver did not converge within %d iterations"
-              % solver_config.max_iterations, file=sys.stderr)
+        # the loop stops at the tolerance or at its cap; a loop that reached
+        # the tolerance leaves only the finish to fall short
+        passes = "%d iteration%s" % (result.iterations, "" if result.iterations == 1 else "s")
+        if result.residual_trace[-1].residuals.max_residual > solver_config.tolerance:
+            stage = "the loop reached its cap of %s before the tolerance %g" % (
+                passes, solver_config.tolerance)
+        else:
+            stage = ("the loop reached the tolerance %g in %s, but the finish did not "
+                     "certify the optimum within %d Newton steps"
+                     % (solver_config.tolerance, passes, FINISH_STEPS))
+        print("solver did not converge: %s" % stage, file=sys.stderr)
         return 3
     return code
 

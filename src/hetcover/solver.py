@@ -9,6 +9,10 @@ minimizations of the augmented Lagrangian in Z (over Z >= 0, by a
 thresholded closed form), in an auxiliary transpose copy Zhat (sym Z), and
 in the Laplacian iterate L (I - Zhat), with multiplier estimates and a
 geometrically growing penalty mu, until the residuals reach the tolerance.
+The loop only hands a starting support to the finish below, so its default
+schedule climbs fast, mu = mu0 rho**k with mu0 = 1 and rho = 1.9: 6 or 7 passes
+reach the default tolerance 1e-2 at n = 20, and 4 for fleets of 400 and
+1000 robots behind a wall.
 Over symmetric Z the objective is (sum alpha + lambda1) ||Z - M||_F^2 plus a
 constant, M = (sum_m alpha_m A_m + (lambda2 / 2) I) / (sum alpha + lambda1),
 so the optimum projects sym M onto the feasible set: a Newton finish from
@@ -55,8 +59,8 @@ class SolverConfig:
     alphas: tuple | None = None
     lambda1: float = 0.1
     lambda2: float = 0.1
-    mu0: float = 0.1
-    rho: float = 1.1
+    mu0: float = 1.0
+    rho: float = 1.9
     tolerance: float = 1e-2
     max_iterations: int = 1000
 
@@ -204,8 +208,8 @@ class StackResult:
 
 
 # the most Newton steps the finish takes; the last copies of seeded 20-robot
-# fleets (seeds 0-9, Full and Baseline, loops capped at 1 to 29 iterations)
-# need at most 5, and those the loop hands over at the default 1e-2, 3
+# fleets (seeds 0-9, Full and Baseline, loops capped at 1 to 6 iterations)
+# need at most 5, and those the loop hands over at the default 1e-2, 4
 FINISH_STEPS = 8
 
 

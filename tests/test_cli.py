@@ -18,7 +18,7 @@ from hetcover.simulation import (
     stack_size,
     sweep_grid,
 )
-from hetcover.solver import SolverConfig, objective
+from hetcover.solver import FINISH_STEPS, SolverConfig, objective
 from hetcover.system import load_system, save_system
 
 from _oracles import reference_solve
@@ -290,6 +290,33 @@ class TestSolve:
         trace = json.loads((tmp_path / "trace.json").read_text())
         assert trace["converged"] is False
         assert trace["iterations"] == 2
+
+    def solve_unconverged(self, tmp_path, capsys, *settings):
+        """Solve seed 0's 20-robot fleet under settings, expecting exit 3; the
+        trace and the stderr message."""
+        assert run_cli("generate", "--robots", "20", "--capabilities", "3", "--seed", "0",
+                       "--out", str(tmp_path)) == 0
+        code = run_cli("solve", "--system", str(tmp_path / "system.json"), *settings,
+                       "--out", str(tmp_path))
+        assert code == 3
+        trace = json.loads((tmp_path / "trace.json").read_text())
+        assert trace["converged"] is False
+        return trace, capsys.readouterr().err
+
+    def test_non_convergence_at_the_loop_cap_is_named(self, tmp_path, capsys):
+        trace, err = self.solve_unconverged(tmp_path, capsys, "--max-iters", "1")
+        assert trace["iterations"] == 1
+        assert err.endswith("solver did not converge: the loop reached its cap of "
+                            "1 iteration before the tolerance 0.01\n")
+
+    def test_non_convergence_in_the_finish_is_named(self, tmp_path, capsys):
+        # the optimum is I, but Z's diagonal M_ii - 2 y_i cancels at duals of
+        # order lambda2; the loop reaches the tolerance well before its cap
+        trace, err = self.solve_unconverged(tmp_path, capsys, "--lambda2", "1e18")
+        assert trace["iterations"] < 1000
+        assert err.endswith("solver did not converge: the loop reached the tolerance 0.01 "
+                            "in %d iterations, but the finish did not certify the optimum "
+                            "within %d Newton steps\n" % (trace["iterations"], FINISH_STEPS))
 
     def test_non_converged_z_is_symmetric_and_row_stochastic(self, tmp_path):
         system_path = tmp_path / "system.json"
