@@ -19,11 +19,12 @@ simulation module describes it, scoring each fused fleet of
 simulation.batch_fleets in one run_trial call at the batch's team counts.
 simulate names each failed trial, one line per r listed; sweep, which sets
 the alphas of each weighting itself and so has no --alpha, stops at its
-first failed trial. All outputs are plain JSON/CSV files named after their
-role, written under --out.
+first failed trial. Both still write every row when a solve does not
+converge, then name each such (seed, setting, method) and exit 3. All
+outputs are plain JSON/CSV files named after their role, written under --out.
 
 Exit codes: 0 success; 2 usage or validation problems (including unreadable
-inputs); 3 solver ran but did not converge (outputs still written); 4 output
+inputs); 3 a solve ran but did not converge (outputs still written); 4 output
 I/O failure, a simulate batch in which every trial failed, or a failed sweep.
 """
 
@@ -365,12 +366,25 @@ def _batch(args, parser, regions):
 
 
 def _trials(base, seeds, solvers, regions, methods=tuple(Method)):
-    """(seed, setting index, the fleet's run_trial(fleet, *regions) or the error
-    that failed it), for each fused fleet of simulation.batch_fleets."""
+    """(seed, setting index, the methods whose solve did not converge, the
+    fleet's run_trial(fleet, *regions) or the error that failed it), for each
+    fused fleet of simulation.batch_fleets."""
     for seed, s, outcome in batch_fleets(base, seeds, solvers, methods):
+        unconverged = []
         if not isinstance(outcome, Exception):  # the fleet is dropped once scored
+            unconverged = [method for method, done in outcome.converged.items() if not done]
             outcome = attempt(run_trial, outcome, *regions)
-        yield seed, s, outcome
+        yield seed, s, unconverged, outcome
+
+
+def _name_unconverged(code, solves) -> int:
+    """code, or, once the outputs are written (code 0), 3 after a stderr line
+    naming each solve of solves that did not converge."""
+    if code != 0 or not solves:
+        return code
+    for solve in solves:
+        print("solver did not converge: %s" % solve, file=sys.stderr)
+    return 3
 
 
 def cmd_simulate(args, parser):
@@ -378,7 +392,9 @@ def cmd_simulate(args, parser):
     # rows are kept per --regions entry so the file stays r-major in the order given
     rows_at = [[] for _ in args.regions]
     failures = 0
-    for seed, _, outcome in _trials(base, seeds, [base.solver], args.regions):
+    unconverged = []
+    for seed, _, methods, outcome in _trials(base, seeds, [base.solver], args.regions):
+        unconverged += ["seed=%d method=%s" % (seed, method.value) for method in methods]
         for i, r in enumerate(args.regions):
             if isinstance(outcome, Exception):
                 failures += 1
@@ -389,7 +405,8 @@ def cmd_simulate(args, parser):
     if not rows:
         print("all %d trials failed" % failures, file=sys.stderr)
         return 4
-    return _write_outputs(args.out, [("metrics.csv", lambda path: append_metrics_csv(path, rows))])
+    return _name_unconverged(_write_outputs(
+        args.out, [("metrics.csv", lambda path: append_metrics_csv(path, rows))]), unconverged)
 
 
 def cmd_sweep(args, parser):
@@ -400,7 +417,10 @@ def cmd_sweep(args, parser):
     base, seeds = _batch(args, parser, [args.regions])
     solvers = [replace(base.solver, alphas=alphas) for alphas in grid]
     rates = [[] for _ in grid]  # each weighting's Full (detection, duplication), in seed order
-    for _, s, outcome in _trials(base, seeds, solvers, [args.regions], (Method.FULL,)):
+    unconverged = []
+    for seed, s, methods, outcome in _trials(base, seeds, solvers, [args.regions], (Method.FULL,)):
+        unconverged += ["seed=%d alphas=%r,%r,%r method=%s" % (seed, *grid[s], method.value)
+                        for method in methods]
         if isinstance(outcome, Exception):
             print("sweep failed: %s" % outcome, file=sys.stderr)
             return 4
@@ -414,7 +434,7 @@ def cmd_sweep(args, parser):
                 means = tuple(sum(values) / len(values) for values in zip(*pairs))
                 fh.write("%r,%r,%r,%r,%r\n" % (alphas + means))
 
-    return _write_outputs(args.out, [("sweep.csv", save_sweep)])
+    return _name_unconverged(_write_outputs(args.out, [("sweep.csv", save_sweep)]), unconverged)
 
 
 # ---------------------------------------------------------------------------

@@ -273,8 +273,9 @@ class Fleet:
     One fleet serves every r at its seed: the generated system, its relation
     graphs, its events with each event's nearest robot, the methods it is
     scored for, in order, and the fused Z of each of them that is solved
-    (Full, Baseline). config is the configuration it was prepared from; only
-    the fused Z depend on config.solver, and a placed fleet has none yet.
+    (Full, Baseline), with whether its solve converged. config is the
+    configuration it was prepared from; only the fused Z depend on
+    config.solver, and a placed fleet has none yet.
     """
 
     config: SimConfig
@@ -284,6 +285,7 @@ class Fleet:
     nearest: tuple  # nearest_robots(system, events)
     methods: tuple  # the methods run_trial scores
     fused: dict  # Method -> Z
+    converged: dict  # Method -> SolveResult.converged of its Z
 
 
 def place_fleet(config: SimConfig) -> Fleet:
@@ -293,7 +295,7 @@ def place_fleet(config: SimConfig) -> Fleet:
     graphs = tuple(build_relation_graphs(system, config.comm_radius))
     events = tuple(simulate_events(config, event_rng))
     return Fleet(config=config, system=system, graphs=graphs, events=events,
-                 nearest=nearest_robots(system, events), methods=(), fused={})
+                 nearest=nearest_robots(system, events), methods=(), fused={}, converged={})
 
 
 def sweep_grid(alpha_step):
@@ -324,17 +326,19 @@ def fuse_fleets(pairs, methods=tuple(Method)):
 
     The fleets must share their robot count and the solvers every setting
     but alphas. Full solves the solvers and Baseline their
-    baseline_solver_config, each as one stack, which gives each Z byte for
-    byte as a solve of it alone. An error of any solve is raised; the caller
-    can fuse the pairs one at a time to find the pair it belongs to.
+    baseline_solver_config, each as one stack, which gives each Z, and
+    whether its solve converged, as a solve of it alone. An error of any
+    solve is raised; the caller can fuse the pairs one at a time to find the
+    pair it belongs to.
     """
     graphs = [fleet.graphs for fleet, _ in pairs]
     stacks = {Method.FULL: [solver for _, solver in pairs],
               Method.BASELINE: [baseline_solver_config(solver) for _, solver in pairs]}
-    zs = {method: [result.Z for result in solve(graphs, settings, trace=False).results]
-          for method, settings in stacks.items() if method in methods and pairs}
+    solved = {method: solve(graphs, settings, trace=False).results
+              for method, settings in stacks.items() if method in methods and pairs}
     return [replace(fleet, config=replace(fleet.config, solver=solver), methods=tuple(methods),
-                    fused={method: z[i] for method, z in zs.items()})
+                    fused={method: results[i].Z for method, results in solved.items()},
+                    converged={method: results[i].converged for method, results in solved.items()})
             for i, (fleet, solver) in enumerate(pairs)]
 
 

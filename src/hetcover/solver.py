@@ -7,8 +7,10 @@ Minimizes
 subject to L = I - Z, Z 1 = 1, Z = Z^T, Z >= 0, by alternating exact
 minimizations of the augmented Lagrangian in Z (over Z >= 0, by a
 thresholded closed form), in an auxiliary transpose copy Zhat (sym Z), and
-in the Laplacian iterate L (I - Zhat), with multiplier estimates and a
-geometrically growing penalty mu, until the residuals reach the tolerance.
+in the Laplacian iterate L (I - Zhat, not stored), with multiplier estimates
+and a geometrically growing penalty mu, until the residuals reach the
+tolerance. Its Z step reads L and the multipliers' transposes as 3 Zhat and
+3 Phi2, the reduced form that Zhat's exact symmetry allows (see update_z).
 The loop only hands a starting support to the finish below, so its default
 schedule climbs fast, mu = mu0 rho**k with mu0 = 1 and rho = 1.9: 6 or 7 passes
 reach the default tolerance 1e-2 at n = 20, and 4 for fleets of 400 and
@@ -89,9 +91,9 @@ class SolverConfig:
             raise ValueError("tolerance must be positive")
         if not (is_integer(self.max_iterations) and self.max_iterations >= 1):
             raise ValueError("max_iterations must be a positive integer")
-        # mu grows to mu0 * rho**max_iterations, and the Z step's right-hand side
-        # holds mu (1 + Zhat^T + Zhat + I - L), about 4 mu, before the step
-        # divides it by mu
+        # mu grows to mu0 * rho**max_iterations, and phi1 and Phi2 gather mu
+        # times each pass's gaps; the Z step sums W - phi1 1^T + 3 Phi2 + lambda2 I,
+        # a few mu at most, before it divides by mu, so 4 mu must stay finite
         try:
             peak = 4.0 * self.mu0 * self.rho**self.max_iterations
         except OverflowError:
@@ -99,9 +101,9 @@ class SolverConfig:
         if not math.isfinite(peak):
             raise ValueError("the penalty overflows before max_iterations: mu0=%r, rho=%r, "
                              "max_iterations=%r" % (self.mu0, self.rho, self.max_iterations))
-        # the Z step's c = z_weight / mu + 3 and the lambda2 / mu on the diagonal
-        # of its R must be finite at the first mu, where z_weight = 2 sum(alphas)
-        # + 2 lambda1 and the alphas sum to 1 up to rounding; twice the sum leaves room
+        # the Z step divides z_weight = 2 sum(alphas) + 2 lambda1, in its c, and
+        # the lambda2 I of its R by mu, so both must be finite at the first mu;
+        # the alphas sum to 1 up to rounding, and twice the sum leaves room
         if not math.isfinite((4.0 * (1.0 + self.lambda1) + 2.0 * self.lambda2) / self.mu0):
             raise ValueError("mu0 is too small: the Z step's weight over mu0 overflows: mu0=%r, "
                              "lambda1=%r, lambda2=%r" % (self.mu0, self.lambda1, self.lambda2))
@@ -124,12 +126,12 @@ class SolverState:
     solve advances one state in place: each step's result is assigned to
     its field, and update_multipliers adds to the multipliers in place and
     moves mu and k. Every array carries the leading stack axis; mu and k
-    are shared. The L link's multiplier, -Phi2 - lambda2 I, is not stored.
+    are shared. Zhat is exactly symmetric and Phi2 exactly antisymmetric;
+    L = I - Zhat and its link's multiplier -Phi2 - lambda2 I are not stored.
     """
 
     Z: np.ndarray
     Zhat: np.ndarray
-    L: np.ndarray
     phi1: np.ndarray
     Phi2: np.ndarray
     mu: float
@@ -277,12 +279,11 @@ def objective(Z, L, graphs, config: SolverConfig) -> float:
 
 
 def initial_state(problem: Problem) -> SolverState:
-    """Warm start at the weighted graph average; phi1 = Phi2 = 0, so Phi3 = -lambda2 I."""
+    """Warm start at the weighted graph average Z0, with Zhat = sym Z0 and phi1 = Phi2 = 0."""
     Z0 = 0.5 * problem.weighted_sum
     return SolverState(
         Z=Z0,
-        Zhat=Z0.mT.copy(),
-        L=problem.eye - Z0,
+        Zhat=0.5 * (Z0 + Z0.mT),
         phi1=np.zeros(Z0.shape[:-1]),
         Phi2=np.zeros(Z0.shape),
         mu=problem.config.mu0,
@@ -294,11 +295,13 @@ def update_z(state: SolverState, problem: Problem) -> np.ndarray:
     """The Z step: the exact minimizer of the smooth penalized objective over Z >= 0.
 
     The Z-gradient of the augmented objective is Z B - RHS with
-    B = (2 sum alpha + 2 lambda1 + 3 mu) I + mu 1 1^T and RHS = weighted_sum
-    + mu (1 1^T + Zhat^T + Zhat + I - L) - phi1 1^T - Phi2^T + Phi2 - Phi3,
-    where -Phi3 = Phi2 + lambda2 I (see update_laplacian). In units of mu,
-    B / mu = c I + 1 1^T with c = z_weight / mu + 3, and with R = RHS / mu
-    each row z of Z is its own problem,
+    B = (2 sum alpha + 2 lambda1 + 3 mu) I + mu 1 1^T and RHS = W + mu (1 1^T
+    + Zhat^T + Zhat + I - L) - phi1 1^T - Phi2^T + Phi2 - Phi3, W = weighted_sum.
+    The loop keeps Zhat^T = Zhat, L = I - Zhat, -Phi3 = Phi2 + lambda2 I and
+    -Phi2^T = Phi2 bit for bit (see update_zhat, update_laplacian and
+    constraint_residuals), so R = RHS / mu = 1 1^T + 3 Zhat + (W - phi1 1^T
+    + 3 Phi2 + lambda2 I) / mu. In units of mu, B / mu = c I + 1 1^T with
+    c = z_weight / mu + 3, and each row z of Z is its own problem,
 
         min over z >= 0 of  c |z|^2 / 2 + (1^T z)^2 / 2 - R_i z.
 
@@ -324,21 +327,12 @@ def update_z(state: SolverState, problem: Problem) -> np.ndarray:
     of two is exact for normal floats, so Z does not move.
     """
     mu = state.mu
-    # R = RHS / mu, formed in place, the mu term first and the rest in the
-    # order written above, in one C-ordered array, so that the row sums below
-    # take each row in the same order whatever the inputs' layout
-    R = np.add(1.0, state.Zhat.mT, out=np.empty(state.Zhat.shape))
-    R += state.Zhat
-    R += problem.eye
-    R -= state.L
-    R *= mu
-    R += problem.weighted_sum
-    R -= state.phi1[..., None]
-    R -= state.Phi2.mT
-    R += state.Phi2
-    R += state.Phi2
+    # R, reduced, in one C-ordered array: the row sums below keep one order per row
+    R = np.subtract(problem.weighted_sum, state.phi1[..., None], out=np.empty(state.Z.shape))
+    R += 3.0 * state.Phi2
     R += problem.config.lambda2 * problem.eye
     R /= mu
+    R += 3.0 * state.Zhat + 1.0
     c = problem.z_weight / mu + 3.0
     s = 2.0 ** (R.shape[-1] - 1).bit_length()
     scaled = R / s
@@ -365,6 +359,7 @@ def update_zhat(state: SolverState) -> np.ndarray:
     A multiplier Phi4 of its own for Zhat = Z would give (Z^T + Z + (Phi2 - Phi4) / mu) / 2,
     but from zero multipliers Phi4 stays Phi2, by induction: the step is then sym Z, both
     gaps are (Z^T - Z) / 2, and both updates add the same. So Phi2 serves both penalties.
+    Zhat = Zhat^T bit for bit, as entries (i, j) and (j, i) sum the same two numbers.
     """
     return 0.5 * (state.Z + state.Z.mT)
 
@@ -380,7 +375,8 @@ def update_laplacian(state: SolverState, problem: Problem) -> np.ndarray:
     lambda2 I + sym Phi3 = 0 puts it at every KKT point, and stays
     -Phi2 - lambda2 I by induction: with Phi2 antisymmetric (see update_zhat),
     sym T - (lambda2/mu) I is I - Zhat for every lambda2, and the link's gap
-    L - I + Z = Z - Zhat is the copy's gap negated. So Phi3 is not stored.
+    L - I + Z = Z - Zhat is the copy's gap negated. So Phi3 is not stored, nor
+    L, which solve forms only for the traced objective.
     """
     return problem.eye - state.Zhat
 
@@ -388,12 +384,14 @@ def update_laplacian(state: SolverState, problem: Problem) -> np.ndarray:
 def constraint_residuals(state: SolverState):
     """The two independent constraint gaps and their infinity norms, per problem of a stack.
 
-    Returns (Residuals, gaps) with gaps = (Z 1 - 1, Z^T - Zhat); the multiplier
-    update ascends along them. r3 and r4 repeat r2, as L - I + Z and Zhat - Z
-    are Z - Zhat (see update_zhat and update_laplacian).
+    Returns (Residuals, gaps) with gaps = (Z 1 - 1, (Z^T - Z) / 2), the latter
+    the copy's gap Z^T - Zhat in a form exactly antisymmetric in floats, so Phi2
+    stays so bit for bit; the multiplier update ascends along them. r3 and r4
+    repeat r2, as L - I + Z and Zhat - Z are Z - Zhat (see update_zhat and
+    update_laplacian).
     """
     ones = np.ones(state.Z.shape[-1])
-    gaps = (state.Z @ ones - ones, state.Z.mT - state.Zhat)
+    gaps = (state.Z @ ones - ones, 0.5 * (state.Z.mT - state.Z))
     stack = state.Z.shape[:-2]
     r1, r2 = (np.abs(g).reshape(stack + (-1,)).max(axis=-1) for g in gaps)
     return Residuals(r1, r2, r2, r2), gaps
@@ -524,13 +522,13 @@ def solve(graphs, config=None, *, trace: bool = True):
     for _ in range(config.max_iterations):
         state.Z = update_z(state, problem)
         state.Zhat = update_zhat(state)
-        state.L = update_laplacian(state, problem)
         res, gaps = constraint_residuals(state)
         if trace:
+            L = update_laplacian(state, problem)
             for i, p in enumerate(active):
                 traces[p].append(IterationRecord(
                     Residuals(*(float(r[i]) for r in (res.r1, res.r2, res.r3, res.r4))),
-                    objective(state.Z[i], state.L[i], graph_lists[p], configs[p])))
+                    objective(state.Z[i], L[i], graph_lists[p], configs[p])))
         update_multipliers(state, gaps, config)
         done = res.max_residual <= config.tolerance
         if done.any():

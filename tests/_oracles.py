@@ -310,10 +310,11 @@ def _initial_state(graphs, config):
     config = config.resolved(len(adjs))
     n = adjs[0].shape[0]
     Z0 = sum(alpha * a for alpha, a in zip(config.alphas, adjs))
+    Zhat0 = (Z0 + Z0.T) / 2.0  # Z0 itself for symmetric graphs
     return _ReferenceState(
         Z=Z0,
-        Zhat=Z0.T.copy(),
-        L=np.eye(n) - Z0,
+        Zhat=Zhat0,
+        L=np.eye(n) - Zhat0,
         phi1=np.zeros(n),
         Phi2=np.zeros((n, n)),
         Phi3=-config.lambda2 * np.eye(n),  # its value at every KKT point

@@ -277,9 +277,10 @@ def smooth_augmented(Z, state, adjs, config):
     pen = (
         np.sum((Z @ ones - ones + state.phi1 / state.mu) ** 2)
         + np.sum((Z.T - state.Zhat + state.Phi2 / state.mu) ** 2)
-        # the L link, whose multiplier -Phi2 - lambda2 I the solver does not store
-        + np.sum((state.L - np.eye(n) + Z - (state.Phi2 + config.lambda2 * np.eye(n))
-                  / state.mu) ** 2)
+        # the L link at L = I - Zhat, whose multiplier -Phi2 - lambda2 I the
+        # solver does not store, any more than L
+        + np.sum((np.eye(n) - state.Zhat - np.eye(n) + Z
+                  - (state.Phi2 + config.lambda2 * np.eye(n)) / state.mu) ** 2)
         + np.sum((state.Zhat - Z + state.Phi2 / state.mu) ** 2)
     )
     return fit + config.lambda1 * np.sum(Z**2) + 0.5 * state.mu * pen
@@ -292,9 +293,11 @@ def test_z_step_zeroes_the_smooth_gradient():
         adjs = [rng.random((n, n)) for _ in range(3)]
         weights = rng.random(3)
         config = SolverConfig(alphas=tuple(weights / weights.sum()))
+        # a state shaped as the loop leaves it: Zhat symmetric, Phi2 antisymmetric
+        G, K = rng.random((1, n, n)), rng.standard_normal((1, n, n))
         state = SolverState(
-            Z=rng.random((1, n, n)), Zhat=rng.random((1, n, n)), L=rng.random((1, n, n)),
-            phi1=rng.standard_normal((1, n)), Phi2=rng.standard_normal((1, n, n)),
+            Z=rng.random((1, n, n)), Zhat=0.5 * (G + G.mT),
+            phi1=rng.standard_normal((1, n)), Phi2=0.5 * (K - K.mT),
             mu=0.1 * 1.1 ** (seed % 10), k=seed % 10,
         )
         Zs = update_z(state, prepare_problem([adjs], [config]))[0]

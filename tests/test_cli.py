@@ -539,6 +539,22 @@ class TestSimulate:
             % (r, seed) for seed in (0, 1) for r in (2, 3, 2)] + ["all 6 trials failed"]
         assert not (tmp_path / "metrics.csv").exists()
 
+    def test_unconverged_solves_are_named_and_exit_3(self, tmp_path, capsys):
+        # one loop pass stops short of the tolerance: every row is still
+        # written, then each (seed, method) whose solve did not converge is named
+        args = ("simulate", "--robots", "6", "--capabilities", "2", "--regions", "2",
+                "--seeds", "2", "--events", "10")
+        assert run_cli(*args, "--out", str(tmp_path / "converged")) == 0
+        capsys.readouterr()
+        assert run_cli(*args, "--max-iters", "1", "--out", str(tmp_path / "capped")) == 3
+        out, err = capsys.readouterr()
+        assert out == "%s\n" % (tmp_path / "capped" / "metrics.csv")
+        assert err.splitlines() == ["solver did not converge: seed=%d method=%s" % (seed, method)
+                                    for seed in (0, 1) for method in ("Full", "Baseline")]
+        converged, capped = ([row.split(",")[:5] for row in (tmp_path / run / "metrics.csv")
+                              .read_text().splitlines()] for run in ("converged", "capped"))
+        assert capped == converged and len(capped) == 1 + 2 * 3
+
     def test_team_count_above_the_robot_count_rejected_before_any_solve(
             self, tmp_path, capsys, monkeypatch):
         import hetcover.simulation as simulation
@@ -808,6 +824,20 @@ class TestSweep:
         assert "invalid value for --regions: r must be an integer in 1..6, got 7" in (
             capsys.readouterr().err)
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_unconverged_solves_are_named_and_exit_3(self, tmp_path, capsys):
+        # one loop pass stops short of the tolerance: every row is still
+        # written, then each (seed, weighting) whose Full solve did not
+        # converge is named, seed-major as the batch runs them
+        assert run_cli(*self.SWEEP, "--max-iters", "1", "--out", str(tmp_path)) == 3
+        out, err = capsys.readouterr()
+        assert out == "%s\n" % (tmp_path / "sweep.csv")
+        assert err.splitlines() == [
+            "solver did not converge: seed=%d alphas=%r,%r,%r method=Full" % (seed, *alphas)
+            for seed in (0, 1) for alphas in sweep_grid(0.5)]
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert [tuple(float(v) for v in line.split(",")[:3]) for line in lines[1:]] == (
+            sweep_grid(0.5))
 
     def test_failing_fleet_stops_the_sweep(self, tmp_path, capsys):
         # no two robots lie within the radius, so the communication graph is empty

@@ -428,7 +428,7 @@ def baseline_assign(graphs, solver_config, r):
     config = SimConfig(n_robots=len(graphs[0].adjacency), n_capabilities=1, seed=0,
                        solver=solver_config)
     fleet = Fleet(config=config, system=None, graphs=tuple(graphs), events=(), nearest=(),
-                  methods=(), fused={})
+                  methods=(), fused={}, converged={})
     fused, = fuse_fleets([(fleet, solver_config)], (Method.BASELINE,))
     assignment, = partition(fused.fused[Method.BASELINE], r)
     return assignment
@@ -605,6 +605,7 @@ class TestFleetReuse:
             alone = prepare_fleet(fleet.config)
             for method in (Method.FULL, Method.BASELINE):
                 assert fleet.fused[method].tobytes() == alone.fused[method].tobytes()
+            assert fleet.converged == alone.converged == dict.fromkeys(fleet.fused, True)
             assert run_trial(fleet, 3) == run_trial(alone, 3)
 
     def test_stack_size_follows_the_entry_budget(self):

@@ -42,14 +42,14 @@ from _oracles import (
 )
 
 
-def make_state(Z, Zhat=None, L=None, phi1=None, Phi2=None, mu=0.1, k=0):
-    """A stack of one SolverState from n x n iterates, defaulting to the feasible companions."""
+def make_state(Z, Zhat=None, phi1=None, Phi2=None, mu=0.1, k=0):
+    """A stack of one SolverState from n x n iterates, Zhat defaulting to sym Z
+    as the loop leaves it, and the multipliers to zero."""
     Z = np.asarray(Z, dtype=float)
     n = Z.shape[0]
     state = SolverState(
         Z=Z,
-        Zhat=Z.T.copy() if Zhat is None else Zhat,
-        L=np.eye(n) - Z if L is None else L,
+        Zhat=sym(Z) if Zhat is None else Zhat,
         phi1=np.zeros(n) if phi1 is None else phi1,
         Phi2=np.zeros((n, n)) if Phi2 is None else Phi2,
         mu=mu,
@@ -89,8 +89,8 @@ def problem_for(config, n):
 
 
 def sym(G):
-    """The symmetric part of G, the target the L step's subproblem sees."""
-    return 0.5 * (G + G.T)
+    """The symmetric part of G (of each matrix of a stack), the target the L step's subproblem sees."""
+    return 0.5 * (G + G.mT)
 
 
 def laplacian_case(Z, Phi2, lambda2, mu):
@@ -346,24 +346,28 @@ class TestSvt:
         assert np.array_equal(L, L.T)
 
 
-def smooth_part(Z, state, adjs, config):
-    """The differentiable terms the Z-step minimizes, penalties completed to squares."""
+def smooth_part(Z, state, adjs, config, L=None):
+    """The differentiable terms the Z-step minimizes, penalties completed to squares,
+    at the loop's L = I - Zhat unless an L is given."""
     n = Z.shape[0]
     ones = np.ones(n)
+    L = np.eye(n) - state.Zhat if L is None else L
     fit = sum(a * np.sum((Z - A) ** 2) for a, A in zip(config.alphas, adjs))
     pen = (
         np.sum((Z @ ones - ones + state.phi1 / state.mu) ** 2)
         + np.sum((Z.T - state.Zhat + state.Phi2 / state.mu) ** 2)
-        + np.sum((state.L - np.eye(n) + Z + link_multiplier(state, config.lambda2) / state.mu) ** 2)
+        + np.sum((L - np.eye(n) + Z + link_multiplier(state, config.lambda2) / state.mu) ** 2)
         + np.sum((state.Zhat - Z + state.Phi2 / state.mu) ** 2)
     )
     return fit + config.lambda1 * np.sum(Z**2) + 0.5 * state.mu * pen
 
 
 def z_step_system(state, problem):
-    """B and RHS of the Z step's gradient equation Z B = RHS, formed as written."""
+    """B and RHS of the Z step's gradient equation Z B = RHS, in the full form
+    update_z reduces: L = I - Zhat and the L link's multiplier are formed."""
     mu = state.mu
-    rhs = (problem.weighted_sum + mu * (1.0 + state.Zhat.mT + state.Zhat + problem.eye - state.L)
+    L = problem.eye - state.Zhat
+    rhs = (problem.weighted_sum + mu * (1.0 + state.Zhat.mT + state.Zhat + problem.eye - L)
            - state.phi1[..., None] - state.Phi2.mT + state.Phi2
            - link_multiplier(state, problem.config.lambda2))
     B = (problem.z_weight + 3.0 * mu) * problem.eye + mu
@@ -371,10 +375,15 @@ def z_step_system(state, problem):
 
 
 def random_state(rng, shape, mu):
-    """Random iterates and multipliers of the given (stack) shape, at penalty mu."""
+    """Random iterates and multipliers of the given (stack) shape, at penalty mu,
+    shaped as the loop leaves them: Zhat is sym of a random matrix and Phi2
+    antisymmetric, and L = I - Zhat is implied. Zhat's entries may be negative,
+    so that the step clamps at every penalty."""
+    K = rng.standard_normal(shape)
     return SolverState(
-        Z=rng.random(shape), Zhat=rng.random(shape), L=rng.random(shape),
-        phi1=rng.standard_normal(shape[:-1]), Phi2=rng.standard_normal(shape), mu=mu, k=0)
+        Z=rng.random(shape), Zhat=sym(rng.standard_normal(shape)),
+        phi1=rng.standard_normal(shape[:-1]),
+        Phi2=0.5 * (K - K.mT), mu=mu, k=0)
 
 
 def assert_close_relative(got, want, rel):
@@ -385,13 +394,13 @@ def assert_close_relative(got, want, rel):
 
 
 def positive_step_state(rng, problem, mu):
-    """A random state whose Z step's linear solve is a random positive Z: L,
-    which enters RHS alone, as -mu L, is set to give RHS = Z B, so that no
-    entry clamps."""
+    """A random loop-shaped state, and problem with the weighted_sum whose Z
+    step's linear solve is a random positive Z: weighted_sum, which enters RHS
+    alone, is set to give RHS = Z B, so that no entry clamps."""
     shape = problem.weighted_sum.shape
-    state = replace(random_state(rng, shape, mu), L=np.zeros(shape))
-    B, rhs = z_step_system(state, problem)
-    return replace(state, L=(rhs - (0.1 + rng.random(shape)) @ B) / mu)
+    state = random_state(rng, shape, mu)
+    B, rhs = z_step_system(state, replace(problem, weighted_sum=np.zeros(shape)))
+    return state, replace(problem, weighted_sum=(0.1 + rng.random(shape)) @ B - rhs)
 
 
 def assert_kkt(Z, gradient, tol):
@@ -413,12 +422,12 @@ def assert_minimizes_over_nonnegative(Z, state, problem):
 
 class TestUpdateZ:
     def test_output_never_negative(self):
-        # a large L pushes the linear solve far below zero
+        # a large row-sum multiplier pushes the linear solve far below zero
         A = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.2], [0.5, 0.2, 0.0]])
         cfg = SolverConfig(alphas=(1.0,))
         problem = prepare_problem([[A]], [cfg])
         state = initial_state(problem)
-        state = replace(state, L=100.0 / state.mu * np.ones((1, 3, 3)))
+        state = replace(state, phi1=100.0 * np.ones((1, 3)))
         B, rhs = z_step_system(state, problem)
         assert np.linalg.solve(B, rhs.mT).mT.min() < 0
         assert update_z(state, problem).min() >= 0.0
@@ -443,15 +452,15 @@ class TestUpdateZ:
         rng = np.random.default_rng(n)
         problem = prepare_problem([[rng.random((n, n)), rng.random((n, n))]],
                                   [SolverConfig(alphas=(0.4, 0.6))])
-        state = positive_step_state(rng, problem, mu)
+        state, problem = positive_step_state(rng, problem, mu)
         B, rhs = z_step_system(state, problem)
         want = np.linalg.solve(B, rhs.mT).mT
         assert want.min() > 0
         assert_close_relative(update_z(state, problem), want, 1e-12)
         # a stack whose slices differ in z_weight, each solved against its own B
-        stack = Problem(config=problem.config, weighted_sum=rng.random((3, n, n)),
+        stack = Problem(config=problem.config, weighted_sum=np.zeros((3, n, n)),
                         z_weight=np.array([0.2, 2.2, 7.0])[:, None, None], eye=problem.eye)
-        state = positive_step_state(rng, stack, mu)
+        state, stack = positive_step_state(rng, stack, mu)
         B, rhs = z_step_system(state, stack)
         assert_close_relative(update_z(state, stack), np.linalg.solve(B, rhs.mT).mT, 1e-12)
 
@@ -578,8 +587,9 @@ class TestUpdateZhat:
         state = random_state(rng, (1, n, n), 0.1 * 1.1**3)
         Zhat = update_zhat(state)
 
-        def in_zhat(X):
-            return smooth_part(state.Z[0], replace(state, Zhat=X), adjs, cfg)
+        def in_zhat(X):  # the L step comes after, so L stays at the state's I - Zhat
+            return smooth_part(state.Z[0], replace(state, Zhat=X), adjs, cfg,
+                               L=np.eye(n) - state.Zhat)
 
         gradient = numeric_gradient(in_zhat, Zhat[0])
         assert np.abs(gradient).max() / max(1.0, abs(in_zhat(Zhat[0]))) <= 1e-5
@@ -596,7 +606,7 @@ class TestUpdateLaplacian:
         assert np.abs(L - sym(target)).max() <= 1e-12 * np.abs(target).max()
 
     def test_is_identity_minus_the_copy_bit_for_bit(self):
-        # on any state, loop-shaped or not, and for every lambda2
+        # on any state, and for every lambda2
         rng = np.random.default_rng(12)
         state = random_state(rng, (3, 5, 5), 0.4)
         for lambda2 in (0.1, 1.0, 1e10):
@@ -716,12 +726,14 @@ class TestConstraintResiduals:
         assert res.r1 == 1.0
 
     def test_transpose_copy_mismatch(self):
-        # the gaps are Z 1 - 1 and Z^T - Zhat; r3 and r4 repeat r2
-        state = make_state(np.eye(2), Zhat=np.zeros((2, 2)))
-        res, gaps = constraint_residuals(state)
+        # the gaps are Z 1 - 1 and (Z^T - Z) / 2, which is Z^T - Zhat for the
+        # loop's Zhat = sym Z; r3 and r4 repeat r2
+        Z = np.array([[0.0, 1.0], [0.0, 1.0]])
+        res, gaps = constraint_residuals(make_state(Z))
         assert [g.shape for g in gaps] == [(1, 2), (1, 2, 2)]
-        assert np.array_equal(gaps[1], np.eye(2)[None])
-        assert res.r2 == res.r3 == res.r4 == 1.0
+        assert np.array_equal(gaps[1], (Z.T - sym(Z))[None])
+        assert np.array_equal(gaps[1], -gaps[1].mT)
+        assert res.r1 == 0.0 and res.r2 == res.r3 == res.r4 == 0.5
 
 
 class TestSolve:
@@ -807,25 +819,42 @@ class TestSolve:
         assert all(record.residuals.r2 == record.residuals.r4
                    for record in result.residual_trace)
 
-    @pytest.mark.parametrize("setting", INDUCTION_SETTINGS)
+    @pytest.mark.parametrize("setting", INDUCTION_SETTINGS + ["asymmetric"])
     def test_laplacian_is_i_minus_zhat_and_r3_r4_repeat_r2(self, monkeypatch, setting):
-        # after every iteration L is I - Zhat bit for bit, so the trace's r3
-        # and r4 are its r2 (see update_laplacian)
+        # after every iteration Zhat is exactly symmetric and Phi2 exactly
+        # antisymmetric, so the traced L is I - Zhat bit for bit, the Z step's
+        # reduced right-hand side is exact and the trace's r3 and r4 are its r2
+        # (see update_laplacian); from the start sym Z0 this holds for an
+        # asymmetric graph too, whose Z is the optimum of its sym M
         import hetcover.solver as solver
 
-        passes = []
+        passes, laplacians = [], []
+
+        def laplacian(state, problem):  # formed once a pass, for the trace's objective
+            laplacians.append(update_laplacian(state, problem))
+            return laplacians[-1]
 
         def check(state, gaps, config):
             update_multipliers(state, gaps, config)
-            assert np.array_equal(state.L, np.eye(state.L.shape[-1]) - state.Zhat)
+            assert np.array_equal(state.Zhat, state.Zhat.mT)
+            assert np.array_equal(state.Phi2, -state.Phi2.mT)
             passes.append(state.k)
 
+        monkeypatch.setattr(solver, "update_laplacian", laplacian)
         monkeypatch.setattr(solver, "update_multipliers", check)
-        result = solve(fleet_graphs(20, 0), induction_config(setting))
+        if setting == "asymmetric":
+            graphs, config = [np.random.default_rng(3).random((20, 20))], SolverConfig()
+        else:
+            graphs, config = fleet_graphs(20, 0), induction_config(setting)
+        result = solve(graphs, config)
         assert result.converged
-        assert len(passes) == len(result.residual_trace) == result.iterations
+        assert len(passes) == len(laplacians) == len(result.residual_trace) == result.iterations
         assert all(record.residuals.r2 == record.residuals.r3 == record.residuals.r4
                    for record in result.residual_trace)
+        if setting == "asymmetric":
+            assert not np.array_equal(graphs[0], graphs[0].T)
+            assert np.abs(result.Z - projection_oracle(graphs, config)).max() <= 1e-12
+            assert_follows_reference(result, reference_solve(graphs, config))
 
     def test_trace_length_matches_iterations(self):
         graphs = two_pair_system()
