@@ -11,8 +11,9 @@ subcommand's option uses, such as {"event": 5}, exits 2 too. A setting's
 library default and its check live in the library type it sets
 (SimConfig, SolverConfig, Environment, graphs.communication_radius); _build
 makes each type from the fields that a flag or the config file gives.
-SolverConfig caps --max-iters below the point where the penalty
-mu0 * rho**k overflows, and floors --mu0 where the Z step would overflow.
+SolverConfig caps --max-iters at 1,103 passes, where the Z step's 4 mu
+stays finite on the loop's fixed schedule mu = 1.9**k, and bounds --lambda1
+and --lambda2 where the Z step's weight would overflow.
 simulate and sweep check every setting once, before any trial, a team
 count above the robot count included; then each runs a batch as the
 simulation module describes it, scoring each fused fleet of
@@ -166,8 +167,6 @@ SOLVER_OPTIONS = _field_options(
     SolverConfig,
     ("lambda1", "lambda1", _real, "Frobenius regularizer weight"),
     ("lambda2", "lambda2", _real, "nuclear-norm regularizer weight"),
-    ("mu0", "mu0", _real, "initial penalty"),
-    ("rho", "rho", _real, "penalty growth factor in (1,2)"),
     ("tol", "tolerance", _real, "loop residual at which the exact finish takes over"),
     ("max_iters", "max_iterations", _integer, "iteration cap"),
 )

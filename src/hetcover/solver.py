@@ -11,10 +11,11 @@ in the Laplacian iterate L (I - Zhat, not stored), with multiplier estimates
 and a geometrically growing penalty mu, until the residuals reach the
 tolerance. Its Z step reads L and the multipliers' transposes as 3 Zhat and
 3 Phi2, the reduced form that Zhat's exact symmetry allows (see update_z).
-The loop only hands a starting support to the finish below, so its default
-schedule climbs fast, mu = mu0 rho**k with mu0 = 1 and rho = 1.9: 6 or 7 passes
+The loop only hands a starting support to the finish below, so its penalty
+climbs fast, on one fixed schedule mu = MU0 RHO**k = 1.9**k: 6 or 7 passes
 reach the default tolerance 1e-2 at n = 20, and 4 for fleets of 400 and
-1000 robots behind a wall.
+1000 robots behind a wall. The schedule moves the pass count, never the
+answer, so it is not a setting.
 Over symmetric Z the objective is (sum alpha + lambda1) ||Z - M||_F^2 plus a
 constant, M = (sum_m alpha_m A_m + (lambda2 / 2) I) / (sum alpha + lambda1),
 so the optimum projects sym M onto the feasible set: a Newton finish from
@@ -50,9 +51,17 @@ import numpy as np
 from .system import is_integer
 
 
+# the loop's penalty schedule: mu = MU0 * RHO**k at pass k
+MU0, RHO = 1.0, 1.9
+# the most passes before 4 mu overflows a float: phi1 and Phi2 gather mu times
+# each pass's gaps, and the Z step sums W - phi1 1^T + 3 Phi2 + lambda2 I, a few
+# mu at most, before it divides by mu; 1103 for the schedule above
+ITERATION_CAP = int(math.log(np.finfo(float).max / (4.0 * MU0), RHO))
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Weights, regularization strengths, and penalty schedule.
+    """Weights, regularization strengths, tolerance and iteration cap.
 
     alphas may be None, meaning equal weights 1/M resolved when the graph
     list is known. When given, they must be non-negative and sum to 1.
@@ -61,13 +70,11 @@ class SolverConfig:
     alphas: tuple | None = None
     lambda1: float = 0.1
     lambda2: float = 0.1
-    mu0: float = 1.0
-    rho: float = 1.9
     tolerance: float = 1e-2
     max_iterations: int = 1000
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2", "mu0", "rho", "tolerance"):
+        for name in ("lambda1", "lambda2", "tolerance"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
         if self.alphas is not None:
@@ -83,30 +90,20 @@ class SolverConfig:
                 raise ValueError("alphas must sum to 1, got %r" % (sum(a),))
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("lambda1 and lambda2 must be non-negative")
-        if not self.mu0 > 0:
-            raise ValueError("mu0 must be positive")
-        if not 1.0 < self.rho < 2.0:
-            raise ValueError("rho must lie strictly between 1 and 2")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if not (is_integer(self.max_iterations) and self.max_iterations >= 1):
             raise ValueError("max_iterations must be a positive integer")
-        # mu grows to mu0 * rho**max_iterations, and phi1 and Phi2 gather mu
-        # times each pass's gaps; the Z step sums W - phi1 1^T + 3 Phi2 + lambda2 I,
-        # a few mu at most, before it divides by mu, so 4 mu must stay finite
-        try:
-            peak = 4.0 * self.mu0 * self.rho**self.max_iterations
-        except OverflowError:
-            peak = math.inf
-        if not math.isfinite(peak):
-            raise ValueError("the penalty overflows before max_iterations: mu0=%r, rho=%r, "
-                             "max_iterations=%r" % (self.mu0, self.rho, self.max_iterations))
+        if self.max_iterations > ITERATION_CAP:
+            raise ValueError("max_iterations must be at most %d, where the penalty stays "
+                             "finite, got %r" % (ITERATION_CAP, self.max_iterations))
         # the Z step divides z_weight = 2 sum(alphas) + 2 lambda1, in its c, and
         # the lambda2 I of its R by mu, so both must be finite at the first mu;
         # the alphas sum to 1 up to rounding, and twice the sum leaves room
-        if not math.isfinite((4.0 * (1.0 + self.lambda1) + 2.0 * self.lambda2) / self.mu0):
-            raise ValueError("mu0 is too small: the Z step's weight over mu0 overflows: mu0=%r, "
-                             "lambda1=%r, lambda2=%r" % (self.mu0, self.lambda1, self.lambda2))
+        if not math.isfinite((4.0 * (1.0 + self.lambda1) + 2.0 * self.lambda2) / MU0):
+            raise ValueError("lambda1 and lambda2 are too large: the Z step's weight "
+                             "4 (1 + lambda1) + 2 lambda2 overflows: lambda1=%r, lambda2=%r"
+                             % (self.lambda1, self.lambda2))
 
     def resolved(self, m: int) -> "SolverConfig":
         """Fill in equal alphas for m graphs; check the count otherwise."""
@@ -264,8 +261,7 @@ def objective(Z, L, graphs, config: SolverConfig) -> float:
     """sum_m alpha_m ||Z - A_m||_F^2 + lambda1 ||Z||_F^2 + lambda2 tr L.
 
     The L step's term, equal to lambda2 ||L||_* wherever L = I - Z for a
-    feasible Z (see the module docstring); scaling L's diagonal by lambda2
-    before the sum keeps it finite at tiny penalties, where tr L overflows.
+    feasible Z (see the module docstring).
     """
     Z = np.asarray(Z, dtype=float)
     adjs = [_adjacency(g) for g in graphs]
@@ -286,7 +282,7 @@ def initial_state(problem: Problem) -> SolverState:
         Zhat=0.5 * (Z0 + Z0.mT),
         phi1=np.zeros(Z0.shape[:-1]),
         Phi2=np.zeros(Z0.shape),
-        mu=problem.config.mu0,
+        mu=MU0,
         k=0,
     )
 
@@ -320,9 +316,9 @@ def update_z(state: SolverState, problem: Problem) -> np.ndarray:
     Where no entry clamps, this is the Sherman-Morrison solve
     Z = (R - (R 1) 1^T / (c + n)) / c of Z B = RHS.
 
-    Working in units of mu keeps R finite for any penalty SolverConfig
-    admits, where sums of RHS or mu / (c + n mu) would overflow. The sums
-    are taken of R / s with s = 2**ceil(log2 n), divided by c + |A| and
+    Working in units of mu keeps R finite for every penalty up to the cap's
+    4 * 1.9**1103, where sums of RHS or mu / (c + n mu) would overflow. The
+    sums are taken of R / s with s = 2**ceil(log2 n), divided by c + |A| and
     scaled back by s, so they stay finite wherever R is; scaling by a power
     of two is exact for normal floats, so Z does not move.
     """
@@ -397,17 +393,17 @@ def constraint_residuals(state: SolverState):
     return Residuals(r1, r2, r2, r2), gaps
 
 
-def update_multipliers(state: SolverState, gaps, config: SolverConfig) -> None:
+def update_multipliers(state: SolverState, gaps) -> None:
     """Multiplier ascent along the constraint gaps with the pre-update mu, then the mu step.
 
-    Advances state in place; mu is mu0 * rho**k in Python floats.
+    Advances state in place; mu is MU0 * RHO**k in Python floats.
     """
     mu = state.mu
     g1, g2 = gaps
     state.phi1 += mu * g1
     state.Phi2 += mu * g2
     state.k += 1
-    state.mu = config.mu0 * config.rho**state.k
+    state.mu = MU0 * RHO**state.k
 
 
 def _project(M: np.ndarray, Zhat: np.ndarray):
@@ -529,7 +525,7 @@ def solve(graphs, config=None, *, trace: bool = True):
                 traces[p].append(IterationRecord(
                     Residuals(*(float(r[i]) for r in (res.r1, res.r2, res.r3, res.r4))),
                     objective(state.Z[i], L[i], graph_lists[p], configs[p])))
-        update_multipliers(state, gaps, config)
+        update_multipliers(state, gaps)
         done = res.max_residual <= config.tolerance
         if done.any():
             last_zhat[active[done]] = state.Zhat[done]

@@ -319,7 +319,7 @@ def _initial_state(graphs, config):
         Phi2=np.zeros((n, n)),
         Phi3=-config.lambda2 * np.eye(n),  # its value at every KKT point
         Phi4=np.zeros((n, n)),
-        mu=config.mu0,
+        mu=1.0,
         k=0,
     )
 
@@ -376,7 +376,7 @@ def _update_multipliers(state, config):
         Phi2=state.Phi2 + mu * (state.Z.T - state.Zhat),
         Phi3=state.Phi3 + mu * (state.L - np.eye(n) + state.Z),
         Phi4=state.Phi4 + mu * (state.Zhat - state.Z),
-        mu=config.mu0 * config.rho**k,
+        mu=1.0 * 1.9**k,
         k=k,
     )
 

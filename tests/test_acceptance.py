@@ -176,18 +176,15 @@ def test_random_fleet_solutions_feasible_and_fast(feasibility_runs):
 
 
 def test_feasibility_batch_takes_few_iterations(feasibility_runs):
-    # the exact Z, Zhat and L steps, with the penalty from mu0 = 1 grown by
-    # rho = 1.9, reach the 1e-2 hand-off in a median of 6 iterations (6 to 7);
-    # grown by rho = 1.5 they take 8 (7 to 8), from mu0 = 0.1 by rho = 1.1 23
-    # (20 to 27), and 61.5 to reach 1e-6 by rho = 1.1
+    # the exact Z, Zhat and L steps, at the penalty 1.9**k, reach the 1e-2
+    # hand-off in a median of 6 iterations (6 to 7)
     iterations = [stat["iterations"] for stat in feasibility_runs["stats"]]
     assert np.median(iterations) <= 7 and max(iterations) <= 8, iterations
 
 
 def test_baseline_batch_takes_few_iterations():
     # Baseline (lambda1 = lambda2 = 0) takes the symmetric L step I - Zhat: a
-    # median of 6 iterations to the 1e-2 hand-off (6 to 7); 8 (7 to 9) with
-    # the penalty grown by rho = 1.5, 23 (20 to 27) from mu0 = 0.1 by rho = 1.1
+    # median of 6 iterations to the 1e-2 hand-off (6 to 7)
     config = baseline_solver_config(SolverConfig())
     graph_lists = [random_fleet_graphs(20, seed) for seed in range(30)]
     stack = solve(graph_lists, [config] * len(graph_lists), trace=False)
@@ -197,16 +194,15 @@ def test_baseline_batch_takes_few_iterations():
 
 
 def test_hundred_robot_fleets_take_few_iterations(hundred_robot_runs):
-    # 6 iterations to the 1e-2 hand-off; 7 with the penalty grown by
-    # rho = 1.5, and 17 to 20 from mu0 = 0.1 by rho = 1.1
+    # 6 iterations to the 1e-2 hand-off
     iterations = [result.iterations for _, _, result in hundred_robot_runs]
     assert all(result.converged for _, _, result in hundred_robot_runs)
     assert max(iterations) <= 7, iterations
 
 
 def test_four_hundred_robot_fleets_behind_a_wall_take_few_iterations():
-    # 4 iterations each; the penalty from mu0 = 0.1 grown by rho = 1.1 took
-    # the counts below, which a faster schedule must not exceed at this size
+    # 4 iterations each; the bounds are the counts of the slower schedule
+    # 0.1 * 1.1**k, which the loop's must not exceed at this size
     wall = Wall(Position(0.5, 0.0), Position(0.5, 0.6))
     most = {(0, False): 7, (0, True): 7, (1, False): 7, (1, True): 6}
     for seed in (0, 1):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -879,37 +880,45 @@ class TestSweep:
             assert abs(sum(alphas) - 1.0) < 1e-12
 
 
-# mu = mu0 * rho**k overflows a float before k reaches --max-iters; in the
-# third case the last mu is finite, but the Z step's 4 mu is not
+# mu = 1.9**k overflows a float before k reaches --max-iters; in the third
+# case the last mu is finite, but the Z step's 4 mu is not
 @pytest.mark.parametrize("command, settings", [
-    ("solve", ("--tol", "1e-300", "--rho", "1.99", "--max-iters", "2000")),
-    ("simulate", ("--tol", "1e-300", "--rho", "1.99", "--max-iters", "2000")),
-    ("solve", ("--mu0", "1", "--rho", "1.99", "--max-iters", "1031")),
+    ("solve", ("--tol", "1e-300", "--max-iters", "2000")),
+    ("simulate", ("--tol", "1e-300", "--max-iters", "2000")),
+    ("solve", ("--max-iters", "1104")),
 ], ids=["solve", "simulate", "solve-last-mu-finite"])
 def test_penalty_schedule_that_overflows_rejected_before_any_work(small_run, tmp_path, capsys,
                                                                   command, settings):
     out = tmp_path / "out"
     assert small_run(command, out, *settings) == 2
     err = capsys.readouterr().err
-    assert "invalid solver settings: " in err
-    assert all(name in err for name in ("mu0=", "rho=", "max_iterations="))
+    assert "invalid solver settings: max_iterations must be at most 1103, " in err
     assert not out.exists()
 
 
-# the Z step divides its weight 2 + 2 lambda1 by mu0, which overflows a float at 1e-308
-@pytest.mark.parametrize("command", ["solve", "simulate"])
-def test_penalty_too_small_for_the_z_step_rejected_before_any_work(small_run, tmp_path, capsys,
-                                                                   command):
+# the Z step's weight 2 + 2 lambda1 and the lambda2 on its diagonal, over the
+# first penalty 1, overflow a float here; at 1e308 the message once named a
+# mu0 no flag had set
+@pytest.mark.parametrize("command, settings", [
+    ("solve", ("--lambda2", "1e308")),
+    ("simulate", ("--lambda2", "1e308")),
+    ("solve", ("--lambda1", "1e308")),
+], ids=["solve-lambda2", "simulate-lambda2", "solve-lambda1"])
+def test_lambda_that_overflows_the_z_step_rejected_before_any_work(small_run, tmp_path, capsys,
+                                                                   command, settings):
     out = tmp_path / "out"
-    assert small_run(command, out, "--mu0", "1e-308") == 2
+    assert small_run(command, out, *settings) == 2
     err = capsys.readouterr().err
-    assert "invalid solver settings: mu0 is too small" in err
-    assert "mu0=1e-308" in err
+    assert "invalid solver settings: lambda1 and lambda2 are too large" in err
+    assert "%s=1e+308" % settings[0][2:] in err
+    assert "mu0" not in err
     assert not out.exists()
 
 
-# lambda2 / mu0 enters the Z step's diagonal from the first iteration; these
-# once ran to the iteration cap and exited 3 after numpy overflow warnings
+# these once set a penalty too small for lambda2: lambda2 / mu0 overflowed the
+# Z step's diagonal from the first pass, and the run went to the iteration cap
+# and exited 3 after numpy overflow warnings. No penalty is an option now, and
+# the same lambda2 solves at the fixed schedule, whose smallest penalty is 1
 @pytest.mark.parametrize("settings", [
     ("--mu0", "1e-300", "--lambda2", "1e10"),
     ("--mu0", "1e-307", "--lambda2", "1000"),
@@ -919,10 +928,21 @@ def test_penalty_too_small_for_lambda2_rejected_before_any_work(small_run, tmp_p
                                                                 settings):
     out = tmp_path / "out"
     assert small_run("solve", out, *settings) == 2
-    err = capsys.readouterr().err
-    assert "invalid solver settings: mu0 is too small" in err
-    assert "mu0=%r" % float(settings[1]) in err
+    assert "unrecognized arguments: %s %s" % settings[:2] in capsys.readouterr().err
     assert not out.exists()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert small_run("solve", out, *settings[2:]) == 0
+    assert np.isfinite(load_matrix_csv(out / "Z.csv")).all()
+
+
+# the penalty schedule is the solver's own, not a setting
+@pytest.mark.parametrize("command", ["solve", "simulate", "sweep"])
+def test_penalty_schedule_is_not_an_option(small_run, tmp_path, capsys, command):
+    for flag in (("--mu0", "1"), ("--rho", "1.5")):
+        assert small_run(command, tmp_path / "out", *flag) == 2
+        assert "unrecognized arguments: %s" % " ".join(flag) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 # a NaN weight passes the sum check (abs(nan - 1) > 1e-12 is False), and an
@@ -1032,11 +1052,13 @@ class TestConfigLayering:
         assert not (tmp_path / "out").exists()
 
     def test_key_that_no_option_uses_rejected(self, small_run, tmp_path, capsys):
+        # "event" is a typo for "events"; mu0 and rho were once options
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"event": 5}))  # a typo for "events"
-        assert small_run("simulate", tmp_path / "out", "--config", str(config)) == 2
-        assert "unknown key in config file: 'event'" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        for key, value in (("event", 5), ("mu0", 1), ("rho", 1.5)):
+            config.write_text(json.dumps({key: value}))
+            assert small_run("simulate", tmp_path / "out", "--config", str(config)) == 2
+            assert "unknown key in config file: %r" % key in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_one_file_serves_simulate_and_sweep(self, small_run, tmp_path, command):

@@ -1,7 +1,7 @@
 import copy
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,9 @@ from hetcover.cli import ALPHA_STEP
 from hetcover.graphs import build_relation_graphs
 from hetcover.solver import (
     FINISH_STEPS,
+    ITERATION_CAP,
+    MU0,
+    RHO,
     Problem,
     SolverConfig,
     SolverState,
@@ -69,20 +72,6 @@ def induction_config(setting):
             "lambda2-1": replace(DEFAULT_WEIGHTS, lambda2=1.0)}[setting]
 
 
-def smallest_mu0(**settings):
-    """The smallest mu0 SolverConfig admits beside settings, by bisection on
-    the bit patterns of the positive floats, which order as the floats do."""
-    refused, admitted = 0, int(np.float64(1.0).view(np.int64))
-    while admitted - refused > 1:
-        middle = (refused + admitted) // 2
-        try:
-            SolverConfig(mu0=float(np.int64(middle).view(np.float64)), **settings)
-            admitted = middle
-        except ValueError:
-            refused = middle
-    return float(np.int64(admitted).view(np.float64))
-
-
 def problem_for(config, n):
     """The Problem of an n x n zero graph under config, for steps that read only its constants."""
     return prepare_problem([[np.zeros((n, n))]], [config])
@@ -129,8 +118,11 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.alphas is None
         assert cfg.lambda1 == 0.1 and cfg.lambda2 == 0.1
-        assert cfg.mu0 == 1.0 and cfg.rho == 1.9
         assert cfg.tolerance == 1e-2 and cfg.max_iterations == 1000
+        # the penalty schedule is the solver's, not a setting
+        assert [f.name for f in fields(SolverConfig)] == [
+            "alphas", "lambda1", "lambda2", "tolerance", "max_iterations"]
+        assert (MU0, RHO) == (1.0, 1.9)
 
     def test_alphas_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -143,18 +135,6 @@ class TestSolverConfig:
     def test_alphas_empty_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(alphas=())
-
-    def test_rho_bounds_are_strict(self):
-        with pytest.raises(ValueError):
-            SolverConfig(rho=1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(rho=2.0)
-        with pytest.raises(ValueError):
-            SolverConfig(rho=0.9)
-
-    def test_mu0_positive(self):
-        with pytest.raises(ValueError):
-            SolverConfig(mu0=0.0)
 
     def test_negative_lambdas_rejected(self):
         with pytest.raises(ValueError):
@@ -175,46 +155,66 @@ class TestSolverConfig:
             SolverConfig(max_iterations=True)
 
     @pytest.mark.parametrize("settings", [
-        dict(rho=1.99, max_iterations=2000),
-        dict(mu0=1.0, rho=1.99, max_iterations=1031),  # mu is finite, 4 mu is not
-        dict(max_iterations=1104),
+        dict(max_iterations=2000),  # RHO**2000 overflows
+        dict(max_iterations=1104),  # mu = RHO**1104 is finite, 4 mu is not
+        dict(max_iterations=10**400),  # more passes than a float counts
     ])
     def test_penalty_that_overflows_rejected(self, settings):
-        with pytest.raises(ValueError, match="mu0=.*rho=.*max_iterations="):
+        with pytest.raises(ValueError, match="^max_iterations must be at most 1103, .*got "):
             SolverConfig(**settings)
 
-    # the Z step's c = z_weight / mu0 + 3 overflows below about 1.22e-308 at
-    # lambda1 = 0.1, and solve then runs to the iteration cap with an all-NaN Z;
-    # the lambda2 / mu0 on the Z step's diagonal overflows in the last three,
-    # which once ran to the cap with numpy overflow warnings
-    @pytest.mark.parametrize("settings", [
-        dict(mu0=1e-308), dict(mu0=1.2e-308), dict(mu0=1e-300, lambda1=1e10),
-        dict(mu0=1e-300, lambda2=1e10), dict(mu0=1e-307, lambda2=1000.0),
-        dict(mu0=2.5e-308, lambda2=1.0),
-    ], ids=["mu0-1e-308", "mu0-1.2e-308", "lambda1-1e10", "lambda2-1e10", "lambda2-1000",
-            "lambda2-1"])
-    def test_penalty_too_small_for_the_z_step_rejected(self, settings):
-        with pytest.raises(ValueError, match="^mu0 is too small.*mu0=.*lambda1=.*lambda2="):
-            SolverConfig(**settings)
+    # the Z step's c = z_weight / mu + 3 and the lambda2 / mu on its diagonal
+    # must be finite from the first penalty, MU0 = 1, on; the bound is on
+    # 4 (1 + lambda1) + 2 lambda2, so the last pair is refused together only
+    @pytest.mark.parametrize("refused, admitted", [
+        (dict(lambda1=1e308), dict(lambda1=4e307)),
+        (dict(lambda2=1e308), dict(lambda2=8e307)),
+        (dict(lambda1=2e307, lambda2=5e307), dict(lambda1=2e307, lambda2=4e307)),
+    ], ids=["lambda1", "lambda2", "both"])
+    def test_lambda_that_overflows_the_z_step_rejected(self, refused, admitted):
+        with pytest.raises(ValueError,
+                           match="^lambda1 and lambda2 are too large.*lambda1=.*lambda2="):
+            SolverConfig(**refused)
+        config = SolverConfig(**admitted)
+        assert all(getattr(config, name) == value for name, value in admitted.items())
 
+    # these once set a penalty too small for lambda2: lambda2 / mu0 overflowed
+    # the Z step's diagonal from the first pass. mu0 is no setting now, and the
+    # loop's smallest penalty, MU0 = 1, leaves the same lambda2's Z step finite
+    @pytest.mark.parametrize("mu0, lambda2", [
+        (1e-300, 1e10), (1e-307, 1000.0), (2.5e-308, 1.0),
+    ], ids=["lambda2-1e10", "lambda2-1000", "lambda2-1"])
+    def test_penalty_too_small_for_the_z_step_rejected(self, mu0, lambda2):
+        with pytest.raises(TypeError, match="mu0"):
+            SolverConfig(mu0=mu0, lambda2=lambda2)
+        problem = prepare_problem([fleet_graphs(20, 0)], [SolverConfig(lambda2=lambda2)])
+        state = initial_state(problem)
+        assert state.mu == MU0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            Z = update_z(state, problem)
+        assert_minimizes_over_nonnegative(Z, state, problem)
+
+    # the loop's first penalty, MU0 = 1, is its smallest
     @pytest.mark.parametrize("lambda2", [0.0, 0.1, 1e10])
     def test_smallest_admitted_penalty_solves_without_warnings(self, lambda2):
-        config = SolverConfig(mu0=smallest_mu0(lambda2=lambda2), lambda2=lambda2)
+        config = SolverConfig(lambda2=lambda2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             result = solve(fleet_graphs(20, 0), config)
         assert np.isfinite(result.Z).all()
 
     def test_default_penalty_allows_1103_iterations(self):
+        assert ITERATION_CAP == 1103
+        assert math.isfinite(4.0 * MU0 * RHO**ITERATION_CAP)
+        assert not math.isfinite(4.0 * MU0 * RHO**(ITERATION_CAP + 1))
         assert SolverConfig(max_iterations=1103).max_iterations == 1103
         assert SolverConfig(max_iterations=1000).max_iterations == 1000
 
     @pytest.mark.parametrize("settings", [
-        dict(lambda1=math.nan), dict(lambda2=math.inf), dict(mu0=math.inf),
-        dict(rho=math.nan), dict(tolerance=math.inf), dict(alphas=(math.nan, 0.5, 0.5)),
-        dict(alphas=(math.inf, 0.0, 0.0)),
-    ], ids=["lambda1-nan", "lambda2-inf", "mu0-inf", "rho-nan", "tolerance-inf", "alpha-nan",
-            "alpha-inf"])
+        dict(lambda1=math.nan), dict(lambda2=math.inf), dict(tolerance=math.inf),
+        dict(alphas=(math.nan, 0.5, 0.5)), dict(alphas=(math.inf, 0.0, 0.0)),
+    ], ids=["lambda1-nan", "lambda2-inf", "tolerance-inf", "alpha-nan", "alpha-inf"])
     def test_non_finite_setting_rejected(self, settings):
         with pytest.raises(ValueError, match="must be finite"):
             SolverConfig(**settings)
@@ -444,7 +444,7 @@ class TestUpdateZ:
         assert abs(z - 1.0) < 1e-12
 
     # mu from 0.1 up to about 1e6: a solve run to a tolerance of 1e-6 steps
-    # at mu = 1.9**k from the default mu0 = 1 up to k of about 21, near 7e5
+    # at mu = 1.9**k up to k of about 21, near 7e5
     @pytest.mark.parametrize("mu", [0.1, 0.1 * 1.1**50, 0.1 * 1.1**100, 0.1 * 1.1**170])
     @pytest.mark.parametrize("n", [1, 2, 5, 20, 100])
     def test_closed_form_matches_a_linear_solve(self, n, mu):
@@ -481,28 +481,26 @@ class TestUpdateZ:
         assert_minimizes_over_nonnegative(Z, state, problem)
 
     def test_huge_penalty_stays_finite(self):
-        # SolverConfig admits mu0 = 1e307: B and RHS are finite there, but the
-        # partial sums of RHS and the factor mu / (c + n mu) overflow
+        # the cap's last Z step runs at mu = RHO**(ITERATION_CAP - 1), near 1.5e307:
+        # B and RHS are finite there, but the partial sums of RHS and the
+        # factor mu / (c + n mu) overflow
         graphs = fleet_graphs(20, 0)[1:2]
-        config = SolverConfig(alphas=(1.0,), mu0=1e307, max_iterations=1)
+        config = SolverConfig(alphas=(1.0,), tolerance=1e-300, max_iterations=ITERATION_CAP)
         problem = prepare_problem([graphs], [config])
-        state = initial_state(problem)
+        state = replace(initial_state(problem), mu=RHO**(ITERATION_CAP - 1))
         assert_minimizes_over_nonnegative(update_z(state, problem), state, problem)
-        assert np.isfinite(solve(graphs, config).Z).all()
+        result = solve(graphs, config, trace=False)  # every pass up to that mu
+        assert result.iterations == ITERATION_CAP and np.isfinite(result.Z).all()
 
     def test_tiny_penalty_stays_finite(self):
-        # the smallest mu0 SolverConfig admits at lambda1 = lambda2 = 0.1 is
-        # about 2.56e-308; there c and R = RHS / mu are finite, but the first
-        # step's partial sums of R overflow unless they are taken of R scaled down
-        config = SolverConfig(mu0=smallest_mu0(), max_iterations=5)
-        assert 2.55e-308 < config.mu0 < 2.57e-308
+        # a penalty tiny against what it divides: at mu = 1, a row-sum
+        # multiplier of -8e307 leaves each entry of R = RHS / mu finite, but
+        # R's row sums overflow unless they are taken of R scaled down
         for n in (20, 100):
-            graphs = fleet_graphs(n, 0)
-            problem = prepare_problem([graphs], [config])
-            assert np.isfinite(problem.z_weight / config.mu0 + 3.0).all()
-            state = initial_state(problem)
+            problem = prepare_problem([fleet_graphs(n, 0)], [SolverConfig()])
+            state = replace(initial_state(problem), phi1=np.full((1, n), -8e307))
+            assert state.mu == 1.0
             assert_minimizes_over_nonnegative(update_z(state, problem), state, problem)
-            assert np.isfinite(solve(graphs, config).Z).all()
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_unclamped_point_is_stationary(self, seed):
@@ -680,37 +678,35 @@ def laplacian_error(state, L):
 class TestUpdateMultipliers:
     def test_feasible_state_leaves_multipliers_unchanged(self):
         Z = np.array([[0.5, 0.5], [0.5, 0.5]])
-        cfg = SolverConfig()
-        state = make_state(Z, mu=cfg.mu0, k=0)
+        state = make_state(Z, mu=MU0, k=0)
         _, gaps = constraint_residuals(state)
         assert len(gaps) == 2
-        update_multipliers(state, gaps, cfg)
+        update_multipliers(state, gaps)
         out = state
         assert np.all(out.phi1 == 0.0)
         assert np.all(out.Phi2 == 0.0)
-        assert out.mu == pytest.approx(cfg.rho * cfg.mu0, rel=1e-15)
+        assert out.mu == MU0 * RHO
         assert out.k == 1
 
     def test_penalty_schedule_is_geometric(self):
-        cfg = SolverConfig(mu0=0.1, rho=1.1)
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        problem = prepare_problem([[A]], [cfg])
+        problem = prepare_problem([[A]], [SolverConfig()])
         state = initial_state(problem)
-        update_multipliers(state, constraint_residuals(state)[1], cfg)
-        update_multipliers(state, constraint_residuals(state)[1], cfg)
-        assert state.mu == cfg.mu0 * cfg.rho**2
-        assert state.mu == pytest.approx(0.121, rel=1e-12)
+        assert state.mu == 1.0
+        update_multipliers(state, constraint_residuals(state)[1])
+        update_multipliers(state, constraint_residuals(state)[1])
+        assert state.mu == 1.9**2
+        assert state.mu == pytest.approx(3.61, rel=1e-12)
 
     def test_row_sum_violation_feeds_phi1(self):
         Z = np.array([[0.2, 0.1], [0.0, 0.3]])
-        cfg = SolverConfig(mu0=1.0, rho=1.5)
         state = make_state(Z, mu=1.0, k=0)
         _, gaps = constraint_residuals(state)
-        update_multipliers(state, gaps, cfg)
+        update_multipliers(state, gaps)
         out = state
         v = Z @ np.ones(2) - np.ones(2)
         assert np.abs(out.phi1 - v).max() < 1e-15
-        assert out.mu == 1.5
+        assert out.mu == 1.9
 
 
 class TestConstraintResiduals:
@@ -781,13 +777,21 @@ class TestSolve:
         got = objective(result.Z, np.eye(4) - result.Z, graphs, cfg)
         assert got <= best[0] + 1e-6
 
-    def test_penalty_trace_is_strictly_increasing(self):
-        graphs = two_pair_system()
-        cfg = SolverConfig(alphas=(1 / 3, 1 / 3, 1 / 3))
-        result = solve(graphs, cfg)
-        mus = [cfg.mu0 * cfg.rho**k for k in range(result.iterations)]
+    def test_penalty_trace_is_strictly_increasing(self, monkeypatch):
+        # the mu each pass of a real solve runs at, read before its update
+        import hetcover.solver as solver
+
+        mus = []
+
+        def record(state, gaps):
+            mus.append(state.mu)
+            update_multipliers(state, gaps)
+
+        monkeypatch.setattr(solver, "update_multipliers", record)
+        result = solve(two_pair_system(), SolverConfig(alphas=(1 / 3, 1 / 3, 1 / 3)))
+        assert result.iterations > 1
+        assert mus == [1.9**k for k in range(result.iterations)]
         assert all(a < b for a, b in zip(mus, mus[1:]))
-        assert mus[0] == cfg.mu0
 
     def test_converged_result_meets_tolerance(self):
         graphs = two_pair_system()
@@ -807,8 +811,8 @@ class TestSolve:
 
         skew = []
 
-        def check(state, gaps, config):
-            update_multipliers(state, gaps, config)
+        def check(state, gaps):
+            update_multipliers(state, gaps)
             assert np.array_equal(state.Zhat, 0.5 * (state.Z + state.Z.mT))
             skew.append(np.abs(state.Phi2 + state.Phi2.mT).max() / np.abs(state.Phi2).max())
 
@@ -834,8 +838,8 @@ class TestSolve:
             laplacians.append(update_laplacian(state, problem))
             return laplacians[-1]
 
-        def check(state, gaps, config):
-            update_multipliers(state, gaps, config)
+        def check(state, gaps):
+            update_multipliers(state, gaps)
             assert np.array_equal(state.Zhat, state.Zhat.mT)
             assert np.array_equal(state.Phi2, -state.Phi2.mT)
             passes.append(state.k)
