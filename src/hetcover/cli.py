@@ -11,9 +11,9 @@ subcommand's option uses, such as {"event": 5}, exits 2 too. A setting's
 library default and its check live in the library type it sets
 (SimConfig, SolverConfig, Environment, graphs.communication_radius); _build
 makes each type from the fields that a flag or the config file gives.
-SolverConfig caps --max-iters at 1,103 passes, where the Z step's 4 mu
-stays finite on the loop's fixed schedule mu = 1.9**k, and bounds --lambda1
-and --lambda2 where the Z step's weight would overflow.
+SolverConfig bounds --lambda1 and --lambda2 where the Z step's weight would
+overflow; the solver loop's penalty schedule, tolerance and pass cap are
+the solver's own constants, not options.
 simulate and sweep check every setting once, before any trial, a team
 count above the robot count included; then each runs a batch as the
 simulation module describes it, scoring each fused fleet of
@@ -61,7 +61,8 @@ from .simulation import (
     sweep_grid,
     trial_rngs,
 )
-from .solver import FINISH_STEPS, SolverConfig, objective, save_solve_trace, solve
+from . import solver
+from .solver import SolverConfig, objective, save_solve_trace, solve
 from .system import Environment, Position, Wall, load_system, save_system
 
 ALPHA_STEP = 0.1  # sweep's default simplex grid step
@@ -167,8 +168,6 @@ SOLVER_OPTIONS = _field_options(
     SolverConfig,
     ("lambda1", "lambda1", _real, "Frobenius regularizer weight"),
     ("lambda2", "lambda2", _real, "nuclear-norm regularizer weight"),
-    ("tol", "tolerance", _real, "loop residual at which the exact finish takes over"),
-    ("max_iters", "max_iterations", _integer, "iteration cap"),
 )
 TRIAL_OPTIONS = _field_options(SimConfig, ("events", "n_events", _integer, "events per trial"))
 
@@ -307,13 +306,13 @@ def cmd_solve(args, parser):
         # the loop stops at the tolerance or at its cap; a loop that reached
         # the tolerance leaves only the finish to fall short
         passes = "%d iteration%s" % (result.iterations, "" if result.iterations == 1 else "s")
-        if result.residual_trace[-1].residuals.max_residual > solver_config.tolerance:
+        if result.residual_trace[-1].residuals.max_residual > solver.TOLERANCE:
             stage = "the loop reached its cap of %s before the tolerance %g" % (
-                passes, solver_config.tolerance)
+                passes, solver.TOLERANCE)
         else:
             stage = ("the loop reached the tolerance %g in %s, but the finish did not "
                      "certify the optimum within %d Newton steps"
-                     % (solver_config.tolerance, passes, FINISH_STEPS))
+                     % (solver.TOLERANCE, passes, solver.FINISH_STEPS))
         print("solver did not converge: %s" % stage, file=sys.stderr)
         return 3
     return code

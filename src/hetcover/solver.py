@@ -8,14 +8,15 @@ subject to L = I - Z, Z 1 = 1, Z = Z^T, Z >= 0, by alternating exact
 minimizations of the augmented Lagrangian in Z (over Z >= 0, by a
 thresholded closed form), in an auxiliary transpose copy Zhat (sym Z), and
 in the Laplacian iterate L (I - Zhat, not stored), with multiplier estimates
-and a geometrically growing penalty mu, until the residuals reach the
-tolerance. Its Z step reads L and the multipliers' transposes as 3 Zhat and
+and a geometrically growing penalty mu, until the residuals reach
+TOLERANCE. Its Z step reads L and the multipliers' transposes as 3 Zhat and
 3 Phi2, the reduced form that Zhat's exact symmetry allows (see update_z).
 The loop only hands a starting support to the finish below, so its penalty
 climbs fast, on one fixed schedule mu = MU0 RHO**k = 1.9**k: 6 or 7 passes
-reach the default tolerance 1e-2 at n = 20, and 4 for fleets of 400 and
-1000 robots behind a wall. The schedule moves the pass count, never the
-answer, so it is not a setting.
+reach TOLERANCE = 1e-2 at n = 20, and 4 for fleets of 400 and 1000 robots
+behind a wall, far below the cap of MAX_ITERATIONS = 1000 passes. The
+schedule, the tolerance and the cap move the pass count, never the answer,
+so none of them is a setting.
 Over symmetric Z the objective is (sum alpha + lambda1) ||Z - M||_F^2 plus a
 constant, M = (sum_m alpha_m A_m + (lambda2 / 2) I) / (sum alpha + lambda1),
 so the optimum projects sym M onto the feasible set: a Newton finish from
@@ -48,20 +49,17 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .system import is_integer
-
 
 # the loop's penalty schedule: mu = MU0 * RHO**k at pass k
 MU0, RHO = 1.0, 1.9
-# the most passes before 4 mu overflows a float: phi1 and Phi2 gather mu times
-# each pass's gaps, and the Z step sums W - phi1 1^T + 3 Phi2 + lambda2 I, a few
-# mu at most, before it divides by mu; 1103 for the schedule above
-ITERATION_CAP = int(math.log(np.finfo(float).max / (4.0 * MU0), RHO))
+# the loop's residual at which the finish takes over, and its pass cap; the Z
+# step sums up to 4 mu before it divides by mu, finite for mu = RHO**k to k = 1103
+TOLERANCE, MAX_ITERATIONS = 1e-2, 1000
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Weights, regularization strengths, tolerance and iteration cap.
+    """The objective's graph weights and regularization strengths.
 
     alphas may be None, meaning equal weights 1/M resolved when the graph
     list is known. When given, they must be non-negative and sum to 1.
@@ -70,11 +68,9 @@ class SolverConfig:
     alphas: tuple | None = None
     lambda1: float = 0.1
     lambda2: float = 0.1
-    tolerance: float = 1e-2
-    max_iterations: int = 1000
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2", "tolerance"):
+        for name in ("lambda1", "lambda2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
         if self.alphas is not None:
@@ -90,13 +86,6 @@ class SolverConfig:
                 raise ValueError("alphas must sum to 1, got %r" % (sum(a),))
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("lambda1 and lambda2 must be non-negative")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if not (is_integer(self.max_iterations) and self.max_iterations >= 1):
-            raise ValueError("max_iterations must be a positive integer")
-        if self.max_iterations > ITERATION_CAP:
-            raise ValueError("max_iterations must be at most %d, where the penalty stays "
-                             "finite, got %r" % (ITERATION_CAP, self.max_iterations))
         # the Z step divides z_weight = 2 sum(alphas) + 2 lambda1, in its c, and
         # the lambda2 I of its R by mu, so both must be finite at the first mu;
         # the alphas sum to 1 up to rounding, and twice the sum leaves room
@@ -208,7 +197,7 @@ class StackResult:
 
 # the most Newton steps the finish takes; the last copies of seeded 20-robot
 # fleets (seeds 0-9, Full and Baseline, loops capped at 1 to 6 iterations)
-# need at most 5, and those the loop hands over at the default 1e-2, 4
+# need at most 5, and those the loop hands over at TOLERANCE, 4
 FINISH_STEPS = 8
 
 
@@ -316,11 +305,12 @@ def update_z(state: SolverState, problem: Problem) -> np.ndarray:
     Where no entry clamps, this is the Sherman-Morrison solve
     Z = (R - (R 1) 1^T / (c + n)) / c of Z B = RHS.
 
-    Working in units of mu keeps R finite for every penalty up to the cap's
-    4 * 1.9**1103, where sums of RHS or mu / (c + n mu) would overflow. The
-    sums are taken of R / s with s = 2**ceil(log2 n), divided by c + |A| and
-    scaled back by s, so they stay finite wherever R is; scaling by a power
-    of two is exact for normal floats, so Z does not move.
+    Working in units of mu keeps R finite for every penalty whose 4 mu is
+    finite, up to 1.9**1103 and so past the cap's 1.9**999, where sums of
+    RHS or mu / (c + n mu) would overflow. The sums are taken of R / s with
+    s = 2**ceil(log2 n), divided by c + |A| and scaled back by s, so they
+    stay finite wherever R is; scaling by a power of two is exact for
+    normal floats, so Z does not move.
     """
     mu = state.mu
     # R, reduced, in one C-ordered array: the row sums below keep one order per row
@@ -469,7 +459,7 @@ def _solve_or_lstsq(M: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def solve(graphs, config=None, *, trace: bool = True):
-    """Run the alternating loop to the tolerance, then finish at the exact optimum.
+    """Run the alternating loop to TOLERANCE, then finish at the exact optimum.
 
     Parameters
     ----------
@@ -494,9 +484,10 @@ def solve(graphs, config=None, *, trace: bool = True):
         Final Z (the optimum, from the first iteration on), a converged
         flag, the iteration count, and the loop's per-iteration
         residual/objective trace (empty without trace). Converged means the
-        loop reached the tolerance, where the finish takes over, and the
-        finish certified the KKT conditions at rounding; a run short of
-        either is reported through the flag, not raised.
+        loop reached TOLERANCE within MAX_ITERATIONS passes, where the
+        finish takes over, and the finish certified the KKT conditions at
+        rounding; a run short of either is reported through the flag, not
+        raised.
     """
     single = config is None or isinstance(config, SolverConfig)
     if single:
@@ -515,7 +506,7 @@ def solve(graphs, config=None, *, trace: bool = True):
     last_zhat = np.empty_like(state.Zhat)  # each problem's Zhat as it leaves
     iterations = np.zeros(len(configs), dtype=int)
     converged = np.zeros(len(configs), dtype=bool)
-    for _ in range(config.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         state.Z = update_z(state, problem)
         state.Zhat = update_zhat(state)
         res, gaps = constraint_residuals(state)
@@ -526,7 +517,7 @@ def solve(graphs, config=None, *, trace: bool = True):
                     Residuals(*(float(r[i]) for r in (res.r1, res.r2, res.r3, res.r4))),
                     objective(state.Z[i], L[i], graph_lists[p], configs[p])))
         update_multipliers(state, gaps)
-        done = res.max_residual <= config.tolerance
+        done = res.max_residual <= TOLERANCE
         if done.any():
             last_zhat[active[done]] = state.Zhat[done]
             iterations[active[done]] = state.k

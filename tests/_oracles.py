@@ -392,8 +392,9 @@ def _constraint_residuals(state):
     )
 
 
-def reference_solve(graphs, config=None):
-    """The reference solver loop, which solve() follows to 1e-12; its Z is the
+def reference_solve(graphs, config=None, *, tolerance=1e-2, max_iterations=1000):
+    """The reference solver loop, which solve() follows to 1e-12, run until its
+    residuals reach tolerance or for max_iterations passes; its Z is the
     projection of its own sym M, whatever the loop's last iterate."""
     if config is None:
         config = SolverConfig()
@@ -403,14 +404,14 @@ def reference_solve(graphs, config=None):
     state = _initial_state(adjs, config)
     trace = []
     converged = False
-    for _ in range(config.max_iterations):
+    for _ in range(max_iterations):
         state = replace(state, Z=_update_z(state, adjs, config))
         state = replace(state, Zhat=_update_zhat(state, config))
         state = replace(state, L=_update_laplacian(state, config))
         res = _constraint_residuals(state)
         trace.append(IterationRecord(res, _objective(state.Z, state.L, adjs, config)))
         state = _update_multipliers(state, config)
-        if res.max_residual <= config.tolerance:
+        if res.max_residual <= tolerance:
             converged = True
             break
 

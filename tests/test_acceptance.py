@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+import hetcover.solver as solver
 from hetcover.cli import ALPHA_STEP
 from hetcover.graphs import build_relation_graphs, save_matrix_csv
 from hetcover.partition import fiedler_cut, fiedler_vector, partition
@@ -31,6 +32,7 @@ from hetcover.simulation import (
     trial_rngs,
 )
 from hetcover.solver import (
+    TOLERANCE,
     SolverConfig,
     SolverState,
     objective,
@@ -163,7 +165,7 @@ def test_random_fleet_solutions_feasible_and_fast(feasibility_runs):
     for stat in feasibility_runs["stats"]:
         assert stat["converged"], "seed %d did not converge" % stat["seed"]
         assert stat["iterations"] <= 1000
-        assert stat["loop_residual"] <= SolverConfig().tolerance
+        assert stat["loop_residual"] <= TOLERANCE
         Z = stat["Z"]
         n = Z.shape[0]
         L = np.eye(n) - Z
@@ -397,16 +399,19 @@ def test_identical_seeds_reproduce_csv_bytes(feasibility_runs, recovery_runs,
     assert benchmark_runs["bytes_a"] == benchmark_runs["bytes_b"]
 
 
-def test_iteration_cost_scales_at_most_cubically():
+def test_iteration_cost_scales_at_most_cubically(monkeypatch):
     # CPU time of this process, so that other processes on a shared machine
-    # do not stretch one size's timing and not the other's
+    # do not stretch one size's timing and not the other's; the loop runs
+    # 30 passes, as it never reaches the tolerance
+    monkeypatch.setattr(solver, "TOLERANCE", 1e-15)
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 30)
+
     def per_iteration_seconds(n_robots):
         graphs = random_fleet_graphs(n_robots, 0)
-        config = SolverConfig(tolerance=1e-15, max_iterations=30)
         best = math.inf
         for _ in range(3):
             start = time.process_time()
-            result = solve(graphs, config)
+            result = solve(graphs, SolverConfig())
             best = min(best, (time.process_time() - start) / result.iterations)
         return best
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import hetcover.solver as solver
 from hetcover.cli import ALPHA_STEP, COMMANDS, _real, main
 from hetcover.graphs import build_relation_graphs, load_matrix_csv, save_matrix_csv
 from hetcover.simulation import (
@@ -281,11 +282,11 @@ class TestSolve:
         assert "malformed system document: %s\n" % defect in capsys.readouterr().err
         assert not (tmp_path / "Z.csv").exists()
 
-    def test_non_convergence_exits_3_with_outputs(self, tmp_path):
+    def test_non_convergence_exits_3_with_outputs(self, tmp_path, monkeypatch):
         system_path = tmp_path / "system.json"
         write_planted_system(system_path)
-        code = run_cli("solve", "--system", str(system_path),
-                       "--max-iters", "2", "--out", str(tmp_path))
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 2)
+        code = run_cli("solve", "--system", str(system_path), "--out", str(tmp_path))
         assert code == 3
         assert (tmp_path / "Z.csv").exists()
         trace = json.loads((tmp_path / "trace.json").read_text())
@@ -304,8 +305,9 @@ class TestSolve:
         assert trace["converged"] is False
         return trace, capsys.readouterr().err
 
-    def test_non_convergence_at_the_loop_cap_is_named(self, tmp_path, capsys):
-        trace, err = self.solve_unconverged(tmp_path, capsys, "--max-iters", "1")
+    def test_non_convergence_at_the_loop_cap_is_named(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
+        trace, err = self.solve_unconverged(tmp_path, capsys)
         assert trace["iterations"] == 1
         assert err.endswith("solver did not converge: the loop reached its cap of "
                             "1 iteration before the tolerance 0.01\n")
@@ -319,11 +321,30 @@ class TestSolve:
                             "in %d iterations, but the finish did not certify the optimum "
                             "within %d Newton steps\n" % (trace["iterations"], FINISH_STEPS))
 
-    def test_non_converged_z_is_symmetric_and_row_stochastic(self, tmp_path):
+    def test_stage_named_at_the_pass_the_loop_reaches_the_tolerance(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # with no Newton step the finish cannot certify seed 0's optimum; a
+        # cap at the pass where the loop reaches the tolerance leaves the
+        # finish to fall short, and a cap one pass lower stops the loop first
+        monkeypatch.setattr(solver, "FINISH_STEPS", 0)
+        passes = self.solve_unconverged(tmp_path, capsys)[0]["iterations"]
+        finish = ("solver did not converge: the loop reached the tolerance 0.01 in %d "
+                  "iterations, but the finish did not certify the optimum within 0 Newton "
+                  "steps\n" % passes)
+        cap = ("solver did not converge: the loop reached its cap of %d iterations before "
+               "the tolerance 0.01\n" % (passes - 1))
+        assert passes == 6
+        for max_iterations, stage in ((passes, finish), (passes - 1, cap)):
+            monkeypatch.setattr(solver, "MAX_ITERATIONS", max_iterations)
+            trace, err = self.solve_unconverged(tmp_path, capsys)
+            assert trace["iterations"] == max_iterations
+            assert err.endswith(stage)
+
+    def test_non_converged_z_is_symmetric_and_row_stochastic(self, tmp_path, monkeypatch):
         system_path = tmp_path / "system.json"
         write_planted_system(system_path)
-        code = run_cli("solve", "--system", str(system_path),
-                       "--max-iters", "3", "--out", str(tmp_path))
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 3)
+        code = run_cli("solve", "--system", str(system_path), "--out", str(tmp_path))
         assert code == 3
         Z = load_matrix_csv(tmp_path / "Z.csv")
         assert np.array_equal(Z, Z.T)
@@ -460,12 +481,12 @@ class TestPartition:
         assert "Z must be symmetric, but max |Z - Z^T| is 0.4" in capsys.readouterr().err
         assert not (tmp_path / "assignment.json").exists()
 
-    def test_unconverged_solve_output_partitions(self, tmp_path):
+    def test_unconverged_solve_output_partitions(self, tmp_path, monkeypatch):
         # solve's finish makes Z equal its transpose at exit 3 too
         system_path = tmp_path / "system.json"
         write_planted_system(system_path)
-        assert run_cli("solve", "--system", str(system_path), "--max-iters", "3",
-                       "--out", str(tmp_path)) == 3
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 3)
+        assert run_cli("solve", "--system", str(system_path), "--out", str(tmp_path)) == 3
         assert run_cli("partition", "--z", str(tmp_path / "Z.csv"), "--regions", "2",
                        "--out", str(tmp_path)) == 0
         assert json.loads((tmp_path / "assignment.json").read_text())["r"] == 2
@@ -540,14 +561,15 @@ class TestSimulate:
             % (r, seed) for seed in (0, 1) for r in (2, 3, 2)] + ["all 6 trials failed"]
         assert not (tmp_path / "metrics.csv").exists()
 
-    def test_unconverged_solves_are_named_and_exit_3(self, tmp_path, capsys):
+    def test_unconverged_solves_are_named_and_exit_3(self, tmp_path, capsys, monkeypatch):
         # one loop pass stops short of the tolerance: every row is still
         # written, then each (seed, method) whose solve did not converge is named
         args = ("simulate", "--robots", "6", "--capabilities", "2", "--regions", "2",
                 "--seeds", "2", "--events", "10")
         assert run_cli(*args, "--out", str(tmp_path / "converged")) == 0
         capsys.readouterr()
-        assert run_cli(*args, "--max-iters", "1", "--out", str(tmp_path / "capped")) == 3
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
+        assert run_cli(*args, "--out", str(tmp_path / "capped")) == 3
         out, err = capsys.readouterr()
         assert out == "%s\n" % (tmp_path / "capped" / "metrics.csv")
         assert err.splitlines() == ["solver did not converge: seed=%d method=%s" % (seed, method)
@@ -826,11 +848,12 @@ class TestSweep:
             capsys.readouterr().err)
         assert not (tmp_path / "sweep.csv").exists()
 
-    def test_unconverged_solves_are_named_and_exit_3(self, tmp_path, capsys):
+    def test_unconverged_solves_are_named_and_exit_3(self, tmp_path, capsys, monkeypatch):
         # one loop pass stops short of the tolerance: every row is still
         # written, then each (seed, weighting) whose Full solve did not
         # converge is named, seed-major as the batch runs them
-        assert run_cli(*self.SWEEP, "--max-iters", "1", "--out", str(tmp_path)) == 3
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
+        assert run_cli(*self.SWEEP, "--out", str(tmp_path)) == 3
         out, err = capsys.readouterr()
         assert out == "%s\n" % (tmp_path / "sweep.csv")
         assert err.splitlines() == [
@@ -880,22 +903,6 @@ class TestSweep:
             assert abs(sum(alphas) - 1.0) < 1e-12
 
 
-# mu = 1.9**k overflows a float before k reaches --max-iters; in the third
-# case the last mu is finite, but the Z step's 4 mu is not
-@pytest.mark.parametrize("command, settings", [
-    ("solve", ("--tol", "1e-300", "--max-iters", "2000")),
-    ("simulate", ("--tol", "1e-300", "--max-iters", "2000")),
-    ("solve", ("--max-iters", "1104")),
-], ids=["solve", "simulate", "solve-last-mu-finite"])
-def test_penalty_schedule_that_overflows_rejected_before_any_work(small_run, tmp_path, capsys,
-                                                                  command, settings):
-    out = tmp_path / "out"
-    assert small_run(command, out, *settings) == 2
-    err = capsys.readouterr().err
-    assert "invalid solver settings: max_iterations must be at most 1103, " in err
-    assert not out.exists()
-
-
 # the Z step's weight 2 + 2 lambda1 and the lambda2 on its diagonal, over the
 # first penalty 1, overflow a float here; at 1e308 the message once named a
 # mu0 no flag had set
@@ -936,27 +943,26 @@ def test_penalty_too_small_for_lambda2_rejected_before_any_work(small_run, tmp_p
     assert np.isfinite(load_matrix_csv(out / "Z.csv")).all()
 
 
-# the penalty schedule is the solver's own, not a setting
+# the loop's penalty schedule, tolerance and pass cap are the solver's own,
+# not settings
 @pytest.mark.parametrize("command", ["solve", "simulate", "sweep"])
-def test_penalty_schedule_is_not_an_option(small_run, tmp_path, capsys, command):
-    for flag in (("--mu0", "1"), ("--rho", "1.5")):
+def test_loop_internals_are_not_options(small_run, tmp_path, capsys, command):
+    for flag in (("--mu0", "1"), ("--rho", "1.5"), ("--tol", "1e-3"), ("--max-iters", "5")):
         assert small_run(command, tmp_path / "out", *flag) == 2
         assert "unrecognized arguments: %s" % " ".join(flag) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
-# a NaN weight passes the sum check (abs(nan - 1) > 1e-12 is False), and an
-# infinite tolerance would stop after one iteration
+# a NaN weight passes the sum check (abs(nan - 1) > 1e-12 is False)
 @pytest.mark.parametrize("command, settings", [
     ("solve", ("--lambda1", "nan")),
     ("solve", ("--lambda2", "nan")),
     ("solve", ("--lambda1", "inf")),
     ("solve", ("--alpha", "nan", "0.5", "0.5")),
-    ("solve", ("--tol", "inf")),
     ("simulate", ("--lambda2", "nan")),
     ("sweep", ("--lambda1", "inf")),
 ], ids=["solve-lambda1-nan", "solve-lambda2-nan", "solve-lambda1-inf", "solve-alpha-nan",
-        "solve-tol-inf", "simulate-lambda2-nan", "sweep-lambda1-inf"])
+        "simulate-lambda2-nan", "sweep-lambda1-inf"])
 def test_non_finite_solver_setting_rejected_before_any_work(small_run, tmp_path, capsys,
                                                             command, settings):
     out = tmp_path / "out"
@@ -1052,9 +1058,10 @@ class TestConfigLayering:
         assert not (tmp_path / "out").exists()
 
     def test_key_that_no_option_uses_rejected(self, small_run, tmp_path, capsys):
-        # "event" is a typo for "events"; mu0 and rho were once options
+        # "event" is a typo for "events"; mu0, rho, tol and max_iters were once options
         config = tmp_path / "config.json"
-        for key, value in (("event", 5), ("mu0", 1), ("rho", 1.5)):
+        for key, value in (("event", 5), ("mu0", 1), ("rho", 1.5), ("tol", 1e-3),
+                           ("max_iters", 5)):
             config.write_text(json.dumps({key: value}))
             assert small_run("simulate", tmp_path / "out", "--config", str(config)) == 2
             assert "unknown key in config file: %r" % key in capsys.readouterr().err
@@ -1084,13 +1091,12 @@ class TestConfigLayering:
     # a flag cannot spell a bool, so a config file may not give one for a number
     @pytest.mark.parametrize("command, setting, message", [
         ("generate", {"width": True}, "invalid value for --width: True"),
-        ("solve", {"tol": False}, "invalid value for --tol: False"),
         ("simulate", {"comm_radius": True}, "invalid value for --comm-radius: True"),
         ("solve", {"alpha": [True, False, False]},
          "invalid value for --alpha: [True, False, False]"),
         ("generate", {"wall": [[True, 0, 0.5, 1]]},
          "invalid value for --wall: [[True, 0, 0.5, 1]]"),
-    ], ids=["width", "tol", "comm-radius", "alpha", "wall"])
+    ], ids=["width", "comm-radius", "alpha", "wall"])
     def test_bool_for_a_number_rejected(self, small_run, tmp_path, capsys,
                                         command, setting, message):
         config = tmp_path / "config.json"

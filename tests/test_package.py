@@ -281,7 +281,7 @@ def first_trial_config(monkeypatch, tmp_path, *flags):
 CUSTOM_SIMULATE = {
     "regions": 3, "robots": 7, "capabilities": 3, "seeds": 1, "seed": 2, "events": 9,
     "width": 2, "height": 3, "wall": [[0.5, 0, 0.5, 1]], "comm_radius": 0.3,
-    "alpha": [0.2, 0.1, 0.7], "lambda1": 0.2, "lambda2": 0.3, "tol": 1e-5, "max_iters": 50,
+    "alpha": [0.2, 0.1, 0.7], "lambda1": 0.2, "lambda2": 0.3,
 }
 
 

@@ -1,4 +1,5 @@
 import copy
+import inspect
 import math
 import warnings
 from dataclasses import fields, replace
@@ -6,13 +7,15 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import hetcover.solver as solver
 from hetcover.cli import ALPHA_STEP
 from hetcover.graphs import build_relation_graphs
 from hetcover.solver import (
     FINISH_STEPS,
-    ITERATION_CAP,
+    MAX_ITERATIONS,
     MU0,
     RHO,
+    TOLERANCE,
     Problem,
     SolverConfig,
     SolverState,
@@ -118,10 +121,8 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.alphas is None
         assert cfg.lambda1 == 0.1 and cfg.lambda2 == 0.1
-        assert cfg.tolerance == 1e-2 and cfg.max_iterations == 1000
-        # the penalty schedule is the solver's, not a setting
-        assert [f.name for f in fields(SolverConfig)] == [
-            "alphas", "lambda1", "lambda2", "tolerance", "max_iterations"]
+        # the loop's penalty schedule, tolerance and pass cap are the solver's, not settings
+        assert [f.name for f in fields(SolverConfig)] == ["alphas", "lambda1", "lambda2"]
         assert (MU0, RHO) == (1.0, 1.9)
 
     def test_alphas_must_sum_to_one(self):
@@ -141,27 +142,6 @@ class TestSolverConfig:
             SolverConfig(lambda1=-0.1)
         with pytest.raises(ValueError):
             SolverConfig(lambda2=-0.1)
-
-    def test_tolerance_positive(self):
-        with pytest.raises(ValueError):
-            SolverConfig(tolerance=0.0)
-
-    def test_max_iterations_positive_integer(self):
-        with pytest.raises(ValueError):
-            SolverConfig(max_iterations=0)
-
-    def test_max_iterations_refuses_a_bool(self):
-        with pytest.raises(ValueError, match="max_iterations must be a positive integer"):
-            SolverConfig(max_iterations=True)
-
-    @pytest.mark.parametrize("settings", [
-        dict(max_iterations=2000),  # RHO**2000 overflows
-        dict(max_iterations=1104),  # mu = RHO**1104 is finite, 4 mu is not
-        dict(max_iterations=10**400),  # more passes than a float counts
-    ])
-    def test_penalty_that_overflows_rejected(self, settings):
-        with pytest.raises(ValueError, match="^max_iterations must be at most 1103, .*got "):
-            SolverConfig(**settings)
 
     # the Z step's c = z_weight / mu + 3 and the lambda2 / mu on its diagonal
     # must be finite from the first penalty, MU0 = 1, on; the bound is on
@@ -204,17 +184,19 @@ class TestSolverConfig:
             result = solve(fleet_graphs(20, 0), config)
         assert np.isfinite(result.Z).all()
 
-    def test_default_penalty_allows_1103_iterations(self):
-        assert ITERATION_CAP == 1103
-        assert math.isfinite(4.0 * MU0 * RHO**ITERATION_CAP)
-        assert not math.isfinite(4.0 * MU0 * RHO**(ITERATION_CAP + 1))
-        assert SolverConfig(max_iterations=1103).max_iterations == 1103
-        assert SolverConfig(max_iterations=1000).max_iterations == 1000
+    def test_loop_tolerance_and_cap_are_fixed(self):
+        # the reference loop writes its own defaults, as it writes its own
+        # schedule; the Z step's 4 mu stays finite up to the cap
+        assert (TOLERANCE, MAX_ITERATIONS) == (1e-2, 1000)
+        loop = inspect.signature(reference_solve).parameters
+        assert (loop["tolerance"].default, loop["max_iterations"].default) == (
+            TOLERANCE, MAX_ITERATIONS)
+        assert math.isfinite(4.0 * MU0 * RHO**MAX_ITERATIONS)
 
     @pytest.mark.parametrize("settings", [
-        dict(lambda1=math.nan), dict(lambda2=math.inf), dict(tolerance=math.inf),
+        dict(lambda1=math.nan), dict(lambda2=math.inf),
         dict(alphas=(math.nan, 0.5, 0.5)), dict(alphas=(math.inf, 0.0, 0.0)),
-    ], ids=["lambda1-nan", "lambda2-inf", "tolerance-inf", "alpha-nan", "alpha-inf"])
+    ], ids=["lambda1-nan", "lambda2-inf", "alpha-nan", "alpha-inf"])
     def test_non_finite_setting_rejected(self, settings):
         with pytest.raises(ValueError, match="must be finite"):
             SolverConfig(**settings)
@@ -480,17 +462,18 @@ class TestUpdateZ:
         assert (Z == 0).any() and (Z > 0).any()
         assert_minimizes_over_nonnegative(Z, state, problem)
 
-    def test_huge_penalty_stays_finite(self):
-        # the cap's last Z step runs at mu = RHO**(ITERATION_CAP - 1), near 1.5e307:
-        # B and RHS are finite there, but the partial sums of RHS and the
-        # factor mu / (c + n mu) overflow
+    def test_huge_penalty_stays_finite(self, monkeypatch):
+        # at mu = RHO**1102, near 1.5e307, B and RHS are finite, but the
+        # partial sums of RHS and the factor mu / (c + n mu) overflow; a loop
+        # that never reaches its tolerance runs every pass up to the cap's mu
         graphs = fleet_graphs(20, 0)[1:2]
-        config = SolverConfig(alphas=(1.0,), tolerance=1e-300, max_iterations=ITERATION_CAP)
+        config = SolverConfig(alphas=(1.0,))
         problem = prepare_problem([graphs], [config])
-        state = replace(initial_state(problem), mu=RHO**(ITERATION_CAP - 1))
+        state = replace(initial_state(problem), mu=RHO**1102)
         assert_minimizes_over_nonnegative(update_z(state, problem), state, problem)
-        result = solve(graphs, config, trace=False)  # every pass up to that mu
-        assert result.iterations == ITERATION_CAP and np.isfinite(result.Z).all()
+        monkeypatch.setattr(solver, "TOLERANCE", 1e-300)
+        result = solve(graphs, config, trace=False)
+        assert result.iterations == MAX_ITERATIONS and np.isfinite(result.Z).all()
 
     def test_tiny_penalty_stays_finite(self):
         # a penalty tiny against what it divides: at mu = 1, a row-sum
@@ -532,13 +515,11 @@ class TestUpdateZ:
             cases.append((copy.deepcopy(state), problem))
             return update_z(state, problem)
 
-        import hetcover.solver as solver
-
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "update_z", capture)
+            patch.setattr(solver, "TOLERANCE", 1e-6)
             for seed in range(3):
-                solve(fleet_graphs(20, seed), replace(DEFAULT_WEIGHTS, tolerance=1e-6),
-                      trace=False)
+                solve(fleet_graphs(20, seed), DEFAULT_WEIGHTS, trace=False)
         assert len(cases) > 50
         for state, problem in cases:
             want = update_z(state, problem)
@@ -779,8 +760,6 @@ class TestSolve:
 
     def test_penalty_trace_is_strictly_increasing(self, monkeypatch):
         # the mu each pass of a real solve runs at, read before its update
-        import hetcover.solver as solver
-
         mus = []
 
         def record(state, gaps):
@@ -798,8 +777,8 @@ class TestSolve:
         cfg = SolverConfig(alphas=(1 / 3, 1 / 3, 1 / 3))
         result = solve(graphs, cfg)
         assert result.converged
-        assert result.residual_trace[-1].residuals.max_residual <= cfg.tolerance
-        assert np.abs(result.Z - result.Z.T).max() <= 2 * cfg.tolerance
+        assert result.residual_trace[-1].residuals.max_residual <= TOLERANCE
+        assert np.abs(result.Z - result.Z.T).max() <= 2 * TOLERANCE
         assert result.Z.min() >= 0.0
         assert np.abs(result.Z.sum(axis=1) - 1.0).max() < 1e-12
 
@@ -807,8 +786,6 @@ class TestSolve:
         # the loop invariant that lets one multiplier serve both copy penalties:
         # after every iteration Zhat is sym Z and Phi2 antisymmetric, so the
         # two copy gaps agree and the trace's r4 is its r2
-        import hetcover.solver as solver
-
         skew = []
 
         def check(state, gaps):
@@ -830,8 +807,6 @@ class TestSolve:
         # reduced right-hand side is exact and the trace's r3 and r4 are its r2
         # (see update_laplacian); from the start sym Z0 this holds for an
         # asymmetric graph too, whose Z is the optimum of its sym M
-        import hetcover.solver as solver
-
         passes, laplacians = [], []
 
         def laplacian(state, problem):  # formed once a pass, for the trace's objective
@@ -865,10 +840,10 @@ class TestSolve:
         result = solve(graphs, SolverConfig(alphas=(1 / 3, 1 / 3, 1 / 3)))
         assert len(result.residual_trace) == result.iterations
 
-    def test_non_convergence_is_flagged_not_raised(self):
+    def test_non_convergence_is_flagged_not_raised(self, monkeypatch):
         graphs = two_pair_system()
-        cfg = SolverConfig(alphas=(1 / 3, 1 / 3, 1 / 3), tolerance=1e-6, max_iterations=3)
-        result = solve(graphs, cfg)
+        shape_loop(monkeypatch, tolerance=1e-6, max_iterations=3)
+        result = solve(graphs, SolverConfig(alphas=(1 / 3, 1 / 3, 1 / 3)))
         assert not result.converged
         assert result.iterations == 3
 
@@ -913,8 +888,6 @@ class TestSolve:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("lambda2", [0.0, 0.1])
     def test_non_finite_graph_rejected_before_any_iteration(self, monkeypatch, bad, lambda2):
-        import hetcover.solver as solver
-
         def refuse(*args, **kwargs):
             raise AssertionError("an iteration ran")
 
@@ -940,18 +913,18 @@ class TestFinish:
     started from the last copy Zhat."""
 
     @pytest.mark.parametrize("max_iterations", [1, 3, 5, 1000])
-    def test_result_is_symmetric_with_unit_row_sums(self, max_iterations):
+    def test_result_is_symmetric_with_unit_row_sums(self, monkeypatch, max_iterations):
         # from the first iterate on, the finish returns the optimum; only a
         # run that reached the tolerance is reported converged
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", max_iterations)
         for seed in range(3):
             graphs = fleet_graphs(20, seed)
-            config = replace(DEFAULT_WEIGHTS, max_iterations=max_iterations)
-            result = solve(graphs, config, trace=False)
+            result = solve(graphs, DEFAULT_WEIGHTS, trace=False)
             assert result.converged == (max_iterations == 1000)
             assert np.array_equal(result.Z, result.Z.T)
             assert np.abs(result.Z.sum(axis=1) - 1.0).max() <= 20 * np.finfo(float).eps
             assert result.Z.min() >= 0.0
-            assert np.abs(result.Z - projection_oracle(graphs, config)).max() <= 1e-12
+            assert np.abs(result.Z - projection_oracle(graphs, DEFAULT_WEIGHTS)).max() <= 1e-12
 
     def test_bipartite_block_is_balanced(self):
         # capability-only Baseline of a six-robot, two-sensor fleet pairs its
@@ -978,8 +951,6 @@ class TestFinish:
         # with no Newton step, the start from the last copy, handed over at a
         # 1e-2 residual, leaves the row sums short: the loop converged, but the
         # finish cannot certify the KKT conditions, so the run is unconverged
-        import hetcover.solver as solver
-
         graph_lists = [fleet_graphs(20, seed) for seed in range(2)]
         want = solve(graph_lists, [DEFAULT_WEIGHTS] * 2, trace=False)
         monkeypatch.setattr(solver, "FINISH_STEPS", 0)
@@ -996,8 +967,6 @@ class TestFinish:
         # least squares for that slice alone; stacked with a regular Baseline,
         # both give their solo bytes. (The loop's last copy holds rounding-level
         # entries, about 4e-17, off the block, which keep its start regular.)
-        import hetcover.solver as solver
-
         config = SimConfig(n_robots=6, n_capabilities=2, seed=0)
         system = generate_system(config, trial_rngs(0)[0])
         graphs = build_relation_graphs(system, config.comm_radius)
@@ -1061,8 +1030,6 @@ class TestFinish:
         # stack, as it is and moved by 4 ulp up or down on each positive entry
         # (symmetrically, seeded), finishes at the same optimum with row sums
         # within n eps
-        import hetcover.solver as solver
-
         finals = []
 
         def capture(M, Zhat):
@@ -1096,6 +1063,14 @@ def fleet_graphs(n_robots, seed, walls=()):
 
 
 DEFAULT_WEIGHTS = SolverConfig(alphas=(1 / 3, 1 / 3, 1 / 3))
+
+
+def shape_loop(monkeypatch, tolerance, max_iterations):
+    """Run solve's loop to tolerance or for at most max_iterations passes, for
+    this test; returns the same settings as reference_solve's keywords."""
+    monkeypatch.setattr(solver, "TOLERANCE", tolerance)
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", max_iterations)
+    return dict(tolerance=tolerance, max_iterations=max_iterations)
 SWEEP_WEIGHTS = [SolverConfig(alphas=alphas) for alphas in sweep_grid(ALPHA_STEP)]
 WALL = Wall(Position(0.5, 0.0), Position(0.5, 1.0))
 
@@ -1118,9 +1093,9 @@ class TestMatchesReferenceLoop:
     scratch where solve's starts from the last copy; a stack's problems are
     byte for byte their own solves."""
 
-    def assert_same_run(self, graphs, config):
+    def assert_same_run(self, graphs, config, **loop):
         got = solve(graphs, config)
-        assert_follows_reference(got, reference_solve(graphs, config))
+        assert_follows_reference(got, reference_solve(graphs, config, **loop))
         return got
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -1136,15 +1111,15 @@ class TestMatchesReferenceLoop:
     def test_fifty_robots_behind_a_wall(self):
         self.assert_same_run(fleet_graphs(50, 3, walls=(WALL,)), DEFAULT_WEIGHTS)
 
-    def test_run_stopped_by_the_iteration_cap(self):
-        result = self.assert_same_run(fleet_graphs(20, 4),
-                                      replace(DEFAULT_WEIGHTS, tolerance=1e-6,
-                                              max_iterations=20))
+    def test_run_stopped_by_the_iteration_cap(self, monkeypatch):
+        loop = shape_loop(monkeypatch, tolerance=1e-6, max_iterations=20)
+        result = self.assert_same_run(fleet_graphs(20, 4), DEFAULT_WEIGHTS, **loop)
         assert not result.converged and result.iterations == 20
 
-    def assert_same_stack(self, graph_lists, configs, trace):
+    def assert_same_stack(self, graph_lists, configs, trace, **loop):
         """Each problem of the stack, a graph list under its config, gives the Z
-        bytes, count and trace of its own solve, and follows the reference loop."""
+        bytes, count and trace of its own solve, and follows the reference loop
+        run under loop's settings."""
         stack = solve(graph_lists, configs, trace=trace)
         assert len(stack.results) == len(configs)
         for graphs, config, got in zip(graph_lists, configs, stack.results):
@@ -1152,7 +1127,7 @@ class TestMatchesReferenceLoop:
             assert got.Z.tobytes() == alone.Z.tobytes()
             assert (got.iterations, got.converged) == (alone.iterations, alone.converged)
             assert got.residual_trace == alone.residual_trace
-            assert_follows_reference(got, reference_solve(graphs, config), trace)
+            assert_follows_reference(got, reference_solve(graphs, config, **loop), trace)
         # the stack reports its loop passes and whether every problem converged
         assert stack.iterations == max(result.iterations for result in stack.results)
         assert stack.converged == all(result.converged for result in stack.results)
@@ -1166,11 +1141,12 @@ class TestMatchesReferenceLoop:
         assert stack.converged
         assert len({result.iterations for result in stack.results}) > 1  # they leave apart
 
-    def test_stack_with_one_problem_stopped_by_the_iteration_cap(self):
+    def test_stack_with_one_problem_stopped_by_the_iteration_cap(self, monkeypatch):
         # alone, these converge after 19, 22 and 23 iterations
-        configs = [SolverConfig(alphas=alphas, tolerance=1e-6, max_iterations=22)
+        loop = shape_loop(monkeypatch, tolerance=1e-6, max_iterations=22)
+        configs = [SolverConfig(alphas=alphas)
                    for alphas in ((0.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3), (0.0, 0.5, 0.5))]
-        stack = self.assert_same_stack([fleet_graphs(20, 0)] * 3, configs, trace=True)
+        stack = self.assert_same_stack([fleet_graphs(20, 0)] * 3, configs, trace=True, **loop)
         assert [(r.iterations, r.converged) for r in stack.results] == [
             (19, True), (22, True), (22, False)]
         assert (stack.iterations, stack.converged) == (22, False)
@@ -1187,11 +1163,11 @@ class TestMatchesReferenceLoop:
                                        [config] * 5, trace=True)
         assert stack.converged
 
-    def test_stack_of_fleets_with_one_stopped_by_the_iteration_cap(self):
+    def test_stack_of_fleets_with_one_stopped_by_the_iteration_cap(self, monkeypatch):
         # alone, seeds 0-4 converge after 22, 23, 22, 22 and 22 iterations
-        configs = [replace(DEFAULT_WEIGHTS, tolerance=1e-6, max_iterations=22)] * 5
+        loop = shape_loop(monkeypatch, tolerance=1e-6, max_iterations=22)
         stack = self.assert_same_stack([fleet_graphs(20, seed) for seed in range(5)],
-                                       configs, trace=True)
+                                       [DEFAULT_WEIGHTS] * 5, trace=True, **loop)
         assert [(r.iterations, r.converged) for r in stack.results] == [
             (22, True), (22, False), (22, True), (22, True), (22, True)]
 
@@ -1241,16 +1217,14 @@ class TestMatchesReferenceLoop:
     def test_stack_must_be_non_empty_and_differ_only_in_alphas(self):
         graphs = fleet_graphs(20, 0)
         for other in (baseline_solver_config(DEFAULT_WEIGHTS),
-                      replace(DEFAULT_WEIGHTS, tolerance=1e-5),
-                      replace(DEFAULT_WEIGHTS, max_iterations=999)):
+                      replace(DEFAULT_WEIGHTS, lambda1=0.2),
+                      replace(DEFAULT_WEIGHTS, lambda2=0.2)):
             with pytest.raises(ValueError, match="only in alphas"):
                 solve([graphs, graphs], [DEFAULT_WEIGHTS, other])
         with pytest.raises(ValueError, match="at least one config"):
             solve([], [])
 
     def test_no_trace_skips_the_objective(self, monkeypatch):
-        import hetcover.solver as solver
-
         def refuse(*args, **kwargs):
             raise AssertionError("the objective was computed")
 
