@@ -2,8 +2,10 @@
 
 Three builders cover the relationships the paper fuses: inverse-distance
 proximity, line-of-sight communication within a radius, and capability
-overlap. Builders return raw weights; call normalize_graph before handing a
-set of graphs to the solver so their scales are commensurable.
+overlap. The communication builder tests all close pairs against the walls
+in one line_of_sight call. Builders return raw weights; call normalize_graph
+before handing a set of graphs to the solver so their scales are
+commensurable.
 """
 
 from __future__ import annotations
@@ -52,8 +54,7 @@ class RelationGraph:
         return self.adjacency.shape[0]
 
 
-def _pairwise_distances(system: RobotSystem) -> np.ndarray:
-    pos = system.positions()
+def _pairwise_distances(pos: np.ndarray) -> np.ndarray:
     diff = pos[:, None, :] - pos[None, :, :]
     return np.hypot(diff[..., 0], diff[..., 1])
 
@@ -88,7 +89,7 @@ def build_spatial_graph(system: RobotSystem, epsilon: float | None = None) -> Re
         epsilon = SPATIAL_EPSILON_PER_DIAGONAL * system.environment.diagonal
     if not (np.isfinite(epsilon) and epsilon >= 0):
         raise ValueError("epsilon must be finite and non-negative, got %r" % (epsilon,))
-    dist = _pairwise_distances(system)
+    dist = _pairwise_distances(system.positions())
     n = len(system)
     off = ~np.eye(n, dtype=bool)
     if epsilon == 0 and np.any(dist[off] == 0):
@@ -102,11 +103,11 @@ def build_communication_graph(system: RobotSystem, radius: float | None = None) 
     """Binary links: a_ij = 1 iff d_ij <= radius and no wall blocks the pair."""
     radius = communication_radius(system.environment, radius)
     n = len(system)
+    pos = system.positions()
+    i, j = np.nonzero(np.triu(_pairwise_distances(pos) <= radius, 1))
+    linked = line_of_sight(pos[i], pos[j], system.environment)
     a = np.zeros((n, n))
-    for i, j in zip(*np.nonzero(np.triu(_pairwise_distances(system) <= radius, 1))):
-        if line_of_sight(system.robots[i].position, system.robots[j].position,
-                         system.environment):
-            a[i, j] = a[j, i] = 1.0
+    a[i[linked], j[linked]] = a[j[linked], i[linked]] = 1.0
     return RelationGraph(GraphKind.COMMUNICATION, a)
 
 

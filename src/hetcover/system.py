@@ -2,7 +2,9 @@
 
 A system bundles the environment geometry, the capability universe, and the
 robot roster. Everything downstream (relation graphs, the coverage simulator)
-reads from this one structure, so validation happens here, once.
+reads from this one structure, so validation happens here, once. Line of
+sight is tested for many segments in one call, one numpy pass per wall,
+since the communication graph asks it of every close pair of robots.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -137,53 +141,47 @@ class RobotSystem:
 
     def positions(self):
         """Robot positions as an (N, 2) float array, ordered by id."""
-        import numpy as np
-
         return np.array([[r.position.x, r.position.y] for r in self.robots], dtype=float)
 
 
 def _orientation(ax, ay, bx, by, cx, cy):
-    # sign of the cross product (b - a) x (c - a)
+    # sign of the cross product (b - a) x (c - a), elementwise
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
 def _on_segment(ax, ay, bx, by, px, py):
-    # whether p lies on the closed segment ab, assuming a, b, p collinear
-    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
+    # whether p lies on the closed segment ab, assuming a, b, p collinear; elementwise
+    return ((np.minimum(ax, bx) <= px) & (px <= np.maximum(ax, bx))
+            & (np.minimum(ay, by) <= py) & (py <= np.maximum(ay, by)))
 
 
-def segments_intersect(p1: Position, p2: Position, p3: Position, p4: Position) -> bool:
-    """Whether closed segments p1-p2 and p3-p4 share at least one point."""
-    d1 = _orientation(p3.x, p3.y, p4.x, p4.y, p1.x, p1.y)
-    d2 = _orientation(p3.x, p3.y, p4.x, p4.y, p2.x, p2.y)
-    d3 = _orientation(p1.x, p1.y, p2.x, p2.y, p3.x, p3.y)
-    d4 = _orientation(p1.x, p1.y, p2.x, p2.y, p4.x, p4.y)
+def line_of_sight(a, b, environment: Environment) -> np.ndarray:
+    """Which of the k closed segments a[i]-b[i] cross no wall of the environment.
 
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and \
-       ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
-        return True
-
-    if d1 == 0 and _on_segment(p3.x, p3.y, p4.x, p4.y, p1.x, p1.y):
-        return True
-    if d2 == 0 and _on_segment(p3.x, p3.y, p4.x, p4.y, p2.x, p2.y):
-        return True
-    if d3 == 0 and _on_segment(p1.x, p1.y, p2.x, p2.y, p3.x, p3.y):
-        return True
-    if d4 == 0 and _on_segment(p1.x, p1.y, p2.x, p2.y, p4.x, p4.y):
-        return True
-    return False
-
-
-def line_of_sight(a: Position, b: Position, environment: Environment) -> bool:
-    """True when the closed segment a-b crosses no wall of the environment.
-
-    Touching a wall endpoint counts as blocked: the test is intersection of
-    closed segments on both sides.
+    a and b are (k, 2) arrays of endpoints; the result is a (k,) bool array.
+    Segments and walls are both closed, so touching a wall, at its endpoints
+    too, counts as blocked, as does a collinear overlap. Each wall is one
+    elementwise pass; float64 arrays round every multiply and subtract as
+    Python floats do, so the result is exact in floats: each decision is
+    the one the scalar expressions would make for that pair.
     """
+    ax, ay = np.asarray(a, dtype=float).T
+    bx, by = np.asarray(b, dtype=float).T
+    clear = np.ones(ax.shape, dtype=bool)
     for wall in environment.obstacles:
-        if segments_intersect(a, b, wall.start, wall.end):
-            return False
-    return True
+        px, py, qx, qy = wall.start.x, wall.start.y, wall.end.x, wall.end.y
+        d1 = _orientation(px, py, qx, qy, ax, ay)
+        d2 = _orientation(px, py, qx, qy, bx, by)
+        d3 = _orientation(ax, ay, bx, by, px, py)
+        d4 = _orientation(ax, ay, bx, by, qx, qy)
+        crossing = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) \
+            & (((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0)))
+        touching = ((d1 == 0) & _on_segment(px, py, qx, qy, ax, ay)) \
+            | ((d2 == 0) & _on_segment(px, py, qx, qy, bx, by)) \
+            | ((d3 == 0) & _on_segment(ax, ay, bx, by, px, py)) \
+            | ((d4 == 0) & _on_segment(ax, ay, bx, by, qx, qy))
+        clear &= ~(crossing | touching)
+    return clear
 
 
 def point_segment_distance(p: Position, a: Position, b: Position) -> float:

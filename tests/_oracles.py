@@ -7,11 +7,11 @@ semismooth Newton on its dual (itself checked against Dykstra's alternating
 projections), gradients via central finite differences, eigenpairs via
 characteristic-polynomial roots plus a nullspace extraction, partitions via
 exhaustive enumeration, greedy teams via the plain pairwise merge loop, the
-communication and capability graphs via their pair loops (set intersection
-for the capability overlap), and the solver's loop via a reference form
-(linear solves on a shrinking support for the Z step, the exact optimum
-from scratch for the finish, per-step set-up, and a frozen state rebuilt
-after every step).
+communication and capability graphs via their pair loops (scalar segment
+tests for the walls, set intersection for the capability overlap), and the
+solver's loop via a reference form (linear solves on a shrinking support
+for the Z step, the exact optimum from scratch for the finish, per-step
+set-up, and a frozen state rebuilt after every step).
 """
 
 import math
@@ -161,16 +161,46 @@ def greedy_teams_oracle(positions, r):
     return clusters
 
 
-def communication_graph_oracle(system, radius, line_of_sight):
-    """Links a_ij = 1 for i < j within radius whose line_of_sight holds, pair by pair."""
+def _orientation(a, b, c):
+    # sign of the cross product (b - a) x (c - a)
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _on_segment(a, b, p):
+    # whether p lies on the closed segment ab, assuming a, b, p collinear
+    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+
+def segments_intersect(p1, p2, p3, p4):
+    """Whether closed segments p1-p2 and p3-p4, as (x, y) tuples, share at least one point."""
+    d1 = _orientation(p3, p4, p1)
+    d2 = _orientation(p3, p4, p2)
+    d3 = _orientation(p1, p2, p3)
+    d4 = _orientation(p1, p2, p4)
+
+    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and \
+       ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
+        return True
+    return ((d1 == 0 and _on_segment(p3, p4, p1)) or (d2 == 0 and _on_segment(p3, p4, p2))
+            or (d3 == 0 and _on_segment(p1, p2, p3)) or (d4 == 0 and _on_segment(p1, p2, p4)))
+
+
+def sight_oracle(a, b, walls):
+    """Whether segment a-b meets none of walls, each an ((x, y), (x, y)) pair, wall by wall."""
+    return not any(segments_intersect(a, b, start, end) for start, end in walls)
+
+
+def communication_graph_oracle(system, radius):
+    """Links a_ij = 1 for i < j within radius that no wall blocks, pair by pair."""
     pos = system.positions()
+    walls = [((w.start.x, w.start.y), (w.end.x, w.end.y)) for w in system.environment.obstacles]
     n = len(system)
     a = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             close = np.hypot(pos[i, 0] - pos[j, 0], pos[i, 1] - pos[j, 1]) <= radius
-            if close and line_of_sight(system.robots[i].position, system.robots[j].position,
-                                       system.environment):
+            if close and sight_oracle(tuple(pos[i].tolist()), tuple(pos[j].tolist()), walls):
                 a[i, j] = a[j, i] = 1.0
     return a
 

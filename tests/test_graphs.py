@@ -117,28 +117,35 @@ class TestCommunicationGraph:
         with pytest.raises(ValueError):
             build_communication_graph(system_at([(0, 0), (1, 0)]), radius=0.0)
 
-    def test_matches_the_pair_loop_and_its_wall_tests(self, monkeypatch):
-        # walls are tested for the same pairs, in the same order, as the loop does
+    def test_matches_the_pair_loop_with_one_wall_test_per_graph(self, monkeypatch):
+        # random fleets behind two walls, and lattice fleets whose robots sit on
+        # the walls' lines; the walls are tested once per graph, for all pairs
         import hetcover.graphs as graphs
 
-        def recorded(calls):
-            def traced(p, q, env):
-                calls.append((p, q))
-                return line_of_sight(p, q, env)
-            return traced
+        calls = []
 
+        def counted(a, b, env):
+            calls.append(len(a))
+            return line_of_sight(a, b, env)
+
+        monkeypatch.setattr(graphs, "line_of_sight", counted)
         walls = (Wall(Position(5.0, 0.0), Position(5.0, 7.0)),
-                 Wall(Position(2.0, 8.0), Position(9.0, 3.0)))
+                 Wall(Position(2.0, 8.0), Position(9.0, 3.0)),
+                 Wall(Position(1.0, 4.0), Position(4.0, 4.0)))
         rng = np.random.default_rng(0)
-        for n in range(2, 22):
-            system = system_at(rng.uniform(0.0, 10.0, size=(n, 2)),
-                               env=Environment(10.0, 10.0, walls))
-            want_calls, got_calls = [], []
-            want = communication_graph_oracle(system, 4.0, recorded(want_calls))
-            monkeypatch.setattr(graphs, "line_of_sight", recorded(got_calls))
-            got = build_communication_graph(system, radius=4.0).adjacency
-            assert got.tobytes() == want.tobytes()
-            assert got_calls == want_calls
+        fleets = [rng.uniform(0.0, 10.0, size=(n, 2)) for n in range(2, 22)]
+        fleets += [rng.integers(0, 11, size=(n, 2)) for n in range(2, 42, 2)]
+        for points in fleets:
+            for env in (Environment(10.0, 10.0, walls[:2]), Environment(10.0, 10.0, walls)):
+                system = system_at(points, env=env)
+                calls.clear()
+                got = build_communication_graph(system, radius=4.0).adjacency
+                assert got.tobytes() == communication_graph_oracle(system, 4.0).tobytes()
+                assert len(calls) == 1
+        calls.clear()
+        far_apart = system_at([(0, 0), (9, 9)], env=Environment(10.0, 10.0, walls))
+        assert not build_communication_graph(far_apart, radius=1.0).adjacency.any()
+        assert calls == [0]
 
 
 class TestCapabilityGraph:

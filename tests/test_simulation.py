@@ -146,15 +146,15 @@ class TestGenerateSystem:
     def test_no_obstacles_means_clear_sight_lines(self):
         cfg = self.config()
         system = generate_system(cfg, trial_rngs(cfg.seed)[0])
-        for a in system.robots:
-            for b in system.robots:
-                assert line_of_sight(a.position, b.position, system.environment)
+        pos = system.positions()
+        i, j = np.indices((len(system), len(system))).reshape(2, -1)
+        assert line_of_sight(pos[i], pos[j], system.environment).all()
 
     def test_wall_rejection_gives_up_eventually(self):
         class OnTheWall:
             # always lands on the vertical wall at x = 0.5
-            def uniform(self, low, high):
-                return 0.5 * high
+            def random(self):
+                return 0.5
 
             def integers(self, low, high):
                 return 0
@@ -875,3 +875,14 @@ class TestTrialRngs:
         assert a != b  # distinct child streams
         assert a == sys_rng2.uniform(0, 1)
         assert b == event_rng2.uniform(0, 1)
+
+    @pytest.mark.parametrize("width", [1.0, 3.0, 0.37, 1e3])
+    def test_scaled_random_draws_uniform_to_the_bit(self, width):
+        # placement draws width * random(); uniform(0.0, width) is the same
+        # draw, so every fleet and event keeps its bits
+        scaled, uniform = np.random.default_rng(17), np.random.default_rng(17)
+        for k in range(1, 50_001):
+            assert width * scaled.random() == uniform.uniform(0.0, width)
+            assert width * scaled.random() == uniform.uniform(0.0, width)
+            assert scaled.integers(0, k % 7 + 1) == uniform.integers(0, k % 7 + 1)
+        assert scaled.bit_generator.state == uniform.bit_generator.state
