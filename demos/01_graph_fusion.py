@@ -43,8 +43,7 @@ print("min entry:", result.Z.min())
 
 # the loop hands over at its tolerance; the finish returns the exact optimum
 last = result.residual_trace[-1].residuals
-print("loop's last residuals: %.2e %.2e %.2e %.2e"
-      % (last.r1, last.r2, last.r3, last.r4))
+print("loop's last residuals: %.2e %.2e" % (last.r1, last.r2))
 print("returned Z's largest row-sum error: %.2e" % np.abs(result.Z.sum(axis=1) - 1.0).max())
 
 # entries inside a spatial clump end up far above the cross-clump ones

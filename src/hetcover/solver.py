@@ -36,9 +36,7 @@ stack of one. A stack holds problems of one size n: the graph lists of one
 or more fleets, each under settings that differ only in alphas (a sweep's
 weightings, or the one setting of a simulate batch), which spends numpy's
 per-call overhead once per iteration for the whole stack; each problem's Z
-and iteration count are those of its own solve, bit for bit. The
-per-iteration objective is only computed for a trace someone asks for
-(solve(..., trace=True), the default).
+and iteration count are those of its own solve, bit for bit.
 """
 
 from __future__ import annotations
@@ -132,32 +130,27 @@ class Problem:
     None. Slice i of weighted_sum (k x n x n) is problem i's
     sum_m 2 alpha_m A_m, exactly twice its warm start sum_m alpha_m A_m, and
     slice i of z_weight (k x 1 x 1) its 2 sum alpha + 2 lambda1, the part of
-    the Z step's diagonal that mu does not scale; eye is I.
+    the Z step's diagonal that mu does not scale.
     """
 
     config: SolverConfig
     weighted_sum: np.ndarray
     z_weight: np.ndarray
-    eye: np.ndarray
 
 
 @dataclass(frozen=True)
 class Residuals:
-    """Infinity-norm violations of the four equality constraints, of which two
-    are independent: r3 and r4 repeat r2 (see constraint_residuals).
-
-    constraint_residuals gives each as an array over a stack's problems; an
-    IterationRecord holds one problem's, as floats.
+    """Infinity-norm violations of the two independent equality constraints
+    (see constraint_residuals): one array over a stack's problems each, or
+    one problem's floats in an IterationRecord.
     """
 
     r1: float  # |Z 1 - 1|_inf       (row sums)
     r2: float  # max |Z^T - Zhat|    (transpose copy)
-    r3: float  # max |L - I + Z| = r2 (Laplacian link)
-    r4: float  # max |Zhat - Z| = r2 (symmetry via the copy)
 
     @property
     def max_residual(self):
-        return np.maximum(np.maximum(self.r1, self.r2), np.maximum(self.r3, self.r4))
+        return np.maximum(self.r1, self.r2)
 
 
 @dataclass(frozen=True)
@@ -201,6 +194,13 @@ class StackResult:
 FINISH_STEPS = 8
 
 
+def _add_to_diagonal(X: np.ndarray, value: float) -> np.ndarray:
+    """X, with value added in place to the diagonal of each n x n slice."""
+    diagonal = np.arange(X.shape[-1])
+    X[..., diagonal, diagonal] += value
+    return X
+
+
 def _adjacency(graph) -> np.ndarray:
     a = getattr(graph, "adjacency", graph)
     return np.asarray(a, dtype=float)
@@ -242,7 +242,6 @@ def prepare_problem(graph_lists, configs) -> Problem:
         config=shared[0],
         weighted_sum=np.stack(weighted_sums),
         z_weight=np.array(z_weights)[:, None, None],
-        eye=np.eye(sizes[0]),
     )
 
 
@@ -316,7 +315,7 @@ def update_z(state: SolverState, problem: Problem) -> np.ndarray:
     # R, reduced, in one C-ordered array: the row sums below keep one order per row
     R = np.subtract(problem.weighted_sum, state.phi1[..., None], out=np.empty(state.Z.shape))
     R += 3.0 * state.Phi2
-    R += problem.config.lambda2 * problem.eye
+    _add_to_diagonal(R, problem.config.lambda2)
     R /= mu
     R += 3.0 * state.Zhat + 1.0
     c = problem.z_weight / mu + 3.0
@@ -350,21 +349,21 @@ def update_zhat(state: SolverState) -> np.ndarray:
     return 0.5 * (state.Z + state.Z.mT)
 
 
-def update_laplacian(state: SolverState, problem: Problem) -> np.ndarray:
+def update_laplacian(state: SolverState) -> np.ndarray:
     """The L step: L = I - Zhat.
 
     For T = I - Z - Phi3/mu, Phi3 the L link's multiplier, the minimizer of
-    lambda2 tr L + (mu/2) ||L - T||_F^2 over symmetric L is sym T - (lambda2/mu) I.
-    Both restrictions keep the problem's optimum: every feasible L = I - Z is
-    symmetric, and positive semidefinite, as Z's eigenvalues lie in [-1, 1],
-    so there ||L||_* = tr L. Phi3 starts at -lambda2 I, where stationarity
-    lambda2 I + sym Phi3 = 0 puts it at every KKT point, and stays
-    -Phi2 - lambda2 I by induction: with Phi2 antisymmetric (see update_zhat),
-    sym T - (lambda2/mu) I is I - Zhat for every lambda2, and the link's gap
-    L - I + Z = Z - Zhat is the copy's gap negated. So Phi3 is not stored, nor
-    L, which solve forms only for the traced objective.
+    lambda2 tr L + (mu/2) ||L - T||_F^2 over symmetric L is sym T - (lambda2/mu) I;
+    both restrictions keep the optimum (see the module docstring). Phi3 starts
+    at -lambda2 I, where stationarity lambda2 I + sym Phi3 = 0 puts it at every
+    KKT point, and stays -Phi2 - lambda2 I by induction: with Phi2
+    antisymmetric (see update_zhat), sym T - (lambda2/mu) I is I - Zhat for
+    every lambda2, and the link's gap L - I + Z = Z - Zhat is the copy's gap
+    negated. So Phi3 is not stored, nor L, which solve forms only for the
+    traced objective.
     """
-    return problem.eye - state.Zhat
+    # 0 - Zhat, not -Zhat: a zero stays +0.0, as in I - Zhat
+    return _add_to_diagonal(0.0 - state.Zhat, 1.0)
 
 
 def constraint_residuals(state: SolverState):
@@ -372,15 +371,15 @@ def constraint_residuals(state: SolverState):
 
     Returns (Residuals, gaps) with gaps = (Z 1 - 1, (Z^T - Z) / 2), the latter
     the copy's gap Z^T - Zhat in a form exactly antisymmetric in floats, so Phi2
-    stays so bit for bit; the multiplier update ascends along them. r3 and r4
-    repeat r2, as L - I + Z and Zhat - Z are Z - Zhat (see update_zhat and
-    update_laplacian).
+    stays so bit for bit; the multiplier update ascends along them. The gaps of
+    L = I - Z and Zhat = Z are both Z - Zhat, so their norms repeat r2 and are
+    not reported (see update_zhat and update_laplacian).
     """
     ones = np.ones(state.Z.shape[-1])
     gaps = (state.Z @ ones - ones, 0.5 * (state.Z.mT - state.Z))
     stack = state.Z.shape[:-2]
     r1, r2 = (np.abs(g).reshape(stack + (-1,)).max(axis=-1) for g in gaps)
-    return Residuals(r1, r2, r2, r2), gaps
+    return Residuals(r1, r2), gaps
 
 
 def update_multipliers(state: SolverState, gaps) -> None:
@@ -495,10 +494,10 @@ def solve(graphs, config=None, *, trace: bool = True):
     else:
         graph_lists, configs = list(graphs), list(config)
     problem = prepare_problem(graph_lists, configs)
-    if problem.eye.shape[0] < 2:
+    if problem.weighted_sum.shape[-1] < 2:
         raise ValueError("graphs must be at least 2x2")
     config = problem.config
-    M = (problem.weighted_sum + config.lambda2 * problem.eye) / problem.z_weight
+    M = _add_to_diagonal(problem.weighted_sum.copy(), config.lambda2) / problem.z_weight
 
     state = initial_state(problem)
     active = np.arange(len(configs))  # the problem at each slice of the stack
@@ -511,10 +510,10 @@ def solve(graphs, config=None, *, trace: bool = True):
         state.Zhat = update_zhat(state)
         res, gaps = constraint_residuals(state)
         if trace:
-            L = update_laplacian(state, problem)
+            L = update_laplacian(state)
             for i, p in enumerate(active):
                 traces[p].append(IterationRecord(
-                    Residuals(*(float(r[i]) for r in (res.r1, res.r2, res.r3, res.r4))),
+                    Residuals(float(res.r1[i]), float(res.r2[i])),
                     objective(state.Z[i], L[i], graph_lists[p], configs[p])))
         update_multipliers(state, gaps)
         done = res.max_residual <= TOLERANCE

@@ -66,6 +66,22 @@ def test_readme_names_resolve():
     assert named and missing == []
 
 
+def test_readme_names_every_trace_key(tmp_path):
+    # each key of the trace.json that `hetcover solve` writes, top-level and
+    # per record, appears backticked in the README, so the output format and
+    # its description cannot drift apart
+    from hetcover.cli import main
+
+    assert main(["generate", "--robots", "6", "--capabilities", "2", "--seed", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["solve", "--system", str(tmp_path / "system.json"),
+                 "--out", str(tmp_path)]) == 0
+    trace = json.loads((tmp_path / "trace.json").read_text(encoding="utf-8"))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    keys = set(trace) | {key for record in trace["residuals"] for key in record}
+    assert [key for key in sorted(keys) if "`%s`" % key not in readme] == []
+
+
 def unused_imports(source):
     """Names a module imports but never reads, in sorted order."""
     tree = ast.parse(source)
@@ -157,7 +173,7 @@ def test_package_definitions_are_read_outside_tests():
 
 # the reference loop in tests/_oracles.py is an independent check of solve's
 # steps: it may share the solver's data types, but none of its code
-ORACLE_IMPORTS = {"IterationRecord", "Residuals", "SolveResult", "SolverConfig"}
+ORACLE_IMPORTS = {"IterationRecord", "SolveResult", "SolverConfig"}
 
 
 def test_reference_loop_imports_only_solver_data_types():
