@@ -85,11 +85,14 @@ def build_spatial_graph(system: RobotSystem, epsilon: float | None = None) -> Re
         SPATIAL_EPSILON_PER_DIAGONAL x the environment diagonal. epsilon = 0
         is allowed only when all positions are distinct.
     """
+    return _spatial_graph(system, _pairwise_distances(system.positions()), epsilon)
+
+
+def _spatial_graph(system: RobotSystem, dist, epsilon) -> RelationGraph:
     if epsilon is None:
         epsilon = SPATIAL_EPSILON_PER_DIAGONAL * system.environment.diagonal
     if not (np.isfinite(epsilon) and epsilon >= 0):
         raise ValueError("epsilon must be finite and non-negative, got %r" % (epsilon,))
-    dist = _pairwise_distances(system.positions())
     n = len(system)
     off = ~np.eye(n, dtype=bool)
     if epsilon == 0 and np.any(dist[off] == 0):
@@ -101,10 +104,14 @@ def build_spatial_graph(system: RobotSystem, epsilon: float | None = None) -> Re
 
 def build_communication_graph(system: RobotSystem, radius: float | None = None) -> RelationGraph:
     """Binary links: a_ij = 1 iff d_ij <= radius and no wall blocks the pair."""
+    pos = system.positions()
+    return _communication_graph(system, pos, _pairwise_distances(pos), radius)
+
+
+def _communication_graph(system: RobotSystem, pos, dist, radius) -> RelationGraph:
     radius = communication_radius(system.environment, radius)
     n = len(system)
-    pos = system.positions()
-    i, j = np.nonzero(np.triu(_pairwise_distances(pos) <= radius, 1))
+    i, j = np.nonzero(np.triu(dist <= radius, 1))
     linked = line_of_sight(pos[i], pos[j], system.environment)
     a = np.zeros((n, n))
     a[i[linked], j[linked]] = a[j[linked], i[linked]] = 1.0
@@ -114,8 +121,7 @@ def build_communication_graph(system: RobotSystem, radius: float | None = None) 
 def build_capability_graph(system: RobotSystem) -> RelationGraph:
     """Overlap weights a_ij = |C_i & C_j| (shared capability count): C C^T off
     the diagonal, for the robot x capability 0/1 matrix C, exact in floats."""
-    C = np.array([[c in robot.capabilities for c in system.capabilities]
-                  for robot in system.robots], dtype=float)
+    C = system.capability_matrix().astype(float)
     a = C @ C.T
     np.fill_diagonal(a, 0.0)
     return RelationGraph(GraphKind.CAPABILITY, a)
@@ -134,9 +140,11 @@ def normalize_graph(g: RelationGraph) -> RelationGraph:
 def build_relation_graphs(system: RobotSystem, comm_radius: float | None = None,
                           spatial_epsilon: float | None = None):
     """The standard normalized triple: [spatial, communication, capability]."""
+    pos = system.positions()
+    dist = _pairwise_distances(pos)
     return [
-        normalize_graph(build_spatial_graph(system, spatial_epsilon)),
-        normalize_graph(build_communication_graph(system, comm_radius)),
+        normalize_graph(_spatial_graph(system, dist, spatial_epsilon)),
+        normalize_graph(_communication_graph(system, pos, dist, comm_radius)),
         normalize_graph(build_capability_graph(system)),
     ]
 

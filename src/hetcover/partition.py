@@ -1,11 +1,12 @@
 """Recursive Fiedler-cut partitioning of a fused affinity matrix into r teams.
 
-A cut bisects a vertex set. A connected set splits by the sign pattern of
-its Laplacian's second eigenvector; a disconnected one splits off the
-connected component holding its smallest index, never cutting a component.
-Applying the cut repeatedly to the largest remaining group yields r teams,
-so one cut sequence gives the teams at every r, each a refinement of the
-teams at any smaller r.
+A cut bisects a vertex set, given as an ascending array of indices. A
+connected set splits by the sign pattern of its Laplacian's second
+eigenvector; a disconnected one splits off the connected component holding
+its smallest index, never cutting a component. Applying the cut repeatedly
+to the largest remaining group yields r teams, so one cut sequence gives the
+teams at every r, each a refinement of the teams at any smaller r; each
+level is read off one label array of the groups live at it.
 Cuts on subsets use the subset's own degree matrix (D - W on the principal
 submatrix), which keeps row sums zero where the bistochastic identity
 L = I - Z no longer holds.
@@ -51,26 +52,45 @@ class TeamAssignment:
             raise ValueError("teams must cover all %d robots" % n)
         return cls(teams=ordered, team_of=tuple(team_of), r=len(ordered))
 
+    @classmethod
+    def from_labels(cls, labels) -> "TeamAssignment":
+        """Robot i on the team labeled labels[i] (any hashable); teams go by smallest member."""
+        number = {}
+        team_of = tuple(number.setdefault(label, len(number)) for label in labels)
+        teams = [[] for _ in number]
+        for member, team in enumerate(team_of):
+            teams[team].append(member)
+        return cls(teams=tuple(map(frozenset, teams)), team_of=team_of, r=len(teams))
+
+
+def _minor(Z, indices):
+    """Ascending intp indices, each a distinct row of Z, and D - W on their principal minor W."""
+    Z = np.asarray(Z, dtype=float)
+    idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices))
+    if not idx.size:
+        raise ValueError("index set must be non-empty")
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise ValueError("indices must be a flat sequence of integers, got %r" % (indices,))
+    idx = np.sort(idx.astype(np.intp))
+    if idx[0] < 0 or idx[-1] >= len(Z):
+        raise ValueError("index %d outside 0..%d"
+                         % (idx[0] if idx[0] < 0 else idx[-1], len(Z) - 1))
+    if (repeated := idx[1:][idx[1:] == idx[:-1]]).size:
+        raise ValueError("index %d given more than once" % repeated[0])
+    W = Z[idx[:, None], idx]  # the entries of Z[np.ix_(idx, idx)]
+    return idx, np.diag(W.sum(axis=1)) - W  # 0 - W keeps +0 where -W gives -0, which eigh sees
+
 
 def minor_laplacian(Z, indices) -> np.ndarray:
     """Graph Laplacian D - W of the principal submatrix W of a symmetric Z."""
-    idx = sorted(indices)
-    if not idx:
-        raise ValueError("index set must be non-empty")
-    W = np.asarray(Z, dtype=float)[np.ix_(idx, idx)]
-    return np.diag(W.sum(axis=1)) - W
-
-
-def _oriented(v) -> np.ndarray:
-    """v with the sign that makes its first non-zero entry (|x| > 1e-12) positive."""
-    return v * np.sign(v[np.abs(v) > 1e-12][0])  # a unit vector has such an entry
+    return _minor(Z, indices)[1]
 
 
 def fiedler_vector(laplacian) -> np.ndarray:
     """Unit eigenvector of the second-smallest eigenvalue.
 
-    The sign is fixed so the first non-zero component is positive, making
-    the cut deterministic.
+    The sign is fixed so the first non-zero component (|x| > 1e-12) is
+    positive, making the cut deterministic.
     """
     L = np.asarray(laplacian, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
@@ -82,7 +102,8 @@ def fiedler_vector(laplacian) -> np.ndarray:
         raise ValueError("laplacian must be symmetric")
     if np.max(np.abs(L.sum(axis=1))) > 1e-8:
         raise ValueError("laplacian rows must sum to zero")
-    return _oriented(np.linalg.eigh(L)[1][:, 1])
+    v = np.linalg.eigh(L)[1][:, 1]
+    return v * np.sign(v[np.abs(v) > 1e-12][0])  # a unit vector has such an entry
 
 
 def fiedler_cut(Z, indices):
@@ -93,15 +114,16 @@ def fiedler_cut(Z, indices):
     Prop. 2), so the component holding the smallest index is split from the
     rest. Components are sought only when lambda_2 <= n * eps * lambda_max, the
     eigensolver's resolution, and a link no heavier than that counts as
-    absent. Otherwise the signs of the Fiedler vector split the set, entries
-    within 1e-10 of zero joining the non-negative side; the vector is
-    orthogonal to the constant vector, so both sides are non-empty.
+    absent. Otherwise the signs of the Fiedler vector, oriented as
+    fiedler_vector orients it, split the set, entries within 1e-10 of zero
+    joining the non-negative side; the vector is orthogonal to the constant
+    vector, so both sides are non-empty. The two sides come back as
+    ascending intp arrays, the first holding the smallest index.
     """
-    idx = sorted(indices)
+    idx, L = _minor(Z, indices)
     n = len(idx)
     if n < 2:
         raise ValueError("cannot cut fewer than two indices")
-    L = minor_laplacian(Z, idx)
     values, vectors = np.linalg.eigh(L)
     resolution = n * np.finfo(float).eps * values[-1]
     if values[1] <= resolution:
@@ -111,11 +133,10 @@ def fiedler_cut(Z, indices):
             frontier = linked[frontier].any(axis=0) & ~reached
             reached = reached | frontier
         if not reached.all():
-            first = {idx[i] for i in np.flatnonzero(reached)}
-            return first, set(idx) - first
-    v = _oriented(vectors[:, 1])
-    negative = {idx[i] for i in np.flatnonzero(v < -1e-10)}
-    return set(idx) - negative, negative
+            return idx[reached], idx[~reached]
+    v = vectors[:, 1]  # negation is exact: this is the oriented vector's side below -1e-10
+    negative = v < -1e-10 if v[np.abs(v) > 1e-12][0] > 0 else v > 1e-10
+    return idx[~negative], idx[negative]
 
 
 def check_team_count(r, n: int) -> None:
@@ -148,15 +169,15 @@ def partition(Z, *regions) -> list:
     n = Z.shape[0]
     for r in regions:
         check_team_count(r, n)
-    groups, levels = [frozenset(range(n))], {}  # levels: r -> the teams at r groups
+    groups, levels = [np.arange(n)], {}  # levels: r -> the teams at r groups
+    label = np.zeros(n, dtype=np.intp)  # label[i]: the position in groups of robot i's group
     for r in sorted(set(regions)):
         while len(groups) < r:
-            target = max(groups, key=lambda g: (len(g), -min(g)))
-            groups.remove(target)
-            a, b = fiedler_cut(Z, target)
-            groups.append(frozenset(a))
-            groups.append(frozenset(b))
-        levels[r] = TeamAssignment.from_teams(groups, n)
+            target = max(range(len(groups)), key=lambda g: (len(groups[g]), -groups[g][0]))
+            groups[target], side = fiedler_cut(Z, groups[target])
+            label[side] = len(groups)
+            groups.append(side)
+        levels[r] = TeamAssignment.from_labels(label.tolist())
     return [levels[r] for r in regions]
 
 

@@ -159,37 +159,38 @@ def _nearest(pos, points) -> np.ndarray:
     return np.argmin(d2, axis=1)  # argmin keeps the first (lowest row) on ties
 
 
-def nearest_robots(system: RobotSystem, events) -> tuple:
-    """Each event's nearest robot id: Euclidean, ties to the lower id.
+def nearest_robots(system: RobotSystem, events) -> np.ndarray:
+    """Each event's nearest robot id, as an array: Euclidean, ties to the lower id.
 
     The rule makes a team's merged Voronoi cell the region it watches;
     region_raster applies the same rule to cells.
     """
     points = np.array([[e.position.x, e.position.y] for e in events], dtype=float)
-    return tuple(_nearest(system.positions(), points.reshape(-1, 2)).tolist())
+    return _nearest(system.positions(), points.reshape(-1, 2))
 
 
-def detection_rate(system: RobotSystem, assignment: TeamAssignment, events,
-                   nearest) -> float:
+def event_codes(system: RobotSystem, events) -> np.ndarray:
+    """Each event type's column of system.capability_matrix(); a type outside it fails."""
+    return np.array([system.capabilities.index(e.event_type) for e in events], dtype=np.intp)
+
+
+def detection_rate(assignment: TeamAssignment, capable, nearest, codes) -> float:
     """Fraction of events whose nearest robot's team can sense the event type.
 
-    nearest is nearest_robots(system, events), one robot id per event; it
-    depends only on the fleet, so one list serves every assignment of it.
+    The tables depend only on the fleet, so one set serves every assignment
+    of it: capable is system.capability_matrix(), and nearest and codes hold
+    each event's nearest_robots and event_codes. A team's row of capabilities
+    is the union of its members' rows of capable.
     """
-    if len(assignment.team_of) != len(system):
+    if len(assignment.team_of) != len(capable):
         raise ValueError("assignment does not cover this system")
-    if not events:
+    if not len(codes):
         raise ValueError("cannot score an empty event list")
-    if len(nearest) != len(events):
-        raise ValueError("%d nearest robots for %d events" % (len(nearest), len(events)))
-    team_caps = [
-        frozenset().union(*(system.robots[i].capabilities for i in team))
-        for team in assignment.teams
-    ]
-    team_of = assignment.team_of
-    detected = sum(event.event_type in team_caps[team_of[robot]]
-                   for event, robot in zip(events, nearest))
-    return detected / len(events)
+    if len(nearest) != len(codes):
+        raise ValueError("%d nearest robots for %d events" % (len(nearest), len(codes)))
+    team_of = np.array(assignment.team_of)
+    team_can = (team_of == np.arange(assignment.r)[:, None]) @ capable  # bool @ is any-of-and
+    return int(np.count_nonzero(team_can[team_of[np.asarray(nearest)], codes])) / len(codes)
 
 
 def duplication_rate(system: RobotSystem, assignment: TeamAssignment) -> float:
@@ -214,21 +215,22 @@ def duplication_rate(system: RobotSystem, assignment: TeamAssignment) -> float:
 def greedy_assign(system: RobotSystem, *regions) -> list:
     """Spatial-only baseline: agglomerative merging by centroid distance.
 
-    Repeatedly merges the two clusters whose centroids are closest (ties by
-    the lexicographically smallest pair of smallest-member ids) down to the
-    smallest r of regions, and gives the clusters live at each r: one
-    TeamAssignment per r, in the order given. A cluster keeps the slot of its
-    smallest member, and a matrix holds the centroid distance of every live
-    pair of slots, so a merge computes only the merged cluster's row
+    Repeatedly merges the two clusters whose centroids are closest (ties by the
+    lexicographically smallest pair of smallest-member ids) down to the smallest
+    r of regions, and labels each robot with its cluster's slot, the slot of its
+    smallest member: one TeamAssignment per r, in the order given, comes from
+    the labels at r. A matrix holds the centroid distance of every live pair of
+    slots, so a merge computes only the merged cluster's row over the live slots
     (Muellner, "Modern hierarchical, agglomerative clustering algorithms",
-    arXiv:1109.2378). The matrix is symmetric with an infinite diagonal, so
-    its row-major argmin is the closest pair with the smallest (low, high) slots.
+    arXiv:1109.2378). It is symmetric with an infinite diagonal, so its
+    row-major argmin is the closest pair with the smallest (low, high) slots.
     """
     n = len(system)
     for r in regions:
         check_team_count(r, n)
     pos = system.positions()
     members = [frozenset([i]) for i in range(n)]
+    label = list(range(n))  # label[i]: the slot of robot i's cluster
     born = list(range(n))  # creation order: a union takes the older cluster first
     centroids = pos.tolist()  # the mean of one row is that row
     dist = np.full((n, n), np.inf)
@@ -239,11 +241,12 @@ def greedy_assign(system: RobotSystem, *regions) -> list:
     wanted, levels = set(regions), {}  # levels: r -> the teams while r clusters live
     for birth in range(n, 2 * n):  # 2n - birth clusters live before this merge
         if 2 * n - birth in wanted:
-            levels[2 * n - birth] = TeamAssignment.from_teams(
-                [members[s] for s in range(n) if live[s]], n)
+            levels[2 * n - birth] = TeamAssignment.from_labels(label)
         if levels.keys() == wanted:  # the smallest r is read: no merge is left to make
             break
         low, high = divmod(int(dist.argmin()), n)
+        for member in members[high]:
+            label[member] = low
         older, newer = (low, high) if born[low] < born[high] else (high, low)
         members[low] = merged = members[older] | members[newer]
         born[low] = birth
@@ -272,7 +275,7 @@ class Fleet:
     """The part of a trial that does not depend on the team count r.
 
     One fleet serves every r at its seed: the generated system, its relation
-    graphs, its events with each event's nearest robot, the methods it is
+    graphs, its events with detection_rate's tables of them, the methods it is
     scored for, in order, and the fused Z of each of them that is solved
     (Full, Baseline), with whether its solve converged. config is the
     configuration it was prepared from; only the fused Z depend on
@@ -283,7 +286,9 @@ class Fleet:
     system: RobotSystem
     graphs: tuple
     events: tuple
-    nearest: tuple  # nearest_robots(system, events)
+    nearest: np.ndarray  # nearest_robots(system, events)
+    codes: np.ndarray  # event_codes(system, events)
+    capable: np.ndarray  # system.capability_matrix()
     methods: tuple  # the methods run_trial scores
     fused: dict  # Method -> Z
     converged: dict  # Method -> SolveResult.converged of its Z
@@ -296,7 +301,8 @@ def place_fleet(config: SimConfig) -> Fleet:
     graphs = tuple(build_relation_graphs(system, config.comm_radius))
     events = tuple(simulate_events(config, event_rng))
     return Fleet(config=config, system=system, graphs=graphs, events=events,
-                 nearest=nearest_robots(system, events), methods=(), fused={}, converged={})
+                 nearest=nearest_robots(system, events), codes=event_codes(system, events),
+                 capable=system.capability_matrix(), methods=(), fused={}, converged={})
 
 
 def sweep_grid(alpha_step):
@@ -397,8 +403,8 @@ def run_trial(fleet: Fleet, *regions):
     levels = [greedy_assign(fleet.system, *regions) if method is Method.GREEDY
               else partition(fleet.fused[method], *regions) for method in fleet.methods]
     return [MetricsReport(method=method, r=r, seed=fleet.config.seed,
-                          detection_rate=detection_rate(fleet.system, assignment, fleet.events,
-                                                        fleet.nearest),
+                          detection_rate=detection_rate(assignment, fleet.capable, fleet.nearest,
+                                                        fleet.codes),
                           duplication_rate=duplication_rate(fleet.system, assignment))
             for r, assignments in zip(regions, zip(*levels))
             for method, assignment in zip(fleet.methods, assignments)]

@@ -143,6 +143,10 @@ class RobotSystem:
         """Robot positions as an (N, 2) float array, ordered by id."""
         return np.array([[r.position.x, r.position.y] for r in self.robots], dtype=float)
 
+    def capability_matrix(self):
+        """(N, K) bool array, ordered by id: robot i has capabilities[j] at [i, j]."""
+        return np.array([[c in r.capabilities for c in self.capabilities] for r in self.robots])
+
 
 def _orientation(ax, ay, bx, by, cx, cy):
     # sign of the cross product (b - a) x (c - a), elementwise

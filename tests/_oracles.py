@@ -6,12 +6,13 @@ via projected gradient descent, the fusion problem's exact optimum via
 semismooth Newton on its dual (itself checked against Dykstra's alternating
 projections), gradients via central finite differences, eigenpairs via
 characteristic-polynomial roots plus a nullspace extraction, partitions via
-exhaustive enumeration, greedy teams via the plain pairwise merge loop, the
-communication and capability graphs via their pair loops (scalar segment
-tests for the walls, set intersection for the capability overlap), and the
-solver's loop via a reference form (linear solves on a shrinking support
-for the Z step, the exact optimum from scratch for the finish, per-step
-set-up, and a frozen state rebuilt after every step).
+exhaustive enumeration and the cut loop on index sets, greedy teams via the
+plain pairwise merge loop, the communication and capability graphs via their
+pair loops (scalar segment tests for the walls, set intersection for the
+capability overlap), and the solver's loop via a reference form (linear
+solves on a shrinking support for the Z step, the exact optimum from scratch
+for the finish, per-step set-up, and a frozen state rebuilt after every
+step).
 """
 
 import math
@@ -133,6 +134,47 @@ def best_partition_by_mass(Z, k):
             best_score = score
             best = groups
     return frozenset(frozenset(g) for g in best)
+
+
+def _fiedler_cut_oracle(Z, indices):
+    """The two sides of one Fiedler cut, as sets: partition's rule, cut on sorted index lists."""
+    idx = sorted(indices)
+    n = len(idx)
+    W = Z[np.ix_(idx, idx)]
+    L = np.diag(W.sum(axis=1)) - W
+    values, vectors = np.linalg.eigh(L)
+    resolution = n * np.finfo(float).eps * values[-1]
+    if values[1] <= resolution:
+        linked = -L > resolution
+        reached = frontier = np.arange(n) == 0
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~reached
+            reached = reached | frontier
+        if not reached.all():
+            first = {idx[i] for i in np.flatnonzero(reached)}
+            return first, set(idx) - first
+    v = vectors[:, 1]
+    v = v * np.sign(v[np.abs(v) > 1e-12][0])
+    negative = {idx[i] for i in np.flatnonzero(v < -1e-10)}
+    return set(idx) - negative, negative
+
+
+def partition_oracle(Z, *regions):
+    """The teams at each r of regions, as lists of frozensets, by the set-based cut loop.
+
+    The reference for partition: the same cuts on sets of indices, the
+    largest group cut first (ties to the smallest index), with every team
+    set rebuilt from the cut's sides.
+    """
+    Z = np.asarray(Z, dtype=float)
+    groups, levels = [frozenset(range(len(Z)))], {}
+    for r in sorted(set(regions)):
+        while len(groups) < r:
+            target = max(groups, key=lambda g: (len(g), -min(g)))
+            groups.remove(target)
+            groups += map(frozenset, _fiedler_cut_oracle(Z, target))
+        levels[r] = list(groups)
+    return [levels[r] for r in regions]
 
 
 def greedy_teams_oracle(positions, r):

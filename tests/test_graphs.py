@@ -246,6 +246,23 @@ def test_build_relation_graphs_order_and_normalization():
         assert g.adjacency.max() == 1.0
 
 
+@pytest.mark.parametrize("comm_radius, spatial_epsilon", [(None, None), (3.0, 0.5)])
+def test_build_relation_graphs_equals_the_normalized_public_builders(comm_radius,
+                                                                      spatial_epsilon):
+    # the triple shares one distance matrix between the two distance graphs;
+    # each must keep the bytes its own builder gives
+    rng = np.random.default_rng(11)
+    env = Environment(10.0, 10.0, obstacles=(Wall(Position(5.0, 0.0), Position(5.0, 6.0)),))
+    caps = [{c} for c in rng.choice(["rgb", "depth", "audio"], size=30)]
+    system = system_at(rng.uniform(0.5, 9.5, size=(30, 2)).tolist(), caps=caps, env=env)
+    want = [build_spatial_graph(system, spatial_epsilon),
+            build_communication_graph(system, comm_radius), build_capability_graph(system)]
+    got = build_relation_graphs(system, comm_radius, spatial_epsilon)
+    for g, w in zip(got, want, strict=True):
+        assert g.kind is w.kind
+        assert g.adjacency.tobytes() == normalize_graph(w).adjacency.tobytes()
+
+
 class TestMatrixCsv:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -161,7 +161,12 @@ def test_unread_definition_finder():
 
 
 # what the package defines that only tests read, each with the reason it stays
-UNREAD_BY_DESIGN = {}
+UNREAD_BY_DESIGN = {
+    "graphs.build_spatial_graph": "the public builder of one graph, as build_communication_graph "
+                                  "is; build_relation_graphs shares one distance matrix instead",
+    "partition.TeamAssignment.from_teams": "the validating constructor from team sets, the "
+                                           "reference that from_labels is checked against",
+}
 
 
 def test_package_definitions_are_read_outside_tests():
@@ -266,6 +271,12 @@ def test_benchmark_traced_layers_fire_on_simulate_and_sweep(tmp_path):
     # one greedy merge pass per scored fleet, whatever its team counts: the 3
     # simulate fleets and the walled one (a sweep scores Full only)
     assert metrics["simulation.greedy_assign.calls"] == 4
+    # one detection and one duplication score per (r, method) of each scored
+    # fleet: simulate's 3 seeds x 2 team counts x 3 methods, sweep's 2 seeds x
+    # 6 weightings x Full, and the walled fleet's 3 methods; the benchmark
+    # requires both layers, so scoring batched across r must fail here
+    for layer in ("simulation.detection_rate", "simulation.duplication_rate"):
+        assert sum(span.name == layer for span in tracer.spans) == 18 + 12 + 3, layer
     assert tracer.problems() == []
 
 

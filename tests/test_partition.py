@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from hetcover.partition import (
     partition,
     save_assignment,
 )
-from hetcover.simulation import Method, SimConfig, prepare_fleet
+from hetcover.simulation import Method, SimConfig, batch_fleets, prepare_fleet
 from hetcover.solver import SolverConfig, solve
+from hetcover.system import Environment, Position, Wall
 
-from _oracles import best_partition_by_mass, second_eigenpair_oracle
+from _oracles import best_partition_by_mass, partition_oracle, second_eigenpair_oracle
 from _planted import blocks_recovered, planted_system
 
 P2_LAPLACIAN = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -29,6 +31,11 @@ def two_block_matrix():
     Z[:2, :2] = (1 - 3 * c) / 2
     Z[2:, 2:] = (1 - 2 * c) / 3
     return Z
+
+
+def cut(Z, indices):
+    """fiedler_cut's two sides, as lists."""
+    return tuple(side.tolist() for side in fiedler_cut(Z, indices))
 
 
 def connected_component(Z, indices, start):
@@ -77,6 +84,22 @@ class TestMinorLaplacian:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             minor_laplacian(np.eye(3), [])
+
+
+@pytest.mark.parametrize("function", [minor_laplacian, fiedler_cut])
+@pytest.mark.parametrize("indices, message", [
+    ({-1, 0}, "index -1 outside 0..2"),
+    ([0, 3], "index 3 outside 0..2"),
+    ([0, 0, 1], "index 0 given more than once"),
+    ([0.5, 1], "indices must be a flat sequence of integers, got [0.5, 1]"),
+    ([True, False], "indices must be a flat sequence of integers, got [True, False]"),
+])
+def test_malformed_index_set_rejected_by_name(function, indices, message):
+    # a negative index would read the last row, a repeated one cut a minor
+    # with a repeated row, a fractional one would be truncated, and each
+    # would name a robot that is not there
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        function(np.ones((3, 3)), indices)
 
 
 class TestFiedlerVector:
@@ -161,8 +184,7 @@ class TestFiedlerCut:
     def test_degenerate_flat_minor_still_splits(self):
         # identity Z has an all-zero minor Laplacian: every robot is its own
         # component, so the smallest index is split off
-        a, b = fiedler_cut(np.eye(4), {1, 2, 3})
-        assert (a, b) == ({1}, {2, 3})
+        assert cut(np.eye(4), {1, 2, 3}) == ([1], [2, 3])
 
     def test_three_blocks_split_off_the_smallest_index_component(self):
         # blocks {0, 3}, {1, 4} and {2, 5}: the minor's zero eigenvalue is
@@ -170,8 +192,8 @@ class TestFiedlerCut:
         Z = np.zeros((6, 6))
         for block, weight in (([0, 3], 0.5), ([1, 4], 0.25), ([2, 5], 0.125)):
             Z[np.ix_(block, block)] = weight
-        assert fiedler_cut(Z, range(6)) == ({0, 3}, {1, 2, 4, 5})
-        assert fiedler_cut(Z, {1, 2, 4, 5}) == ({1, 4}, {2, 5})
+        assert cut(Z, range(6)) == ([0, 3], [1, 2, 4, 5])
+        assert cut(Z, {1, 2, 4, 5}) == ([1, 4], [2, 5])
         assert partition(Z, 3)[0].teams == ({0, 3}, {1, 4}, {2, 5})
 
     def test_bridge_below_eigensolver_resolution_counts_as_absent(self):
@@ -181,7 +203,7 @@ class TestFiedlerCut:
             [0.0, 1e-300, 0.5, 0.5],
             [0.0, 0.0, 0.5, 0.5],
         ])
-        assert fiedler_cut(Z, range(4)) == ({0, 1}, {2, 3})
+        assert cut(Z, range(4)) == ([0, 1], [2, 3])
 
     @pytest.mark.parametrize("kind", ["sparse", "zero-padded", "all-zero", "identity"])
     def test_any_minor_gets_two_sides_and_keeps_components_whole(self, kind):
@@ -198,8 +220,11 @@ class TestFiedlerCut:
                 Z = np.zeros((n, n)) if kind == "all-zero" else np.eye(n)
             Z = Z + Z.T  # partition admits only a symmetric Z
             idx = sorted(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False).tolist())
-            a, b = fiedler_cut(Z, idx)
-            assert a and b and not a & b and a | b == set(idx)
+            sides = fiedler_cut(Z, idx)
+            # ascending intp arrays, the first holding the smallest index
+            assert all(side.dtype == np.intp and (np.diff(side) > 0).all() for side in sides)
+            a, b = (set(side.tolist()) for side in sides)
+            assert a and b and not a & b and a | b == set(idx) and idx[0] in a
             component = connected_component(Z, idx, idx[0])
             if component != set(idx):
                 assert a == component
@@ -392,6 +417,42 @@ class TestPartitionResume:
         assert partition(two_block_matrix()) == []
 
 
+def fused_zs(base, seeds):
+    """The Full and Baseline Z of base's fleet at each seed."""
+    return [fleet.fused[method] for _, _, fleet in batch_fleets(base, seeds, [base.solver])
+            for method in (Method.FULL, Method.BASELINE)]
+
+
+def planted_zs():
+    """All-zero, identity and block Z: each cut is decided by the component rule."""
+    blocks = np.zeros((10, 10))
+    for block, weight in (([0, 4, 8], 0.5), ([1, 5, 9], 0.25), ([2, 3, 6, 7], 0.125)):
+        blocks[np.ix_(block, block)] = weight
+    return [np.zeros((10, 10)), np.eye(10), blocks]
+
+
+WALLED = Environment(obstacles=(Wall(Position(0.5, 0.0), Position(0.5, 0.6)),))
+
+
+@pytest.mark.parametrize("zs", [
+    pytest.param(lambda: fused_zs(SimConfig(n_robots=20, n_capabilities=3, seed=0), range(200)),
+                 id="n20-200-fleets"),
+    pytest.param(lambda: fused_zs(SimConfig(n_robots=50, n_capabilities=3, seed=0,
+                                            environment=WALLED), range(40))
+                 + fused_zs(SimConfig(n_robots=100, n_capabilities=3, seed=0,
+                                      environment=WALLED), range(6)), id="walled-n50-n100"),
+    pytest.param(planted_zs, id="planted"),
+])
+def test_partition_matches_the_set_based_cut_loop(zs):
+    # the cuts on index arrays and label-array levels give the teams the cut
+    # loop on index sets gives, at every r
+    regions = range(2, 11)
+    for Z in zs():
+        want = [TeamAssignment.from_teams(teams, len(Z))
+                for teams in partition_oracle(Z, *regions)]
+        assert partition(Z, *regions) == want
+
+
 class TestTeamAssignment:
     def test_from_teams_orders_by_smallest_member(self):
         asgn = TeamAssignment.from_teams([{2, 3}, {0, 1}], 4)
@@ -414,6 +475,20 @@ class TestTeamAssignment:
     def test_member_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             TeamAssignment.from_teams([{0, 5}], 2)
+
+    def test_from_labels_equals_from_teams_on_random_labelings(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            labels = rng.integers(-3, int(rng.integers(1, 8)), size=n).tolist()
+            teams = [{i for i in range(n) if labels[i] == label} for label in set(labels)]
+            assert TeamAssignment.from_labels(labels) == TeamAssignment.from_teams(teams, n)
+
+    def test_from_labels_numbers_teams_by_smallest_member(self):
+        asgn = TeamAssignment.from_labels(["b", "a", "b", "c"])
+        assert asgn.teams == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
+        assert asgn.team_of == (0, 1, 0, 2)
+        assert asgn.r == 3
 
 
 class TestAssignmentSerialization:

@@ -23,6 +23,7 @@ from hetcover.simulation import (
     capability_universe,
     detection_rate,
     duplication_rate,
+    event_codes,
     fuse_fleets,
     generate_system,
     greedy_assign,
@@ -193,6 +194,12 @@ class TestSimulateEvents:
             assert 0.0 <= event.position.y <= 0.5
 
 
+def rate(system, assignment, events):
+    """detection_rate of assignment on events, from the tables a fleet holds."""
+    return detection_rate(assignment, system.capability_matrix(), nearest_robots(system, events),
+                          event_codes(system, events))
+
+
 class TestDetectionRate:
     def test_fully_equipped_teams_detect_everything(self):
         system = make_system([
@@ -201,21 +208,21 @@ class TestDetectionRate:
         ])
         asgn = TeamAssignment.from_teams([{0, 1}, {2, 3}], 4)
         events = [Event(Position(0.3, 0.4), "rgb"), Event(Position(0.7, 0.6), "depth")]
-        assert detection_rate(system, asgn, events, nearest_robots(system, events)) == 1.0
+        assert rate(system, asgn, events) == 1.0
 
     def test_single_team_with_all_capabilities(self):
         system = make_system([((0.1, 0.1), "rgb"), ((0.9, 0.9), "depth")])
         asgn = TeamAssignment.from_teams([{0, 1}], 2)
         events = [Event(Position(x / 10, 0.5), t)
                   for x in range(10) for t in ("rgb", "depth")]
-        assert detection_rate(system, asgn, events, nearest_robots(system, events)) == 1.0
+        assert rate(system, asgn, events) == 1.0
 
     def test_missing_type_goes_undetected(self):
         system = make_system([((0.1, 0.5), "rgb"), ((0.9, 0.5), "depth")])
         asgn = TeamAssignment.from_teams([{0}, {1}], 2)
         # both events land nearest the rgb robot; only the rgb one is seen
         events = [Event(Position(0.2, 0.5), "depth"), Event(Position(0.2, 0.5), "rgb")]
-        assert detection_rate(system, asgn, events, nearest_robots(system, events)) == 0.5
+        assert rate(system, asgn, events) == 0.5
 
     def test_distance_tie_goes_to_lower_id(self):
         # the event sits exactly between the two robots
@@ -224,21 +231,26 @@ class TestDetectionRate:
         event_rgb = [Event(Position(0.5, 0.5), "rgb")]
         event_depth = [Event(Position(0.5, 0.5), "depth")]
         system = make_system(spec)
-        assert detection_rate(system, asgn, event_rgb, nearest_robots(system, event_rgb)) == 1.0
-        assert detection_rate(system, asgn, event_depth,
-                              nearest_robots(system, event_depth)) == 0.0
+        assert rate(system, asgn, event_rgb) == 1.0
+        assert rate(system, asgn, event_depth) == 0.0
 
     def test_empty_event_list_rejected(self):
         system = make_system([((0.1, 0.1), "rgb"), ((0.9, 0.9), "rgb")])
         asgn = TeamAssignment.from_teams([{0, 1}], 2)
         with pytest.raises(ValueError):
-            detection_rate(system, asgn, [], nearest_robots(system, []))
+            rate(system, asgn, [])
 
     def test_mismatched_assignment_rejected(self):
         system = make_system([((0.1, 0.1), "rgb"), ((0.9, 0.9), "rgb")])
         asgn = TeamAssignment.from_teams([{0, 1, 2}], 3)
+        with pytest.raises(ValueError, match="does not cover"):
+            rate(system, asgn, [Event(Position(0.5, 0.5), "rgb")])
+
+    def test_event_type_outside_the_universe_rejected(self):
+        system = make_system([((0.1, 0.1), "rgb"), ((0.9, 0.9), "rgb")])
+        # the event could be sensed by no robot, so it has no column to score
         with pytest.raises(ValueError):
-            detection_rate(system, asgn, [Event(Position(0.5, 0.5), "rgb")], (0,))
+            event_codes(system, [Event(Position(0.5, 0.5), "rgb"), Event(Position(0.5, 0.5), "uv")])
 
     def test_nearest_robots_is_the_per_event_argmin(self):
         # integer-lattice robots and events put many events at equal distances
@@ -253,18 +265,21 @@ class TestDetectionRate:
         for event in events:
             d = [math.hypot(px - event.position.x, py - event.position.y) for px, py in pos]
             want.append(min(range(len(d)), key=lambda i: (d[i], i)))
-        assert nearest_robots(system, events) == tuple(want)
+        assert nearest_robots(system, events).tolist() == want
         teams = [set(rng.choice(9, size=4, replace=False).tolist())]
         asgn = TeamAssignment.from_teams(teams + [{i} for i in range(9) if i not in teams[0]], 9)
         seen = [any(e.event_type in system.robots[m].capabilities
                     for m in asgn.teams[asgn.team_of[robot]]) for e, robot in zip(events, want)]
-        assert detection_rate(system, asgn, events, tuple(want)) == sum(seen) / len(events)
+        assert detection_rate(asgn, system.capability_matrix(), np.array(want),
+                              event_codes(system, events)) == sum(seen) / len(events)
 
     def test_nearest_list_must_match_the_events(self):
         system = make_system([((0.1, 0.1), "rgb"), ((0.9, 0.9), "rgb")])
         asgn = TeamAssignment.from_teams([{0, 1}], 2)
-        with pytest.raises(ValueError):
-            detection_rate(system, asgn, [Event(Position(0.5, 0.5), "rgb")], (0, 1))
+        events = [Event(Position(0.5, 0.5), "rgb")]
+        with pytest.raises(ValueError, match="2 nearest robots for 1 events"):
+            detection_rate(asgn, system.capability_matrix(), np.array([0, 1]),
+                           event_codes(system, events))
 
 
 class TestDuplicationRate:
@@ -428,7 +443,7 @@ def baseline_assign(graphs, solver_config, r):
     config = SimConfig(n_robots=len(graphs[0].adjacency), n_capabilities=1, seed=0,
                        solver=solver_config)
     fleet = Fleet(config=config, system=None, graphs=tuple(graphs), events=(), nearest=(),
-                  methods=(), fused={}, converged={})
+                  codes=(), capable=(), methods=(), fused={}, converged={})
     fused, = fuse_fleets([(fleet, solver_config)], (Method.BASELINE,))
     assignment, = partition(fused.fused[Method.BASELINE], r)
     return assignment
