@@ -26,41 +26,48 @@ from .system import is_integer
 class TeamAssignment:
     """Disjoint, exhaustive grouping of robots 0..N-1 into r non-empty teams.
 
-    Teams are numbered by their smallest member: team 0 contains robot 0.
+    Robot i is on team team_of[i]. Teams are numbered by their smallest
+    member: team 0 contains robot 0, and the teams are 0..r-1.
     """
 
-    teams: tuple
     team_of: tuple
-    r: int
+
+    @property
+    def r(self) -> int:
+        return max(self.team_of, default=-1) + 1
+
+    @property
+    def teams(self) -> tuple:
+        """Each team's members as a frozenset, in team order."""
+        teams = [[] for _ in range(self.r)]
+        for member, team in enumerate(self.team_of):
+            teams[team].append(member)
+        return tuple(map(frozenset, teams))
 
     @classmethod
     def from_teams(cls, teams, n: int) -> "TeamAssignment":
-        ordered = tuple(sorted((frozenset(t) for t in teams), key=min))
-        team_of = [-1] * n
-        seen = 0
-        for tid, team in enumerate(ordered):
+        """Robots 0..n-1 grouped by teams: non-empty, disjoint integer sets that cover them."""
+        label = [None] * n
+        for tid, team in enumerate(map(frozenset, teams)):
             if not team:
                 raise ValueError("teams must be non-empty")
             for member in team:
+                if not is_integer(member):
+                    raise ValueError("member %r is not an integer" % (member,))
                 if not 0 <= member < n:
                     raise ValueError("member %r outside 0..%d" % (member, n - 1))
-                if team_of[member] != -1:
+                if label[member] is not None:
                     raise ValueError("robot %d assigned to two teams" % member)
-                team_of[member] = tid
-            seen += len(team)
-        if seen != n:
+                label[member] = tid
+        if None in label:
             raise ValueError("teams must cover all %d robots" % n)
-        return cls(teams=ordered, team_of=tuple(team_of), r=len(ordered))
+        return cls.from_labels(label)
 
     @classmethod
     def from_labels(cls, labels) -> "TeamAssignment":
         """Robot i on the team labeled labels[i] (any hashable); teams go by smallest member."""
         number = {}
-        team_of = tuple(number.setdefault(label, len(number)) for label in labels)
-        teams = [[] for _ in number]
-        for member, team in enumerate(team_of):
-            teams[team].append(member)
-        return cls(teams=tuple(map(frozenset, teams)), team_of=team_of, r=len(teams))
+        return cls(tuple(number.setdefault(label, len(number)) for label in labels))
 
 
 def _minor(Z, indices):

@@ -1,11 +1,11 @@
 """Seeded coverage experiments: system generation, metrics, and baselines.
 
 A SimConfig describes one seeded fleet. place_fleet generates its system,
-builds its three relation graphs and places its typed events, once;
-fuse_fleets fuses placed fleets of one size, each under its own solver
-setting (a sweep's weightings come from sweep_grid), solving each method's
-problems together as one stack; prepare_fleet places and fuses one fleet
-under its config's own setting.
+builds its three relation graphs and places its events, once, each a point
+and the capability index of its type; fuse_fleets fuses placed fleets of one
+size, each under its own solver setting (a sweep's weightings come from
+sweep_grid), solving each method's problems together as one stack;
+prepare_fleet places and fuses one fleet under its config's own setting.
 A trial, run_trial(fleet, *regions), builds each method's teams at every
 team count r given in one pass and scores them on the events (detection)
 and on within-team capability redundancy (duplication): one Fiedler cut
@@ -94,12 +94,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class Event:
-    position: Position
-    event_type: str
-
-
-@dataclass(frozen=True)
 class MetricsReport:
     method: Method
     detection_rate: float
@@ -143,14 +137,12 @@ def generate_system(config: SimConfig, rng) -> RobotSystem:
 
 
 def simulate_events(config: SimConfig, rng):
-    """n_events typed events, uniform over the environment and the universe."""
-    universe = capability_universe(config.n_capabilities)
-    events = []
-    for _ in range(config.n_events):
-        p = Position(config.environment.width * rng.random(),
-                     config.environment.height * rng.random())
-        events.append(Event(p, universe[int(rng.integers(0, config.n_capabilities))]))
-    return events
+    """The (n_events, 2) points and intp capability indices of n_events events,
+    uniform over the environment and the universe; each draws x, y, then its type."""
+    width, height, k = config.environment.width, config.environment.height, config.n_capabilities
+    xs, ys, codes = zip(*[(width * rng.random(), height * rng.random(), int(rng.integers(0, k)))
+                          for _ in range(config.n_events)])
+    return np.column_stack((xs, ys)), np.array(codes, dtype=np.intp)
 
 
 def _nearest(pos, points) -> np.ndarray:
@@ -159,28 +151,23 @@ def _nearest(pos, points) -> np.ndarray:
     return np.argmin(d2, axis=1)  # argmin keeps the first (lowest row) on ties
 
 
-def nearest_robots(system: RobotSystem, events) -> np.ndarray:
-    """Each event's nearest robot id, as an array: Euclidean, ties to the lower id.
+def nearest_robots(system: RobotSystem, points) -> np.ndarray:
+    """The nearest robot id to each (x, y) row of points: Euclidean, ties to the lower id.
 
     The rule makes a team's merged Voronoi cell the region it watches;
     region_raster applies the same rule to cells.
     """
-    points = np.array([[e.position.x, e.position.y] for e in events], dtype=float)
-    return _nearest(system.positions(), points.reshape(-1, 2))
-
-
-def event_codes(system: RobotSystem, events) -> np.ndarray:
-    """Each event type's column of system.capability_matrix(); a type outside it fails."""
-    return np.array([system.capabilities.index(e.event_type) for e in events], dtype=np.intp)
+    return _nearest(system.positions(), np.asarray(points, dtype=float).reshape(-1, 2))
 
 
 def detection_rate(assignment: TeamAssignment, capable, nearest, codes) -> float:
     """Fraction of events whose nearest robot's team can sense the event type.
 
     The tables depend only on the fleet, so one set serves every assignment
-    of it: capable is system.capability_matrix(), and nearest and codes hold
-    each event's nearest_robots and event_codes. A team's row of capabilities
-    is the union of its members' rows of capable.
+    of it: capable is system.capability_matrix(), nearest holds each event's
+    nearest_robots, and codes each event's capability index, a column of
+    capable, as simulate_events draws it. A team's row of capabilities is
+    the union of its members' rows of capable.
     """
     if len(assignment.team_of) != len(capable):
         raise ValueError("assignment does not cover this system")
@@ -188,6 +175,10 @@ def detection_rate(assignment: TeamAssignment, capable, nearest, codes) -> float
         raise ValueError("cannot score an empty event list")
     if len(nearest) != len(codes):
         raise ValueError("%d nearest robots for %d events" % (len(nearest), len(codes)))
+    codes = np.asarray(codes)
+    if codes.astype(np.uintp).max() >= capable.shape[1]:  # a negative code wraps past them all
+        raise ValueError("event code %d outside the capabilities 0..%d" % (
+            codes.min() if codes.min() < 0 else codes.max(), capable.shape[1] - 1))
     team_of = np.array(assignment.team_of)
     team_can = (team_of == np.arange(assignment.r)[:, None]) @ capable  # bool @ is any-of-and
     return int(np.count_nonzero(team_can[team_of[np.asarray(nearest)], codes])) / len(codes)
@@ -196,19 +187,17 @@ def detection_rate(assignment: TeamAssignment, capable, nearest, codes) -> float
 def duplication_rate(system: RobotSystem, assignment: TeamAssignment) -> float:
     """d/N where d counts robots fully covered by lower-id teammates.
 
-    Scanning each team in ascending id, a robot is a duplicate when every
+    Scanning the robots in ascending id, a robot is a duplicate when every
     capability it has was already provided by a previously scanned teammate.
     """
     if len(assignment.team_of) != len(system):
         raise ValueError("assignment does not cover this system")
     duplicates = 0
-    for team in assignment.teams:
-        provided = set()
-        for rid in sorted(team):
-            caps = system.robots[rid].capabilities
-            if caps <= provided:
-                duplicates += 1
-            provided |= caps
+    provided = [set() for _ in range(assignment.r)]  # provided[t]: team t's capabilities so far
+    for robot, team in zip(system.robots, assignment.team_of):
+        if robot.capabilities <= provided[team]:
+            duplicates += 1
+        provided[team] |= robot.capabilities
     return duplicates / len(system)
 
 
@@ -275,19 +264,18 @@ class Fleet:
     """The part of a trial that does not depend on the team count r.
 
     One fleet serves every r at its seed: the generated system, its relation
-    graphs, its events with detection_rate's tables of them, the methods it is
-    scored for, in order, and the fused Z of each of them that is solved
-    (Full, Baseline), with whether its solve converged. config is the
-    configuration it was prepared from; only the fused Z depend on
-    config.solver, and a placed fleet has none yet.
+    graphs, detection_rate's tables of its events, the methods it is scored
+    for, in order, and the fused Z of each of them that is solved (Full,
+    Baseline), with whether its solve converged. config is the configuration
+    it was prepared from; only the fused Z depend on config.solver, and a
+    placed fleet has none yet.
     """
 
     config: SimConfig
     system: RobotSystem
     graphs: tuple
-    events: tuple
-    nearest: np.ndarray  # nearest_robots(system, events)
-    codes: np.ndarray  # event_codes(system, events)
+    nearest: np.ndarray  # each event's nearest robot: nearest_robots(system, points)
+    codes: np.ndarray  # each event's capability index, from simulate_events
     capable: np.ndarray  # system.capability_matrix()
     methods: tuple  # the methods run_trial scores
     fused: dict  # Method -> Z
@@ -299,9 +287,9 @@ def place_fleet(config: SimConfig) -> Fleet:
     system_rng, event_rng = trial_rngs(config.seed)
     system = generate_system(config, system_rng)
     graphs = tuple(build_relation_graphs(system, config.comm_radius))
-    events = tuple(simulate_events(config, event_rng))
-    return Fleet(config=config, system=system, graphs=graphs, events=events,
-                 nearest=nearest_robots(system, events), codes=event_codes(system, events),
+    points, codes = simulate_events(config, event_rng)
+    return Fleet(config=config, system=system, graphs=graphs,
+                 nearest=nearest_robots(system, points), codes=codes,
                  capable=system.capability_matrix(), methods=(), fused={}, converged={})
 
 

@@ -9,10 +9,11 @@ characteristic-polynomial roots plus a nullspace extraction, partitions via
 exhaustive enumeration and the cut loop on index sets, greedy teams via the
 plain pairwise merge loop, the communication and capability graphs via their
 pair loops (scalar segment tests for the walls, set intersection for the
-capability overlap), and the solver's loop via a reference form (linear
-solves on a shrinking support for the Z step, the exact optimum from scratch
-for the finish, per-step set-up, and a frozen state rebuilt after every
-step).
+capability overlap), event draws via a loop over event objects, duplication
+via a scan of each team's member set, and the solver's loop via a reference
+form (linear solves on a shrinking support for the Z step, the exact optimum
+from scratch for the finish, per-step set-up, and a frozen state rebuilt
+after every step).
 """
 
 import math
@@ -201,6 +202,44 @@ def greedy_teams_oracle(positions, r):
         clusters = [c for i, c in enumerate(clusters) if i not in (a, b)]
         clusters.append(merged)
     return clusters
+
+
+@dataclass(frozen=True)
+class Event:
+    """One typed event: a point and the name of the sensor type that detects it."""
+
+    x: float
+    y: float
+    event_type: str
+
+
+def event_draws_oracle(width, height, universe, n_events, rng):
+    """n_events Event objects, one per pass: x, y, then a type uniform over universe.
+
+    The reference for simulate_events: the same draws from rng, in the same
+    order, made one event object at a time.
+    """
+    events = []
+    for _ in range(n_events):
+        x, y = width * rng.random(), height * rng.random()
+        events.append(Event(x, y, universe[int(rng.integers(0, len(universe)))]))
+    return events
+
+
+def duplication_oracle(capabilities, teams):
+    """The share of robots whose capabilities lower-id teammates already provide.
+
+    The reference for duplication_rate: capabilities[i] is robot i's set, and
+    each team's member set is scanned alone, in ascending id.
+    """
+    duplicates = 0
+    for team in teams:
+        provided = set()
+        for rid in sorted(team):
+            if capabilities[rid] <= provided:
+                duplicates += 1
+            provided |= capabilities[rid]
+    return duplicates / len(capabilities)
 
 
 def _orientation(a, b, c):

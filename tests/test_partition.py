@@ -482,7 +482,20 @@ class TestTeamAssignment:
             n = int(rng.integers(1, 12))
             labels = rng.integers(-3, int(rng.integers(1, 8)), size=n).tolist()
             teams = [{i for i in range(n) if labels[i] == label} for label in set(labels)]
-            assert TeamAssignment.from_labels(labels) == TeamAssignment.from_teams(teams, n)
+            asgn = TeamAssignment.from_labels(labels)
+            assert asgn == TeamAssignment.from_teams(teams, n)
+            assert asgn.teams == tuple(sorted(map(frozenset, teams), key=min))
+            assert asgn.r == len(teams)
+
+    def test_non_integer_member_rejected_by_name(self):
+        # True would otherwise count as robot 1; 1.0 and "a" index no list of robots
+        for member in (1.0, "a", True):
+            with pytest.raises(ValueError, match="member %r is not an integer" % (member,)):
+                TeamAssignment.from_teams([{0, member}], 2)
+
+    def test_no_robots_make_no_teams(self):
+        asgn = TeamAssignment.from_labels([])
+        assert asgn.team_of == () and asgn.r == 0 and asgn.teams == ()
 
     def test_from_labels_numbers_teams_by_smallest_member(self):
         asgn = TeamAssignment.from_labels(["b", "a", "b", "c"])

@@ -13,7 +13,6 @@ from hetcover.partition import TeamAssignment, partition
 from hetcover.simulation import (
     CAPABILITY_NAMES,
     METRICS_HEADER,
-    Event,
     Fleet,
     Method,
     MetricsReport,
@@ -23,7 +22,6 @@ from hetcover.simulation import (
     capability_universe,
     detection_rate,
     duplication_rate,
-    event_codes,
     fuse_fleets,
     generate_system,
     greedy_assign,
@@ -40,7 +38,7 @@ from hetcover.simulation import (
 from hetcover.solver import SolverConfig, solve
 from hetcover.system import Environment, Position, RobotSpec, RobotSystem, Wall, line_of_sight
 
-from _oracles import greedy_teams_oracle
+from _oracles import duplication_oracle, event_draws_oracle, greedy_teams_oracle
 from _planted import blocks_recovered, planted_system
 
 
@@ -170,34 +168,56 @@ class TestGenerateSystem:
 class TestSimulateEvents:
     def test_event_count(self):
         cfg = SimConfig(n_robots=4, n_capabilities=3, seed=3)
-        events = simulate_events(cfg, trial_rngs(cfg.seed)[1])
-        assert len(events) == 100
+        points, codes = simulate_events(cfg, trial_rngs(cfg.seed)[1])
+        assert points.shape == (100, 2)
+        assert codes.shape == (100,)
 
     def test_deterministic_for_fixed_seed(self):
         cfg = SimConfig(n_robots=4, n_capabilities=3, seed=3)
         first = simulate_events(cfg, trial_rngs(cfg.seed)[1])
         second = simulate_events(cfg, trial_rngs(cfg.seed)[1])
-        assert first == second
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in second]
 
     def test_single_capability_types(self):
         cfg = SimConfig(n_robots=4, n_capabilities=1, seed=3,
                         n_events=20)
-        events = simulate_events(cfg, trial_rngs(cfg.seed)[1])
-        assert {e.event_type for e in events} == {"rgb"}
+        _, codes = simulate_events(cfg, trial_rngs(cfg.seed)[1])
+        assert codes.tolist() == [0] * 20
 
     def test_positions_in_bounds(self):
         env = Environment(5.0, 0.5)
         cfg = SimConfig(n_robots=4, n_capabilities=2, seed=9,
                         environment=env, n_events=50)
-        for event in simulate_events(cfg, trial_rngs(cfg.seed)[1]):
-            assert 0.0 <= event.position.x <= 5.0
-            assert 0.0 <= event.position.y <= 0.5
+        points, _ = simulate_events(cfg, trial_rngs(cfg.seed)[1])
+        assert np.all((0.0 <= points) & (points <= [5.0, 0.5]))
+
+    @pytest.mark.parametrize("environment", [Environment(), Environment(5.0, 0.5)],
+                             ids=["square", "wide"])
+    @pytest.mark.parametrize("n_events", [1, 100])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_draws_match_the_event_object_loop(self, k, n_events, environment):
+        # the arrays hold the draws the loop over event objects makes, bit for
+        # bit, and leave the generator where that loop leaves it
+        cfg = SimConfig(n_robots=4, n_capabilities=k, seed=11, n_events=n_events,
+                        environment=environment)
+        rng, reference = trial_rngs(cfg.seed)[1], trial_rngs(cfg.seed)[1]
+        points, codes = simulate_events(cfg, rng)
+        universe = capability_universe(k)
+        events = event_draws_oracle(environment.width, environment.height, universe,
+                                    n_events, reference)
+        assert points.dtype == np.float64 and points.shape == (n_events, 2)
+        assert points.tobytes() == np.array([[e.x, e.y] for e in events]).tobytes()
+        assert codes.dtype == np.intp
+        assert codes.tolist() == [universe.index(e.event_type) for e in events]
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def rate(system, assignment, events):
-    """detection_rate of assignment on events, from the tables a fleet holds."""
-    return detection_rate(assignment, system.capability_matrix(), nearest_robots(system, events),
-                          event_codes(system, events))
+    """detection_rate of assignment on events, ((x, y), capability name) pairs,
+    from the tables a fleet holds."""
+    codes = np.array([system.capabilities.index(kind) for _, kind in events], dtype=np.intp)
+    return detection_rate(assignment, system.capability_matrix(),
+                          nearest_robots(system, [point for point, _ in events]), codes)
 
 
 class TestDetectionRate:
@@ -207,32 +227,29 @@ class TestDetectionRate:
             ((0.8, 0.9), "rgb"), ((0.9, 0.9), "depth"),
         ])
         asgn = TeamAssignment.from_teams([{0, 1}, {2, 3}], 4)
-        events = [Event(Position(0.3, 0.4), "rgb"), Event(Position(0.7, 0.6), "depth")]
+        events = [((0.3, 0.4), "rgb"), ((0.7, 0.6), "depth")]
         assert rate(system, asgn, events) == 1.0
 
     def test_single_team_with_all_capabilities(self):
         system = make_system([((0.1, 0.1), "rgb"), ((0.9, 0.9), "depth")])
         asgn = TeamAssignment.from_teams([{0, 1}], 2)
-        events = [Event(Position(x / 10, 0.5), t)
-                  for x in range(10) for t in ("rgb", "depth")]
+        events = [((x / 10, 0.5), t) for x in range(10) for t in ("rgb", "depth")]
         assert rate(system, asgn, events) == 1.0
 
     def test_missing_type_goes_undetected(self):
         system = make_system([((0.1, 0.5), "rgb"), ((0.9, 0.5), "depth")])
         asgn = TeamAssignment.from_teams([{0}, {1}], 2)
         # both events land nearest the rgb robot; only the rgb one is seen
-        events = [Event(Position(0.2, 0.5), "depth"), Event(Position(0.2, 0.5), "rgb")]
+        events = [((0.2, 0.5), "depth"), ((0.2, 0.5), "rgb")]
         assert rate(system, asgn, events) == 0.5
 
     def test_distance_tie_goes_to_lower_id(self):
         # the event sits exactly between the two robots
         spec = [((0.25, 0.5), "rgb"), ((0.75, 0.5), "depth")]
         asgn = TeamAssignment.from_teams([{0}, {1}], 2)
-        event_rgb = [Event(Position(0.5, 0.5), "rgb")]
-        event_depth = [Event(Position(0.5, 0.5), "depth")]
         system = make_system(spec)
-        assert rate(system, asgn, event_rgb) == 1.0
-        assert rate(system, asgn, event_depth) == 0.0
+        assert rate(system, asgn, [((0.5, 0.5), "rgb")]) == 1.0
+        assert rate(system, asgn, [((0.5, 0.5), "depth")]) == 0.0
 
     def test_empty_event_list_rejected(self):
         system = make_system([((0.1, 0.1), "rgb"), ((0.9, 0.9), "rgb")])
@@ -244,13 +261,17 @@ class TestDetectionRate:
         system = make_system([((0.1, 0.1), "rgb"), ((0.9, 0.9), "rgb")])
         asgn = TeamAssignment.from_teams([{0, 1, 2}], 3)
         with pytest.raises(ValueError, match="does not cover"):
-            rate(system, asgn, [Event(Position(0.5, 0.5), "rgb")])
+            rate(system, asgn, [((0.5, 0.5), "rgb")])
 
     def test_event_type_outside_the_universe_rejected(self):
-        system = make_system([((0.1, 0.1), "rgb"), ((0.9, 0.9), "rgb")])
-        # the event could be sensed by no robot, so it has no column to score
-        with pytest.raises(ValueError):
-            event_codes(system, [Event(Position(0.5, 0.5), "rgb"), Event(Position(0.5, 0.5), "uv")])
+        system = make_system([((0.1, 0.1), "rgb"), ((0.9, 0.9), "depth")])
+        asgn = TeamAssignment.from_teams([{0}, {1}], 2)
+        # no column of capable scores such an event; numpy would read -1 as the last
+        for code in (-1, 2):
+            with pytest.raises(ValueError, match=r"event code %d outside the capabilities 0\.\.1"
+                                                 % code):
+                detection_rate(asgn, system.capability_matrix(), np.array([0, 1]),
+                               np.array([0, code], dtype=np.intp))
 
     def test_nearest_robots_is_the_per_event_argmin(self):
         # integer-lattice robots and events put many events at equal distances
@@ -258,28 +279,25 @@ class TestDetectionRate:
         kinds = ("rgb", "depth")
         system = make_system([((x / 4, y / 4), kinds[(x + y) % 2])
                               for x in range(3) for y in range(3)])
-        events = [Event(Position(x / 8, y / 8), kinds[(x * y) % 2])
-                  for x in range(9) for y in range(9)]
+        events = [((x / 8, y / 8), kinds[(x * y) % 2]) for x in range(9) for y in range(9)]
         pos = system.positions()
         want = []
-        for event in events:
-            d = [math.hypot(px - event.position.x, py - event.position.y) for px, py in pos]
+        for (ex, ey), _ in events:
+            d = [math.hypot(px - ex, py - ey) for px, py in pos]
             want.append(min(range(len(d)), key=lambda i: (d[i], i)))
-        assert nearest_robots(system, events).tolist() == want
+        assert nearest_robots(system, [point for point, _ in events]).tolist() == want
         teams = [set(rng.choice(9, size=4, replace=False).tolist())]
         asgn = TeamAssignment.from_teams(teams + [{i} for i in range(9) if i not in teams[0]], 9)
-        seen = [any(e.event_type in system.robots[m].capabilities
-                    for m in asgn.teams[asgn.team_of[robot]]) for e, robot in zip(events, want)]
-        assert detection_rate(asgn, system.capability_matrix(), np.array(want),
-                              event_codes(system, events)) == sum(seen) / len(events)
+        seen = [any(kind in system.robots[m].capabilities for m in asgn.teams[asgn.team_of[robot]])
+                for (_, kind), robot in zip(events, want)]
+        assert rate(system, asgn, events) == sum(seen) / len(events)
 
     def test_nearest_list_must_match_the_events(self):
         system = make_system([((0.1, 0.1), "rgb"), ((0.9, 0.9), "rgb")])
         asgn = TeamAssignment.from_teams([{0, 1}], 2)
-        events = [Event(Position(0.5, 0.5), "rgb")]
         with pytest.raises(ValueError, match="2 nearest robots for 1 events"):
             detection_rate(asgn, system.capability_matrix(), np.array([0, 1]),
-                           event_codes(system, events))
+                           np.array([0], dtype=np.intp))
 
 
 class TestDuplicationRate:
@@ -317,6 +335,37 @@ class TestDuplicationRate:
         d_small = duplication_rate(small, TeamAssignment.from_teams([{0, 1}], 2))
         d_big = duplication_rate(big, TeamAssignment.from_teams([{0, 1, 2}], 3))
         assert round(d_small * 2) == round(d_big * 3) == 1
+
+    def test_matches_the_team_set_scan_on_random_labelings(self):
+        # robots carry one to three of four capabilities, so a robot can be
+        # covered by several teammates together; labels are arbitrary integers
+        rng = np.random.default_rng(8)
+        universe = ("rgb", "depth", "audio", "thermal")
+        for n in range(2, 101):
+            system = make_system([(rng.random(2), set(rng.choice(universe, rng.integers(1, 4),
+                                                                 replace=False).tolist()))
+                                  for _ in range(n)], universe=universe)
+            capabilities = [robot.capabilities for robot in system.robots]
+            for r in {1, n, int(rng.integers(1, n + 1))}:
+                names = rng.permutation(1000)[:r] - 500
+                labels = names[rng.permutation(np.concatenate(
+                    [np.arange(r), rng.integers(0, r, n - r)]))].tolist()
+                teams = [{i for i in range(n) if labels[i] == name} for name in set(labels)]
+                asgn = TeamAssignment.from_labels(labels)
+                assert asgn.r == r
+                assert duplication_rate(system, asgn) == duplication_oracle(capabilities, teams)
+
+    def test_matches_the_team_set_scan_on_fleet_assignments(self):
+        for seed in range(3):
+            fleet = prepare_fleet(SimConfig(n_robots=20, n_capabilities=3, seed=seed))
+            capabilities = [robot.capabilities for robot in fleet.system.robots]
+            regions = range(1, 21)
+            for assignments in (partition(fleet.fused[Method.FULL], *regions),
+                                partition(fleet.fused[Method.BASELINE], *regions),
+                                greedy_assign(fleet.system, *regions)):
+                for asgn in assignments:
+                    assert duplication_rate(fleet.system, asgn) == duplication_oracle(
+                        capabilities, asgn.teams)
 
 
 class TestGreedyAssign:
@@ -442,8 +491,8 @@ def baseline_assign(graphs, solver_config, r):
     """Baseline teams of the graphs, solved by fuse_fleets as run_trial's fleets are."""
     config = SimConfig(n_robots=len(graphs[0].adjacency), n_capabilities=1, seed=0,
                        solver=solver_config)
-    fleet = Fleet(config=config, system=None, graphs=tuple(graphs), events=(), nearest=(),
-                  codes=(), capable=(), methods=(), fused={}, converged={})
+    fleet = Fleet(config=config, system=None, graphs=tuple(graphs), nearest=(), codes=(),
+                  capable=(), methods=(), fused={}, converged={})
     fused, = fuse_fleets([(fleet, solver_config)], (Method.BASELINE,))
     assignment, = partition(fused.fused[Method.BASELINE], r)
     return assignment
@@ -826,8 +875,7 @@ class TestRegionRaster:
         system = make_system([((x / 4, y / 4), "rgb") for x in range(3) for y in range(3)])
         asgn = TeamAssignment.from_teams([{i} for i in range(9)], 9)
         res = 4  # cell centers at odd multiples of 1/8 tie between lattice neighbours
-        centers = [Event(Position((i + 0.5) / res, (j + 0.5) / res), "rgb")
-                   for j in range(res) for i in range(res)]
+        centers = [((i + 0.5) / res, (j + 0.5) / res) for j in range(res) for i in range(res)]
         want = np.reshape(nearest_robots(system, centers), (res, res))
         assert np.array_equal(region_raster(system, asgn, res), want)
 
