@@ -55,8 +55,8 @@ class RelationGraph:
 
 
 def _pairwise_distances(pos: np.ndarray) -> np.ndarray:
-    diff = pos[:, None, :] - pos[None, :, :]
-    return np.hypot(diff[..., 0], diff[..., 1])
+    x, y = pos[:, 0], pos[:, 1]
+    return np.hypot(x[:, None] - x, y[:, None] - y)
 
 
 # defaults that scale with the environment: the communication radius and the

@@ -201,51 +201,120 @@ def duplication_rate(system: RobotSystem, assignment: TeamAssignment) -> float:
     return duplicates / len(system)
 
 
+# greedy_assign's screen: np.hypot and math.hypot each lie within a few ulps
+# of the distance of the same differences, so a pair that math.hypot puts at
+# or below the screen's minimum m screens at or below
+# m * (1 + SCREEN_SLACK) + 2**-1000; the absolute term covers separations
+# that underflow to subnormals. The screen is built _SCREEN_BLOCK_ROWS rows at
+# a time, over the slots from the block's first on: its temporaries stay small.
+SCREEN_SLACK = 1e-12
+_SCREEN_BLOCK_ROWS = 32
+
+
 def greedy_assign(system: RobotSystem, *regions) -> list:
     """Spatial-only baseline: agglomerative merging by centroid distance.
 
-    Repeatedly merges the two clusters whose centroids are closest (ties by the
-    lexicographically smallest pair of smallest-member ids) down to the smallest
-    r of regions, and labels each robot with its cluster's slot, the slot of its
-    smallest member: one TeamAssignment per r, in the order given, comes from
-    the labels at r. A matrix holds the centroid distance of every live pair of
-    slots, so a merge computes only the merged cluster's row over the live slots
-    (Muellner, "Modern hierarchical, agglomerative clustering algorithms",
-    arXiv:1109.2378). It is symmetric with an infinite diagonal, so its
-    row-major argmin is the closest pair with the smallest (low, high) slots.
+    Repeatedly merges the two clusters whose centroids are closest by
+    math.hypot (ties by the lexicographically smallest pair of smallest-member
+    ids) down to the smallest r of regions, and labels each robot with its
+    cluster's slot, the slot of its smallest member: one TeamAssignment per r,
+    in the order given, comes from the labels at r.
+
+    The screen is an upper-triangular matrix of np.hypot over every pair of
+    slots, taken of the same differences math.hypot is given. The two can
+    differ in the last bit, so the screen only proposes: its minimum m decides
+    the merge when no other pair screens at or below
+    m * (1 + SCREEN_SLACK) + 2**-1000, and otherwise math.hypot decides among
+    the pairs that do (see SCREEN_SLACK). Each row keeps a lower bound on its
+    minimum over the live slots above it. Only the row whose bound is smallest
+    is rescanned, with its dead slots masked to inf, until that bound is the
+    row's true minimum; a merge writes the merged cluster's row and column and
+    lowers the bounds of the rows below it from that column. Each merge is
+    then O(n) numpy work, not an n x n argmin (Muellner's generic algorithm,
+    "Modern hierarchical, agglomerative clustering algorithms",
+    arXiv:1109.2378). A merged centroid sums its members in their frozenset's
+    order, from the first member, and divides by the count: the bits of
+    pos[list(merged)].mean(axis=0).
     """
     n = len(system)
     for r in regions:
         check_team_count(r, n)
     pos = system.positions()
+    px, py = pos[:, 0].tolist(), pos[:, 1].tolist()
+    cx, cy = pos[:, 0].copy(), pos[:, 1].copy()  # each slot's centroid; inf once dead
+    gone = np.zeros(n)  # inf once a slot is dead; a row is masked with it when read
     members = [frozenset([i]) for i in range(n)]
     label = list(range(n))  # label[i]: the slot of robot i's cluster
     born = list(range(n))  # creation order: a union takes the older cluster first
-    centroids = pos.tolist()  # the mean of one row is that row
-    dist = np.full((n, n), np.inf)
-    for a, (xa, ya) in enumerate(centroids):
-        dist[a, a + 1:] = [math.hypot(xa - xb, ya - yb) for xb, yb in centroids[a + 1:]]
-    dist = np.minimum(dist, dist.T)  # x - y is exactly -(y - x), so d is symmetric
-    live = [True] * n
+    screen = np.full((n, n), np.inf)
+    for start in range(0, n, _SCREEN_BLOCK_ROWS):
+        rows = slice(start, start + _SCREEN_BLOCK_ROWS)
+        block = screen[rows, start:]
+        np.hypot(np.subtract.outer(cx[rows], cx[start:]),
+                 np.subtract.outer(cy[rows], cy[start:]), out=block)
+        block[np.tri(*block.shape, dtype=bool)] = np.inf  # the diagonal and below
+    bound = screen.min(axis=1)
     wanted, levels = set(regions), {}  # levels: r -> the teams while r clusters live
     for birth in range(n, 2 * n):  # 2n - birth clusters live before this merge
         if 2 * n - birth in wanted:
             levels[2 * n - birth] = TeamAssignment.from_labels(label)
         if levels.keys() == wanted:  # the smallest r is read: no merge is left to make
             break
-        low, high = divmod(int(dist.argmin()), n)
+        low, high = _closest_pair(screen, bound, gone, cx, cy)
         for member in members[high]:
             label[member] = low
         older, newer = (low, high) if born[low] < born[high] else (high, low)
         members[low] = merged = members[older] | members[newer]
         born[low] = birth
-        # a centroid is computed once, when its cluster forms
-        centroids[low] = xa, ya = pos[list(merged)].mean(axis=0).tolist()
-        live[high] = False
-        dist[high] = dist[:, high] = np.inf
-        dist[low] = dist[:, low] = [math.hypot(xa - xb, ya - yb) if live[s] and s != low
-                                    else math.inf for s, (xb, yb) in enumerate(centroids)]
+        cx[low], cy[low] = xa, ya = _centroid(merged, px, py)
+        cx[high] = cy[high] = bound[high] = gone[high] = np.inf
+        new = np.hypot(xa - cx, ya - cy)
+        screen[low, low + 1:] = new[low + 1:]
+        screen[:low, low] = new[:low]
+        bound[low] = new[low + 1 + int(new[low + 1:].argmin())]
+        below = bound[:low]
+        np.minimum(below, new[:low], out=below)
     return [levels[r] for r in regions]
+
+
+def _centroid(members, px, py):
+    """The members' mean (px, py) with the bits of pos[list(members)].mean(axis=0):
+    summed in the frozenset's order from the first member, divided by the count."""
+    first, *rest = members
+    sx, sy = px[first], py[first]
+    for member in rest:
+        sx += px[member]
+        sy += py[member]
+    return sx / len(members), sy / len(members)
+
+
+def _closest_pair(screen, bound, gone, cx, cy):
+    """The live (low, high) slot pair greedy_assign merges next.
+
+    That is the screen's minimum when no other pair screens within the slack
+    of it; the pair's screen value is then left at inf and its row's bound at
+    the row's next value, both of which the merge writes over. Otherwise
+    math.hypot decides among the pairs within the slack, ties to the smallest
+    pair, and the screen is left as it was.
+    """
+    while True:
+        a = int(bound.argmin())
+        row = np.maximum(screen[a], gone, out=screen[a])
+        b = int(row.argmin())
+        if row[b] == bound[a]:  # the bound is met, so it is row a's minimum
+            break
+        bound[a] = row[b]
+    m = float(row[b])
+    limit = m * (1 + SCREEN_SLACK) + 2.0 ** -1000
+    row[b] = math.inf
+    bound[a] = row[row.argmin()]
+    if bound[bound.argmin()] > limit:
+        return a, b
+    row[b] = bound[a] = m
+    pairs = [(int(low), int(high)) for low in np.flatnonzero(bound <= limit)
+             for high in np.flatnonzero(np.maximum(screen[low], gone, out=screen[low]) <= limit)]
+    return min(pairs, key=lambda pair: (math.hypot(cx[pair[0]] - cx[pair[1]],
+                                                   cy[pair[0]] - cy[pair[1]]), pair))
 
 
 def baseline_solver_config(solver_config: SolverConfig) -> SolverConfig:

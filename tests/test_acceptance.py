@@ -4,9 +4,9 @@ One test per user-facing guarantee, in a fixed order: solver feasibility,
 its iteration count, its distance to the exact optimum, the gradient oracle,
 planted-structure recovery, the eigenvector oracle, the three-method coverage benchmark,
 duplication endpoints, the weight-sweep direction, byte-level determinism,
-and solver scaling. The seeded batch runs are shared through session
-fixtures so the determinism check can compare two complete executions
-without tripling the runtime.
+solver scaling and greedy-baseline scaling. The seeded batch runs are
+shared through session fixtures so the determinism check can compare two
+complete executions without tripling the runtime.
 """
 
 import math
@@ -25,6 +25,7 @@ from hetcover.simulation import (
     append_metrics_csv,
     baseline_solver_config,
     generate_system,
+    greedy_assign,
     metrics_rows,
     prepare_fleet,
     run_trial,
@@ -419,3 +420,22 @@ def test_iteration_cost_scales_at_most_cubically(monkeypatch):
     t100 = per_iteration_seconds(100)
     assert t100 <= 12.0 * t50, "per-iteration %.5fs at n=100 vs %.5fs at n=50" % (
         t100, t50)
+
+
+def test_greedy_cost_scales_at_most_quadratically():
+    # the greedy baseline's merges cost O(n) numpy work each, not an n x n
+    # argmin, so 4x the robots may cost at most 16x: CPU time of this
+    # process, best of 3, as above
+    def greedy_seconds(n_robots):
+        system = generate_system(SimConfig(n_robots=n_robots, n_capabilities=3, seed=0),
+                                 trial_rngs(0)[0])
+        best = math.inf
+        for _ in range(3):
+            start = time.process_time()
+            greedy_assign(system, 4)
+            best = min(best, time.process_time() - start)
+        return best
+
+    t200 = greedy_seconds(200)
+    t800 = greedy_seconds(800)
+    assert t800 <= 16.0 * t200, "greedy_assign %.4fs at n=800 vs %.4fs at n=200" % (t800, t200)

@@ -263,6 +263,22 @@ def test_build_relation_graphs_equals_the_normalized_public_builders(comm_radius
         assert g.adjacency.tobytes() == normalize_graph(w).adjacency.tobytes()
 
 
+def test_pairwise_distances_keep_the_bytes_of_the_difference_array():
+    # the x and y differences are taken apart, without the (n, n, 2) array of
+    # both; np.hypot is given the same floats, so every graph keeps its bytes
+    import hetcover.graphs as graphs
+
+    rng = np.random.default_rng(0)
+    fleets = [rng.random((2000, 2))]
+    for n in (20, 50, 100):
+        fleets += [rng.random((n, 2)), 1e-300 * rng.random((n, 2)), 1e150 * rng.random((n, 2)),
+                   rng.integers(0, 6, size=(n, 2)).astype(float)]
+    for pos in fleets:
+        diff = pos[:, None, :] - pos[None, :, :]
+        want = np.hypot(diff[..., 0], diff[..., 1])
+        assert graphs._pairwise_distances(pos).tobytes() == want.tobytes()
+
+
 class TestMatrixCsv:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -447,33 +447,113 @@ class TestGreedyAssign:
     def test_merged_centroids_are_the_bit_exact_means_along_the_oracle(self, monkeypatch):
         # a merged cluster's centroid is pos[list(older | newer)].mean(axis=0):
         # averaging its members in another order can move a last bit without
-        # changing any team, so compare the centroid differences greedy_assign
-        # hands math.hypot with those the oracle's merge sequence gives
+        # changing any team, so compare each centroid greedy_assign makes, in
+        # the order it makes them, with the oracle's merge sequence
+        import hetcover.simulation as simulation
+
+        made, centroid = [], simulation._centroid
+        monkeypatch.setattr(simulation, "_centroid", lambda members, px, py: made.append(
+            (members, centroid(members, px, py))) or made[-1][1])
+        unordered = 0
+        for seed in range(3):
+            system = generate_system(SimConfig(n_robots=20, n_capabilities=3, seed=seed),
+                                     trial_rngs(seed)[0])
+            pos = system.positions()
+            made.clear()
+            greedy_assign(system, 1)
+            live, want = [frozenset([i]) for i in range(len(system))], []  # in creation order
+            for r in range(len(system) - 1, 0, -1):
+                teams = greedy_teams_oracle(pos, r)
+                older, newer = [c for c in live if c not in teams]
+                live = [c for c in live if c not in (older, newer)] + [older | newer]
+                want.append(older | newer)
+            assert [list(members) for members, _ in made] == [list(m) for m in want]
+            for members, xy in made:
+                mean = pos[list(members)].mean(axis=0).tolist()
+                assert [v.hex() for v in xy] == [v.hex() for v in mean]
+            unordered += sum(list(members) != sorted(members) for members, _ in made)
+        assert unordered  # some member sets iterate out of ascending order
+
+    def test_centroid_sums_in_the_frozenset_order(self):
+        # members iterate in hash-table order; summed in ascending order instead,
+        # some of these means would move in the last bit
+        from hetcover.simulation import _centroid
+
+        rng = np.random.default_rng(0)
+        pos = rng.random((3000, 2))
+        px, py = pos[:, 0].tolist(), pos[:, 1].tolist()
+        moved = 0
+        for size in [1, 2, 3, 9, 50, 333, 2000] * 4:
+            members = frozenset(rng.choice(len(pos), size, replace=False).tolist())
+            got = [v.hex() for v in _centroid(members, px, py)]
+            assert got == [v.hex() for v in pos[list(members)].mean(axis=0).tolist()]
+            moved += got != [v.hex() for v in pos[sorted(members)].mean(axis=0).tolist()]
+        assert moved
+
+    @staticmethod
+    def near_tie_fleet(screen_first):
+        """Two pairs about 0.1 apart whose distances np.hypot and math.hypot order
+        opposite ways: the screen puts slots (0, 1) first when screen_first holds,
+        and math.hypot puts slots (2, 3) first; the other way round otherwise."""
+        rng = np.random.default_rng(0)
+        anchors, partners = [(0.2, 0.2), (0.7, 0.7)], []
+        for anchor in anchors:
+            theta = 2 * np.pi * rng.random(4000)
+            points = np.column_stack([anchor[0] + 0.1 * np.cos(theta),
+                                      anchor[1] + 0.1 * np.sin(theta)])
+            diff = points - anchor
+            fast = np.hypot(diff[:, 0], diff[:, 1])
+            exact = np.array([math.hypot(dx, dy) for dx, dy in diff.tolist()])
+            partners.append((points.tolist(), fast, exact))
+        (left, fast_l, exact_l), (right, fast_r, exact_r) = partners
+        i, j = next((i, j) for i in np.flatnonzero(fast_l < exact_l)
+                    for j in np.flatnonzero(fast_r > exact_r)
+                    if fast_l[i] < fast_r[j] and exact_l[i] > exact_r[j])
+        pairs = [[anchors[0], left[i]], [anchors[1], right[j]]]
+        return make_system([(p, "rgb") for p in sum(pairs if screen_first else pairs[::-1], [])])
+
+    @staticmethod
+    def hypot_calls(monkeypatch):
+        """The (dx, dy) of every math.hypot call greedy_assign makes from now on."""
         import hetcover.simulation as simulation
 
         calls = []
         monkeypatch.setattr(simulation, "math", SimpleNamespace(
             inf=math.inf, hypot=lambda dx, dy: calls.append((dx, dy)) or math.hypot(dx, dy)))
-        for seed in range(3):
-            system = generate_system(SimConfig(n_robots=20, n_capabilities=3, seed=seed),
-                                     trial_rngs(seed)[0])
-            pos = system.positions()
-            calls.clear()
-            greedy_assign(system, 1)
-            centroid = {frozenset([i]): xy for i, xy in enumerate(pos.tolist())}
-            live = list(centroid)  # in creation order
-            want = [(xa - xb, ya - yb) for a, (xa, ya) in enumerate(centroid.values())
-                    for xb, yb in list(centroid.values())[a + 1:]]
-            for r in range(len(system) - 1, 0, -1):
-                teams = greedy_teams_oracle(pos, r)
-                older, newer = [c for c in live if c not in teams]
-                merged = older | newer
-                assert merged in teams
-                live = [c for c in live if c not in (older, newer)] + [merged]
-                centroid[merged] = xa, ya = pos[list(merged)].mean(axis=0).tolist()
-                want += [(xa - centroid[c][0], ya - centroid[c][1])
-                         for c in sorted(live, key=min) if c is not merged]
-            assert calls == want
+        return calls
+
+    @pytest.mark.parametrize("screen_first", [True, False])
+    def test_math_hypot_decides_where_np_hypot_orders_a_near_tie_the_other_way(
+            self, screen_first, monkeypatch):
+        system = self.near_tie_fleet(screen_first)
+        pos = system.positions()
+        fast = [np.hypot(*(pos[a] - pos[b])) for a, b in ((0, 1), (2, 3))]
+        exact = [math.hypot(*(pos[a] - pos[b])) for a, b in ((0, 1), (2, 3))]
+        assert (fast[0] < fast[1]) == (exact[0] > exact[1])
+        closer = {0, 1} if exact[0] < exact[1] else {2, 3}
+        calls = self.hypot_calls(monkeypatch)
+        three, = greedy_assign(system, 3)
+        assert frozenset(closer) in three.teams
+        assert calls  # the near-tie went to math.hypot
+        self.assert_matches_oracle(system, range(1, 4))
+
+    def test_coincident_centroids_merge_by_the_tie_rule(self, monkeypatch):
+        # distance 0 between robots and between merged centroids: (x + x) / 2 is x
+        system = make_system([((x, y), "rgb") for x, y in [
+            (0.75, 0.75), (0.25, 0.25), (0.5, 0.9), (0.25, 0.25), (0.75, 0.75), (0.25, 0.25)]])
+        calls = self.hypot_calls(monkeypatch)
+        self.assert_matches_oracle(system, range(1, 7))
+        assert (0.0, 0.0) in calls  # the ties at 0 went to math.hypot
+
+    def test_separations_below_2_to_the_minus_1000_follow_math_hypot(self, monkeypatch):
+        # every separation below 2**-1000, subnormal ones included, lies within
+        # the screen's absolute term of the minimum, so math.hypot orders them
+        tiny = [(0.0, 0.0), (3 * 2.0 ** -1074, 0.0), (0.0, 4 * 2.0 ** -1074),
+                (2.0 ** -1030, 2.0 ** -1031), (2.0 ** -1010, 0.0), (0.0, 2.0 ** -1005),
+                (0.5, 0.5), (0.5, 0.5 + 2.0 ** -53)]
+        calls = self.hypot_calls(monkeypatch)
+        self.assert_matches_oracle(make_system([(p, "rgb") for p in tiny]), range(1, len(tiny)))
+        assert len(calls) >= 15  # the first merge weighs all 15 pairs of the six tiny robots
 
     def test_matches_pairwise_oracle_on_tie_heavy_grids(self):
         # distinct integer lattice points: many centroid distances are exactly
